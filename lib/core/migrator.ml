@@ -62,25 +62,29 @@ let stage_segment ?(defer = false) st ~inode_set blocks =
   in
   Segusage.set_cache_tag (Fs.seguse fsys) disk_seg tindex;
   let tbase = Addr_space.seg_base st.aspace tindex in
+  if 1 + List.length blocks > sgb then invalid_arg "Migrator.stage_segment: overfull segment";
+  (* the segment image is assembled in place: summary in block 0, then
+     data blocks, then inode blocks; unused tail blocks stay zero *)
+  let image = Bytes.make (sgb * bs) '\000' in
   (* gather the payload with the migrator's raw disk access: the blocks
-     are read into private memory, not the buffer cache *)
+     land in the private image, not the buffer cache *)
   let payload =
-    List.map
-      (fun (inum, bkey, addr) ->
-        let cache = Fs.bcache fsys in
+    List.mapi
+      (fun i (inum, bkey, addr) ->
         let data =
-          match Bcache.find cache (inum, bkey) with
-          | Some d -> Bytes.copy d
+          match Bcache.find (Fs.bcache fsys) (inum, bkey) with
+          | Some d -> d
           | None -> Block_io.read_block_any st addr
         in
-        (inum, bkey, addr, data))
+        Bytes.blit data 0 image ((i + 1) * bs) bs;
+        (inum, bkey, addr))
       blocks
   in
   (* re-verify and re-aim pointers; blocks that moved while we were
      reading are left as dead slots in the staging segment *)
   let live =
     List.filteri
-      (fun i (inum, bkey, addr, _) ->
+      (fun i (inum, bkey, addr) ->
         match Fs.get_inode fsys inum with
         | exception Not_found -> false
         | ino ->
@@ -109,18 +113,13 @@ let stage_segment ?(defer = false) st ~inode_set blocks =
   let inode_blocks = pack_inode_blocks [] ndata inodes_to_pack in
   if 1 + ndata + List.length inode_blocks > sgb then
     invalid_arg "Migrator.stage_segment: overfull segment";
-  (* assemble the image: summary, data blocks, inode blocks *)
   let nblocks_total = ndata + List.length inode_blocks in
-  let data_area = Bytes.create (nblocks_total * bs) in
-  List.iteri
-    (fun i (_, _, _, data) -> Bytes.blit data 0 data_area (i * bs) bs)
-    payload;
   List.iter
     (fun (slot, inums) ->
       let taddr = tbase + 1 + slot in
       let inos = List.map (Fs.get_inode fsys) inums in
       let block = Inode.pack_block ~block_size:bs inos in
-      Bytes.blit block 0 data_area (slot * bs) bs;
+      Bytes.blit block 0 image ((1 + slot) * bs) bs;
       List.iter
         (fun inum ->
           let e = Imap.get (Fs.imap fsys) inum in
@@ -130,29 +129,24 @@ let stage_segment ?(defer = false) st ~inode_set blocks =
           st.inodes_migrated <- st.inodes_migrated + 1)
         inums)
     inode_blocks;
-  let live_payload = List.map (fun (i, b, a, _) -> (i, b, a)) payload in
   let summary =
     {
       Summary.ss_next = -1;
       ss_create = Sim.Engine.now st.engine;
       ss_serial = Fs.serial fsys;
       ss_flags = 1 (* tertiary segment marker *);
-      finfos = finfos_of fsys live_payload;
+      finfos = finfos_of fsys payload;
       inode_addrs = List.map (fun (slot, _) -> tbase + 1 + slot) inode_blocks;
     }
   in
-  let sum_block =
-    Summary.serialize ~block_size:bs ~data_crc:(Util.Crc32.bytes data_area) summary
-  in
-  let image = Bytes.make (sgb * bs) '\000' in
-  Bytes.blit sum_block 0 image 0 bs;
-  Bytes.blit data_area 0 image bs (Bytes.length data_area);
+  let data_crc = Util.Crc32.bytes ~off:bs ~len:(nblocks_total * bs) image in
+  Summary.serialize_into ~block_size:bs ~data_crc summary ~dst:image ~dst_off:0;
   Fs.charge_copy fsys (Bytes.length image);
   Block_io.raw_write_cache_line st ~disk_seg image;
   (* manifest for end-of-medium re-homing *)
   Hashtbl.replace st.manifests tindex
     (List.mapi
-       (fun i (inum, bkey, _, _) ->
+       (fun i (inum, bkey, _) ->
          Staged_block { sb_inum = inum; sb_bkey = bkey; sb_taddr = tbase + 1 + i })
        payload
     @ List.map

@@ -1,7 +1,10 @@
 (** Sparse backing store for simulated media. Devices carry real bytes so
-    file-system correctness is checked end to end, but space is allocated
-    only for blocks actually written (a 9 TB jukebox costs nothing until
-    used). Unwritten blocks read back as zeros, like a freshly formatted
+    file-system correctness is checked end to end, but memory is
+    allocated only for the pages touched: blocks are grouped in pages of
+    32 consecutive blocks, and a page is allocated on the first write to
+    any of its blocks and freed once its last written block is erased (a
+    9 TB jukebox costs nothing until used). Overwrites land in place.
+    Unwritten blocks read back as zeros, like a freshly formatted
     medium. *)
 
 type t
@@ -40,4 +43,5 @@ val written_blocks : t -> int
 val erase : t -> unit
 
 val erase_block : t -> int -> unit
-(** Forgets one block (used when a tertiary volume is reclaimed). *)
+(** Forgets one block (used when a tertiary volume is reclaimed); its
+    page is released when no written block is left in it. *)

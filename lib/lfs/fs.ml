@@ -329,8 +329,9 @@ let close_partial t p =
     let bs = t.prm.block_size in
     let blocks = List.rev p.p_blocks in
     let ndata = List.length blocks in
-    let data = Bytes.create (ndata * bs) in
-    List.iteri (fun i (_, payload) -> Bytes.blit payload 0 data (i * bs) bs) blocks;
+    (* one buffer: summary block, then the payload from block 1 on *)
+    let image = Bytes.create ((ndata + 1) * bs) in
+    List.iteri (fun i (_, payload) -> Bytes.blit payload 0 image ((i + 1) * bs) bs) blocks;
     let base = Layout.seg_base t.prm t.cur_seg + p.p_start in
     let inode_addrs =
       List.concat
@@ -350,8 +351,8 @@ let close_partial t p =
       }
     in
     t.serial <- Int64.add t.serial 1L;
-    let sum_block = Summary.serialize ~block_size:bs ~data_crc:(Crc32.bytes data) summary in
-    let image = Bytes.cat sum_block data in
+    let data_crc = Crc32.bytes ~off:bs ~len:(ndata * bs) image in
+    Summary.serialize_into ~block_size:bs ~data_crc summary ~dst:image ~dst_off:0;
     charge_copy t (Bytes.length image);
     t.device.write ~blk:base ~data:image;
     t.n_partials <- t.n_partials + 1;

@@ -26,19 +26,21 @@ let bytes_needed t =
 let ndata_blocks t = List.fold_left (fun acc f -> acc + List.length f.fi_blocks) 0 t.finfos
 let nblocks_total t = ndata_blocks t + List.length t.inode_addrs
 
-let serialize ~block_size ~data_crc t =
+let serialize_into ~block_size ~data_crc t ~dst ~dst_off =
   if bytes_needed t > block_size then invalid_arg "Summary.serialize: does not fit";
-  let b = Bytes.make block_size '\000' in
-  Bytesx.set_u32 b 4 data_crc;
-  Bytesx.set_i32 b 8 t.ss_next;
-  Bytesx.set_u64 b 12 (Int64.bits_of_float t.ss_create);
-  Bytesx.set_u64 b 20 t.ss_serial;
-  Bytesx.set_u16 b 28 (List.length t.finfos);
-  Bytesx.set_u16 b 30 (List.length t.inode_addrs);
-  Bytesx.set_u16 b 32 t.ss_flags;
-  Bytesx.set_u32 b 34 magic;
-  Bytesx.set_u16 b 38 0;
-  let off = ref header_bytes in
+  if dst_off < 0 || dst_off > Bytes.length dst - block_size then
+    invalid_arg "Summary.serialize_into: block outside buffer";
+  let b = dst and o = dst_off in
+  Bytes.fill b o block_size '\000';
+  Bytesx.set_u32 b (o + 4) data_crc;
+  Bytesx.set_i32 b (o + 8) t.ss_next;
+  Bytesx.set_u64 b (o + 12) (Int64.bits_of_float t.ss_create);
+  Bytesx.set_u64 b (o + 20) t.ss_serial;
+  Bytesx.set_u16 b (o + 28) (List.length t.finfos);
+  Bytesx.set_u16 b (o + 30) (List.length t.inode_addrs);
+  Bytesx.set_u16 b (o + 32) t.ss_flags;
+  Bytesx.set_u32 b (o + 34) magic;
+  let off = ref (o + header_bytes) in
   List.iter
     (fun f ->
       Bytesx.set_u32 b !off f.fi_ino;
@@ -52,10 +54,15 @@ let serialize ~block_size ~data_crc t =
           off := !off + 4)
         f.fi_blocks)
     t.finfos;
-  List.iteri (fun i addr -> Bytesx.set_i32 b (block_size - (4 * (i + 1))) addr) t.inode_addrs;
-  (* sumsum covers the block with its own field zeroed *)
-  Bytesx.set_u32 b 0 0;
-  Bytesx.set_u32 b 0 (Crc32.bytes b);
+  List.iteri
+    (fun i addr -> Bytesx.set_i32 b (o + block_size - (4 * (i + 1))) addr)
+    t.inode_addrs;
+  (* sumsum covers the block with its own field (still zero) included *)
+  Bytesx.set_u32 b o (Crc32.bytes ~off:o ~len:block_size b)
+
+let serialize ~block_size ~data_crc t =
+  let b = Bytes.create block_size in
+  serialize_into ~block_size ~data_crc t ~dst:b ~dst_off:0;
   b
 
 type error = Bad_checksum | Garbage

@@ -38,6 +38,12 @@ val serialize : block_size:int -> data_crc:int -> t -> Bytes.t
 (** Fails if the summary does not fit. The summary checksum is computed
     over the whole block with the checksum field zeroed. *)
 
+val serialize_into :
+  block_size:int -> data_crc:int -> t -> dst:Bytes.t -> dst_off:int -> unit
+(** {!serialize} written straight into the block at [dst_off] in [dst],
+    so a partial-segment image can be assembled in one buffer. The whole
+    block is overwritten. *)
+
 type error = Bad_checksum | Garbage
 
 val deserialize : Bytes.t -> (t * int, error) result

@@ -2,7 +2,8 @@
     and data checksums (the paper's [ss_sumsum] and [ss_datasum]). *)
 
 val bytes : ?off:int -> ?len:int -> Bytes.t -> int
-(** Checksum of a byte range; the result is a 32-bit unsigned value. *)
+(** Checksum of a byte range; the result is a 32-bit unsigned value. A
+    range outside [b] raises [Invalid_argument]. *)
 
 val string : string -> int
 

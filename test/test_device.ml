@@ -38,6 +38,130 @@ let test_store_erase_block () =
   check Alcotest.bool "erased" false (Blockstore.is_written s 1);
   check Alcotest.bool "zeros again" true (Util.Bytesx.is_zero (Blockstore.read s ~blk:1 ~count:1))
 
+(* Model test: random operations run against the store and against a
+   reference that keeps one [Bytes] per written block (the store's
+   former representation). [Copy] forks a new store/model pair; later
+   operations pick a pair by index, so writes to a copy and to its
+   original are both exercised and each must stay invisible to the
+   other. The 8-byte blocks and 100-block device (three full 32-block
+   pages plus a short one) keep ranges straddling page boundaries and
+   partly written pages common. *)
+type store_op =
+  | Op_write of int * int * int * int (* store, blk, count, seed *)
+  | Op_write_from of int * int * int * int * int (* ... + src_off *)
+  | Op_read_into of int * int * int * int (* store, blk, count, dst_off *)
+  | Op_erase_block of int * int
+  | Op_erase of int
+  | Op_copy of int
+
+let model_bs = 8
+let model_nblocks = 100
+
+let pp_store_op = function
+  | Op_write (w, b, c, s) -> Printf.sprintf "write(s%d, %d, %d, #%d)" w b c s
+  | Op_write_from (w, b, c, s, o) -> Printf.sprintf "write_from(s%d, %d, %d, #%d, +%d)" w b c s o
+  | Op_read_into (w, b, c, o) -> Printf.sprintf "read_into(s%d, %d, %d, +%d)" w b c o
+  | Op_erase_block (w, b) -> Printf.sprintf "erase_block(s%d, %d)" w b
+  | Op_erase w -> Printf.sprintf "erase(s%d)" w
+  | Op_copy w -> Printf.sprintf "copy(s%d)" w
+
+let gen_store_op =
+  let open QCheck.Gen in
+  let range =
+    int_bound (model_nblocks - 1) >>= fun blk ->
+    int_range 1 (min 70 (model_nblocks - blk)) >|= fun count -> (blk, count)
+  in
+  frequency
+    [
+      (4, map3 (fun w (b, c) s -> Op_write (w, b, c, s)) small_nat range small_nat);
+      ( 4,
+        map3
+          (fun w (b, c) (s, o) -> Op_write_from (w, b, c, s, o))
+          small_nat range (pair small_nat (int_bound 11)) );
+      (4, map3 (fun w (b, c) o -> Op_read_into (w, b, c, o)) small_nat range (int_bound 11));
+      (3, map2 (fun w b -> Op_erase_block (w, b)) small_nat (int_bound (model_nblocks - 1)));
+      (1, map (fun w -> Op_erase w) small_nat);
+      (1, map (fun w -> Op_copy w) small_nat);
+    ]
+
+let block_fill seed blk = Bytes.init model_bs (fun i -> Char.chr ((seed + (blk * 31) + (i * 7) + 1) land 0xff))
+
+let model_read model blk count =
+  let out = Bytes.make (count * model_bs) '\000' in
+  for i = 0 to count - 1 do
+    match Hashtbl.find_opt model (blk + i) with
+    | Some b -> Bytes.blit b 0 out (i * model_bs) model_bs
+    | None -> ()
+  done;
+  out
+
+let prop_store_matches_model =
+  QCheck.Test.make ~name:"blockstore agrees with a per-block model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_store_op ops))
+       QCheck.Gen.(list_size (int_range 1 60) gen_store_op))
+    (fun ops ->
+      let worlds =
+        ref [| (Blockstore.create ~block_size:model_bs ~nblocks:model_nblocks, Hashtbl.create 16) |]
+      in
+      let pick w = !worlds.(w mod Array.length !worlds) in
+      let agrees (store, model) =
+        Blockstore.written_blocks store = Hashtbl.length model
+        && List.for_all
+             (fun blk -> Blockstore.is_written store blk = Hashtbl.mem model blk)
+             (List.init model_nblocks Fun.id)
+        && Bytes.equal
+             (Blockstore.read store ~blk:0 ~count:model_nblocks)
+             (model_read model 0 model_nblocks)
+      in
+      List.for_all
+        (fun op ->
+          let step_ok =
+            match op with
+            | Op_write (w, blk, count, seed) ->
+                let store, model = pick w in
+                let data = Bytes.concat Bytes.empty (List.init count (fun i -> block_fill seed (blk + i))) in
+                Blockstore.write store ~blk data;
+                for i = 0 to count - 1 do
+                  Hashtbl.replace model (blk + i) (block_fill seed (blk + i))
+                done;
+                true
+            | Op_write_from (w, blk, count, seed, src_off) ->
+                let store, model = pick w in
+                let src = Bytes.make (src_off + (count * model_bs) + 5) '\x5a' in
+                for i = 0 to count - 1 do
+                  Bytes.blit (block_fill seed (blk + i)) 0 src (src_off + (i * model_bs)) model_bs
+                done;
+                Blockstore.write_from store ~blk ~src ~src_off ~count;
+                for i = 0 to count - 1 do
+                  Hashtbl.replace model (blk + i) (block_fill seed (blk + i))
+                done;
+                true
+            | Op_read_into (w, blk, count, dst_off) ->
+                let store, model = pick w in
+                let dst = Bytes.make (dst_off + (count * model_bs) + 3) '\xa5' in
+                Blockstore.read_into store ~blk ~count ~dst ~dst_off;
+                Bytes.equal (Bytes.sub dst dst_off (count * model_bs)) (model_read model blk count)
+                && Bytes.for_all (( = ) '\xa5') (Bytes.sub dst 0 dst_off)
+                && Bytes.for_all (( = ) '\xa5') (Bytes.sub dst (dst_off + (count * model_bs)) 3)
+            | Op_erase_block (w, blk) ->
+                let store, model = pick w in
+                Blockstore.erase_block store blk;
+                Hashtbl.remove model blk;
+                true
+            | Op_erase w ->
+                let store, model = pick w in
+                Blockstore.erase store;
+                Hashtbl.reset model;
+                true
+            | Op_copy w ->
+                let store, model = pick w in
+                worlds := Array.append !worlds [| (Blockstore.copy store, Hashtbl.copy model) |];
+                true
+          in
+          step_ok && Array.for_all agrees !worlds)
+        ops)
+
 (* --- Disk timing --- *)
 
 let test_disk_sequential_rate () =
@@ -432,7 +556,7 @@ let prop_jukebox_roundtrip =
 
 let props =
   [ prop_concat_roundtrip; prop_stripe_locate_bijective; prop_seek_monotone;
-    prop_jukebox_roundtrip ]
+    prop_jukebox_roundtrip; prop_store_matches_model ]
 
 let suite =
   [

@@ -21,7 +21,7 @@ let in_sim f =
 let bytes_pattern n seed = Bytes.init n (fun i -> Char.chr ((seed + (i * 7)) land 0xff))
 let seg_bytes = 16 * 4096
 
-type world = { hl : Hl.t; store : Device.Blockstore.t; fp : Footprint.t }
+type world = { hl : Hl.t; store : Device.Blockstore.t; fp : Footprint.t; jb : Device.Jukebox.t }
 
 let make_world ?(nsegs = 64) ?(cache_segs = 12) engine =
   let prm = Param.for_tests ~seg_blocks:16 ~nsegs () in
@@ -36,7 +36,7 @@ let make_world ?(nsegs = 64) ?(cache_segs = 12) engine =
   in
   let fp = Footprint.create ~seg_blocks:prm.Param.seg_blocks ~segs_per_volume:8 [ jb ] in
   let hl = Hl.mkfs engine prm ~disk:(Dev.of_store store) ~fp ~cache_segs () in
-  { hl; store; fp }
+  { hl; store; fp; jb }
 
 let remount engine w img =
   Hl.mount engine ~disk:(Dev.of_store img) ~fp:w.fp ~cpu:Param.cpu_free ()
@@ -234,8 +234,59 @@ let prop_flushed_files_survive_crash =
                (fun (path, data) -> Bytes.equal (Hl.read_file hl2 path ()) data)
                files))
 
+(* Byte-identity oracle for the host-side data path: one fixed scenario
+   (write, migrate to the MO jukebox, eject, read back, crash image)
+   must leave exactly these bytes on every medium. The digest covers
+   each store's written set and the contents of every written block, so
+   a change to checksumming, buffer assembly or the block store that
+   moves a single on-media byte fails here. *)
+let golden_media_digest = "fcdb6a979ae48c8b9a9b9e3642f0fb3b"
+
+let store_digest buf name store =
+  Buffer.add_string buf
+    (Printf.sprintf "%s:%d:%d;" name (Device.Blockstore.nblocks store)
+       (Device.Blockstore.written_blocks store));
+  for blk = 0 to Device.Blockstore.nblocks store - 1 do
+    if Device.Blockstore.is_written store blk then begin
+      Buffer.add_string buf (string_of_int blk);
+      Buffer.add_bytes buf (Device.Blockstore.read store ~blk ~count:1)
+    end
+  done
+
+let test_media_bytes_golden () =
+  let digest =
+    in_sim (fun engine ->
+        let w = make_world engine in
+        let fsys = Hl.fs w.hl in
+        let files =
+          List.init 4 (fun i ->
+              (Printf.sprintf "/g%d" i, bytes_pattern ((i * seg_bytes / 2) + 1000 + (i * 77)) (31 + i)))
+        in
+        List.iter (fun (path, data) -> Hl.write_file w.hl path data) files;
+        Fs.checkpoint fsys;
+        ignore (Migrator.migrate_paths (Hl.state w.hl) (List.map fst files));
+        Hl.eject_tertiary_copies w.hl ~paths:(List.map fst files);
+        List.iter
+          (fun (path, data) ->
+            check Alcotest.bytes (path ^ " read back") data (Hl.read_file w.hl path ()))
+          files;
+        check Alcotest.bool "read-back demand-fetched from the jukebox" true
+          ((Hl.stats w.hl).Hl.demand_fetches > 0);
+        let img = Fs.crash_image fsys w.store in
+        let buf = Buffer.create (1 lsl 20) in
+        store_digest buf "disk" w.store;
+        store_digest buf "crash" img;
+        for vol = 0 to Device.Jukebox.nvolumes w.jb - 1 do
+          store_digest buf (Printf.sprintf "vol%d" vol) (Device.Jukebox.volume_store w.jb vol)
+        done;
+        Digest.to_hex (Digest.string (Buffer.contents buf)))
+  in
+  check Alcotest.string "media digest" golden_media_digest digest
+
 let suite =
   [
+    ( "recovery.golden",
+      [ Alcotest.test_case "media bytes match the golden digest" `Quick test_media_bytes_golden ] );
     ( "recovery.crash",
       [
         Alcotest.test_case "crash after flush rolls forward" `Quick

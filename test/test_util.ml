@@ -71,6 +71,100 @@ let test_crc32_range () =
   let b = Bytes.of_string "xxhelloyy" in
   check Alcotest.int "sub" (Crc32.string "hello") (Crc32.bytes ~off:2 ~len:5 b)
 
+(* The bytewise CRC-32 the library used to run, kept here as the oracle
+   for the slicing-by-8 implementation. *)
+let crc32_reference b off len =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let crc = ref 0xffffffff in
+  for i = off to off + len - 1 do
+    crc := table.((!crc lxor Char.code (Bytes.get b i)) land 0xff) lxor (!crc lsr 8)
+  done;
+  !crc lxor 0xffffffff
+
+let test_crc32_every_short_range () =
+  (* every offset 0..8 and every length 0..40: all the tail shapes
+     around and between 8-byte steps *)
+  let b = Bytes.init 64 (fun i -> Char.chr (((i * 89) + 13) land 0xff)) in
+  for off = 0 to 8 do
+    for len = 0 to 40 do
+      check Alcotest.int
+        (Printf.sprintf "off %d len %d" off len)
+        (crc32_reference b off len) (Crc32.bytes ~off ~len b)
+    done
+  done
+
+let test_crc32_out_of_range () =
+  let b = Bytes.make 16 'a' in
+  let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
+  check Alcotest.bool "negative off" true (raises (fun () -> Crc32.bytes ~off:(-1) ~len:4 b));
+  check Alcotest.bool "past the end" true (raises (fun () -> Crc32.bytes ~off:10 ~len:7 b));
+  check Alcotest.bool "negative len" true (raises (fun () -> Crc32.bytes ~off:2 ~len:(-1) b));
+  check Alcotest.bool "off beyond length" true (raises (fun () -> Crc32.bytes ~off:17 b));
+  check Alcotest.bool "long past the end" true (raises (fun () -> Crc32.bytes ~off:0 ~len:24 b));
+  check Alcotest.int "whole buffer is in range" (crc32_reference b 0 16) (Crc32.bytes ~off:0 ~len:16 b)
+
+(* The summary and superblock checksums are CRC-32 over the block with
+   the checksum word zeroed; both must agree with the reference and
+   round-trip. *)
+let test_crc32_summary_superblock () =
+  let open Lfs in
+  let sum =
+    {
+      Summary.ss_next = 4242;
+      ss_create = 17.25;
+      ss_serial = 99L;
+      ss_flags = 1;
+      finfos =
+        [ { Summary.fi_ino = 5; fi_version = 2; fi_lastlength = 300; fi_blocks = [ Bkey.Data 0; Bkey.Data 1 ] } ];
+      inode_addrs = [ 1234 ];
+    }
+  in
+  let block = Summary.serialize ~block_size:4096 ~data_crc:0x1234567 sum in
+  let zeroed = Bytes.copy block in
+  Bytesx.set_u32 zeroed 0 0;
+  check Alcotest.int "summary sumsum" (crc32_reference zeroed 0 4096) (Bytesx.get_u32 block 0);
+  (match Summary.deserialize block with
+  | Ok (sum', crc) ->
+      check Alcotest.bool "summary round-trip" true (sum = sum');
+      check Alcotest.int "summary datasum" 0x1234567 crc
+  | Error _ -> Alcotest.fail "summary should parse");
+  (* serialize_into at an offset lands the same block *)
+  let buf = Bytes.make (3 * 4096) '\xff' in
+  Summary.serialize_into ~block_size:4096 ~data_crc:0x1234567 sum ~dst:buf ~dst_off:4096;
+  check Alcotest.bytes "serialize_into = serialize" block (Bytes.sub buf 4096 4096);
+  check Alcotest.bool "neighbours untouched" true
+    (Bytes.for_all (( = ) '\xff') (Bytes.sub buf 0 4096)
+    && Bytes.for_all (( = ) '\xff') (Bytes.sub buf 8192 4096));
+  let sb =
+    { Superblock.block_size = 4096; seg_blocks = 256; nsegs = 32; max_inodes = 1000; tertiary = None }
+  in
+  let sblock = Superblock.serialize ~block_size:4096 sb in
+  let zeroed = Bytes.copy sblock in
+  Bytesx.set_u32 zeroed 0 0;
+  check Alcotest.int "superblock checksum" (crc32_reference zeroed 0 4096) (Bytesx.get_u32 sblock 0);
+  check Alcotest.bool "superblock round-trip" true (Superblock.deserialize sblock = Ok sb);
+  let cp =
+    {
+      Superblock.serial = 7L;
+      timestamp = 3.5;
+      ifile_inode_addr = 600;
+      cur_seg = 4;
+      cur_off = 17;
+      next_seg = 5;
+      tvol = 1;
+      tseg_in_vol = 2;
+    }
+  in
+  let cblock = Superblock.serialize_checkpoint ~block_size:4096 cp in
+  check Alcotest.bool "checkpoint round-trip" true (Superblock.deserialize_checkpoint cblock = Some cp)
+
 (* --- Lru --- *)
 
 let test_lru_basic () =
@@ -212,6 +306,30 @@ let prop_crc_detects_flip =
       Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl bit)));
       Crc32.bytes b <> orig)
 
+let prop_crc_matches_reference =
+  QCheck.Test.make ~name:"crc32 matches the bytewise reference on any range" ~count:500
+    QCheck.(triple (string_of_size Gen.(0 -- 300)) small_nat small_nat)
+    (fun (s, a, c) ->
+      let b = Bytes.of_string s in
+      let n = Bytes.length b in
+      let off = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - off = 0 then 0 else c mod (n - off + 1) in
+      Crc32.bytes ~off ~len b = crc32_reference b off len)
+
+let prop_crc_combine_chains =
+  QCheck.Test.make ~name:"crc32 combine over pieces equals one pass" ~count:300
+    QCheck.(pair (string_of_size Gen.(0 -- 200)) (small_list small_nat))
+    (fun (s, cuts) ->
+      let n = String.length s in
+      let cuts = List.sort_uniq Int.compare (List.map (fun c -> if n = 0 then 0 else c mod n) cuts) in
+      let rec pieces from = function
+        | [] -> [ String.sub s from (n - from) ]
+        | c :: rest when c <= from -> pieces from rest
+        | c :: rest -> String.sub s from (c - from) :: pieces c rest
+      in
+      List.fold_left (fun crc p -> Crc32.combine crc (Bytes.of_string p)) 0 (pieces 0 cuts)
+      = Crc32.string s)
+
 let prop_lru_never_exceeds_cap =
   QCheck.Test.make ~name:"lru size bounded by capacity" ~count:200
     QCheck.(pair (int_range 1 16) (list small_nat))
@@ -252,7 +370,8 @@ let prop_rng_int_in_bounds =
       let v = Rng.int r bound in
       v >= 0 && v < bound)
 
-let props = [ prop_crc_detects_flip; prop_lru_never_exceeds_cap; prop_lru_find_after_add;
+let props = [ prop_crc_detects_flip; prop_crc_matches_reference; prop_crc_combine_chains;
+              prop_lru_never_exceeds_cap; prop_lru_find_after_add;
               prop_heap_pop_sorted; prop_rng_int_in_bounds ]
 
 let suite =
@@ -271,6 +390,9 @@ let suite =
         Alcotest.test_case "known vectors" `Quick test_crc32_known;
         Alcotest.test_case "combine" `Quick test_crc32_combine;
         Alcotest.test_case "byte range" `Quick test_crc32_range;
+        Alcotest.test_case "every short range" `Quick test_crc32_every_short_range;
+        Alcotest.test_case "out-of-range view raises" `Quick test_crc32_out_of_range;
+        Alcotest.test_case "summary and superblock sums" `Quick test_crc32_summary_superblock;
       ] );
     ( "util.lru",
       [
