@@ -25,9 +25,6 @@ let retried st ~what f =
   in
   go 1 st.retry.backoff_base
 
-let raw_read_cache_line st ~disk_seg =
-  st.disk.Lfs.Dev.read ~blk:(disk_seg_base st disk_seg) ~count:(seg_blocks st)
-
 let raw_write_cache_line st ~disk_seg data =
   st.disk.Lfs.Dev.write ~blk:(disk_seg_base st disk_seg) ~data
 

@@ -8,11 +8,9 @@
 
 val dev : State.t -> Lfs.Dev.t
 
-val raw_read_cache_line : State.t -> disk_seg:int -> Bytes.t
-(** Whole-segment raw read of a cache line (the I/O server's direct
-    disk access, bypassing the buffer cache). *)
-
 val raw_write_cache_line : State.t -> disk_seg:int -> Bytes.t -> unit
+(** Whole-segment raw write of a cache line (the I/O server's direct
+    disk access, bypassing the buffer cache). *)
 
 val read_block_any : State.t -> int -> Bytes.t
 (** Reads one block wherever it lives: disk directly, tertiary via the

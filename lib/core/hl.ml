@@ -25,9 +25,9 @@ let hooks st =
   {
     Fs.reclaim =
       (fun () ->
-        match Service.choose_victim st with
+        match Evict.choose_victim st with
         | Some victim ->
-            Service.eject st victim;
+            Evict.eject st victim;
             true
         | None -> false);
     is_foreign = (fun addr -> not (Addr_space.is_disk st.State.aspace addr));
@@ -217,7 +217,7 @@ let eject_tertiary_copies t ~paths =
                 | Some line
                   when line.Seg_cache.state = Seg_cache.Resident
                        || line.Seg_cache.state = Seg_cache.Staged_clean ->
-                    Service.eject t.st line
+                    Evict.eject t.st line
                 | _ -> ()
               end);
           (* the inode itself may live on tertiary storage *)
@@ -228,7 +228,7 @@ let eject_tertiary_copies t ~paths =
             | Some line
               when line.Seg_cache.state = Seg_cache.Resident
                    || line.Seg_cache.state = Seg_cache.Staged_clean ->
-                Service.eject t.st line
+                Evict.eject t.st line
             | _ -> ()
           end)
     paths
@@ -338,19 +338,10 @@ let stats t =
     rehomes = st.State.rehomes;
     fetch_wait = st.State.fetch_wait;
     queue_time = st.State.queue_time;
-    io_disk_time = st.State.io_disk_time;
-    io_tertiary_time = st.State.io_tertiary_time;
-    io_overlap =
-      (* per-phase busy time over the wall time any phase was busy:
-         1.0 = strictly serial, 2.0 = both devices always concurrent *)
-      (let busy = st.State.io_disk_time +. st.State.io_tertiary_time in
-       if st.State.io_union_time > 0.0 then busy /. st.State.io_union_time else 1.0);
-    writeout_overlap =
-      (* same busy/union ratio, restricted to write-out phases: 1.0 when
-         a write-out's staging read and tertiary write serialize, toward
-         2.0 when the streaming pipeline runs them concurrently *)
-      (let busy = st.State.wo_disk_time +. st.State.wo_tertiary_time in
-       if st.State.wo_union_time > 0.0 then busy /. st.State.wo_union_time else 1.0);
+    io_disk_time = st.State.io.State.disk_time;
+    io_tertiary_time = st.State.io.State.tertiary_time;
+    io_overlap = State.overlap st.State.io;
+    writeout_overlap = State.overlap st.State.wo;
     partial_line_serves = count "cache.partial_serves";
     tail_refetch_bytes =
       count "cache.tail_refetch_blocks" * Footprint.block_size st.State.fp;
@@ -396,14 +387,8 @@ let reset_stats t =
   st.State.rehomes <- 0;
   st.State.fetch_wait <- 0.0;
   st.State.queue_time <- 0.0;
-  st.State.io_disk_time <- 0.0;
-  st.State.io_tertiary_time <- 0.0;
-  st.State.io_union_time <- 0.0;
-  st.State.io_busy_since <- Sim.Engine.now st.State.engine;
-  st.State.wo_disk_time <- 0.0;
-  st.State.wo_tertiary_time <- 0.0;
-  st.State.wo_union_time <- 0.0;
-  st.State.wo_busy_since <- Sim.Engine.now st.State.engine;
+  State.reset_busy st.State.io ~now:(Sim.Engine.now st.State.engine);
+  State.reset_busy st.State.wo ~now:(Sim.Engine.now st.State.engine);
   st.State.prefetches_dropped <- 0;
   st.State.blocks_migrated <- 0;
   st.State.bytes_migrated <- 0;

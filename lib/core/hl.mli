@@ -36,8 +36,8 @@ val mkfs :
     disk segments), fixed at file-system creation like the paper's
     static split. [dead_zone_segs] (default 64) sizes the invalid
     address range between disk and tertiary space, i.e. the headroom
-    for {!grow_disk}. [io_mode] (default [Pipelined]) selects the
-    service/I-O machinery — see {!Service}. *)
+    for {!grow_disk}. [io_mode] (default [Pipelined]) sets the worker
+    layout of the service pipeline — see {!Service}. *)
 
 val mount :
   Sim.Engine.t ->
@@ -99,21 +99,22 @@ val set_streaming_fetch : t -> bool -> unit
     line's in-memory image, waking each waiter the moment the chunk
     holding its block arrives (watermark protocol — see DESIGN.md).
     [false] restores the blocking behaviour, where waiters sleep until
-    the whole segment has landed on the cache disk. *)
+    the whole segment has landed on the cache disk (the same transfer,
+    with the watermark published only at landing). *)
 
 val set_streaming_writeout : t -> bool -> unit
 (** Default [true]: in pipelined mode a write-out's staging-disk read
-    and its tertiary write overlap within the segment behind a
-    written-prefix watermark ("Streaming write-out" in DESIGN.md); WORM
-    volumes always take the blocking path regardless. [false] restores
-    the read-whole-image-then-write behaviour. *)
+    and its tertiary write overlap within the segment behind a read
+    watermark ("Streaming write-out" in DESIGN.md), on every media kind
+    — a torn write resumes at its written prefix, so WORM needs no
+    special path. [false] reads the whole image before the write. *)
 
 val set_idle_readahead : t -> bool -> unit
 (** Default [false]: when enabled, a tertiary worker running out of
     work triggers a cost-aware speculative fetch of the warmest uncached
     segment on a currently-loaded volume (never causes a robot swap);
     queued idle prefetches are cancelled the moment demand or write-out
-    work arrives. *)
+    work arrives. No effect in [Serial] io mode. *)
 
 val eject_tertiary_copies : t -> paths:string list -> unit
 (** Drops the cached copies of the tertiary segments holding these

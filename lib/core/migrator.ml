@@ -55,7 +55,7 @@ let stage_segment ?(defer = false) st ~inode_set blocks =
   let bs = (Fs.param fsys).Param.block_size in
   let sgb = seg_blocks st in
   let tindex = next_tseg st in
-  let disk_seg = Service.allocate_cache_line ~staging:true st in
+  let disk_seg = Evict.allocate ~staging:true st in
   let line =
     Seg_cache.insert st.cache ~tindex ~disk_seg ~state:Seg_cache.Staging
       ~now:(Sim.Engine.now st.engine)

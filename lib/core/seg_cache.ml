@@ -16,6 +16,9 @@ type line = {
       (* streaming-fetch watermark: the first [valid_blocks] blocks of
          [image] hold real data. Full (= seg_blocks) once the tertiary
          read completes; blocking fetches go straight to full. *)
+  mutable media_blocks : int;
+      (* write-out watermark: leading blocks of the tertiary segment
+         already on the media; survives a failed write-out ticket *)
   mutable prefetched : bool;
       (* inserted by a readahead hint and not yet demanded — flips off
          on first demand use; an eviction while still set counts as a
@@ -113,6 +116,7 @@ let insert t ~tindex ~disk_seg ~state ~now =
       worthy = false;
       image = None;
       valid_blocks = 0;
+      media_blocks = 0;
       prefetched = false;
       idle_hint = false;
       ready = Sim.Condvar.create ();

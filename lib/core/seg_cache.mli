@@ -41,6 +41,12 @@ type line = {
           (broadcasting [ready] each time) so waiters needing an early
           offset unblock before the whole segment arrives; blocking
           fetches set it to the full segment size at completion. *)
+  mutable media_blocks : int;
+      (** write-out watermark of a Staging line: how many leading blocks
+          of its tertiary segment are already on the media. A torn
+          write-out leaves it partway; the next attempt — a retry or a
+          later ticket — resumes there, so no block is written twice
+          (WORM-safe). A re-home resets it to 0. *)
   mutable prefetched : bool;
       (** inserted by a readahead hint and not yet demanded; cleared on
           first demand use. Eviction/cancellation while set counts

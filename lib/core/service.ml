@@ -2,134 +2,6 @@ open State
 
 let now st = Sim.Engine.now st.engine
 
-let eject st line =
-  if line.Seg_cache.pins > 0 then invalid_arg "Service.eject: line pinned";
-  (match line.Seg_cache.state with
-  | Seg_cache.Resident | Seg_cache.Staged_clean | Seg_cache.Partial -> ()
-  | Seg_cache.Fetching | Seg_cache.Staging ->
-      invalid_arg "Service.eject: line not evictable");
-  Hl_log.Log.debug (fun m ->
-      m "eject cache line: tseg %d (disk seg %d)" line.Seg_cache.tindex line.Seg_cache.disk_seg);
-  if line.Seg_cache.prefetched then begin
-    if line.Seg_cache.idle_hint then
-      (* idle-daemon speculation is scored on its own: it must never
-         drag down the adaptive readahead's accuracy *)
-      Sim.Metrics.incr (Sim.Metrics.counter st.metrics "idle.evicted_unused")
-    else begin
-      (* the hint never paid off: the readahead policy hears about it *)
-      Sim.Metrics.incr (Sim.Metrics.counter st.metrics "prefetch.evicted_unused");
-      st.on_prefetch_wasted line.Seg_cache.tindex
-    end
-  end;
-  Seg_cache.remove st.cache line;
-  Seg_cache.note_eviction st.cache;
-  Sim.Metrics.incr (Sim.Metrics.counter st.metrics "cache.evictions");
-  Sim.Trace.instant ~track:"service" ~cat:"cache" "evict"
-    ~args:[ ("tindex", string_of_int line.Seg_cache.tindex) ];
-  if line.Seg_cache.disk_seg >= 0 then
-    (* fires the segments_freed hook, waking allocation waiters *)
-    Lfs.Fs.release_segment (fs st) line.Seg_cache.disk_seg
-
-(* Victim selection with the decision observatory looking over its
-   shoulder: every policy-chosen eviction (as opposed to a deliberate
-   eject, e.g. [Hl.eject_tertiary_copies]) emits a Cache_evict record —
-   the victim plus the candidates passed over, with idle/worthiness/
-   heat features — and registers for the eviction-regret SLI. *)
-let choose_victim st =
-  match Seg_cache.choose_victim st.cache with
-  | None -> None
-  | Some victim ->
-      if Obs.Decision.enabled () then begin
-        let now = now st in
-        let pol = Seg_cache.policy_name st.cache in
-        let cand (l : Seg_cache.line) =
-          Obs.Decision.candidate l.Seg_cache.tindex
-            ~feats:
-              {
-                Obs.Decision.idle = Float.max 0.0 (now -. l.Seg_cache.last_use);
-                size = 0;
-                (* util doubles as the re-reference (worthiness) bit *)
-                util = (if l.Seg_cache.worthy then 1.0 else 0.0);
-                temp = Obs.Decision.segment_temp ~now l.Seg_cache.tindex;
-                age = Float.max 0.0 (now -. l.Seg_cache.fetched_at);
-              }
-        in
-        let rejected =
-          Seg_cache.lines st.cache
-          |> List.filter (fun l -> l != victim && Seg_cache.evictable l)
-          |> List.map cand
-        in
-        Obs.Decision.emit ~now ~site:Obs.Decision.Cache_evict ~policy:pol
-          ~chosen:[ cand victim ] ~rejected ();
-        Obs.Decision.note_evicted ~now ~policy:pol victim.Seg_cache.tindex
-      end;
-      Some victim
-
-let eject_idle st ~keep =
-  let ejected = ref 0 in
-  let rec go () =
-    if Seg_cache.length st.cache > keep then
-      match choose_victim st with
-      | Some victim ->
-          eject st victim;
-          incr ejected;
-          go ()
-      | None -> ()
-  in
-  go ();
-  !ejected
-
-(* One allocation attempt: evict past the cap or a victim if needed,
-   but never wait. *)
-let try_allocate ?(staging = false) st =
-  let fsys = fs st in
-  let cap = Seg_cache.max_lines st.cache in
-  if Seg_cache.length st.cache > cap then
-    Option.iter (eject st) (choose_victim st);
-  match Lfs.Fs.alloc_clean_segment fsys ~for_cache:(not staging) with
-  | Some seg -> Some seg
-  | None -> (
-      match choose_victim st with
-      | Some victim ->
-          eject st victim;
-          Lfs.Fs.alloc_clean_segment fsys ~for_cache:(not staging)
-      | None -> None)
-
-(* Obtain a disk segment to serve as a cache line, ejecting victims when
-   the clean pool or the static cache cap is exhausted. [staging] lines
-   (migration) may dig past the cleaner's reserve. When everything is
-   pinned or in flight, sleep on [cache_progress] — signalled by
-   evictions, pin releases, segment frees and transfer completions —
-   instead of polling the simulation clock. *)
-let allocate_cache_line ?(staging = false) st =
-  let fsys = fs st in
-  let cap = Seg_cache.max_lines st.cache in
-  let rec go waits =
-    if waits > 100000 then failwith "Service: no cache line obtainable";
-    if Seg_cache.length st.cache > cap then begin
-      match choose_victim st with
-      | Some victim ->
-          eject st victim;
-          go waits
-      | None ->
-          Sim.Condvar.wait st.cache_progress;
-          go (waits + 1)
-    end
-    else
-      match Lfs.Fs.alloc_clean_segment fsys ~for_cache:(not staging) with
-      | Some seg -> seg
-      | None -> (
-          match choose_victim st with
-          | Some victim ->
-              eject st victim;
-              go waits
-          | None ->
-              (* everything pinned or staging: wait for progress *)
-              Sim.Condvar.wait st.cache_progress;
-              go (waits + 1))
-  in
-  go 0
-
 (* ---------- transfer phases ---------- *)
 
 (* Every fetch and write-out is two phases on two different devices:
@@ -138,44 +10,37 @@ let allocate_cache_line ?(staging = false) st =
      write-out: cache-disk read                 ->  tertiary write
 
    The phases are instrumented separately so the Table 4 breakdown can
-   also report how much of the busy time was overlapped: [io_*_time] are
-   per-phase busy sums, [io_union_time] is the wall time during which at
-   least one phase was in flight. Overlap factor = busy / union. *)
+   also report how much of the busy time was overlapped: per-phase busy
+   sums plus the wall time during which at least one phase was in
+   flight (overlap factor = busy / union, {!State.overlap}). Write-out
+   phases also feed a write-out-only twin, [writeout_overlap]: 1.0 when
+   a segment's staging read and tertiary write serialize, toward 2.0
+   when they overlap. *)
+let busy_begin st b =
+  if b.active = 0 then b.busy_since <- now st;
+  b.active <- b.active + 1
 
-let phase_begin st =
-  if st.io_active = 0 then st.io_busy_since <- now st;
-  st.io_active <- st.io_active + 1
-
-let phase_end st phase t0 =
-  let dt = now st -. t0 in
+let busy_end st b phase dt =
   (match phase with
-  | `Tertiary ->
-      st.io_tertiary_time <- st.io_tertiary_time +. dt;
-      Sim.Metrics.observe (Sim.Metrics.histogram st.metrics "io.tertiary_phase_s") dt
-  | `Disk ->
-      st.io_disk_time <- st.io_disk_time +. dt;
-      Sim.Metrics.observe (Sim.Metrics.histogram st.metrics "io.disk_phase_s") dt);
-  st.io_active <- st.io_active - 1;
-  if st.io_active = 0 then
-    st.io_union_time <- st.io_union_time +. (now st -. st.io_busy_since)
+  | `Tertiary -> b.tertiary_time <- b.tertiary_time +. dt
+  | `Disk -> b.disk_time <- b.disk_time +. dt);
+  b.active <- b.active - 1;
+  if b.active = 0 then b.union_time <- b.union_time +. (now st -. b.busy_since)
 
-(* The write-out twin of the busy/union accounting above, tracking only
-   the two phases of write-outs: with the blocking pipeline the staging
-   read and the tertiary write of one segment serialize, so
-   (disk + tertiary) / union sits at 1.0; the streaming pipeline runs
-   them concurrently and pushes the ratio toward 2.0. *)
-let wo_phase_begin st =
-  if st.wo_active = 0 then st.wo_busy_since <- now st;
-  st.wo_active <- st.wo_active + 1
-
-let wo_phase_end st phase t0 =
-  let dt = now st -. t0 in
-  (match phase with
-  | `Tertiary -> st.wo_tertiary_time <- st.wo_tertiary_time +. dt
-  | `Disk -> st.wo_disk_time <- st.wo_disk_time +. dt);
-  st.wo_active <- st.wo_active - 1;
-  if st.wo_active = 0 then
-    st.wo_union_time <- st.wo_union_time +. (now st -. st.wo_busy_since)
+(* Bracket one device phase with the busy-time accounting, on the
+   failure path too — the device was busy right up to the fault. *)
+let phased ?(writeout = false) st phase f =
+  let t0 = now st in
+  busy_begin st st.io;
+  if writeout then busy_begin st st.wo;
+  Fun.protect f ~finally:(fun () ->
+      let dt = now st -. t0 in
+      if writeout then busy_end st st.wo phase dt;
+      busy_end st st.io phase dt;
+      Sim.Metrics.observe
+        (Sim.Metrics.histogram st.metrics
+           (match phase with `Tertiary -> "io.tertiary_phase_s" | `Disk -> "io.disk_phase_s"))
+        dt)
 
 (* End-of-medium: the staged segment must move to another volume, which
    changes every block's tertiary address; re-aim the live pointers and
@@ -230,6 +95,8 @@ let rehome st line =
   Hashtbl.replace st.manifests new_tindex moved;
   Lfs.Segusage.set_state st.tseg old_tindex Lfs.Segusage.Clean;
   Seg_cache.retag st.cache line new_tindex;
+  (* a torn prefix stays behind on the old segment *)
+  line.Seg_cache.media_blocks <- 0;
   if line.Seg_cache.disk_seg >= 0 then
     Lfs.Segusage.set_cache_tag (Lfs.Fs.seguse fsys) line.Seg_cache.disk_seg new_tindex;
   st.rehomes <- st.rehomes + 1
@@ -254,27 +121,29 @@ let pick_source st tindex =
 
 type fetch_ctx = { f_line : Seg_cache.line; f_urgent : bool; f_enqueued : float }
 
-(* Shared state of one streaming write-out: the cache-disk worker fills
-   [ws_buf] front to back, advancing the [ws_read] watermark and
-   broadcasting [ws_avail]; the tertiary worker's per-chunk [await]
-   blocks until the watermark covers the chunk it is about to put on the
-   media. A permanent disk-side failure parks in [ws_failed] — the
-   tertiary side surfaces it at its next await, so the write-out fails
+(* One write-out in flight. The disk side fills [w_buf] front to back,
+   advancing the [w_read] watermark and broadcasting [w_avail]; the
+   tertiary side's per-chunk await blocks until the watermark covers the
+   chunk it is about to put on the media. How much of the tertiary
+   segment is already there lives on the line ([media_blocks]), not
+   here, so a retry — or a later ticket after this one failed — resumes
+   instead of rewriting. A permanent disk-side failure parks in
+   [w_failed] — the tertiary side surfaces it, so the write-out fails
    exactly once, from the worker that owns its ledger. *)
-type wo_stream = {
-  ws_buf : Bytes.t;
-  mutable ws_read : int;  (** blocks of [ws_buf] holding real data *)
-  ws_avail : Sim.Condvar.t;
-  mutable ws_failed : string option;
-}
-
 type wo_ctx = {
   w_line : Seg_cache.line;
   w_status : writeout_status ref;
   w_done : Sim.Condvar.t;
-  w_stream : wo_stream option;
-      (** [Some] when the staging-disk read and the tertiary write of
-          this write-out run concurrently (streaming mode) *)
+  w_buf : Bytes.t;
+  mutable w_read : int;  (** blocks of [w_buf] holding real data *)
+  w_avail : Sim.Condvar.t;
+  mutable w_failed : string option;
+  w_overlap : bool;
+      (** the disk read runs on the cache-disk worker, concurrently with
+          the tertiary write (streaming write-out); otherwise the whole
+          image is read before the tertiary write starts — by the
+          cache-disk worker before the job is queued for a drive
+          (Pipelined), or inline by the tertiary worker (Serial) *)
 }
 
 (* ---------- fault handling ---------- *)
@@ -361,78 +230,58 @@ let fail_fetch st line msg =
   Sim.Condvar.broadcast line.Seg_cache.ready;
   note_progress st
 
-(* A write-out that exhausted its retries: the staged line keeps the
-   only copy (Staging lines are never evictable), so nothing is lost —
-   the ticket reports [Failed] and the requester decides. Idempotent: a
-   streaming write-out lives in two work queues at once, so the
-   shutdown drain can reach the same context twice. Always unsticks the
-   stream partner — a tertiary worker parked on [ws_avail] must see the
-   failure and exit its await. *)
-let fail_writeout st ctx msg =
-  (match ctx.w_stream with
-  | Some ws ->
-      if ws.ws_failed = None then ws.ws_failed <- Some msg;
-      Sim.Condvar.broadcast ws.ws_avail
-  | None -> ());
-  match !(ctx.w_status) with
+(* Settle a write-out ticket as failed: the staged line keeps the only
+   copy (Staging lines are never evictable), so nothing is lost — the
+   ticket reports [Failed] and the requester decides. Idempotent: an
+   overlapped write-out lives in two work queues at once, so the
+   shutdown drain can reach the same one twice. *)
+let fail_ticket st line status done_cv msg =
+  match !status with
   | Failed _ -> ()
   | _ ->
-      Hl_log.Log.info (fun m ->
-          m "write-out of tseg %d failed: %s" ctx.w_line.Seg_cache.tindex msg);
+      Hl_log.Log.info (fun m -> m "write-out of tseg %d failed: %s" line.Seg_cache.tindex msg);
       Sim.Metrics.incr (Sim.Metrics.counter st.metrics "service.writeout_failures");
-      ctx.w_status := Failed msg;
-      Sim.Trace.async_end ~track:"service" ctx.w_line.Seg_cache.span_id
-        ~args:[ ("failed", msg) ];
-      ctx.w_line.Seg_cache.span_id <- -1;
-      Sim.Ledger.close ctx.w_line.Seg_cache.ledger;
-      ctx.w_line.Seg_cache.ledger <- Sim.Ledger.none;
+      status := Failed msg;
+      Sim.Trace.async_end ~track:"service" line.Seg_cache.span_id ~args:[ ("failed", msg) ];
+      line.Seg_cache.span_id <- -1;
+      Sim.Ledger.close line.Seg_cache.ledger;
+      line.Seg_cache.ledger <- Sim.Ledger.none;
       note_progress st;
-      Sim.Condvar.broadcast ctx.w_done
+      Sim.Condvar.broadcast done_cv
 
-(* Bracket one device phase with the Table 4 busy-time accounting, on
-   the failure path too — the device was busy right up to the fault. *)
-let phased st phase f =
-  let t0 = now st in
-  phase_begin st;
-  match f () with
-  | v ->
-      phase_end st phase t0;
-      v
-  | exception e ->
-      phase_end st phase t0;
-      raise e
+(* A write-out that exhausted its retries. Always unsticks the stream
+   partner first — a tertiary worker parked on [w_avail] must see the
+   failure and leave its await. *)
+let fail_writeout st ctx msg =
+  if ctx.w_failed = None then ctx.w_failed <- Some msg;
+  Sim.Condvar.broadcast ctx.w_avail;
+  fail_ticket st ctx.w_line ctx.w_status ctx.w_done msg
 
-(* Write-out phases feed both ledgers: the instance-wide Table 4
-   overlap and the write-out-specific busy/union pair behind the
-   [writeout_overlap] statistic. *)
-let phased_wo st phase f =
-  let t0 = now st in
-  phase_begin st;
-  wo_phase_begin st;
-  let fin () =
-    wo_phase_end st phase t0;
-    phase_end st phase t0
-  in
-  match f () with
-  | v ->
-      fin ();
-      v
-  | exception e ->
-      fin ();
-      raise e
+(* A request that never reached a worker (shutdown drain). *)
+let fail_request st req msg =
+  match req with
+  | Fetch { line; _ } -> fail_fetch st line msg
+  | Writeout { line; status; done_cv; _ } -> fail_ticket st line status done_cv msg
+  | Progress -> ()
+
+(* ---------- fetch ---------- *)
 
 (* Fetch phase A (tertiary worker): read the segment image from the
-   cheapest copy. The copy is re-chosen on every retry, so a replica on
-   a healthy volume can stand in for a primary behind a dead drive.
+   cheapest copy into the line's image buffer, chunk by chunk, each
+   chunk landing at its final offset (one store→image copy). The copy
+   is re-chosen on every retry, so a replica on a healthy volume can
+   stand in for a primary behind a dead drive.
 
-   Streaming mode attaches the image buffer to the line *before* the
-   transfer and advances the [valid_blocks] watermark as each chunk
-   crosses the bus, broadcasting [ready] so a waiter whose block offset
-   just became valid unblocks immediately — the cache-disk landing and
-   the rest of the segment are off its critical path. The watermark
-   only moves when the delivered chunk extends the contiguous prefix,
-   and never regresses across retries: segment data is deterministic
-   (replicas are copies), so a retry re-blits the same bytes. *)
+   The [valid_blocks] watermark is what waiters see. A streaming fetch
+   publishes it as each chunk crosses the bus, broadcasting [ready] so a
+   waiter whose block just became valid unblocks at once — the
+   cache-disk landing and the rest of the segment are off its critical
+   path. A blocking fetch is the same transfer with the watermark
+   published only at landing ({!fetch_write}). The stream starts at the
+   published watermark: zero for a fresh fetch, partway through for the
+   tail re-fetch of a Partial line or a retry after a mid-stream fault —
+   the delivered prefix is never re-read, and since segment data is
+   deterministic (replicas are copies) it never regresses. *)
 let fetch_read st ctx =
   let line = ctx.f_line in
   Sim.Trace.async_instant line.Seg_cache.span_id ~args:[ ("phase", "tertiary-read") ];
@@ -448,43 +297,27 @@ let fetch_read st ctx =
             ~args:
               [ ("tindex", string_of_int line.Seg_cache.tindex); ("vol", string_of_int vol) ]
             (fun () ->
-              let bs = Footprint.block_size st.fp in
-              if not st.streaming_fetch then begin
-                let image = Bytes.create (seg_blocks st * bs) in
-                Footprint.read_seg_into st.fp ~vol ~seg ~dst:image ~dst_off:0;
-                image
-              end
-              else begin
-                let image =
-                  match line.Seg_cache.image with
-                  | Some img -> img (* retry: keep buffer and watermark *)
-                  | None ->
-                      let img = Bytes.create (seg_blocks st * bs) in
-                      line.Seg_cache.image <- Some img;
-                      img
-                in
-                (* each chunk lands at its final offset in the image
-                   before the callback runs — one store→image copy, no
-                   per-chunk buffers. The stream starts at the line's
-                   watermark: zero for a fresh fetch, partway through
-                   for the tail re-fetch of a Partial line or a retry
-                   after a mid-stream fault — the already-delivered
-                   prefix is never re-read. *)
-                let start = line.Seg_cache.valid_blocks in
-                if start < seg_blocks st then
-                  Footprint.read_seg_stream_into st.fp ~vol ~seg
-                    ~chunk:st.stream_chunk_blocks ~off:start ~dst:image ~dst_off:0
-                    (fun ~off ~blocks ->
+              let image =
+                match line.Seg_cache.image with
+                | Some img -> img (* retry: keep buffer and watermark *)
+                | None ->
+                    let img = Bytes.create (seg_blocks st * Footprint.block_size st.fp) in
+                    line.Seg_cache.image <- Some img;
+                    img
+              in
+              let start = line.Seg_cache.valid_blocks in
+              if start < seg_blocks st then
+                Footprint.read_seg_stream_into st.fp ~vol ~seg ~chunk:st.stream_chunk_blocks
+                  ~off:start ~dst:image ~dst_off:0 (fun ~off ~blocks ->
+                    if Obs.Health.enabled () then
+                      Obs.Health.worker_beat (Sim.Engine.current_name st.engine);
+                    if st.streaming_fetch && off <= line.Seg_cache.valid_blocks then begin
                       Sim.Ledger.mark_first_block line.Seg_cache.ledger;
-                      if Obs.Health.enabled () then
-                        Obs.Health.worker_beat (Sim.Engine.current_name st.engine);
-                      if off <= line.Seg_cache.valid_blocks then begin
-                        line.Seg_cache.valid_blocks <-
-                          max line.Seg_cache.valid_blocks (off + blocks);
-                        Sim.Condvar.broadcast line.Seg_cache.ready
-                      end);
-                image
-              end)))
+                      line.Seg_cache.valid_blocks <-
+                        max line.Seg_cache.valid_blocks (off + blocks);
+                      Sim.Condvar.broadcast line.Seg_cache.ready
+                    end);
+              image)))
 
 (* Readers of a just-fetched segment are served from its in-memory
    buffer instead of re-reading the cache disk the worker just wrote —
@@ -500,8 +333,8 @@ let attach_image st line image =
     (Queue.pop st.image_fifo).Seg_cache.image <- None
   done
 
-(* Fetch phase B (cache-disk worker): land the image in the cache line
-   and publish it. *)
+(* Fetch phase B (cache-disk side): land the image in the cache line
+   and publish the whole segment. *)
 let fetch_write st ctx image =
   let line = ctx.f_line in
   match
@@ -516,7 +349,7 @@ let fetch_write st ctx image =
                   (fun () ->
                     Block_io.raw_write_cache_line st ~disk_seg:line.Seg_cache.disk_seg image))))
   with
-  | Error _ as e -> e
+  | Error msg -> fail_fetch st line msg
   | Ok () ->
       attach_image st line image;
       line.Seg_cache.state <- Seg_cache.Resident;
@@ -540,27 +373,52 @@ let fetch_write st ctx image =
       Sim.Condvar.broadcast line.Seg_cache.ready;
       (* the line is evictable now: wake allocation waiters *)
       note_progress st;
-      st.on_fetch line.Seg_cache.tindex;
-      Ok ()
+      st.on_fetch line.Seg_cache.tindex
 
-(* Write-out phase A (cache-disk worker): lift the staged image off the
-   cache disk. *)
-let writeout_read st ctx =
-  Sim.Trace.async_instant ctx.w_line.Seg_cache.span_id ~args:[ ("phase", "disk-read") ];
-  Sim.Ledger.with_active ctx.w_line.Seg_cache.ledger @@ fun () ->
-  with_retries st ~what:"writeout:disk-read" (fun () ->
-      phased_wo st `Disk (fun () ->
-          Sim.Trace.span ~cat:"service" "writeout:disk-read"
-            ~args:[ ("tindex", string_of_int ctx.w_line.Seg_cache.tindex) ]
-            (fun () ->
-              Block_io.raw_read_cache_line st ~disk_seg:ctx.w_line.Seg_cache.disk_seg)))
+(* ---------- write-out ---------- *)
 
-(* Write-out phase B (tertiary worker): copy to the jukebox, re-homing
-   on end-of-medium. The image is address-free (pointers live in the fs
-   maps), so a re-home can re-use the buffer without re-reading. *)
-(* Write-out completion, shared by the blocking and streaming tertiary
-   phases: publish the staged line as clean, settle the ticket, close
-   the books. *)
+(* Write-out, disk side: lift the staged image off the cache disk into
+   [w_buf], advancing [w_read] and broadcasting [w_avail] after each
+   piece. Overlapped, it runs on the cache-disk worker in
+   [stream_chunk_blocks] pieces with no request ledger active — the
+   tertiary side owns the write-out's ledger end to end, so this read
+   charges nobody (its effect shows up as the stalls it removes).
+   Otherwise it is one whole-segment read charged to the write-out,
+   finished before the tertiary write starts. A retry resumes from the
+   watermark. *)
+let writeout_stage st ctx =
+  let line = ctx.w_line in
+  Sim.Trace.async_instant line.Seg_cache.span_id ~args:[ ("phase", "disk-read") ];
+  let total = seg_blocks st in
+  let chunk = if ctx.w_overlap then max 1 st.stream_chunk_blocks else total in
+  let ledger = if ctx.w_overlap then Sim.Ledger.none else line.Seg_cache.ledger in
+  match
+    Sim.Ledger.with_active ledger (fun () ->
+        with_retries st ~what:"writeout:disk-read" (fun () ->
+            phased ~writeout:true st `Disk (fun () ->
+                Sim.Trace.span ~cat:"service" "writeout:disk-read"
+                  ~args:[ ("tindex", string_of_int line.Seg_cache.tindex) ]
+                  (fun () ->
+                    let base = disk_seg_base st line.Seg_cache.disk_seg in
+                    let bs = st.disk.Lfs.Dev.block_size in
+                    while ctx.w_read < total && ctx.w_failed = None do
+                      let off = ctx.w_read in
+                      let n = min chunk (total - off) in
+                      st.disk.Lfs.Dev.read_into ~blk:(base + off) ~count:n ~dst:ctx.w_buf
+                        ~dst_off:(off * bs);
+                      ctx.w_read <- off + n;
+                      Sim.Condvar.broadcast ctx.w_avail
+                    done))))
+  with
+  | Ok () -> ()
+  | Error msg ->
+      (* don't settle the ticket from here: the tertiary side owns the
+         write-out and surfaces the failure *)
+      if ctx.w_failed = None then ctx.w_failed <- Some msg;
+      Sim.Condvar.broadcast ctx.w_avail
+
+(* Write-out completion: publish the staged line as clean, settle the
+   ticket, close the books. *)
 let writeout_done st ctx =
   let line = ctx.w_line in
   line.Seg_cache.state <- Seg_cache.Staged_clean;
@@ -577,117 +435,46 @@ let writeout_done st ctx =
   note_progress st;
   Sim.Condvar.broadcast ctx.w_done
 
-let rec writeout_write st ctx image =
-  let line = ctx.w_line in
-  let vol, seg = Addr_space.vol_seg_of_tindex st.aspace line.Seg_cache.tindex in
-  (* everything from here to the last block on the media is the
-     write-out's tertiary phase: one category, comparable across the
-     blocking and streaming pipelines *)
-  Sim.Ledger.with_active ~redirect:Sim.Ledger.Tertiary_write line.Seg_cache.ledger
-  @@ fun () ->
-  match
-    with_retries st ~what:"writeout:tertiary-write" (fun () ->
-        phased_wo st `Tertiary (fun () ->
-            Sim.Trace.span ~cat:"service" "writeout:tertiary-write"
-              ~args:
-                [ ("tindex", string_of_int line.Seg_cache.tindex); ("vol", string_of_int vol) ]
-              (fun () -> Footprint.write_seg st.fp ~vol ~seg image)))
-  with
-  | Error _ as e -> e
-  | Ok Footprint.Written ->
-      writeout_done st ctx;
-      Ok ()
-  | Ok Footprint.End_of_medium ->
-      Hl_log.Log.info (fun m ->
-          m "end of medium: re-homing staged segment (was tseg %d)" line.Seg_cache.tindex);
-      rehome st line;
-      Sim.Trace.async_instant line.Seg_cache.span_id
-        ~args:[ ("phase", "rehome"); ("new_tindex", string_of_int line.Seg_cache.tindex) ];
-      ctx.w_status := Rehomed line.Seg_cache.tindex;
-      writeout_write st ctx image
-
-(* ---------- the streaming write-out pipeline ---------- *)
-
-(* Local abort of a streaming tertiary write: the disk-side producer
-   failed permanently, so the awaited watermark will never advance. *)
+(* Local abort of a tertiary write: the disk-side producer failed
+   permanently, so the awaited watermark will never advance. *)
 exception Stream_aborted of string
 
-(* Streaming write-out, disk side: fill the context's buffer front to
-   back in [stream_chunk_blocks] pieces, advancing the shared watermark
-   after each chunk so the tertiary worker can put it on the media while
-   the next chunk is still under the disk arm. Runs with no request
-   ledger active — the tertiary side owns the write-out's ledger end to
-   end, so this read charges nobody (its effect shows up as the stalls
-   it removes). A retry resumes from the watermark: the prefix already
-   handed over never regresses. *)
-let writeout_stream_read st ctx ws =
-  Sim.Trace.async_instant ctx.w_line.Seg_cache.span_id
-    ~args:[ ("phase", "disk-read-stream") ];
-  match
-    with_retries st ~what:"writeout:disk-read" (fun () ->
-        phased_wo st `Disk (fun () ->
-            Sim.Trace.span ~cat:"service" "writeout:disk-read"
-              ~args:[ ("tindex", string_of_int ctx.w_line.Seg_cache.tindex) ]
-              (fun () ->
-                let base = disk_seg_base st ctx.w_line.Seg_cache.disk_seg in
-                let bs = st.disk.Lfs.Dev.block_size in
-                let total = seg_blocks st in
-                let chunk = max 1 st.stream_chunk_blocks in
-                let off = ref ws.ws_read in
-                while !off < total && ws.ws_failed = None do
-                  let n = min chunk (total - !off) in
-                  st.disk.Lfs.Dev.read_into ~blk:(base + !off) ~count:n ~dst:ws.ws_buf
-                    ~dst_off:(!off * bs);
-                  off := !off + n;
-                  if !off > ws.ws_read then begin
-                    ws.ws_read <- !off;
-                    Sim.Condvar.broadcast ws.ws_avail
-                  end
-                done)))
-  with
-  | Ok () -> ()
-  | Error msg ->
-      (* don't settle the ticket from here: the tertiary worker owns the
-         write-out and surfaces the failure at its next await *)
-      if ws.ws_failed = None then ws.ws_failed <- Some msg;
-      Sim.Condvar.broadcast ws.ws_avail
-
-(* Streaming write-out, tertiary side: the jukebox write's per-chunk
-   [await] parks on the stream watermark, so the media transfer chases
-   the staging-disk read through the segment with whatever lead the
-   slower device allows. End-of-medium re-homes and restarts exactly
-   like the blocking path (the data is address-free, and the watermark
-   carries over); a whole-segment retry after a media fault re-awaits
-   the already-read prefix instantly. *)
-let writeout_stream_write st ctx ws =
+(* Write-out, tertiary side: the jukebox write's per-chunk await parks
+   on the [w_read] watermark, so the media transfer chases the staging
+   read through the segment with whatever lead the slower device allows
+   (not overlapped, the image is already whole and the await never
+   parks). Every attempt starts at the line's [media_blocks] watermark:
+   a retry after a media fault, or a later ticket after this one failed
+   for good, resumes there, so no block is ever written twice — which is
+   what lets WORM volumes take the same path. End-of-medium re-homes
+   onto a new tertiary segment and restarts there: the image is
+   address-free (pointers live in the fs maps), so the buffer and the
+   read watermark carry over. *)
+let writeout_write st ctx =
   let line = ctx.w_line in
+  let await ~off ~blocks =
+    while ctx.w_read < off + blocks && ctx.w_failed = None do
+      (* the stall is part of the tertiary phase: the drive is claimed
+         and waiting on the producer *)
+      Sim.Condvar.wait ~charge:Sim.Ledger.Queue_wait ctx.w_avail
+    done;
+    match ctx.w_failed with Some msg -> raise (Stream_aborted msg) | None -> ()
+  in
   let rec attempt () =
     let vol, seg = Addr_space.vol_seg_of_tindex st.aspace line.Seg_cache.tindex in
     match
       with_retries st ~what:"writeout:tertiary-write" (fun () ->
-          phased_wo st `Tertiary (fun () ->
+          phased ~writeout:true st `Tertiary (fun () ->
               Sim.Trace.span ~cat:"service" "writeout:tertiary-write"
                 ~args:
-                  [
-                    ("tindex", string_of_int line.Seg_cache.tindex);
-                    ("vol", string_of_int vol);
-                    ("stream", "1");
-                  ]
+                  [ ("tindex", string_of_int line.Seg_cache.tindex); ("vol", string_of_int vol) ]
                 (fun () ->
                   Footprint.write_seg_stream_from st.fp ~vol ~seg
-                    ~chunk:(max 1 st.stream_chunk_blocks) ~src:ws.ws_buf ~src_off:0
-                    ~await:(fun ~off ~blocks ->
-                      while ws.ws_read < off + blocks && ws.ws_failed = None do
-                        (* the stall is part of the tertiary phase: the
-                           drive is claimed and waiting on the producer *)
-                        Sim.Condvar.wait ~charge:Sim.Ledger.Queue_wait ws.ws_avail
-                      done;
-                      match ws.ws_failed with
-                      | Some msg -> raise (Stream_aborted msg)
-                      | None -> ())
-                    (fun ~off ~blocks ->
+                    ~chunk:(max 1 st.stream_chunk_blocks) ~off:line.Seg_cache.media_blocks
+                    ~src:ctx.w_buf ~src_off:0 ~await (fun ~off ~blocks ->
                       if Obs.Health.enabled () then
                         Obs.Health.worker_beat (Sim.Engine.current_name st.engine);
+                      line.Seg_cache.media_blocks <- off + blocks;
                       st.on_writeout_chunk line.Seg_cache.tindex (off + blocks)))))
     with
     | exception Stream_aborted msg -> Error msg
@@ -704,32 +491,29 @@ let writeout_stream_write st ctx ws =
         ctx.w_status := Rehomed line.Seg_cache.tindex;
         attempt ()
   in
+  (* everything from here to the last block on the media is the
+     write-out's tertiary phase: one category, whatever the overlap *)
   Sim.Ledger.with_active ~redirect:Sim.Ledger.Tertiary_write line.Seg_cache.ledger attempt
 
-(* ---------- the pipelined worker pool ---------- *)
+(* ---------- work queues ---------- *)
 
 (* Tertiary-side work queues, one per volume. Demand-fetch reads
    preempt prefetch reads, which preempt write-out writes; within a
-   class, oldest first (the sequence number). A worker *claims* the
+   class, oldest first (the sequence number). Serial keeps the paper's
+   one-request-at-a-time order instead: demand fetches and write-outs
+   share one first-come class, ahead of prefetches. A worker *claims* the
    volume it serves so a second worker never queues up behind the same
    drive while another volume's work — and its drive — sit idle; the
    per-volume write-out queues also mean a worker drains one volume's
-   write-out batch back-to-back, amortizing robot swaps. *)
-(* Queue entries carry their push time, so the pop can charge the
-   interval to the request's ledger as [Queue_wait]. *)
-type tert_job =
-  | T_fetch_read of fetch_ctx
-  | T_writeout_write of wo_ctx * Bytes.t
-      (** blocking pipeline: the staged image was fully lifted off the
-          cache disk before this job was queued *)
-  | T_writeout_stream of wo_ctx
-      (** streaming pipeline: the disk read runs concurrently; the data
-          arrives through the context's [wo_stream] watermark *)
+   write-out batch back-to-back, amortizing robot swaps. Queue entries
+   carry their push time, so the pop can charge the interval to the
+   request's ledger as [Queue_wait]. *)
+type tert_job = T_fetch of fetch_ctx | T_writeout of wo_ctx
 
 type vol_work = {
   vw_urgent : (int * float * fetch_ctx) Queue.t;
   vw_prefetch : (int * float * fetch_ctx) Queue.t;
-  vw_wo : (float * tert_job) Queue.t;
+  vw_wo : (int * float * wo_ctx) Queue.t;
   mutable vw_claimed : bool;
   vw_depth_name : string; (* "tertq.vol<N>.depth", formatted once *)
   mutable vw_depth_gauge : Sim.Metrics.gauge option; (* resolved on first use *)
@@ -763,7 +547,7 @@ let tq_vol q vol =
 (* queue under the primary copy's volume; a replica on a loaded volume
    may still be picked at read time (pick_source), which only makes the
    job cheaper than its queue slot assumed *)
-let fetch_vol st ctx = fst (Addr_space.vol_seg_of_tindex st.aspace ctx.f_line.Seg_cache.tindex)
+let tindex_vol st tindex = fst (Addr_space.vol_seg_of_tindex st.aspace tindex)
 
 (* Per-volume queue depth, sampled at every push and pop: a gauge (with
    high-water mark) in the registry and a counter series in the trace. *)
@@ -786,6 +570,27 @@ let tq_note_depth st q vol =
   if Sim.Trace.enabled () then
     Sim.Trace.counter ~track:"tertq" ~cat:"service" vw.vw_depth_name (float_of_int depth)
 
+(* Withdraw a speculative fetch that never ran — a queued idle hint
+   preempted by real work, or a prefetch that could not get a cache
+   line. Its ledger is discarded, not folded. A reader that piggybacked
+   on the Fetching line re-checks and issues a demand fetch. *)
+let drop_hint st line =
+  Sim.Trace.async_end ~track:"service" line.Seg_cache.span_id
+    ~args:[ ((if line.Seg_cache.idle_hint then "preempted" else "dropped"), "1") ];
+  line.Seg_cache.span_id <- -1;
+  Sim.Ledger.drop line.Seg_cache.ledger;
+  line.Seg_cache.ledger <- Sim.Ledger.none;
+  if line.Seg_cache.disk_seg >= 0 then Lfs.Fs.release_segment (fs st) line.Seg_cache.disk_seg;
+  Seg_cache.remove st.cache line;
+  if line.Seg_cache.idle_hint then
+    Sim.Metrics.incr (Sim.Metrics.counter st.metrics "idle.preempted")
+  else begin
+    st.prefetches_dropped <- st.prefetches_dropped + 1;
+    Sim.Metrics.incr (Sim.Metrics.counter st.metrics "prefetch.dropped");
+    if line.Seg_cache.prefetched then st.on_prefetch_wasted line.Seg_cache.tindex
+  end;
+  Sim.Condvar.broadcast line.Seg_cache.ready
+
 (* Idle-readahead preemption: demand or write-out work arriving kicks
    every still-queued idle prefetch out of the tertiary queues — the
    daemon only speculates on drive time nobody else wants, and a queued
@@ -803,19 +608,7 @@ let preempt_idle st q =
         let keep = Queue.create () in
         Queue.iter
           (fun ((_, _, ctx) as entry) ->
-            let line = ctx.f_line in
-            if line.Seg_cache.idle_hint then begin
-              Sim.Metrics.incr (Sim.Metrics.counter st.metrics "idle.preempted");
-              Sim.Trace.async_end ~track:"service" line.Seg_cache.span_id
-                ~args:[ ("preempted", "1") ];
-              line.Seg_cache.span_id <- -1;
-              Sim.Ledger.drop line.Seg_cache.ledger;
-              line.Seg_cache.ledger <- Sim.Ledger.none;
-              if line.Seg_cache.disk_seg >= 0 then
-                Lfs.Fs.release_segment (fs st) line.Seg_cache.disk_seg;
-              Seg_cache.remove st.cache line;
-              Sim.Condvar.broadcast line.Seg_cache.ready
-            end
+            if ctx.f_line.Seg_cache.idle_hint then drop_hint st ctx.f_line
             else Queue.add entry keep)
           vw.vw_prefetch;
         Queue.clear vw.vw_prefetch;
@@ -824,34 +617,35 @@ let preempt_idle st q =
       end)
     q.tq_vols
 
-let tq_push_fetch st q ctx =
-  if ctx.f_urgent then preempt_idle st q;
-  let vol = fetch_vol st ctx in
-  let vw = tq_vol q vol in
+let tq_next_seq q =
   let seq = q.tq_seq in
   q.tq_seq <- seq + 1;
-  Queue.add (seq, now st, ctx) (if ctx.f_urgent then vw.vw_urgent else vw.vw_prefetch);
+  seq
+
+let tq_push_fetch st q ctx =
+  if ctx.f_urgent then preempt_idle st q;
+  let vol = tindex_vol st ctx.f_line.Seg_cache.tindex in
+  let vw = tq_vol q vol in
+  Queue.add (tq_next_seq q, now st, ctx) (if ctx.f_urgent then vw.vw_urgent else vw.vw_prefetch);
   tq_note_depth st q vol;
   Sim.Condvar.broadcast q.tq_cv
 
-let wo_job_ctx = function
-  | T_writeout_write (ctx, _) | T_writeout_stream ctx -> ctx
-  | T_fetch_read _ -> invalid_arg "Service.wo_job_ctx"
-
-let tq_push_writeout st q job =
+let tq_push_writeout st q ctx =
   preempt_idle st q;
-  let ctx = wo_job_ctx job in
-  let vol, _ = Addr_space.vol_seg_of_tindex st.aspace ctx.w_line.Seg_cache.tindex in
-  Queue.add (now st, job) (tq_vol q vol).vw_wo;
+  let vol = tindex_vol st ctx.w_line.Seg_cache.tindex in
+  Queue.add (tq_next_seq q, now st, ctx) (tq_vol q vol).vw_wo;
   tq_note_depth st q vol;
   Sim.Condvar.broadcast q.tq_cv
 
-(* Pick work from an unclaimed volume: any volume's demand fetch beats
-   any prefetch beats any write-out; fetch classes go oldest-first
-   across volumes, write-outs prefer a volume already in a drive and
-   then the deepest batch. Returns the claimed volume with the job. *)
+(* Pick work from an unclaimed volume. Pipelined: any volume's demand
+   fetch beats any prefetch beats any write-out; fetch classes go
+   oldest-first across volumes, write-outs prefer a volume already in a
+   drive and then the deepest batch. Serial: the oldest demand fetch or
+   write-out, then the oldest prefetch. Returns the claimed volume with
+   the job. *)
 let tq_take st q =
-  let best_fetch sel =
+  (* (seq, vol) of the oldest head of [sel] on an unclaimed volume *)
+  let oldest sel =
     let best = ref None in
     Hashtbl.iter
       (fun vol vw ->
@@ -863,15 +657,20 @@ let tq_take st q =
               | _ -> best := Some (seq, vol))
           | None -> ())
       q.tq_vols;
-    Option.map
-      (fun (_, vol) ->
-        let vw = Hashtbl.find q.tq_vols vol in
-        let _, pushed, ctx = Queue.pop (sel vw) in
-        Sim.Ledger.charge_since ctx.f_line.Seg_cache.ledger Sim.Ledger.Queue_wait pushed;
-        (vol, T_fetch_read ctx))
-      !best
+    !best
   in
-  let best_writeout () =
+  let pop_fetch sel vol =
+    let _, pushed, ctx = Queue.pop (sel (Hashtbl.find q.tq_vols vol)) in
+    Sim.Ledger.charge_since ctx.f_line.Seg_cache.ledger Sim.Ledger.Queue_wait pushed;
+    Some (vol, T_fetch ctx)
+  in
+  let pop_writeout vol =
+    let _, pushed, ctx = Queue.pop (Hashtbl.find q.tq_vols vol).vw_wo in
+    Sim.Ledger.charge_since ctx.w_line.Seg_cache.ledger Sim.Ledger.Queue_wait pushed;
+    Some (vol, T_writeout ctx)
+  in
+  let urgent vw = vw.vw_urgent and prefetch vw = vw.vw_prefetch in
+  let batched_writeout () =
     let best = ref None in
     Hashtbl.iter
       (fun vol vw ->
@@ -885,21 +684,20 @@ let tq_take st q =
           | _ -> best := Some (score, vol)
         end)
       q.tq_vols;
-    Option.map
-      (fun (_, vol) ->
-        let vw = Hashtbl.find q.tq_vols vol in
-        let pushed, job = Queue.pop vw.vw_wo in
-        let ctx = wo_job_ctx job in
-        Sim.Ledger.charge_since ctx.w_line.Seg_cache.ledger Sim.Ledger.Queue_wait pushed;
-        (vol, job))
-      !best
+    Option.bind !best (fun (_, vol) -> pop_writeout vol)
   in
-  match best_fetch (fun vw -> vw.vw_urgent) with
-  | Some r -> Some r
-  | None -> (
-      match best_fetch (fun vw -> vw.vw_prefetch) with
-      | Some r -> Some r
-      | None -> best_writeout ())
+  let prefetch_or k = match oldest prefetch with Some (_, vol) -> pop_fetch prefetch vol | None -> k () in
+  match st.io_mode with
+  | Pipelined -> (
+      match oldest urgent with
+      | Some (_, vol) -> pop_fetch urgent vol
+      | None -> prefetch_or batched_writeout)
+  | Serial -> (
+      match (oldest urgent, oldest (fun vw -> vw.vw_wo)) with
+      | Some (f, vol), Some (w, _) when f < w -> pop_fetch urgent vol
+      | Some (_, vol), None -> pop_fetch urgent vol
+      | _, Some (_, vol) -> pop_writeout vol
+      | None, None -> prefetch_or (fun () -> None))
 
 let rec tq_pop st q =
   if st.stop_service then None
@@ -922,13 +720,8 @@ let tq_release q vol =
   Sim.Condvar.broadcast q.tq_cv
 
 (* Cache-disk work queue: completing a demand fetch beats everything
-   else; prefetch landings and write-out reads ride behind. *)
-type disk_job =
-  | D_fetch_write of fetch_ctx * Bytes.t
-  | D_writeout_read of wo_ctx
-  | D_writeout_stream of wo_ctx
-      (** streaming write-out's producer half: fill the context's stream
-          buffer chunk by chunk, advancing the shared watermark *)
+   else; prefetch landings and write-out staging reads ride behind. *)
+type disk_job = D_land of fetch_ctx * Bytes.t | D_stage of wo_ctx
 
 type diskq = {
   dq_urgent : (float * disk_job) Queue.t;
@@ -951,13 +744,13 @@ let dq_push st q ~urgent job =
   Sim.Condvar.signal q.dq_cv
 
 let dq_job_ledger = function
-  | D_fetch_write (ctx, _) -> ctx.f_line.Seg_cache.ledger
-  | D_writeout_read ctx -> ctx.w_line.Seg_cache.ledger
-  | D_writeout_stream _ ->
-      (* the tertiary side owns the streaming write-out's ledger and is
+  | D_land (ctx, _) -> ctx.f_line.Seg_cache.ledger
+  | D_stage ctx when ctx.w_overlap ->
+      (* the tertiary side owns an overlapped write-out's ledger and is
          queued concurrently: charging the disk queue's wait here would
          double-bill the same wall-clock interval *)
       Sim.Ledger.none
+  | D_stage ctx -> ctx.w_line.Seg_cache.ledger
 
 let rec dq_pop st q =
   if st.stop_service then None
@@ -976,132 +769,18 @@ let rec dq_pop st q =
             Sim.Condvar.wait q.dq_cv;
             dq_pop st q)
 
-(* A prefetch that cannot get a cache line is cancelled rather than
-   queued: speculative work must never pile up in front of the
-   allocator. A reader that piggybacked on the Fetching line re-checks
-   and issues a demand fetch. *)
-let cancel_prefetch st line =
-  (* speculative work that never ran: discard the ledger, don't fold it *)
-  Sim.Ledger.drop line.Seg_cache.ledger;
-  line.Seg_cache.ledger <- Sim.Ledger.none;
-  Seg_cache.remove st.cache line;
-  if line.Seg_cache.idle_hint then
-    Sim.Metrics.incr (Sim.Metrics.counter st.metrics "idle.preempted")
-  else begin
-    st.prefetches_dropped <- st.prefetches_dropped + 1;
-    Sim.Metrics.incr (Sim.Metrics.counter st.metrics "prefetch.dropped");
-    if line.Seg_cache.prefetched then st.on_prefetch_wasted line.Seg_cache.tindex
-  end;
-  Sim.Condvar.broadcast line.Seg_cache.ready
+(* ---------- idle readahead ---------- *)
 
-(* The pipelined service/I-O machinery (paper §11's "overlapping the
-   phases"): a dispatcher that never blocks on a transfer, one tertiary
-   worker per jukebox drive, and a cache-disk worker. Segment N's
-   cache-disk write overlaps segment N+1's tertiary read because the
-   two phases run in different processes connected by a queue; each
-   in-flight segment owns its buffer, and the number of buffers is
-   bounded by the cache lines the dispatcher can allocate. *)
-let spawn_pipelined st =
-  let tq = tq_create () in
-  let dq = dq_create () in
-  (* tertiary workers: the jukebox model arbitrates drives and the robot,
-     so one worker per drive keeps every drive busy without more policy *)
-  let nworkers = max 1 (Footprint.ndrives st.fp) in
-  for i = 0 to nworkers - 1 do
-    let wname = Printf.sprintf "hl-io-tert%d" i in
-    (* Heartbeats for the health plane's progress watchdog: busy at job
-       claim, idle at completion; streamed chunks beat in between. A
-       wedged drive (Fault hang) stops beating mid-job, which is
-       exactly the signature the watchdog looks for. *)
-    let busy vol what =
-      if Obs.Health.enabled () then
-        Obs.Health.worker_busy wname (Printf.sprintf "%s vol%d" what vol)
-    in
-    let idle () = if Obs.Health.enabled () then Obs.Health.worker_idle wname in
-    Sim.Engine.spawn st.engine ~name:wname (fun () ->
-        let rec loop () =
-          match tq_pop st tq with
-          | None -> idle ()
-          | Some (vol, T_fetch_read ctx) ->
-              busy vol "fetch";
-              let result = fetch_read st ctx in
-              tq_release tq vol;
-              (match result with
-              (* the sibling worker may be gone once [stop_service] is
-                 set: fail the line rather than park it in a dead queue *)
-              | Ok image when not st.stop_service ->
-                  dq_push st dq ~urgent:ctx.f_urgent (D_fetch_write (ctx, image))
-              | Ok _ -> fail_fetch st ctx.f_line "service stopped"
-              | Error msg -> fail_fetch st ctx.f_line msg);
-              idle ();
-              loop ()
-          | Some (vol, T_writeout_write (ctx, image)) ->
-              busy vol "writeout";
-              (match writeout_write st ctx image with
-              | Ok () -> ()
-              | Error msg -> fail_writeout st ctx msg);
-              tq_release tq vol;
-              idle ();
-              loop ()
-          | Some (vol, T_writeout_stream ctx) ->
-              busy vol "writeout-stream";
-              (match ctx.w_stream with
-              | Some ws -> (
-                  match writeout_stream_write st ctx ws with
-                  | Ok () -> ()
-                  | Error msg -> fail_writeout st ctx msg)
-              | None -> fail_writeout st ctx "stream context missing");
-              tq_release tq vol;
-              idle ();
-              loop ()
-        in
-        loop ())
-  done;
-  let dbusy what = if Obs.Health.enabled () then Obs.Health.worker_busy "hl-io-disk" what in
-  let didle () = if Obs.Health.enabled () then Obs.Health.worker_idle "hl-io-disk" in
-  Sim.Engine.spawn st.engine ~name:"hl-io-disk" (fun () ->
-      let rec loop () =
-        match dq_pop st dq with
-        | None -> didle ()
-        | Some (D_fetch_write (ctx, image)) ->
-            dbusy "fetch-land";
-            (match fetch_write st ctx image with
-            | Ok () -> ()
-            | Error msg -> fail_fetch st ctx.f_line msg);
-            didle ();
-            loop ()
-        | Some (D_writeout_read ctx) -> (
-            dbusy "writeout-stage";
-            let r = writeout_read st ctx in
-            didle ();
-            match r with
-            | Ok image when not st.stop_service ->
-                tq_push_writeout st tq (T_writeout_write (ctx, image));
-                loop ()
-            | Ok _ ->
-                fail_writeout st ctx "service stopped";
-                loop ()
-            | Error msg ->
-                fail_writeout st ctx msg;
-                loop ())
-        | Some (D_writeout_stream ctx) ->
-            dbusy "writeout-stream-stage";
-            (match ctx.w_stream with
-            | Some ws -> writeout_stream_read st ctx ws
-            | None -> fail_writeout st ctx "stream context missing");
-            didle ();
-            loop ()
-      in
-      loop ());
-  (* Cost-aware idle readahead: a tertiary worker about to park kicks
-     this daemon, which — when enabled and only when no real work is
-     queued anywhere — speculatively fetches the warmest uncached
-     segment living on a currently-loaded volume ({!Obs.Heat} fed by
-     every tertiary access). Loaded volumes only: the speculation costs
-     idle drive time, never a robot swap. One hint per kick keeps the
-     daemon self-pacing — the next kick arrives when a worker runs dry
-     again — and any demand or write-out arrival sweeps still-queued
-     hints back out ([preempt_idle]). *)
+(* Cost-aware idle readahead: a tertiary worker about to park kicks
+   this daemon ([State.t.idle_kick]), which — when enabled and only
+   when no real work is queued anywhere — speculatively fetches the
+   warmest uncached segment living on a currently-loaded volume
+   ({!Obs.Heat} fed by every tertiary access). Loaded volumes only: the
+   speculation costs idle drive time, never a robot swap. One hint per
+   kick keeps the daemon self-pacing — the next kick arrives when a
+   worker runs dry again — and any demand or write-out arrival sweeps
+   still-queued hints back out ([preempt_idle]). *)
+let spawn_idle_readahead st tq =
   Sim.Engine.spawn st.engine ~name:"hl-idle-ra" (fun () ->
       let queues_busy () =
         Hashtbl.fold
@@ -1157,9 +836,112 @@ let spawn_pipelined st =
           loop ()
         end
       in
-      loop ());
-  (* requests whose cache-line allocation failed; retried on progress *)
+      loop ())
+
+(* ---------- the service pipeline ---------- *)
+
+(* The service/I-O machinery (paper §6.7, and §11's "overlapping the
+   phases"): a dispatcher that never blocks on a transfer, tertiary
+   workers that claim volumes, and — in [Pipelined] mode — a cache-disk
+   worker, connected by the queues above. Each in-flight segment owns
+   its buffer, and the number of buffers is bounded by the cache lines
+   the dispatcher can allocate. [Serial] is the same pipeline with one
+   tertiary worker running both phases inline; the streaming settings
+   only move where a phase runs and when data is published (see
+   service.mli). *)
+let spawn st =
+  let tq = tq_create () in
+  let dq = match st.io_mode with Pipelined -> Some (dq_create ()) | Serial -> None in
+  (* tertiary workers: the jukebox model arbitrates drives and the robot,
+     so one worker per drive keeps every drive busy without more policy *)
+  let nworkers =
+    match st.io_mode with Pipelined -> max 1 (Footprint.ndrives st.fp) | Serial -> 1
+  in
+  (* hand a read image to the cache-disk side *)
+  let to_disk ctx image =
+    match dq with
+    | None -> fetch_write st ctx image
+    (* the disk worker may be gone once [stop_service] is set: fail the
+       line rather than park it in a dead queue *)
+    | Some _ when st.stop_service -> fail_fetch st ctx.f_line "service stopped"
+    | Some dq -> dq_push st dq ~urgent:ctx.f_urgent (D_land (ctx, image))
+  in
+  for i = 0 to nworkers - 1 do
+    let wname = Printf.sprintf "hl-io-tert%d" i in
+    (* Heartbeats for the health plane's progress watchdog: busy at job
+       claim, idle at completion; streamed chunks beat in between. A
+       wedged drive (Fault hang) stops beating mid-job, which is
+       exactly the signature the watchdog looks for. *)
+    let busy vol what =
+      if Obs.Health.enabled () then
+        Obs.Health.worker_busy wname (Printf.sprintf "%s vol%d" what vol)
+    in
+    let idle () = if Obs.Health.enabled () then Obs.Health.worker_idle wname in
+    Sim.Engine.spawn st.engine ~name:wname (fun () ->
+        let rec loop () =
+          match tq_pop st tq with
+          | None -> idle ()
+          | Some (vol, T_fetch ctx) ->
+              busy vol "fetch";
+              let result = fetch_read st ctx in
+              tq_release tq vol;
+              (match result with
+              | Ok image -> to_disk ctx image
+              | Error msg -> fail_fetch st ctx.f_line msg);
+              idle ();
+              loop ()
+          | Some (vol, T_writeout ctx) ->
+              busy vol "writeout";
+              (* Serial has no cache-disk worker: stage inline *)
+              if Option.is_none dq then writeout_stage st ctx;
+              (match
+                 match ctx.w_failed with Some msg -> Error msg | None -> writeout_write st ctx
+               with
+              | Ok () -> ()
+              | Error msg -> fail_writeout st ctx msg);
+              tq_release tq vol;
+              idle ();
+              loop ()
+        in
+        loop ())
+  done;
+  Option.iter
+    (fun dq ->
+      let dbusy what = if Obs.Health.enabled () then Obs.Health.worker_busy "hl-io-disk" what in
+      let didle () = if Obs.Health.enabled () then Obs.Health.worker_idle "hl-io-disk" in
+      Sim.Engine.spawn st.engine ~name:"hl-io-disk" (fun () ->
+          let rec loop () =
+            match dq_pop st dq with
+            | None -> didle ()
+            | Some (D_land (ctx, image)) ->
+                dbusy "fetch-land";
+                fetch_write st ctx image;
+                didle ();
+                loop ()
+            | Some (D_stage ctx) ->
+                dbusy "writeout-stage";
+                writeout_stage st ctx;
+                didle ();
+                (* not overlapped, the tertiary write is queued for a
+                   drive once the image is whole *)
+                (if not ctx.w_overlap then
+                   match ctx.w_failed with
+                   | Some msg -> fail_writeout st ctx msg
+                   | None when st.stop_service -> fail_writeout st ctx "service stopped"
+                   | None -> tq_push_writeout st tq ctx);
+                loop ()
+          in
+          loop ()))
+    dq;
+  (* Serial is the paper's baseline: no speculative idle fetches *)
+  (match st.io_mode with Serial -> () | Pipelined -> spawn_idle_readahead st tq);
+  (* requests whose cache-line allocation failed; retried on progress,
+     demand fetches first. Pipelined drops a prefetch that cannot get a
+     line — speculative work must never pile up in front of the
+     allocator — while Serial keeps it queued behind demand, as the
+     paper's one-request-at-a-time service does *)
   let starved : (Seg_cache.line * float) Queue.t = Queue.create () in
+  let starved_prefetch : (Seg_cache.line * float) Queue.t = Queue.create () in
   let poke_pending = ref false in
   (* the poker turns cache-progress events into service-queue messages,
      so the dispatcher has a single block point (Mailbox.recv) and never
@@ -1168,7 +950,9 @@ let spawn_pipelined st =
       let rec loop () =
         Sim.Condvar.wait st.cache_progress;
         if not st.stop_service then begin
-          if (not (Queue.is_empty starved)) && not !poke_pending then begin
+          if
+            not (Queue.is_empty starved && Queue.is_empty starved_prefetch || !poke_pending)
+          then begin
             poke_pending := true;
             Sim.Mailbox.send st.service_mb Progress
           end;
@@ -1180,7 +964,7 @@ let spawn_pipelined st =
       (* allocate a line and hand the fetch to the tertiary pool; false
          if no line is obtainable right now *)
       let dispatch_fetch ~urgent line enqueued =
-        match try_allocate st with
+        match Evict.try_allocate st with
         | Some seg ->
             line.Seg_cache.disk_seg <- seg;
             Lfs.Segusage.set_cache_tag (Lfs.Fs.seguse (fs st)) seg line.Seg_cache.tindex;
@@ -1192,59 +976,54 @@ let spawn_pipelined st =
         | None -> false
       in
       let retry_starved () =
-        let rec go () =
-          match Queue.peek_opt starved with
-          | Some (line, enqueued) when dispatch_fetch ~urgent:true line enqueued ->
-              ignore (Queue.pop starved);
-              go ()
+        let rec go q ~urgent =
+          match Queue.peek_opt q with
+          | Some (line, enqueued) when dispatch_fetch ~urgent line enqueued ->
+              ignore (Queue.pop q);
+              go q ~urgent
           | _ -> ()
         in
-        go ()
+        go starved ~urgent:true;
+        if Queue.is_empty starved then go starved_prefetch ~urgent:false
       in
       let rec loop () =
         (match Sim.Mailbox.recv st.service_mb with
-        | Fetch { line; _ } when st.stop_service -> fail_fetch st line "service stopped"
+        | (Fetch _ | Writeout _) as req when st.stop_service ->
+            fail_request st req "service stopped"
         | Fetch { line; enqueued; is_prefetch } ->
             if not (dispatch_fetch ~urgent:(not is_prefetch) line enqueued) then
-              if is_prefetch then cancel_prefetch st line
-              else Queue.add (line, enqueued) starved
-        | Writeout { line; status; done_cv; _ } when st.stop_service ->
-            fail_writeout st
-              { w_line = line; w_status = status; w_done = done_cv; w_stream = None }
-              "service stopped"
+              if not is_prefetch then Queue.add (line, enqueued) starved
+              else (
+                match st.io_mode with
+                | Serial -> Queue.add (line, enqueued) starved_prefetch
+                | Pipelined -> drop_hint st line)
         | Writeout { line; enqueued; status; done_cv } ->
             preempt_idle st tq;
             st.queue_time <- st.queue_time +. (now st -. enqueued);
             Sim.Ledger.charge_since line.Seg_cache.ledger Sim.Ledger.Queue_wait enqueued;
             Sim.Trace.async_instant line.Seg_cache.span_id ~args:[ ("phase", "dispatch") ];
-            let vol, _ = Addr_space.vol_seg_of_tindex st.aspace line.Seg_cache.tindex in
-            (* WORM media always takes the blocking path: a mid-stream
-               fault retry re-writes the whole segment, which a WORM
-               volume would reject as an overwrite *)
-            if
-              st.streaming_writeout
-              && Footprint.media_kind st.fp vol <> Device.Jukebox.Worm
-            then begin
-              let ws =
-                {
-                  ws_buf = Bytes.create (seg_blocks st * Footprint.block_size st.fp);
-                  ws_read = 0;
-                  ws_avail = Sim.Condvar.create ();
-                  ws_failed = None;
-                }
-              in
-              let ctx =
-                { w_line = line; w_status = status; w_done = done_cv; w_stream = Some ws }
-              in
-              (* both halves start now: the disk read begins filling the
-                 buffer while the tertiary job queues for a drive *)
-              dq_push st dq ~urgent:false (D_writeout_stream ctx);
-              tq_push_writeout st tq (T_writeout_stream ctx)
-            end
-            else
-              dq_push st dq ~urgent:false
-                (D_writeout_read
-                   { w_line = line; w_status = status; w_done = done_cv; w_stream = None })
+            let ctx =
+              {
+                w_line = line;
+                w_status = status;
+                w_done = done_cv;
+                w_buf = Bytes.create (seg_blocks st * Footprint.block_size st.fp);
+                w_read = 0;
+                w_avail = Sim.Condvar.create ();
+                w_failed = None;
+                w_overlap = st.streaming_writeout && dq <> None;
+              }
+            in
+            (match dq with
+            | Some dq ->
+                (* the cache-disk worker stages the image; overlapped,
+                   both halves start now — the disk read begins filling
+                   the buffer while the tertiary job queues for a drive —
+                   otherwise the tertiary job is queued when the read
+                   finishes *)
+                dq_push st dq ~urgent:false (D_stage ctx);
+                if ctx.w_overlap then tq_push_writeout st tq ctx
+            | None -> tq_push_writeout st tq ctx)
         | Progress ->
             poke_pending := false;
             retry_starved ());
@@ -1259,40 +1038,37 @@ let spawn_pipelined st =
        In-flight transfers are not here (their worker popped them) and
        finish on their own: hangs are bounded delays. *)
     let abort = "service stopped" in
+    let drain q f =
+      Queue.iter f q;
+      Queue.clear q
+    in
+    let abort_fetch (_, _, ctx) = fail_fetch st ctx.f_line abort in
     Hashtbl.iter
       (fun _ vw ->
-        Queue.iter (fun (_, _, ctx) -> fail_fetch st ctx.f_line abort) vw.vw_urgent;
-        Queue.clear vw.vw_urgent;
-        Queue.iter (fun (_, _, ctx) -> fail_fetch st ctx.f_line abort) vw.vw_prefetch;
-        Queue.clear vw.vw_prefetch;
-        Queue.iter (fun (_, job) -> fail_writeout st (wo_job_ctx job) abort) vw.vw_wo;
-        Queue.clear vw.vw_wo)
+        drain vw.vw_urgent abort_fetch;
+        drain vw.vw_prefetch abort_fetch;
+        drain vw.vw_wo (fun (_, _, ctx) -> fail_writeout st ctx abort))
       tq.tq_vols;
+    (* [fail_writeout] is idempotent and always unsticks the stream
+       watermark, so reaching an overlapped write-out from both of its
+       queues is safe *)
     let abort_disk_job (_, job) =
       match job with
-      | D_fetch_write (ctx, _) -> fail_fetch st ctx.f_line abort
-      (* [fail_writeout] is idempotent and always unsticks the stream
-         watermark, so reaching a streaming context from both of its
-         queues is safe *)
-      | D_writeout_read ctx | D_writeout_stream ctx -> fail_writeout st ctx abort
+      | D_land (ctx, _) -> fail_fetch st ctx.f_line abort
+      | D_stage ctx -> fail_writeout st ctx abort
     in
-    Queue.iter abort_disk_job dq.dq_urgent;
-    Queue.clear dq.dq_urgent;
-    Queue.iter abort_disk_job dq.dq_normal;
-    Queue.clear dq.dq_normal;
-    Queue.iter (fun (line, _) -> fail_fetch st line abort) starved;
-    Queue.clear starved;
+    Option.iter
+      (fun dq ->
+        drain dq.dq_urgent abort_disk_job;
+        drain dq.dq_normal abort_disk_job)
+      dq;
+    drain starved (fun (line, _) -> fail_fetch st line abort);
+    drain starved_prefetch (fun (line, _) -> fail_fetch st line abort);
     let rec drain_mb () =
       match Sim.Mailbox.try_recv st.service_mb with
-      | Some (Fetch { line; _ }) ->
-          fail_fetch st line abort;
+      | Some req ->
+          fail_request st req abort;
           drain_mb ()
-      | Some (Writeout { line; status; done_cv; _ }) ->
-          fail_writeout st
-            { w_line = line; w_status = status; w_done = done_cv; w_stream = None }
-            abort;
-          drain_mb ()
-      | Some Progress -> drain_mb ()
       | None -> ()
     in
     drain_mb ();
@@ -1300,153 +1076,9 @@ let spawn_pipelined st =
        Mailbox.recv, so it gets a message rather than a broadcast *)
     Sim.Mailbox.send st.service_mb Progress;
     Sim.Condvar.broadcast tq.tq_cv;
-    Sim.Condvar.broadcast dq.dq_cv;
+    Option.iter (fun dq -> Sim.Condvar.broadcast dq.dq_cv) dq;
     Sim.Condvar.broadcast st.idle_kick;
     Sim.Condvar.broadcast st.cache_progress
-
-(* ---------- the serial baseline ---------- *)
-
-type io_request =
-  | Io_fetch of fetch_ctx * Sim.Condvar.t
-  | Io_writeout of wo_ctx * Sim.Condvar.t
-  | Io_stop  (** shutdown drain: wakes the I/O process so it can exit *)
-
-(* The paper's measured configuration: a single I/O process, and a
-   service process that blocks on it one request at a time — the serial
-   read-then-write pipeline whose phases Table 4 breaks down. Kept
-   selectable ([State.io_mode]) as the baseline the pipeline bench
-   compares against. *)
-let spawn_serial st =
-  let io_mb : io_request Sim.Mailbox.t = Sim.Mailbox.create () in
-  Sim.Engine.spawn st.engine ~name:"hl-io" (fun () ->
-      let rec loop () =
-        (match Sim.Mailbox.recv io_mb with
-        | Io_fetch (ctx, cv) ->
-            (match fetch_read st ctx with
-            | Ok image -> (
-                match fetch_write st ctx image with
-                | Ok () -> ()
-                | Error msg -> fail_fetch st ctx.f_line msg)
-            | Error msg -> fail_fetch st ctx.f_line msg);
-            Sim.Condvar.broadcast cv
-        | Io_writeout (ctx, cv) ->
-            (match writeout_read st ctx with
-            | Ok image -> (
-                match writeout_write st ctx image with
-                | Ok () -> ()
-                | Error msg -> fail_writeout st ctx msg)
-            | Error msg -> fail_writeout st ctx msg);
-            Sim.Condvar.broadcast cv
-        | Io_stop -> ());
-        if not st.stop_service then loop ()
-      in
-      loop ());
-  Sim.Engine.spawn st.engine ~name:"hl-service" (fun () ->
-      (* demand fetches and write-outs overtake queued prefetches: a
-         reader must never stall behind speculative work *)
-      let urgent : request Queue.t = Queue.create () in
-      let background : request Queue.t = Queue.create () in
-      let classify r =
-        match r with
-        | Fetch { is_prefetch = true; _ } -> Queue.add r background
-        | Fetch _ | Writeout _ -> Queue.add r urgent
-        | Progress -> ()
-      in
-      let pending () = Queue.length urgent + Queue.length background in
-      let refill () =
-        if pending () = 0 then classify (Sim.Mailbox.recv st.service_mb);
-        let rec drain () =
-          match Sim.Mailbox.try_recv st.service_mb with
-          | Some r ->
-              classify r;
-              drain ()
-          | None -> ()
-        in
-        drain ()
-      in
-      let pick () =
-        match Queue.take_opt urgent with
-        | Some r -> Some r
-        | None -> Queue.take_opt background
-      in
-      (* consecutive allocation failures; once every pending request has
-         had a turn without progress, sleep on the progress condvar
-         (instead of the seed's 5 ms poll loop) *)
-      let failures = ref 0 in
-      let rec loop () =
-        refill ();
-        (match pick () with
-        | None -> () (* only Progress arrived; re-check stop_service *)
-        | Some (Fetch { line; enqueued; is_prefetch } as req) -> (
-            (* never block on allocation: pending write-outs are what
-               turn Staging lines into evictable ones, and only this
-               process dispatches them *)
-            match try_allocate st with
-            | Some seg ->
-                failures := 0;
-                st.queue_time <- st.queue_time +. (now st -. enqueued);
-                Sim.Ledger.charge_since line.Seg_cache.ledger Sim.Ledger.Queue_wait enqueued;
-                line.Seg_cache.disk_seg <- seg;
-                Lfs.Segusage.set_cache_tag (Lfs.Fs.seguse (fs st)) seg line.Seg_cache.tindex;
-                Sim.Trace.async_instant line.Seg_cache.span_id ~args:[ ("phase", "dispatch") ];
-                let cv = Sim.Condvar.create () in
-                Sim.Mailbox.send io_mb
-                  (Io_fetch
-                     ({ f_line = line; f_urgent = not is_prefetch; f_enqueued = enqueued }, cv));
-                Sim.Condvar.wait cv
-            | None ->
-                incr failures;
-                (if is_prefetch then Queue.add req background else Queue.add req urgent);
-                if !failures > pending () then begin
-                  failures := 0;
-                  Sim.Condvar.wait st.cache_progress
-                end)
-        | Some (Writeout { line; enqueued; status; done_cv }) ->
-            failures := 0;
-            st.queue_time <- st.queue_time +. (now st -. enqueued);
-            Sim.Ledger.charge_since line.Seg_cache.ledger Sim.Ledger.Queue_wait enqueued;
-            Sim.Trace.async_instant line.Seg_cache.span_id ~args:[ ("phase", "dispatch") ];
-            let cv = Sim.Condvar.create () in
-            Sim.Mailbox.send io_mb
-              (Io_writeout
-                 ({ w_line = line; w_status = status; w_done = done_cv; w_stream = None }, cv));
-            Sim.Condvar.wait cv
-        | Some Progress -> () (* never queued; classify drops it *));
-        if not st.stop_service then loop ()
-      in
-      loop ();
-      (* shutdown drain: wake the waiters of whatever never got
-         dispatched, so nothing stays blocked forever *)
-      let abort = function
-        | Fetch { line; _ } -> fail_fetch st line "service stopped"
-        | Writeout { line; status; done_cv; _ } ->
-            fail_writeout st
-              { w_line = line; w_status = status; w_done = done_cv; w_stream = None }
-              "service stopped"
-        | Progress -> ()
-      in
-      Queue.iter abort urgent;
-      Queue.clear urgent;
-      Queue.iter abort background;
-      Queue.clear background;
-      let rec drain_mb () =
-        match Sim.Mailbox.try_recv st.service_mb with
-        | Some r ->
-            abort r;
-            drain_mb ()
-        | None -> ()
-      in
-      drain_mb ());
-  fun () ->
-    st.stop_service <- true;
-    (* drain both loops: the I/O process blocks in its own mailbox, the
-       service process in [service_mb] *)
-    Sim.Mailbox.send io_mb Io_stop;
-    Sim.Mailbox.send st.service_mb Progress;
-    Sim.Condvar.broadcast st.cache_progress
-
-let spawn st =
-  match st.io_mode with Pipelined -> spawn_pipelined st | Serial -> spawn_serial st
 
 type ticket = { status : writeout_status ref; done_cv : Sim.Condvar.t }
 

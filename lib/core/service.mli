@@ -1,36 +1,39 @@
 (** The user-level service process and its I/O workers (paper §6.7).
     The service (dispatcher) process waits for kernel requests (demand
-    fetch, segment write-out), manages cache-line allocation and
-    ejection, and hands the device work to a worker pool: one tertiary
-    worker per jukebox drive plus a cache-disk worker. Each transfer is
-    split into its two device phases (tertiary read → cache-disk write
-    for a fetch; the reverse for a write-out), so segment N's disk write
-    overlaps segment N+1's tertiary read, demand fetches preempt
-    prefetches, and write-outs batch per destination volume to amortize
-    robot swaps. The dispatcher itself never blocks on a transfer.
+    fetch, prefetch, segment write-out), allocates cache lines
+    ({!Evict}) and hands the device work to tertiary workers that claim
+    one volume at a time. Each transfer is two device phases (tertiary
+    read → cache-disk write for a fetch; the reverse for a write-out);
+    demand fetches preempt prefetches, which preempt write-outs, and
+    write-outs batch per destination volume to amortize robot swaps.
+    The dispatcher itself never blocks on a transfer.
 
-    [State.io_mode = Serial] instead reproduces the paper's measured
-    configuration — a single I/O process serviced one request at a
-    time — as the baseline the Table 4 "overlapped" column and the
-    pipeline bench compare against. *)
+    There is one pipeline; its settings say where each phase runs and
+    when data is published:
+    - [State.io_mode = Pipelined]: one tertiary worker per jukebox drive
+      plus a cache-disk worker, so segment N's cache-disk phase
+      overlaps segment N+1's tertiary phase.
+    - [State.io_mode = Serial]: the paper's measured configuration — a
+      single tertiary worker running both phases of each transfer
+      inline, one request at a time, demand fetches and write-outs
+      first-come ahead of prefetches (a prefetch that finds no free
+      line waits instead of being dropped; no idle readahead) — the
+      baseline the Table 4 "overlapped" column and the pipeline bench
+      compare against.
+    - [State.t.streaming_fetch]: a fetch publishes its valid-prefix
+      watermark per chunk (waiters wake at their first block) or only
+      at landing.
+    - [State.t.streaming_writeout]: in [Pipelined] mode, a write-out's
+      staging read runs on the cache-disk worker concurrently with its
+      tertiary write; otherwise the whole image is read first (on the
+      cache-disk worker, or inline in [Serial]). Either way a torn
+      tertiary write resumes at its written prefix
+      ([Seg_cache.line.media_blocks], kept across tickets), so WORM
+      volumes need no special path. *)
 
 val spawn : State.t -> unit -> unit
 (** Starts the service/I/O machinery; returns a shutdown function (the
     processes exit after finishing the current request). *)
-
-val eject : State.t -> Seg_cache.line -> unit
-(** Synchronously discards a cache line (must be evictable), returning
-    its disk segment to the clean pool. *)
-
-val choose_victim : State.t -> Seg_cache.line option
-(** Policy victim selection with decision observability: when the
-    observatory is installed, emits a [Cache_evict] decision record
-    (victim plus passed-over candidates) and registers the victim for
-    the eviction-regret SLI. Zero-cost when the observatory is off. *)
-
-val eject_idle : State.t -> keep:int -> int
-(** Migrator-style housekeeping: evicts least-valuable lines until at
-    most [keep] remain. Returns the number ejected. *)
 
 type ticket
 
@@ -41,8 +44,3 @@ val request_writeout : State.t -> Seg_cache.line -> ticket
 val await : ticket -> State.writeout_status
 (** Blocks until the copy (including any end-of-medium re-homing)
     completes. *)
-
-val allocate_cache_line : ?staging:bool -> State.t -> int
-(** Internal: obtain a disk segment for use as a cache line, ejecting a
-    victim if the pool is exhausted. Staging allocations (the migrator)
-    may dig past the cleaner's reserve. *)

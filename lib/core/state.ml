@@ -24,6 +24,26 @@ type request =
 
 type io_mode = Serial | Pipelined
 
+type busy = {
+  mutable disk_time : float;
+  mutable tertiary_time : float;
+  mutable union_time : float;
+  mutable active : int;
+  mutable busy_since : float;
+}
+
+let busy () =
+  { disk_time = 0.0; tertiary_time = 0.0; union_time = 0.0; active = 0; busy_since = 0.0 }
+
+let reset_busy b ~now =
+  b.disk_time <- 0.0;
+  b.tertiary_time <- 0.0;
+  b.union_time <- 0.0;
+  b.busy_since <- now
+
+let overlap b =
+  if b.union_time > 0.0 then (b.disk_time +. b.tertiary_time) /. b.union_time else 1.0
+
 type staged_entry =
   | Staged_block of { sb_inum : int; sb_bkey : Lfs.Bkey.t; sb_taddr : int }
   | Staged_inode_block of { si_taddr : int; si_inums : int list }
@@ -45,32 +65,17 @@ type t = {
   mutable rehomes : int;
   mutable fetch_wait : float;
   mutable queue_time : float;
-  mutable io_disk_time : float;
-  mutable io_tertiary_time : float;
-  mutable io_union_time : float;
-  mutable io_active : int;
-  mutable io_busy_since : float;
+  io : busy;
   mutable prefetches_dropped : int;
   mutable streaming_fetch : bool;
   mutable streaming_writeout : bool;
-      (** overlap the staging-disk read with the tertiary write inside
-          one segment (written-prefix watermark); WORM volumes always
-          take the blocking path, since a mid-stream fault retry would
-          overwrite already-written blocks *)
   mutable idle_readahead : bool;
       (** when a tertiary worker goes idle, prefetch warm segments off
           the currently loaded volumes (cost-aware: never triggers a
           swap); queued idle prefetches are cancelled the moment demand
           or write-out work arrives *)
   mutable stream_chunk_blocks : int;
-  (* write-out phase busy/union accounting, the writeout-specific twin
-     of the io_* fields below: busy/union > 1 is the within-request
-     disk-read/tertiary-write overlap the streaming pipeline creates *)
-  mutable wo_disk_time : float;
-  mutable wo_tertiary_time : float;
-  mutable wo_union_time : float;
-  mutable wo_active : int;
-  mutable wo_busy_since : float;
+  wo : busy;
   mutable on_prefetch_used : int -> unit;
   mutable on_prefetch_wasted : int -> unit;
   mutable io_mode : io_mode;
@@ -91,10 +96,8 @@ type t = {
       (** observation hook: a write-out of this tindex reached tertiary
           storage (the crash-recovery harness snapshots here) *)
   mutable on_writeout_chunk : int -> int -> unit;
-      (** observation hook: [on_writeout_chunk tindex written] — the
-          written-prefix watermark of a streaming write-out advanced to
-          [written] blocks (the chunk-boundary crash harness snapshots
-          here) *)
+      (** observation hook: [on_writeout_chunk tindex written] — a
+          write-out's written prefix advanced to [written] blocks *)
   heat : Obs.Heat.t;
       (** per-tertiary-segment access temperature (half-life decay),
           touched on every tertiary read — the idle-readahead daemon's
@@ -130,21 +133,13 @@ let create ~engine ~aspace ~disk ~fp ~cache =
     rehomes = 0;
     fetch_wait = 0.0;
     queue_time = 0.0;
-    io_disk_time = 0.0;
-    io_tertiary_time = 0.0;
-    io_union_time = 0.0;
-    io_active = 0;
-    io_busy_since = 0.0;
+    io = busy ();
     prefetches_dropped = 0;
     streaming_fetch = true;
     streaming_writeout = true;
     idle_readahead = false;
     stream_chunk_blocks = 16;
-    wo_disk_time = 0.0;
-    wo_tertiary_time = 0.0;
-    wo_union_time = 0.0;
-    wo_active = 0;
-    wo_busy_since = 0.0;
+    wo = busy ();
     on_prefetch_used = (fun _ -> ());
     on_prefetch_wasted = (fun _ -> ());
     io_mode = Pipelined;

@@ -41,12 +41,32 @@ type request =
       (** internal nudge: cache-line progress occurred while fetches were
           starved for lines; the service loop retries them *)
 
-(** [Serial] reproduces the paper's measured configuration — one I/O
-    process, one request at a time (Table 4's serial read-then-write
-    pipeline). [Pipelined] is the §11 "obvious improvement": a worker
-    per jukebox drive plus a cache-disk worker, with the two phases of
-    every transfer overlapped. *)
+(** The two worker layouts of the one service pipeline ({!Service}).
+    [Serial] reproduces the paper's measured configuration — a single
+    I/O worker running both phases of each transfer, one request at a
+    time (Table 4's serial read-then-write pipeline). [Pipelined] is
+    the §11 "obvious improvement": a worker per jukebox drive plus a
+    cache-disk worker, so the two phases of different transfers
+    overlap. *)
 type io_mode = Serial | Pipelined
+
+(** Busy-time accounting of a family of transfer phases (Table 4):
+    per-device busy sums and the wall time during which at least one
+    phase was in flight. *)
+type busy = {
+  mutable disk_time : float;  (** cache-disk phases *)
+  mutable tertiary_time : float;  (** Footprint transfers issued by the I/O workers *)
+  mutable union_time : float;  (** wall time with >= 1 phase in flight *)
+  mutable active : int;  (** phases currently in flight *)
+  mutable busy_since : float;  (** start of the current busy span *)
+}
+
+val busy : unit -> busy
+val reset_busy : busy -> now:float -> unit
+
+val overlap : busy -> float
+(** (disk + tertiary) / union: 1.0 when the phases serialize, up to
+    2.0 when both devices are always busy at once; 1.0 when idle. *)
 
 (** Manifest entries: what was staged into a tertiary segment and at
     which address (used to re-home on end-of-medium). *)
@@ -75,45 +95,32 @@ type t = {
   mutable rehomes : int;
   mutable fetch_wait : float;  (** process time blocked on demand fetches *)
   mutable queue_time : float;  (** Table 4: request enqueue -> worker dispatch *)
-  mutable io_disk_time : float;  (** Table 4: I/O server raw disk time *)
-  mutable io_tertiary_time : float;
-      (** busy time of the tertiary phase (Footprint transfers issued by
-          the I/O workers) *)
-  mutable io_union_time : float;
-      (** wall time during which >= 1 I/O phase was in flight; the
-          overlap factor is (disk + tertiary) / union *)
-  mutable io_active : int;  (** phases currently in flight *)
-  mutable io_busy_since : float;  (** start of the current busy span *)
+  io : busy;  (** Table 4: every fetch and write-out phase *)
   mutable prefetches_dropped : int;
       (** speculative fetches cancelled because no cache line was free *)
   mutable streaming_fetch : bool;
-      (** when true (default), demand fetches stream chunk-by-chunk into
-          the line's image with a valid-prefix watermark, waking waiters
-          at first usable block; when false, the pre-streaming blocking
-          behaviour (wake only at fetch completion) *)
+      (** when true (default), a fetch publishes its valid-prefix
+          watermark chunk by chunk, waking waiters at their first usable
+          block; when false, only at landing (blocking behaviour) *)
   mutable streaming_writeout : bool;
       (** when true (default, pipelined mode only), a write-out's
           staging-disk read overlaps its tertiary write within the
-          segment behind a written-prefix watermark; WORM volumes always
-          take the blocking path, since a mid-stream fault retry would
-          overwrite already-written blocks *)
+          segment behind the read watermark; when false, the whole image
+          is read before the write starts *)
   mutable idle_readahead : bool;
       (** off by default: when a tertiary worker goes idle, prefetch the
           warmest uncached segments of the currently loaded volumes
           (cost-aware — never triggers a swap); queued idle prefetches
-          are cancelled the moment demand/write-out work arrives *)
+          are cancelled the moment demand/write-out work arrives.
+          Pipelined mode only *)
   mutable stream_chunk_blocks : int;
       (** streaming delivery grain in blocks (the simulated bus already
           transfers at 64 KB; tests shrink this to observe mid-stream
           states on small segments) *)
-  mutable wo_disk_time : float;  (** busy time of write-out staging-disk reads *)
-  mutable wo_tertiary_time : float;  (** busy time of write-out tertiary writes *)
-  mutable wo_union_time : float;
-      (** wall time during which >= 1 write-out phase was in flight; the
-          write-out overlap fraction is (disk + tertiary) / union — 1.0
-          when the phases serialize, approaching 2.0 at full overlap *)
-  mutable wo_active : int;
-  mutable wo_busy_since : float;
+  wo : busy;
+      (** write-out phases only: staging-disk reads and tertiary writes;
+          its overlap is the within-segment overlap of the streaming
+          write-out *)
   mutable on_prefetch_used : int -> unit;
       (** a prefetched line was demanded before eviction (tindex) — the
           adaptive readahead policy scores itself here *)
@@ -145,9 +152,8 @@ type t = {
           storage (the crash-recovery harness snapshots here) *)
   mutable on_writeout_chunk : int -> int -> unit;
       (** observation hook: [on_writeout_chunk tindex written] — a
-          streaming write-out's written-prefix watermark advanced to
-          [written] blocks on the media (the chunk-boundary crash
-          harness snapshots here) *)
+          write-out's written prefix advanced to [written] blocks on the
+          media (the chunk-boundary crash harness snapshots here) *)
   heat : Obs.Heat.t;
       (** per-tertiary-segment access temperature (half-life decay),
           touched by {!Block_io} on every tertiary read — the

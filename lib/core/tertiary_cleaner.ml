@@ -157,7 +157,7 @@ let clean_volume st vol =
         && (line.Seg_cache.state = Seg_cache.Resident
            || line.Seg_cache.state = Seg_cache.Staged_clean)
         && line.Seg_cache.pins = 0
-      then Service.eject st line);
+      then Evict.eject st line);
   Hl_log.Log.info (fun m ->
       m "tertiary cleaner: erasing volume %d (%d segments scanned, %d blocks re-migrated)" vol
         !scanned !moved);

@@ -162,25 +162,6 @@ let read t ~blk ~count =
   read_into t ~blk ~count ~dst:out ~dst_off:0;
   out
 
-(* Streaming read: identical timing to [read] (which already splits at
-   MAXPHYS), but each chunk is delivered as its transfer completes and
-   the fault plan is consulted per chunk. *)
-let read_stream t ~blk ~count ?(chunk = max_transfer_blocks) f =
-  if chunk <= 0 then invalid_arg "Disk.read_stream: bad chunk";
-  Fault.check ~site:t.site Fault.Read;
-  let rec go off remaining =
-    if remaining > 0 then begin
-      let n = min remaining chunk in
-      chunk_io t ~blk:(blk + off) ~count:n ~rate:t.prof.read_rate ~op:"read";
-      Fault.check ~site:t.site Fault.Read;
-      t.rbytes <- t.rbytes + (n * t.prof.block_size);
-      f ~off (Blockstore.read t.store ~blk:(blk + off) ~count:n);
-      go (off + n) (remaining - n)
-    end
-  in
-  t.n_reads <- t.n_reads + 1;
-  go 0 count
-
 let write_from t ~blk ~src ~src_off ~count =
   (* consulted before the store mutates: a faulted write leaves no data *)
   Fault.check ~site:t.site Fault.Write;
@@ -194,37 +175,6 @@ let write t ~blk data =
   if len = 0 || len mod t.prof.block_size <> 0 then
     invalid_arg "Disk.write: length must be a positive multiple of block size";
   write_from t ~blk ~src:data ~src_off:0 ~count:(len / t.prof.block_size)
-
-(* Streaming write: same simulated timing as [write] (which already
-   splits at MAXPHYS), but the store mutates and the fault plan is
-   consulted per chunk — a mid-stream fault leaves exactly the chunks
-   already transferred. [await] (if given) runs before each chunk and
-   may block until the producer has made [off + blocks] available; [f]
-   runs after the chunk is on the platter. *)
-let write_stream_from t ~blk ~src ~src_off ~count ?(chunk = max_transfer_blocks) ?await f =
-  if chunk <= 0 then invalid_arg "Disk.write_stream_from: bad chunk";
-  let rec go off remaining =
-    if remaining > 0 then begin
-      let n = min remaining chunk in
-      (match await with Some a -> a ~off ~blocks:n | None -> ());
-      Fault.check ~site:t.site Fault.Write;
-      Blockstore.write_from t.store ~blk:(blk + off) ~src
-        ~src_off:(src_off + (off * t.prof.block_size))
-        ~count:n;
-      chunk_io t ~blk:(blk + off) ~count:n ~rate:t.prof.write_rate ~op:"write";
-      t.wbytes <- t.wbytes + (n * t.prof.block_size);
-      f ~off ~blocks:n;
-      go (off + n) (remaining - n)
-    end
-  in
-  t.n_writes <- t.n_writes + 1;
-  go 0 count
-
-let write_stream t ~blk data ?chunk ?await f =
-  let len = Bytes.length data in
-  if len = 0 || len mod t.prof.block_size <> 0 then
-    invalid_arg "Disk.write_stream: length must be a positive multiple of block size";
-  write_stream_from t ~blk ~src:data ~src_off:0 ~count:(len / t.prof.block_size) ?chunk ?await f
 
 let reads t = t.n_reads
 let writes t = t.n_writes

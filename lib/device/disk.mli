@@ -45,44 +45,11 @@ val read_into : t -> blk:int -> count:int -> dst:Bytes.t -> dst_off:int -> unit
 (** {!read} landing directly in the caller's buffer at [dst_off]: same
     simulated timing, no intermediate allocation. *)
 
-val read_stream : t -> blk:int -> count:int -> ?chunk:int -> (off:int -> Bytes.t -> unit) -> unit
-(** Like {!read} (same simulated timing — [read] already splits at the
-    64 KB MAXPHYS grain), but each [chunk]-block piece is delivered to
-    the callback as its transfer completes; [off] is the block offset
-    within the request. The fault plan is consulted per chunk. *)
-
 val write : t -> blk:int -> Bytes.t -> unit
 
 val write_from : t -> blk:int -> src:Bytes.t -> src_off:int -> count:int -> unit
 (** {!write} of the [count]-block view at [src_off] in [src] — lets a
     caller write one run of a larger image without slicing it out. *)
-
-val write_stream_from :
-  t ->
-  blk:int ->
-  src:Bytes.t ->
-  src_off:int ->
-  count:int ->
-  ?chunk:int ->
-  ?await:(off:int -> blocks:int -> unit) ->
-  (off:int -> blocks:int -> unit) ->
-  unit
-(** Like {!write_from} (same simulated timing), but the store mutates
-    and the fault plan is consulted per [chunk]-block piece — a
-    mid-stream fault leaves exactly the chunks already transferred.
-    [await ~off ~blocks] (if given) runs before each chunk and may block
-    until the producer has made the piece available; the final callback
-    fires after each chunk lands. *)
-
-val write_stream :
-  t ->
-  blk:int ->
-  Bytes.t ->
-  ?chunk:int ->
-  ?await:(off:int -> blocks:int -> unit) ->
-  (off:int -> blocks:int -> unit) ->
-  unit
-(** {!write_stream_from} over a whole buffer. *)
 
 val store : t -> Blockstore.t
 (** Direct access to the backing bytes, bypassing timing — used only by

@@ -312,32 +312,16 @@ let read t ~vol ~blk ~count =
   read_into t ~vol ~blk ~count ~dst:out ~dst_off:0;
   out
 
-(* Streaming read: the same drive/robot/bus model as [read], but each
-   chunk is delivered to [f] the moment its bus transfer completes, and
-   the fault plan is consulted per chunk — so a media error can strike
-   mid-transfer, after a prefix of the data has already been handed
-   over. Timing is identical to [read] (which already moves data through
+(* Streaming read: the same drive/robot/bus model as [read_into], but
+   each chunk's bytes are placed at their final offset in the caller's
+   buffer and the callback fires the moment the chunk's bus transfer
+   completes — it only learns where ([off], in blocks) and how much
+   ([blocks]), so a demand fetch can stage a whole cache line with a
+   single store→image copy. The fault plan is consulted per chunk, so a
+   media error can strike mid-transfer after a prefix was handed over.
+   Timing is identical to [read_into] (which already moves data through
    the bus at [chunk_blocks] grain); only delivery and fault granularity
    change. *)
-let read_stream t ~vol ~blk ~count ?(chunk = chunk_blocks) f =
-  if vol < 0 || vol >= nvolumes t then invalid_arg "Jukebox.read_stream: bad volume";
-  if chunk <= 0 then invalid_arg "Jukebox.read_stream: bad chunk";
-  with_drive t vol ~for_write:false (fun d ->
-      let deliver ~blk:cblk ~n =
-        Fault.check ~site:d.track Fault.Read;
-        t.rbytes <- t.rbytes + (n * t.prof.block_size);
-        f ~off:(cblk - blk) (Blockstore.read t.volumes.(vol) ~blk:cblk ~count:n)
-      in
-      Fault.check ~site:d.track Fault.Read;
-      position_and_transfer ~chunk ~on_chunk:deliver t d ~blk ~count
-        ~rate:t.prof.read_rate ~op:"read")
-
-(* Streaming read landing directly in [dst]: same model as
-   [read_stream], but each chunk's bytes are placed at their final
-   offset in the caller's buffer before the callback fires — the
-   callback only learns where ([off], in blocks) and how much
-   ([blocks]), so a demand fetch can stage a whole cache line with a
-   single store→image copy. *)
 let read_stream_into t ~vol ~blk ~count ?(chunk = chunk_blocks) ~dst ~dst_off f =
   if vol < 0 || vol >= nvolumes t then invalid_arg "Jukebox.read_stream_into: bad volume";
   if chunk <= 0 then invalid_arg "Jukebox.read_stream_into: bad chunk";
@@ -372,10 +356,12 @@ let write t ~vol ~blk data =
       t.wbytes <- t.wbytes + Bytes.length data)
 
 (* Streaming write: the same drive/robot/bus model as [write], but the
-   store mutates and the fault plan is consulted per chunk — a media
-   error can strike at chunk k, leaving exactly the prefix written (a
-   retry that rewrites the whole segment is safe on rewritable media;
-   WORM is pre-checked and must use the blocking path under retry).
+   store mutates and the fault plan is consulted per chunk — a drive or
+   bus fault at chunk k leaves exactly the chunks before it written, and
+   those are exactly the chunks [f] has reported (a chunk lands in the
+   store only once its transfer completed). A retry that resumes after
+   the reported prefix never rewrites a block, so it is safe on WORM
+   too; the WORM pre-check covers the requested range.
    [await] runs before each chunk and may block holding the drive — the
    written-prefix watermark stall of a streaming write-out, which is how
    a real tape drive starves when the staging disk falls behind. *)
@@ -394,27 +380,21 @@ let write_stream_from t ~vol ~blk ~src ~src_off ~count ?(chunk = chunk_blocks) ?
         if remaining > 0 then begin
           let n = min remaining chunk in
           (match await with Some a -> a ~off ~blocks:n | None -> ());
-          (* consulted before the store mutates: a faulted chunk leaves
-             no data, though the chunks before it stay written *)
+          (* the drive check and the bus transfer both run before the
+             store mutates: a faulted chunk leaves no data, though the
+             chunks before it stay written *)
           Fault.check ~site:d.track Fault.Write;
+          position_and_transfer ~chunk t d ~blk:(blk + off) ~count:n ~rate:t.prof.write_rate
+            ~op:"write";
           Blockstore.write_from t.volumes.(vol) ~blk:(blk + off) ~src
             ~src_off:(src_off + (off * bs))
             ~count:n;
-          position_and_transfer ~chunk t d ~blk:(blk + off) ~count:n ~rate:t.prof.write_rate
-            ~op:"write";
           t.wbytes <- t.wbytes + (n * bs);
           f ~off ~blocks:n;
           go (off + n) (remaining - n)
         end
       in
       go 0 count)
-
-let write_stream t ~vol ~blk data ?chunk ?await f =
-  let len = Bytes.length data in
-  if len = 0 || len mod t.prof.block_size <> 0 then
-    invalid_arg "Jukebox.write_stream: length must be a positive multiple of block size";
-  write_stream_from t ~vol ~blk ~src:data ~src_off:0 ~count:(len / t.prof.block_size) ?chunk
-    ?await f
 
 let swaps t = t.n_swaps
 let swap_time_total t = t.swap_total

@@ -71,16 +71,6 @@ val read_into : t -> vol:int -> blk:int -> count:int -> dst:Bytes.t -> dst_off:i
 (** {!read} landing directly in the caller's buffer at [dst_off]: same
     drive/robot/bus timing, no intermediate allocation. *)
 
-val read_stream :
-  t -> vol:int -> blk:int -> count:int -> ?chunk:int -> (off:int -> Bytes.t -> unit) -> unit
-(** Like {!read}, but delivers each [chunk]-block piece (default: the
-    64 KB transfer grain) to the callback the moment its bus transfer
-    completes — [off] is the block offset of the piece within the
-    request. The fault plan is consulted per chunk, so a media error can
-    fire mid-stream after a prefix has been delivered; the exception
-    propagates and the already-delivered prefix stands. Same simulated
-    timing as {!read}. *)
-
 val read_stream_into :
   t ->
   vol:int ->
@@ -91,11 +81,15 @@ val read_stream_into :
   dst_off:int ->
   (off:int -> blocks:int -> unit) ->
   unit
-(** {!read_stream} with the data landing directly in [dst]: each chunk
-    is written at its final position ([dst_off + off * block_size])
-    before the callback fires, so staging a segment image costs a
-    single store→buffer copy instead of chunk-buffer + blit. The
-    callback receives only the chunk's block offset and length. *)
+(** Like {!read_into} (same simulated timing), but each [chunk]-block
+    piece (default: the 64 KB transfer grain) is written at its final
+    position ([dst_off + off * block_size]) and the callback fires the
+    moment its bus transfer completes, receiving only the piece's block
+    offset within the request and its length — staging a segment image
+    costs a single store→buffer copy. The fault plan is consulted per
+    chunk, so a media error can fire mid-stream after a prefix has been
+    delivered; the exception propagates and the delivered prefix
+    stands. *)
 
 val write_stream_from :
   t ->
@@ -110,25 +104,16 @@ val write_stream_from :
   unit
 (** Streaming write, symmetric to {!read_stream_into}: the volume
     mutates and the fault plan is consulted per [chunk]-block piece, so
-    a media error can fire at chunk k leaving exactly the prefix
-    written (rewritable media tolerate a whole-segment rewrite on
-    retry; WORM overwrites are pre-checked and raise {!Worm_overwrite}
-    before any I/O). [await ~off ~blocks] (if given) runs before each
-    chunk and may block while holding the drive — the written-prefix
-    watermark stall of a streaming write-out; the final callback fires
-    after each chunk is on the media. Same simulated timing as
-    {!write}. *)
-
-val write_stream :
-  t ->
-  vol:int ->
-  blk:int ->
-  Bytes.t ->
-  ?chunk:int ->
-  ?await:(off:int -> blocks:int -> unit) ->
-  (off:int -> blocks:int -> unit) ->
-  unit
-(** {!write_stream_from} over a whole buffer. *)
+    a drive or bus fault can fire at chunk k leaving exactly the prefix
+    written — a chunk lands on the volume only after its transfer, so
+    the written prefix is exactly what the final callback has reported.
+    A retry of the remaining range writes no block twice, so it also
+    works on WORM (overwrites are pre-checked and raise
+    {!Worm_overwrite} before any I/O). [await ~off ~blocks] (if given)
+    runs before each chunk and may block while holding the drive — the
+    written-prefix watermark stall of a streaming write-out; the final
+    callback fires after each chunk is on the media. Same simulated
+    timing as {!write}. *)
 
 val reserve_write_drive : t -> bool -> unit
 (** When enabled, drive 0 is used only for volumes being written

@@ -88,13 +88,6 @@ let read_blocks t ~vol ~seg ~off ~count =
 
 let read_seg t ~vol ~seg = read_blocks t ~vol ~seg ~off:0 ~count:t.seg_blocks
 
-let read_seg_into t ~vol ~seg ~dst ~dst_off =
-  let jb, v = locate t vol in
-  if seg < 0 || seg >= real_segs t jb then invalid_arg "Footprint.read_seg_into: bad segment";
-  timed t (fun () ->
-      Jukebox.read_into jb ~vol:v ~blk:(seg * t.seg_blocks) ~count:t.seg_blocks ~dst ~dst_off;
-      t.rbytes <- t.rbytes + (t.seg_blocks * t.block_size))
-
 let read_seg_stream_into t ~vol ~seg ?chunk ?(off = 0) ~dst ~dst_off f =
   let jb, v = locate t vol in
   if seg < 0 || seg >= real_segs t jb then
@@ -113,15 +106,6 @@ let read_seg_stream_into t ~vol ~seg ?chunk ?(off = 0) ~dst ~dst_off f =
         (fun ~off ~blocks ->
           t.rbytes <- t.rbytes + (blocks * t.block_size);
           f ~off:(start + off) ~blocks))
-
-let read_seg_stream t ~vol ~seg ?chunk f =
-  let jb, v = locate t vol in
-  if seg < 0 || seg >= real_segs t jb then invalid_arg "Footprint.read_seg_stream: bad segment";
-  timed t (fun () ->
-      Jukebox.read_stream jb ~vol:v ~blk:(seg * t.seg_blocks) ~count:t.seg_blocks ?chunk
-        (fun ~off data ->
-          t.rbytes <- t.rbytes + Bytes.length data;
-          f ~off data))
 
 let write_seg t ~vol ~seg data =
   if Bytes.length data <> t.seg_blocks * t.block_size then
@@ -143,29 +127,33 @@ let write_seg t ~vol ~seg data =
    motion), then the image streams to the device in chunks with
    per-chunk fault checks. [await] is the written-prefix watermark hook:
    it runs before each chunk and may block until the staging read has
-   delivered that piece. *)
-let write_seg_stream_from t ~vol ~seg ?chunk ~src ~src_off ?await f =
+   delivered that piece. [off] > 0 resumes a torn write after the
+   prefix already on the media; positions stay segment-absolute. *)
+let write_seg_stream_from t ~vol ~seg ?chunk ?(off = 0) ~src ~src_off ?await f =
   if src_off < 0 || src_off + (t.seg_blocks * t.block_size) > Bytes.length src then
     invalid_arg "Footprint.write_seg_stream_from: view outside buffer";
   let jb, v = locate t vol in
   if seg < 0 || seg >= t.segs_per_volume then
     invalid_arg "Footprint.write_seg_stream_from: bad segment";
+  if off < 0 || off >= t.seg_blocks then
+    invalid_arg "Footprint.write_seg_stream_from: bad offset";
   if t.full.(vol) || seg >= real_segs t jb then begin
     t.full.(vol) <- true;
     End_of_medium
   end
   else
+    let start = off in
+    let shift g = Option.map (fun g ~off ~blocks -> g ~off:(start + off) ~blocks) g in
     timed t (fun () ->
-        Jukebox.write_stream_from jb ~vol:v ~blk:(seg * t.seg_blocks) ~src ~src_off
-          ~count:t.seg_blocks ?chunk ?await
+        Jukebox.write_stream_from jb ~vol:v
+          ~blk:((seg * t.seg_blocks) + start)
+          ~src
+          ~src_off:(src_off + (start * t.block_size))
+          ~count:(t.seg_blocks - start) ?chunk ?await:(shift await)
           (fun ~off ~blocks ->
             t.wbytes <- t.wbytes + (blocks * t.block_size);
-            f ~off ~blocks);
+            f ~off:(start + off) ~blocks);
         Written)
-
-let media_kind t vol =
-  let jb, _ = locate t vol in
-  (Jukebox.media jb).Jukebox.kind
 
 let erase_volume t vol =
   let jb, v = locate t vol in

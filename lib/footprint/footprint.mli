@@ -42,10 +42,6 @@ val volume_loaded : t -> int -> bool
 val read_seg : t -> vol:int -> seg:int -> Bytes.t
 (** Fetches a whole segment image ([seg_blocks] blocks). *)
 
-val read_seg_into : t -> vol:int -> seg:int -> dst:Bytes.t -> dst_off:int -> unit
-(** {!read_seg} landing directly in the caller's buffer — the image
-    moves store→[dst] in one copy with no intermediate allocation. *)
-
 val read_seg_stream_into :
   t ->
   vol:int ->
@@ -56,19 +52,14 @@ val read_seg_stream_into :
   dst_off:int ->
   (off:int -> blocks:int -> unit) ->
   unit
-(** {!read_seg_stream} landing directly in [dst]: each chunk is placed
-    at its final offset before the callback fires, which receives only
-    the chunk's position and length in blocks. With [off] > 0 only the
+(** Like {!read_seg} (same simulated timing), but the segment lands
+    directly in [dst] in [chunk]-block pieces as each crosses the
+    drive's bus; the callback fires per piece with only its position
+    and length in blocks, and a mid-transfer media fault propagates
+    after the already-delivered prefix. With [off] > 0 only the
     segment's suffix from that block is read — the tail re-fetch of a
     partial cache line — but chunks still land at their final image
     offsets and callback positions stay segment-absolute. *)
-
-val read_seg_stream :
-  t -> vol:int -> seg:int -> ?chunk:int -> (off:int -> Bytes.t -> unit) -> unit
-(** Like {!read_seg}, but delivers the segment in [chunk]-block pieces
-    as each crosses the drive's bus — [off] is the block offset within
-    the segment. Same simulated timing as {!read_seg}; a mid-transfer
-    media fault propagates after the already-delivered prefix. *)
 
 val read_blocks : t -> vol:int -> seg:int -> off:int -> count:int -> Bytes.t
 (** Partial read within a segment (used by fsck-style tools; HighLight
@@ -83,6 +74,7 @@ val write_seg_stream_from :
   vol:int ->
   seg:int ->
   ?chunk:int ->
+  ?off:int ->
   src:Bytes.t ->
   src_off:int ->
   ?await:(off:int -> blocks:int -> unit) ->
@@ -91,15 +83,13 @@ val write_seg_stream_from :
 (** Streaming {!write_seg} from the segment-sized view at [src_off]:
     per-chunk fault checks (a media error at chunk k leaves the prefix
     written), [End_of_medium] still detected up front before any
-    motion. [await ~off ~blocks] (if given) runs before each chunk and
-    may block until the producer has made the piece available — the
-    written-prefix watermark of the streaming write-out pipeline; the
-    final callback fires as each chunk lands. *)
-
-val media_kind : t -> int -> Jukebox.media_kind
-(** Media kind of the jukebox holding the volume — WORM volumes must
-    take the blocking write-out path, since a mid-stream fault retry
-    would overwrite already-written blocks. *)
+    motion. With [off] > 0 only the segment's suffix from that block is
+    written — the resume of a torn write, which never rewrites a block
+    and so is safe on WORM media. [await ~off ~blocks] (if given) runs
+    before each chunk and may block until the producer has made the
+    piece available — the read watermark of the write-out pipeline;
+    the final callback fires as each chunk lands. Both callbacks get
+    segment-absolute positions. *)
 
 val erase_volume : t -> int -> unit
 (** Support for the tertiary cleaner: reclaims a whole volume. *)

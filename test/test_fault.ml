@@ -292,6 +292,12 @@ let prop_transient_reads_identical =
               let hl, _fp = make_world engine in
               let a = bytes_pattern (2 * seg_bytes) 3 in
               stage_out hl "/a" a ~vol:0;
+              (* every fault costs the fetch one attempt, even after the
+                 stream made progress, so at up to 30% per chunk the
+                 default 8 attempts run out for about 1 draw in 150 — an
+                 honest EIO, not the corruption this property is about;
+                 16 attempts never ran out over 1600 draws *)
+              (Hl.state hl).State.retry.State.max_attempts <- 16;
               Sim.Fault.install engine
                 ~metrics:(Hl.metrics hl)
                 (parse_ok

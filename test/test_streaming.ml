@@ -206,9 +206,9 @@ let test_midstream_media_error () =
 (* ---------- streaming write-out under faults ---------- *)
 
 (* A media error mid-way through a streaming write-out: the retry
-   rewrites the whole segment from the watermarked staging buffer, the
-   volume ends up consistent, and the staged data reads back verbatim
-   after a real demand fetch. *)
+   resumes at the written prefix from the watermarked staging buffer,
+   the volume ends up consistent, and the staged data reads back
+   verbatim after a real demand fetch. *)
 let test_midwrite_media_error () =
   let (), e =
     in_sim_e (fun engine ->
@@ -416,7 +416,7 @@ let test_prefetch_used_and_evicted_unused () =
         List.find_opt (fun l -> l.Seg_cache.prefetched) (Seg_cache.lines (Hl.cache hl))
       in
       (match unused with
-      | Some line -> Service.eject st line
+      | Some line -> Evict.eject st line
       | None -> Alcotest.fail "expected a prefetched-but-unused line");
       check Alcotest.bool "eviction counted wasted" true (count "prefetch.evicted_unused" >= 1);
       let s = Hl.stats hl in
