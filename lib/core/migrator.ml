@@ -67,16 +67,30 @@ let stage_segment ?(defer = false) st ~inode_set blocks =
      data blocks, then inode blocks; unused tail blocks stay zero *)
   let image = Bytes.make (sgb * bs) '\000' in
   (* gather the payload with the migrator's raw disk access: the blocks
-     land in the private image, not the buffer cache *)
+     land in the private image, not the buffer cache. Each block brings
+     the sum it was last read or written with when that is known, so
+     only blocks of unknown sum are hashed; the block sums fold into the
+     segment's data sum. *)
+  let shift = Util.Crc32.shift bs in
+  let data_crc = ref 0 in
+  let add_block_crc dst carried =
+    let crc = if carried >= 0 then carried else Util.Crc32.bytes ~off:dst ~len:bs image in
+    data_crc := Util.Crc32.combine shift !data_crc crc
+  in
   let payload =
     List.mapi
       (fun i (inum, bkey, addr) ->
-        let data =
+        let dst = (i + 1) * bs in
+        let carried =
           match Bcache.find (Fs.bcache fsys) (inum, bkey) with
-          | Some d -> d
-          | None -> Block_io.read_block_any st addr
+          | Some d ->
+              Bytes.blit d 0 image dst bs;
+              Bcache.crc (Fs.bcache fsys) (inum, bkey) d
+          | None ->
+              Bytes.blit (Block_io.read_block_any st addr) 0 image dst bs;
+              Fs.written_crc fsys addr
         in
-        Bytes.blit data 0 image ((i + 1) * bs) bs;
+        add_block_crc dst carried;
         (inum, bkey, addr))
       blocks
   in
@@ -113,13 +127,13 @@ let stage_segment ?(defer = false) st ~inode_set blocks =
   let inode_blocks = pack_inode_blocks [] ndata inodes_to_pack in
   if 1 + ndata + List.length inode_blocks > sgb then
     invalid_arg "Migrator.stage_segment: overfull segment";
-  let nblocks_total = ndata + List.length inode_blocks in
   List.iter
     (fun (slot, inums) ->
       let taddr = tbase + 1 + slot in
       let inos = List.map (Fs.get_inode fsys) inums in
       let block = Inode.pack_block ~block_size:bs inos in
       Bytes.blit block 0 image ((1 + slot) * bs) bs;
+      add_block_crc ((1 + slot) * bs) (-1);
       List.iter
         (fun inum ->
           let e = Imap.get (Fs.imap fsys) inum in
@@ -139,8 +153,7 @@ let stage_segment ?(defer = false) st ~inode_set blocks =
       inode_addrs = List.map (fun (slot, _) -> tbase + 1 + slot) inode_blocks;
     }
   in
-  let data_crc = Util.Crc32.bytes ~off:bs ~len:(nblocks_total * bs) image in
-  Summary.serialize_into ~block_size:bs ~data_crc summary ~dst:image ~dst_off:0;
+  Summary.serialize_into ~block_size:bs ~data_crc:!data_crc summary ~dst:image ~dst_off:0;
   Fs.charge_copy fsys (Bytes.length image);
   Block_io.raw_write_cache_line st ~disk_seg image;
   (* manifest for end-of-medium re-homing *)

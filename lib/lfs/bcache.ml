@@ -2,7 +2,9 @@ open Util
 
 type key = int * Bkey.t
 
-type entry = { mutable data : Bytes.t; mutable addr : int }
+(* [crc] is the CRC-32 the bytes were last read or flushed with, or -1
+   once they may have changed (or were never summed). *)
+type entry = { mutable data : Bytes.t; mutable addr : int; mutable crc : int }
 
 type t = {
   clean : (key, entry) Lru.t;
@@ -39,21 +41,24 @@ let addr_of t k =
 
 let is_dirty t k = Hashtbl.mem t.dirty k
 
-let put_clean t k ~addr data =
+let put_clean t k ~addr ?(crc = -1) data =
   match Hashtbl.find_opt t.dirty k with
   | Some _ -> invalid_arg "Bcache.put_clean: entry is dirty"
-  | None -> Lru.add t.clean k { data; addr }
+  | None -> Lru.add t.clean k { data; addr; crc }
 
-let put_dirty t k ?(old_addr = -1) data =
+let put_dirty t k ?(old_addr = -1) ?(crc = -1) data =
   match Hashtbl.find_opt t.dirty k with
-  | Some e -> e.data <- data
+  | Some e ->
+      e.data <- data;
+      e.crc <- crc
   | None -> (
       match Lru.peek t.clean k with
       | Some e ->
           Lru.remove t.clean k;
           e.data <- data;
+          e.crc <- crc;
           Hashtbl.replace t.dirty k e
-      | None -> Hashtbl.replace t.dirty k { data; addr = old_addr })
+      | None -> Hashtbl.replace t.dirty k { data; addr = old_addr; crc })
 
 let mark_dirty t k =
   if not (Hashtbl.mem t.dirty k) then begin
@@ -63,6 +68,16 @@ let mark_dirty t k =
         Hashtbl.replace t.dirty k e
     | None -> invalid_arg "Bcache.mark_dirty: not cached"
   end
+
+let mark_modified t k =
+  mark_dirty t k;
+  (Hashtbl.find t.dirty k).crc <- -1
+
+let crc t k data =
+  match entry_of t k with Some e when e.data == data -> e.crc | _ -> -1
+
+let set_crc t k data crc =
+  match entry_of t k with Some e when e.data == data -> e.crc <- crc | _ -> ()
 
 let mark_flushed t k ~addr =
   match Hashtbl.find_opt t.dirty k with
@@ -89,6 +104,8 @@ let drop_inum t inum =
 
 let dirty_count t = Hashtbl.length t.dirty
 let clean_count t = Lru.length t.clean
+
+let iter_dirty t f = Hashtbl.iter (fun k _ -> f k) t.dirty
 
 let dirty_entries t =
   Hashtbl.fold (fun k e acc -> (k, e.data, e.addr) :: acc) t.dirty []

@@ -4,7 +4,15 @@
     Clean blocks live in an LRU and may be evicted at any time; dirty
     blocks are pinned until the log flushes them. Each entry remembers
     the disk address of its last written incarnation so the flusher can
-    decrement the old segment's live bytes. *)
+    decrement the old segment's live bytes.
+
+    An entry also carries the CRC-32 its bytes were last read or flushed
+    with, so the log writer can fold it into a partial's data checksum
+    instead of hashing the block again. The sum is valid only while the
+    bytes are unchanged: new content ({!put_clean} and {!put_dirty}
+    without [~crc]) and in-place modification ({!mark_modified}) forget
+    it; the cleaner's move ({!mark_dirty}, or {!put_dirty} with the
+    sum the block was written with) keeps it. *)
 
 type key = int * Bkey.t
 
@@ -22,19 +30,37 @@ val addr_of : t -> key -> int
 
 val is_dirty : t -> key -> bool
 
-val put_clean : t -> key -> addr:int -> Bytes.t -> unit
-(** Inserts a block just read from [addr]. *)
+val put_clean : t -> key -> addr:int -> ?crc:int -> Bytes.t -> unit
+(** Inserts a block just read from [addr], with the sum it was written
+    with when known ([crc], default -1: unknown). *)
 
-val put_dirty : t -> key -> ?old_addr:int -> Bytes.t -> unit
+val put_dirty : t -> key -> ?old_addr:int -> ?crc:int -> Bytes.t -> unit
 (** Inserts new content. If the key was already cached its remembered
     address is kept; otherwise [old_addr] (default -1) records where the
-    previous incarnation lives on disk. *)
+    previous incarnation lives on disk. The entry's sum becomes [crc]
+    (default -1: unknown). *)
 
 val mark_dirty : t -> key -> unit
-(** Promotes a clean entry to dirty after in-place modification. *)
+(** Promotes a clean entry to dirty with its bytes unchanged (the
+    cleaner's move), keeping its sum. *)
+
+val mark_modified : t -> key -> unit
+(** Promotes an entry to dirty for in-place modification of its bytes:
+    forgets its sum. *)
+
+val crc : t -> key -> Bytes.t -> int
+(** The sum carried by [key]'s entry when the entry still holds exactly
+    [data] (physically); -1 when unknown or when the entry is gone or
+    holds other bytes. *)
+
+val set_crc : t -> key -> Bytes.t -> int -> unit
+(** Records the sum of [data] on [key]'s entry if it still holds exactly
+    [data]. *)
 
 val mark_flushed : t -> key -> addr:int -> unit
-(** Called by the segment writer once the block is on disk at [addr]. *)
+(** Called by the segment writer once the block is on disk at [addr].
+    The sum is kept: the writer records it with {!set_crc} before the
+    write, and a change during the write has already forgotten it. *)
 
 val set_addr : t -> key -> int -> unit
 (** Rewrites a clean entry's remembered address (migration re-homes a
@@ -46,6 +72,8 @@ val drop_inum : t -> int -> unit
 
 val dirty_count : t -> int
 val clean_count : t -> int
+
+val iter_dirty : t -> (key -> unit) -> unit
 
 val dirty_entries : t -> (key * Bytes.t * int) list
 (** All dirty blocks as (key, data, previous address), unordered. *)

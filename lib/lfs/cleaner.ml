@@ -42,42 +42,48 @@ let select_victims fs ~policy ~limit =
   end;
   List.map fst victims
 
-(* Walk a segment's chain of partial summaries. *)
-let fold_partials fs seg f acc =
+let fold_partials ?(stop = max_int) fs seg f acc =
   let p = Fs.param fs in
   let dev = Fs.dev fs in
   let base = Layout.seg_base p seg in
+  let stop = min (p.Param.seg_blocks - 1) stop in
   let rec go off acc =
-    if off >= p.Param.seg_blocks - 1 then acc
+    if off >= stop then acc
     else
       let sum_block = dev.Dev.read ~blk:(base + off) ~count:1 in
       match Summary.deserialize sum_block with
       | Error _ -> acc
-      | Ok (sum, _) ->
+      | Ok (sum, data_crc) ->
           let nb = Summary.nblocks_total sum in
           if off + 1 + nb > p.Param.seg_blocks then acc
-          else go (off + 1 + nb) (f acc ~off ~sum)
+          else go (off + 1 + nb) (f acc ~off ~sum ~data_crc)
   in
   go 0 acc
 
 let scan_segment fs seg =
   let p = Fs.param fs in
   let base = Layout.seg_base p seg in
-  fold_partials fs seg
-    (fun acc ~off ~sum ->
-      let cursor = ref (base + off + 1) in
-      let records = ref [] in
-      List.iter
-        (fun fi ->
-          List.iter
-            (fun bkey ->
-              records := (!cursor, fi.Summary.fi_ino, bkey) :: !records;
-              incr cursor)
-            fi.Summary.fi_blocks)
-        sum.Summary.finfos;
-      List.iter (fun addr -> records := (addr, -1, Bkey.Data 0) :: !records) sum.Summary.inode_addrs;
-      acc @ List.rev !records)
-    []
+  (* records accumulate in reverse across partials: one reversal at the
+     end instead of an append per partial *)
+  List.rev
+    (fold_partials fs seg
+       (fun acc ~off ~sum ~data_crc:_ ->
+         let cursor = ref (base + off + 1) in
+         let acc =
+           List.fold_left
+             (fun acc fi ->
+               List.fold_left
+                 (fun acc bkey ->
+                   let r = (!cursor, fi.Summary.fi_ino, bkey) in
+                   incr cursor;
+                   r :: acc)
+                 acc fi.Summary.fi_blocks)
+             acc sum.Summary.finfos
+         in
+         List.fold_left
+           (fun acc addr -> (addr, -1, Bkey.Data 0) :: acc)
+           acc sum.Summary.inode_addrs)
+       [])
 
 let is_live fs ~addr ~inum ~version bkey =
   let e = Imap.get (Fs.imap fs) inum in
@@ -94,7 +100,7 @@ let collect_segment fs seg =
   let moved = ref 0 in
   ignore
     (fold_partials fs seg
-       (fun () ~off ~sum ->
+       (fun () ~off ~sum ~data_crc:_ ->
          let cursor = ref (base + off + 1) in
          (* live file blocks: drag them into the cache dirty so the next
             flush re-homes them at the log tail *)
@@ -112,8 +118,13 @@ let collect_segment fs seg =
                      (match Bcache.find cache key with
                      | Some _ -> Bcache.mark_dirty cache key
                      | None ->
+                         (* the block keeps the sum it was written with,
+                            so bytes damaged on the disk since then fail
+                            their new partial's checksum instead of
+                            being summed afresh *)
                          let data = dev.Dev.read ~blk:addr ~count:1 in
-                         Bcache.put_dirty cache key ~old_addr:addr data);
+                         Bcache.put_dirty cache key ~old_addr:addr
+                           ~crc:(Fs.written_crc fs addr) data);
                      incr moved
                    end
                  end)

@@ -48,6 +48,19 @@ val spawn_daemon :
     [high_water]. Returns a function that shuts the daemon down (it
     exits at its next wake-up). *)
 
+val fold_partials :
+  ?stop:int ->
+  Fs.t ->
+  int ->
+  ('a -> off:int -> sum:Summary.t -> data_crc:int -> 'a) ->
+  'a ->
+  'a
+(** Walks a segment's chain of partial summaries from offset 0, passing
+    each partial's offset, summary and recorded data checksum. The walk
+    ends at the first block that is not a valid summary, at a partial
+    that would overrun the segment, or at offset [stop] (default: the
+    segment's end; fsck passes the log head for the active segment). *)
+
 val scan_segment : Fs.t -> int -> (int * int * Bkey.t) list
 (** All (address, inum, bkey) block records found in a segment's
     summaries, live or dead (debug and fsck support; inode blocks are

@@ -78,8 +78,39 @@ let live_audit fs =
           out := (seg, e.Segusage.live_bytes, !actual) :: !out);
   List.rev !out
 
+(* Every partial in the log's Dirty and Active segments must still match
+   the data checksum its summary recorded. The active segment ends at
+   the log head: past it lie stale blocks of an earlier incarnation.
+   Cached segments hold tertiary images, not the log. *)
+let data_sum_problems fs =
+  let prm = Fs.param fs in
+  let dev = Fs.dev fs in
+  let problems = ref [] in
+  let buf = Bytes.create (prm.Param.seg_blocks * prm.Param.block_size) in
+  Segusage.iter (Fs.seguse fs) (fun seg e ->
+      match e.Segusage.state with
+      | Segusage.Clean | Segusage.Cached -> ()
+      | Segusage.Dirty | Segusage.Active ->
+          let stop = if seg = Fs.cur_seg fs then Fs.cur_off fs else prm.Param.seg_blocks in
+          let base = Layout.seg_base prm seg in
+          Cleaner.fold_partials ~stop fs seg
+            (fun () ~off ~sum ~data_crc ->
+              let nb = Summary.nblocks_total sum in
+              if nb > 0 then begin
+                dev.Dev.read_into ~blk:(base + off + 1) ~count:nb ~dst:buf ~dst_off:0;
+                let actual = Util.Crc32.bytes ~len:(nb * prm.Param.block_size) buf in
+                if actual <> data_crc then
+                  problems :=
+                    Printf.sprintf
+                      "segment %d partial at offset %d: data checksum %08x, summary records %08x"
+                      seg off actual data_crc
+                    :: !problems
+              end)
+            ());
+  List.rev !problems
+
 let fsck fs =
-  let problems = ref (Fs.check fs) in
+  let problems = ref (List.rev (Fs.check fs @ data_sum_problems fs)) in
   let complain fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
   let prm = Fs.param fs in
   let tertiary_ok addr =

@@ -23,6 +23,9 @@ val live_audit : Fs.t -> (int * int * int) list
     tolerates the drift because it re-verifies per block. *)
 
 val fsck : Fs.t -> string list
-(** Deep consistency check: walks every file and verifies that each
-    mapped block address is inside a non-clean segment, that directory
-    entries resolve, and that link counts match. Returns violations. *)
+(** Deep consistency check: verifies that every partial segment in the
+    log's Dirty and Active segments still matches its summary's data
+    checksum (naming the segment and offset of each mismatch), walks
+    every file and verifies that each mapped block address is inside a
+    non-clean segment, that directory entries resolve, and that link
+    counts match. Returns violations. *)

@@ -34,6 +34,9 @@ and t = {
   mutable n_segs_written : int;
   mutable n_partials : int;
   mutable cache_floor : int;
+  mutable sums : int array;
+      (* by disk address: the CRC-32 close_partial wrote each log block
+         with since mount, -1 where unknown *)
 }
 
 let no_hooks =
@@ -70,6 +73,8 @@ let nclean t = Segusage.nclean t.seg_usage
 let segments_written t = t.n_segs_written
 let partials_written t = t.n_partials
 let iter_files t f = Imap.iter_allocated t.inode_map f
+
+let written_crc t addr = if addr >= 0 && addr < Array.length t.sums then t.sums.(addr) else -1
 
 let charge_cpu (_ : t) secs = if secs > 0.0 then Sim.Engine.delay secs
 
@@ -158,7 +163,7 @@ let rec get_block t ino bkey =
       | addr ->
           charge_cpu t t.prm.cpu.per_block;
           let data = t.device.read ~blk:addr ~count:1 in
-          Bcache.put_clean t.cache key ~addr data;
+          Bcache.put_clean t.cache key ~addr ~crc:(written_crc t addr) data;
           Some data)
 
 and lookup_addr t ino bkey =
@@ -175,7 +180,7 @@ let get_block_for_write t ino bkey =
   let key = (ino.Inode.inum, bkey) in
   match Bcache.find t.cache key with
   | Some data ->
-      if not (Bcache.is_dirty t.cache key) then Bcache.mark_dirty t.cache key;
+      Bcache.mark_modified t.cache key;
       data
   | None -> (
       match lookup_addr t ino bkey with
@@ -329,9 +334,33 @@ let close_partial t p =
     let bs = t.prm.block_size in
     let blocks = List.rev p.p_blocks in
     let ndata = List.length blocks in
-    (* one buffer: summary block, then the payload from block 1 on *)
+    (* one buffer: summary block, then the payload from block 1 on. A
+       block's sum is carried from its cache entry when the bytes are
+       unchanged since they were last read or flushed, and hashed only
+       otherwise; the partial's data sum folds the block sums. *)
     let image = Bytes.create ((ndata + 1) * bs) in
-    List.iteri (fun i (_, payload) -> Bytes.blit payload 0 image ((i + 1) * bs) bs) blocks;
+    let crcs = Array.make ndata 0 in
+    let shift = Crc32.shift bs in
+    let data_crc = ref 0 in
+    List.iteri
+      (fun i (staged, payload) ->
+        let dst = (i + 1) * bs in
+        Bytes.blit payload 0 image dst bs;
+        let crc =
+          match staged with
+          | File_block key ->
+              let carried = Bcache.crc t.cache key payload in
+              if carried >= 0 then carried
+              else begin
+                let c = Crc32.bytes ~off:dst ~len:bs image in
+                Bcache.set_crc t.cache key payload c;
+                c
+              end
+          | Inode_block _ -> Crc32.bytes ~off:dst ~len:bs image
+        in
+        crcs.(i) <- crc;
+        data_crc := Crc32.combine shift !data_crc crc)
+      blocks;
     let base = Layout.seg_base t.prm t.cur_seg + p.p_start in
     let inode_addrs =
       List.concat
@@ -351,17 +380,18 @@ let close_partial t p =
       }
     in
     t.serial <- Int64.add t.serial 1L;
-    let data_crc = Crc32.bytes ~off:bs ~len:(ndata * bs) image in
-    Summary.serialize_into ~block_size:bs ~data_crc summary ~dst:image ~dst_off:0;
+    Summary.serialize_into ~block_size:bs ~data_crc:!data_crc summary ~dst:image ~dst_off:0;
     charge_copy t (Bytes.length image);
     t.device.write ~blk:base ~data:image;
     t.n_partials <- t.n_partials + 1;
     (* summary blocks are not counted live: they die with their partial
        and the cleaner never needs to move them *)
     Segusage.set_lastmod t.seg_usage t.cur_seg (now t);
-    (* now that bytes are on the device, clean the cache entries *)
+    (* now that bytes are on the device, record their sums and clean
+       the cache entries *)
     List.iteri
       (fun i (staged, _) ->
+        t.sums.(base + 1 + i) <- crcs.(i);
         match staged with
         | File_block key -> Bcache.mark_flushed t.cache key ~addr:(base + 1 + i)
         | Inode_block _ -> ())
@@ -404,28 +434,24 @@ let segments_needed t extra_blocks =
   let bs_per_seg = Param.data_blocks_per_seg t.prm in
   let data = Bcache.dirty_count t.cache + extra_blocks in
   (* count the indirect blocks the dirty set can touch, exactly: every
-     distinct ancestor of a dirty block may be dirtied by set_pointer *)
+     distinct ancestor of a dirty block may be dirtied by set_pointer;
+     and every file with a dirty block gets its inode rewritten too *)
   let ancestors = Hashtbl.create 32 in
-  List.iter
-    (fun ((inum, bkey), _, _) ->
-      let rec walk bkey =
-        match Bkey.parent ~ppb:(ppb t) bkey with
-        | Bkey.In_block (pbk, _) ->
-            if not (Hashtbl.mem ancestors (inum, pbk)) then begin
-              Hashtbl.replace ancestors (inum, pbk) ();
-              walk pbk
-            end
-        | _ -> ()
-      in
-      walk bkey)
-    (Bcache.dirty_entries t.cache);
+  let owners = Hashtbl.create 32 in
+  let rec walk inum bkey =
+    match Bkey.parent ~ppb:(ppb t) bkey with
+    | Bkey.In_block (pbk, _) ->
+        if not (Hashtbl.mem ancestors (inum, pbk)) then begin
+          Hashtbl.replace ancestors (inum, pbk) ();
+          walk inum pbk
+        end
+    | _ -> ()
+  in
+  Bcache.iter_dirty t.cache (fun (inum, bkey) ->
+      Hashtbl.replace owners inum ();
+      walk inum bkey);
   let indirect = Hashtbl.length ancestors in
   let ipb = Inode.per_block ~block_size:t.prm.block_size in
-  (* every file with a dirty block gets its inode rewritten too *)
-  let owners = Hashtbl.create 32 in
-  List.iter
-    (fun ((inum, _), _, _) -> Hashtbl.replace owners inum ())
-    (Bcache.dirty_entries t.cache);
   Hashtbl.iter (fun inum () -> Hashtbl.replace owners inum ()) t.dirty_inodes;
   let ninodes = Hashtbl.length owners + Queue.length t.dead_inodes in
   let inode_blocks = ((ninodes + ipb - 1) / ipb) + 1 in
@@ -603,6 +629,8 @@ let alloc_clean_segment t ~for_cache =
             else pick s (tries + 1)
         | Some s ->
             Segusage.set_state t.seg_usage s Segusage.Cached;
+            (* a cache line's blocks are not the log's *)
+            Array.fill t.sums (Layout.seg_base t.prm s) t.prm.seg_blocks (-1);
             Some s
     in
     pick (max (t.cache_floor - 1) t.cur_seg) 0
@@ -637,6 +665,9 @@ let grow t ~added_segs ?new_dev () =
   t.device <- dev;
   Segusage.grow t.seg_usage ~by:added_segs ~seg_bytes:(Param.seg_bytes t.prm);
   t.prm <- prm';
+  let sums = Array.make (Layout.disk_blocks prm') (-1) in
+  Array.blit t.sums 0 sums 0 (Array.length t.sums);
+  t.sums <- sums;
   (* the segment-usage table grew, which shifts the inode map's position
      inside the ifile: rewrite the whole ifile from the in-core tables *)
   Segusage.mark_all_dirty t.seg_usage;
@@ -677,6 +708,7 @@ let make_state engine prm device tertiary_cfg =
     n_segs_written = 0;
     n_partials = 0;
     cache_floor = 0;
+    sums = Array.make (Layout.disk_blocks prm) (-1);
   }
 
 let mkfs engine prm device ?tertiary () =

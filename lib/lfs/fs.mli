@@ -174,6 +174,14 @@ val partials_written : t -> int
 val iter_files : t -> (int -> Imap.entry -> unit) -> unit
 (** All allocated inums including the reserved ones. *)
 
+val written_crc : t -> int -> int
+(** The CRC-32 the segment writer wrote the log block at a disk address
+    with since mount, or -1 when unknown (before mount, not a log block,
+    or not a disk address). Readers hand it to {!Bcache} so a block that
+    is moved again carries the sum of its written bytes, and corruption
+    on the disk shows up as a checksum mismatch instead of gaining a
+    fresh, valid sum. *)
+
 val crash_image : t -> Device.Blockstore.t -> Device.Blockstore.t
 (** [crash_image t store] snapshots the blockstore backing [t] as a
     power-cut would leave it: a deep copy taken {e without} flushing

@@ -7,6 +7,15 @@ val bytes : ?off:int -> ?len:int -> Bytes.t -> int
 
 val string : string -> int
 
-val combine : int -> Bytes.t -> int
-(** Feeds more data into a running checksum, so multi-block data sums can
-    be computed without concatenation. *)
+type shift
+(** Tables that append a second part of one fixed length. *)
+
+val shift : int -> shift
+(** [shift n] prepares {!combine} for a second part of [n] bytes: four
+    256-entry tables, built on first use and cached per length. *)
+
+val combine : shift -> int -> int -> int
+(** [combine (shift n) (bytes a) (bytes b)] is [bytes] of [a] followed
+    by [b], for [b] of length [n], without touching their bytes. Folding
+    per-block sums from [0] (the sum of nothing) gives the sum of the
+    blocks' concatenation. *)

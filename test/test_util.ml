@@ -64,8 +64,10 @@ let test_crc32_known () =
 let test_crc32_combine () =
   let a = Bytes.of_string "hello " and b = Bytes.of_string "world" in
   let whole = Crc32.string "hello world" in
-  let stepwise = Crc32.combine (Crc32.bytes a) b in
-  check Alcotest.int "combine" whole stepwise
+  check Alcotest.int "combine" whole
+    (Crc32.combine (Crc32.shift (Bytes.length b)) (Crc32.bytes a) (Crc32.bytes b));
+  check Alcotest.int "combine with nothing" (Crc32.bytes a)
+    (Crc32.combine (Crc32.shift 0) (Crc32.bytes a) (Crc32.string ""))
 
 let test_crc32_range () =
   let b = Bytes.of_string "xxhelloyy" in
@@ -327,8 +329,26 @@ let prop_crc_combine_chains =
         | c :: rest when c <= from -> pieces from rest
         | c :: rest -> String.sub s from (c - from) :: pieces c rest
       in
-      List.fold_left (fun crc p -> Crc32.combine crc (Bytes.of_string p)) 0 (pieces 0 cuts)
+      List.fold_left
+        (fun crc p -> Crc32.combine (Crc32.shift (String.length p)) crc (Crc32.string p))
+        0 (pieces 0 cuts)
       = Crc32.string s)
+
+(* The log writer's use: per-block sums folded in block order must give
+   the one-pass sum over the concatenated blocks. *)
+let prop_crc_fold_blocks =
+  QCheck.Test.make ~name:"crc32 folded block sums equal the sum of the concatenation"
+    ~count:60
+    QCheck.(triple (oneofl [ 512; 1024; 4096 ]) (int_bound 300) small_nat)
+    (fun (bs, nblocks, seed) ->
+      let rng = Random.State.make [| seed; bs; nblocks |] in
+      let data = Bytes.init (nblocks * bs) (fun _ -> Char.chr (Random.State.int rng 256)) in
+      let sh = Crc32.shift bs in
+      let folded = ref 0 in
+      for i = 0 to nblocks - 1 do
+        folded := Crc32.combine sh !folded (Crc32.bytes ~off:(i * bs) ~len:bs data)
+      done;
+      !folded = Crc32.bytes data)
 
 let prop_lru_never_exceeds_cap =
   QCheck.Test.make ~name:"lru size bounded by capacity" ~count:200
@@ -371,6 +391,7 @@ let prop_rng_int_in_bounds =
       v >= 0 && v < bound)
 
 let props = [ prop_crc_detects_flip; prop_crc_matches_reference; prop_crc_combine_chains;
+              prop_crc_fold_blocks;
               prop_lru_never_exceeds_cap; prop_lru_find_after_add;
               prop_heap_pop_sorted; prop_rng_int_in_bounds ]
 
