@@ -82,18 +82,10 @@ let rec await_extent st line ~off ~count =
    to the error. *)
 let timed_wait st series f =
   let t0 = Sim.Engine.now st.engine in
-  let fin () =
-    let waited = Sim.Engine.now st.engine -. t0 in
-    st.fetch_wait <- st.fetch_wait +. waited;
-    Sim.Metrics.observe (Sim.Metrics.histogram st.metrics series) waited
-  in
-  match f () with
-  | v ->
-      fin ();
-      v
-  | exception e ->
-      fin ();
-      raise e
+  Fun.protect f ~finally:(fun () ->
+      Sim.Metrics.observe
+        (Sim.Metrics.histogram st.metrics series)
+        (Sim.Engine.now st.engine -. t0))
 
 (* Translate one tertiary extent (within a single tertiary segment) to
    its cached on-disk location, demand-fetching on a miss. *)
@@ -110,7 +102,6 @@ let rec tertiary_read st ~blk ~count =
       if off + count <= line.Seg_cache.valid_blocks then begin
         (* the failed fetch's delivered prefix covers this extent: a hit
            served from memory, no tertiary traffic *)
-        Seg_cache.note_hit st.cache;
         Sim.Metrics.incr (Sim.Metrics.counter st.metrics "cache.hits");
         Sim.Metrics.incr (Sim.Metrics.counter st.metrics "cache.partial_serves");
         note_prefetch_used st line;
@@ -132,7 +123,6 @@ let rec tertiary_read st ~blk ~count =
            re-fetch only the missing tail — [Service.fetch_read] resumes
            the stream at [valid_blocks], and the landing write persists
            prefix + suffix together *)
-        Seg_cache.note_miss st.cache;
         Sim.Metrics.incr (Sim.Metrics.counter st.metrics "cache.misses");
         Sim.Metrics.incr (Sim.Metrics.counter st.metrics "cache.tail_refetches");
         Sim.Metrics.incr
@@ -140,7 +130,6 @@ let rec tertiary_read st ~blk ~count =
           (Sim.Metrics.counter st.metrics "cache.tail_refetch_blocks");
         if Obs.Decision.enabled () then
           Obs.Decision.note_segment_access ~now:(Sim.Engine.now st.engine) ~miss:true tindex;
-        st.demand_fetches <- st.demand_fetches + 1;
         st.on_fetch_start tindex;
         line.Seg_cache.failed <- None;
         line.Seg_cache.state <- Seg_cache.Fetching;
@@ -173,7 +162,6 @@ let rec tertiary_read st ~blk ~count =
       | Some data -> data
       | None -> tertiary_read st ~blk ~count)
   | Some line ->
-      Seg_cache.note_hit st.cache;
       Sim.Metrics.incr (Sim.Metrics.counter st.metrics "cache.hits");
       note_prefetch_used st line;
       if Obs.Decision.enabled () then
@@ -194,13 +182,11 @@ let rec tertiary_read st ~blk ~count =
       Seg_cache.unpin st.cache line;
       data
   | None -> (
-      Seg_cache.note_miss st.cache;
       Sim.Metrics.incr (Sim.Metrics.counter st.metrics "cache.misses");
       (* a miss on a recently demoted or evicted segment is the
          observatory's migration-mistake / eviction-regret signal *)
       if Obs.Decision.enabled () then
         Obs.Decision.note_segment_access ~now:(Sim.Engine.now st.engine) ~miss:true tindex;
-      st.demand_fetches <- st.demand_fetches + 1;
       (* tell the notification agent the caller is in for a wait *)
       st.on_fetch_start tindex;
       let line =

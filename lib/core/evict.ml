@@ -22,7 +22,6 @@ let eject st line =
     end
   end;
   Seg_cache.remove st.cache line;
-  Seg_cache.note_eviction st.cache;
   Sim.Metrics.incr (Sim.Metrics.counter st.metrics "cache.evictions");
   Sim.Trace.instant ~track:"service" ~cat:"cache" "evict"
     ~args:[ ("tindex", string_of_int line.Seg_cache.tindex) ];

@@ -85,8 +85,7 @@ let mkfs engine prm ~disk ~fp ?cache_segs ?(cache_policy = Seg_cache.Lru)
   tf.Inode.size <- tseg_file_blocks st * prm.Param.block_size;
   Segusage.mark_all_dirty st.State.tseg;
   Fs.checkpoint fsys;
-  st.State.io_mode <- io_mode;
-  let shutdown = Service.spawn st in
+  let shutdown = Service.spawn st ~io_mode in
   { st; fsys; shutdown; observer = (fun ~inum:_ ~off:_ ~len:_ ~write:_ -> ()) }
 
 let mount engine ~disk ~fp ?cpu ?bcache_blocks ?(cache_policy = Seg_cache.Lru)
@@ -134,8 +133,7 @@ let mount engine ~disk ~fp ?cpu ?bcache_blocks ?(cache_policy = Seg_cache.Lru)
         ignore
           (Seg_cache.insert st.State.cache ~tindex:e.Segusage.cache_tag ~disk_seg:seg
              ~state:Seg_cache.Resident ~now:(Sim.Engine.now engine)));
-  st.State.io_mode <- io_mode;
-  let shutdown = Service.spawn st in
+  let shutdown = Service.spawn st ~io_mode in
   { st; fsys; shutdown; observer = (fun ~inum:_ ~off:_ ~len:_ ~write:_ -> ()) }
 
 let grow_disk t ~added_segs ?new_disk () =
@@ -264,7 +262,6 @@ type stats = {
   demand_fetches : int;
   writeouts : int;
   rehomes : int;
-  fetch_wait : float;
   queue_time : float;
   io_disk_time : float;
   io_tertiary_time : float;
@@ -323,32 +320,41 @@ let attribution_breakdown () =
 
 let stats t =
   let st = t.st in
-  let pct series q =
+  let hist f ~none series =
     match Sim.Metrics.find_histogram st.State.metrics series with
-    | Some h -> Sim.Metrics.percentile h q
-    | None -> 0.0
+    | Some h -> f h
+    | None -> none
+  in
+  let pct series q = hist (fun h -> Sim.Metrics.percentile h q) ~none:0.0 series in
+  let sum = hist Sim.Metrics.hist_sum ~none:0.0 in
+  (* (disk + tertiary phase time) / busy-span time: 1.0 when the phases
+     serialize, up to 2.0 when both devices are always busy at once;
+     1.0 when idle *)
+  let overlap family =
+    let union = sum (family ^ ".busy_s") in
+    let phases = sum (family ^ ".disk_phase_s") +. sum (family ^ ".tertiary_phase_s") in
+    if union > 0.0 then phases /. union else 1.0
   in
   let fetch_pct = pct "service.demand_fetch_latency_s" in
   let count name = Sim.Metrics.count (Sim.Metrics.counter st.State.metrics name) in
   let pf_used = count "prefetch.used" in
   let pf_wasted = count "prefetch.dropped" + count "prefetch.evicted_unused" in
   {
-    demand_fetches = st.State.demand_fetches;
-    writeouts = st.State.writeouts;
-    rehomes = st.State.rehomes;
-    fetch_wait = st.State.fetch_wait;
-    queue_time = st.State.queue_time;
-    io_disk_time = st.State.io.State.disk_time;
-    io_tertiary_time = st.State.io.State.tertiary_time;
-    io_overlap = State.overlap st.State.io;
-    writeout_overlap = State.overlap st.State.wo;
+    demand_fetches = count "service.demand_fetches_submitted";
+    writeouts = count "service.writeouts";
+    rehomes = count "service.rehomes";
+    queue_time = sum "service.queue_wait_s";
+    io_disk_time = sum "io.disk_phase_s";
+    io_tertiary_time = sum "io.tertiary_phase_s";
+    io_overlap = overlap "io";
+    writeout_overlap = overlap "writeout";
     partial_line_serves = count "cache.partial_serves";
     tail_refetch_bytes =
       count "cache.tail_refetch_blocks" * Footprint.block_size st.State.fp;
     idle_prefetches_issued = count "idle.issued";
     idle_prefetches_preempted = count "idle.preempted";
     idle_prefetches_wasted = count "idle.evicted_unused";
-    prefetches_dropped = st.State.prefetches_dropped;
+    prefetches_dropped = count "prefetch.dropped";
     prefetches_used = pf_used;
     prefetches_wasted = pf_wasted;
     prefetch_accuracy =
@@ -356,13 +362,13 @@ let stats t =
        else float_of_int pf_used /. float_of_int (pf_used + pf_wasted));
     footprint_time = Footprint.time_in_footprint st.State.fp;
     cache_lines = Seg_cache.length st.State.cache;
-    cache_hits = Seg_cache.hits st.State.cache;
-    cache_misses = Seg_cache.misses st.State.cache;
-    cache_evictions = Seg_cache.evictions st.State.cache;
-    blocks_migrated = st.State.blocks_migrated;
-    bytes_migrated = st.State.bytes_migrated;
-    segments_staged = st.State.segments_staged;
-    inodes_migrated = st.State.inodes_migrated;
+    cache_hits = count "cache.hits";
+    cache_misses = count "cache.misses";
+    cache_evictions = count "cache.evictions";
+    blocks_migrated = count "migrator.blocks_migrated";
+    bytes_migrated = count "migrator.blocks_migrated" * (Fs.param t.fsys).Param.block_size;
+    segments_staged = count "migrator.segments_staged";
+    inodes_migrated = count "migrator.inodes_migrated";
     tertiary_live_bytes = State.tertiary_live_bytes st;
     tertiary_segments_used = State.tertiary_segments_used st;
     fetch_latency_p50 = fetch_pct 0.5;
@@ -382,20 +388,12 @@ let stats t =
 
 let reset_stats t =
   let st = t.st in
-  st.State.demand_fetches <- 0;
-  st.State.writeouts <- 0;
-  st.State.rehomes <- 0;
-  st.State.fetch_wait <- 0.0;
-  st.State.queue_time <- 0.0;
-  State.reset_busy st.State.io ~now:(Sim.Engine.now st.State.engine);
-  State.reset_busy st.State.wo ~now:(Sim.Engine.now st.State.engine);
-  st.State.prefetches_dropped <- 0;
-  st.State.blocks_migrated <- 0;
-  st.State.bytes_migrated <- 0;
-  st.State.segments_staged <- 0;
-  st.State.inodes_migrated <- 0;
   Sim.Metrics.reset st.State.metrics;
-  Footprint.reset_stats st.State.fp
+  Footprint.reset_stats st.State.fp;
+  (* a span open across the reset counts only from here on *)
+  let now = Sim.Engine.now st.State.engine in
+  st.State.io.State.busy_since <- now;
+  st.State.wo.State.busy_since <- now
 
 let check t =
   let problems = ref (Fs.check t.fsys) in

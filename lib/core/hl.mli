@@ -138,25 +138,47 @@ val read_file : t -> string -> ?off:int -> ?len:int -> unit -> Bytes.t
 
 (** {1 Introspection} *)
 
+(** A view over the instance's metrics registry ({!metrics}) and its
+    {!Footprint}: every count and time below is read from the one
+    series named in its comment (a histogram's time is its
+    {!Sim.Metrics.hist_sum}); nothing is kept twice. All fields are
+    deltas since the last {!reset_stats} (or since mkfs/mount), except
+    [cache_lines], [tertiary_live_bytes], [tertiary_segments_used] —
+    current state — and [attribution], which reads the ambient
+    {!Sim.Ledger} registry. *)
 type stats = {
   demand_fetches : int;
+      (** Demand fetches issued, tail re-fetches of Partial lines
+          included (["service.demand_fetches_submitted"]). *)
   writeouts : int;
+      (** Write-outs whose segment reached tertiary storage
+          (["service.writeouts"]). *)
   rehomes : int;
-  fetch_wait : float;
+      (** Staged segments moved to another volume at end-of-medium
+          (["service.rehomes"]). *)
   queue_time : float;
+      (** Table 4 queueing: request enqueue → worker dispatch, summed
+          over fetches and write-outs (["service.queue_wait_s"]). *)
   io_disk_time : float;
+      (** Busy time of the cache-disk transfer phases
+          (["io.disk_phase_s"]). *)
   io_tertiary_time : float;
       (** Busy time of the tertiary (jukebox) transfer phase, the
-          counterpart of [io_disk_time] for the cache disk. *)
+          counterpart of [io_disk_time] for the cache disk
+          (["io.tertiary_phase_s"]). *)
   io_overlap : float;
-      (** (tertiary + disk busy time) / wall time either was busy:
-          1.0 = strictly serial phases, up to 2.0 when both devices run
-          concurrently — the Table 4 "overlapped" figure. *)
+      (** (tertiary + disk busy time) / wall time either was busy
+          (["io.busy_s"], one observation per busy span): 1.0 =
+          strictly serial phases, up to 2.0 when both devices run
+          concurrently — the Table 4 "overlapped" figure. 1.0 when
+          idle. *)
   writeout_overlap : float;
-      (** The same ratio restricted to write-out phases: 1.0 when each
-          write-out's staging-disk read and tertiary write serialize
-          (blocking pipeline), approaching 2.0 when the streaming
-          pipeline runs them concurrently within the segment. *)
+      (** The same ratio restricted to write-out phases
+          (["writeout.disk_phase_s"], ["writeout.tertiary_phase_s"],
+          ["writeout.busy_s"]): 1.0 when each write-out's staging-disk
+          read and tertiary write serialize (blocking pipeline),
+          approaching 2.0 when the streaming pipeline runs them
+          concurrently within the segment. *)
   partial_line_serves : int;
       (** Reads served from the delivered prefix of a Partial cache
           line — a failed streaming fetch whose data was kept
@@ -175,7 +197,8 @@ type stats = {
       (** Idle-prefetched lines evicted or failed without ever being
           demanded (["idle.evicted_unused"]). *)
   prefetches_dropped : int;
-      (** Prefetches cancelled because no cache line was available. *)
+      (** Prefetches cancelled because no cache line was available
+          (["prefetch.dropped"]). *)
   prefetches_used : int;
       (** Prefetched lines demanded before eviction (["prefetch.used"]). *)
   prefetches_wasted : int;
@@ -184,16 +207,24 @@ type stats = {
   prefetch_accuracy : float;
       (** used / (used + wasted); 1.0 when no prefetch outcome exists. *)
   footprint_time : float;
-  cache_lines : int;
-  cache_hits : int;
+      (** Time spent inside Footprint calls
+          ({!Footprint.time_in_footprint}). *)
+  cache_lines : int;  (** Lines in the segment cache now. *)
+  cache_hits : int;  (** Tertiary reads served by a cache line (["cache.hits"]). *)
   cache_misses : int;
-  cache_evictions : int;
+      (** Tertiary reads that had to fetch (["cache.misses"]); a read
+          riding along an in-flight fetch is neither. *)
+  cache_evictions : int;  (** Lines ejected (["cache.evictions"]). *)
   blocks_migrated : int;
-  bytes_migrated : int;
-  segments_staged : int;
+      (** Live blocks staged to tertiary segments
+          (["migrator.blocks_migrated"]). *)
+  bytes_migrated : int;  (** [blocks_migrated] × block size. *)
+  segments_staged : int;  (** Tertiary segments assembled (["migrator.segments_staged"]). *)
   inodes_migrated : int;
-  tertiary_live_bytes : int;
-  tertiary_segments_used : int;
+      (** Inodes packed into tertiary segments
+          (["migrator.inodes_migrated"]). *)
+  tertiary_live_bytes : int;  (** Live bytes in the tertiary usage table now. *)
+  tertiary_segments_used : int;  (** Tertiary segments not Clean now. *)
   fetch_latency_p50 : float;
   fetch_latency_p95 : float;
   fetch_latency_p99 : float;
@@ -233,7 +264,14 @@ type stats = {
 }
 
 val stats : t -> stats
+
 val reset_stats : t -> unit
+(** Start a new measurement window: {!Sim.Metrics.reset} on the
+    registry, {!Footprint.reset_stats}, and the busy spans open right
+    now restart at the current time. Every {!stats} field except the
+    current-state ones ([cache_lines], [tertiary_*]) and [attribution]
+    then reads as a delta from here. *)
+
 val check : t -> string list
 (** LFS invariants plus hierarchy invariants (cache directory vs
     segusage tags, tertiary table consistency). *)

@@ -140,7 +140,7 @@ let stage_segment ?(defer = false) st ~inode_set blocks =
           if e.Imap.addr > 0 then Fs.account fsys ~addr:e.Imap.addr (-Inode.isize);
           Fs.account fsys ~addr:taddr Inode.isize;
           Imap.set_addr (Fs.imap fsys) inum taddr;
-          st.inodes_migrated <- st.inodes_migrated + 1)
+          Sim.Metrics.incr (Sim.Metrics.counter st.metrics "migrator.inodes_migrated"))
         inums)
     inode_blocks;
   let summary =
@@ -169,9 +169,6 @@ let stage_segment ?(defer = false) st ~inode_set blocks =
       m "staged tseg %d: %d blocks (%d live), %d inodes" tindex (List.length payload)
         (List.length live)
         (List.length inodes_to_pack));
-  st.blocks_migrated <- st.blocks_migrated + List.length live;
-  st.bytes_migrated <- st.bytes_migrated + (List.length live * bs);
-  st.segments_staged <- st.segments_staged + 1;
   (* a demand miss on this segment within the mistake window marks the
      demotion as a migration mistake *)
   if Obs.Decision.enabled () then

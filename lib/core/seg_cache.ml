@@ -55,9 +55,6 @@ type t = {
          last_use and the line is still in the directory — stale
          entries are discarded as they surface. Keeps Lru
          [choose_victim] amortised O(log n) instead of a full scan. *)
-  mutable n_hits : int;
-  mutable n_misses : int;
-  mutable n_evictions : int;
   mutable on_free : unit -> unit;
 }
 
@@ -74,9 +71,6 @@ let create ?(policy = Lru) ?(seed = 1993) ~max_lines () =
       Util.Heap.create ~capacity:(2 * max_lines)
         ~cmp:(fun (a, _) (b, _) -> Float.compare a b)
         ();
-    n_hits = 0;
-    n_misses = 0;
-    n_evictions = 0;
     on_free = (fun () -> ());
   }
 
@@ -226,10 +220,3 @@ let remove t line =
   t.on_free ()
 let iter t f = Hashtbl.iter (fun _ l -> f l) t.table
 let lines t = Hashtbl.fold (fun _ l acc -> l :: acc) t.table []
-
-let hits t = t.n_hits
-let misses t = t.n_misses
-let note_hit t = t.n_hits <- t.n_hits + 1
-let note_miss t = t.n_misses <- t.n_misses + 1
-let evictions t = t.n_evictions
-let note_eviction t = t.n_evictions <- t.n_evictions + 1

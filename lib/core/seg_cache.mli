@@ -124,10 +124,3 @@ val choose_victim : t -> line option
 val remove : t -> line -> unit
 val iter : t -> (line -> unit) -> unit
 val lines : t -> line list
-
-val hits : t -> int
-val misses : t -> int
-val note_hit : t -> unit
-val note_miss : t -> unit
-val evictions : t -> int
-val note_eviction : t -> unit

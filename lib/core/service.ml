@@ -10,22 +10,22 @@ let now st = Sim.Engine.now st.engine
      write-out: cache-disk read                 ->  tertiary write
 
    The phases are instrumented separately so the Table 4 breakdown can
-   also report how much of the busy time was overlapped: per-phase busy
-   sums plus the wall time during which at least one phase was in
-   flight (overlap factor = busy / union, {!State.overlap}). Write-out
-   phases also feed a write-out-only twin, [writeout_overlap]: 1.0 when
-   a segment's staging read and tertiary write serialize, toward 2.0
-   when they overlap. *)
+   also report how much of the busy time was overlapped: one histogram
+   observation per phase plus one per busy span, the wall time during
+   which at least one phase was in flight (overlap factor = phase sum /
+   span sum, [Hl.stats]). Write-out phases also feed a write-out-only
+   twin, [writeout.*]: overlap 1.0 when a segment's staging read and
+   tertiary write serialize, toward 2.0 when they overlap. *)
+let observe st series x = Sim.Metrics.observe (Sim.Metrics.histogram st.metrics series) x
+
 let busy_begin st b =
   if b.active = 0 then b.busy_since <- now st;
   b.active <- b.active + 1
 
-let busy_end st b phase dt =
-  (match phase with
-  | `Tertiary -> b.tertiary_time <- b.tertiary_time +. dt
-  | `Disk -> b.disk_time <- b.disk_time +. dt);
+let busy_end st b ~phase_series ~span_series dt =
+  observe st phase_series dt;
   b.active <- b.active - 1;
-  if b.active = 0 then b.union_time <- b.union_time +. (now st -. b.busy_since)
+  if b.active = 0 then observe st span_series (now st -. b.busy_since)
 
 (* Bracket one device phase with the busy-time accounting, on the
    failure path too — the device was busy right up to the fault. *)
@@ -35,12 +35,14 @@ let phased ?(writeout = false) st phase f =
   if writeout then busy_begin st st.wo;
   Fun.protect f ~finally:(fun () ->
       let dt = now st -. t0 in
-      if writeout then busy_end st st.wo phase dt;
-      busy_end st st.io phase dt;
-      Sim.Metrics.observe
-        (Sim.Metrics.histogram st.metrics
-           (match phase with `Tertiary -> "io.tertiary_phase_s" | `Disk -> "io.disk_phase_s"))
-        dt)
+      let io_series, wo_series =
+        match phase with
+        | `Tertiary -> ("io.tertiary_phase_s", "writeout.tertiary_phase_s")
+        | `Disk -> ("io.disk_phase_s", "writeout.disk_phase_s")
+      in
+      if writeout then
+        busy_end st st.wo ~phase_series:wo_series ~span_series:"writeout.busy_s" dt;
+      busy_end st st.io ~phase_series:io_series ~span_series:"io.busy_s" dt)
 
 (* End-of-medium: the staged segment must move to another volume, which
    changes every block's tertiary address; re-aim the live pointers and
@@ -99,7 +101,7 @@ let rehome st line =
   line.Seg_cache.media_blocks <- 0;
   if line.Seg_cache.disk_seg >= 0 then
     Lfs.Segusage.set_cache_tag (Lfs.Fs.seguse fsys) line.Seg_cache.disk_seg new_tindex;
-  st.rehomes <- st.rehomes + 1
+  Sim.Metrics.incr (Sim.Metrics.counter st.metrics "service.rehomes")
 
 (* Choose the cheapest live copy of a tertiary segment: a replica on a
    currently-loaded volume beats the primary on an unloaded one
@@ -422,7 +424,7 @@ let writeout_stage st ctx =
 let writeout_done st ctx =
   let line = ctx.w_line in
   line.Seg_cache.state <- Seg_cache.Staged_clean;
-  st.writeouts <- st.writeouts + 1;
+  Sim.Metrics.incr (Sim.Metrics.counter st.metrics "service.writeouts");
   (* the manifest existed for end-of-medium re-homing; the copy is
      safe now *)
   Hashtbl.remove st.manifests line.Seg_cache.tindex;
@@ -520,12 +522,14 @@ type vol_work = {
 }
 
 type tertq = {
+  tq_mode : io_mode; (* the pick order of [tq_take] *)
   tq_vols : (int, vol_work) Hashtbl.t;
   mutable tq_seq : int;
   tq_cv : Sim.Condvar.t;
 }
 
-let tq_create () = { tq_vols = Hashtbl.create 8; tq_seq = 0; tq_cv = Sim.Condvar.create () }
+let tq_create tq_mode =
+  { tq_mode; tq_vols = Hashtbl.create 8; tq_seq = 0; tq_cv = Sim.Condvar.create () }
 
 let tq_vol q vol =
   match Hashtbl.find_opt q.tq_vols vol with
@@ -585,7 +589,6 @@ let drop_hint st line =
   if line.Seg_cache.idle_hint then
     Sim.Metrics.incr (Sim.Metrics.counter st.metrics "idle.preempted")
   else begin
-    st.prefetches_dropped <- st.prefetches_dropped + 1;
     Sim.Metrics.incr (Sim.Metrics.counter st.metrics "prefetch.dropped");
     if line.Seg_cache.prefetched then st.on_prefetch_wasted line.Seg_cache.tindex
   end;
@@ -687,7 +690,7 @@ let tq_take st q =
     Option.bind !best (fun (_, vol) -> pop_writeout vol)
   in
   let prefetch_or k = match oldest prefetch with Some (_, vol) -> pop_fetch prefetch vol | None -> k () in
-  match st.io_mode with
+  match q.tq_mode with
   | Pipelined -> (
       match oldest urgent with
       | Some (_, vol) -> pop_fetch urgent vol
@@ -849,13 +852,13 @@ let spawn_idle_readahead st tq =
    tertiary worker running both phases inline; the streaming settings
    only move where a phase runs and when data is published (see
    service.mli). *)
-let spawn st =
-  let tq = tq_create () in
-  let dq = match st.io_mode with Pipelined -> Some (dq_create ()) | Serial -> None in
+let spawn st ~io_mode =
+  let tq = tq_create io_mode in
+  let dq = match io_mode with Pipelined -> Some (dq_create ()) | Serial -> None in
   (* tertiary workers: the jukebox model arbitrates drives and the robot,
      so one worker per drive keeps every drive busy without more policy *)
   let nworkers =
-    match st.io_mode with Pipelined -> max 1 (Footprint.ndrives st.fp) | Serial -> 1
+    match io_mode with Pipelined -> max 1 (Footprint.ndrives st.fp) | Serial -> 1
   in
   (* hand a read image to the cache-disk side *)
   let to_disk ctx image =
@@ -934,7 +937,7 @@ let spawn st =
           loop ()))
     dq;
   (* Serial is the paper's baseline: no speculative idle fetches *)
-  (match st.io_mode with Serial -> () | Pipelined -> spawn_idle_readahead st tq);
+  (match io_mode with Serial -> () | Pipelined -> spawn_idle_readahead st tq);
   (* requests whose cache-line allocation failed; retried on progress,
      demand fetches first. Pipelined drops a prefetch that cannot get a
      line — speculative work must never pile up in front of the
@@ -968,7 +971,7 @@ let spawn st =
         | Some seg ->
             line.Seg_cache.disk_seg <- seg;
             Lfs.Segusage.set_cache_tag (Lfs.Fs.seguse (fs st)) seg line.Seg_cache.tindex;
-            st.queue_time <- st.queue_time +. (now st -. enqueued);
+            observe st "service.queue_wait_s" (now st -. enqueued);
             Sim.Ledger.charge_since line.Seg_cache.ledger Sim.Ledger.Queue_wait enqueued;
             Sim.Trace.async_instant line.Seg_cache.span_id ~args:[ ("phase", "dispatch") ];
             tq_push_fetch st tq { f_line = line; f_urgent = urgent; f_enqueued = enqueued };
@@ -994,12 +997,12 @@ let spawn st =
             if not (dispatch_fetch ~urgent:(not is_prefetch) line enqueued) then
               if not is_prefetch then Queue.add (line, enqueued) starved
               else (
-                match st.io_mode with
+                match io_mode with
                 | Serial -> Queue.add (line, enqueued) starved_prefetch
                 | Pipelined -> drop_hint st line)
         | Writeout { line; enqueued; status; done_cv } ->
             preempt_idle st tq;
-            st.queue_time <- st.queue_time +. (now st -. enqueued);
+            observe st "service.queue_wait_s" (now st -. enqueued);
             Sim.Ledger.charge_since line.Seg_cache.ledger Sim.Ledger.Queue_wait enqueued;
             Sim.Trace.async_instant line.Seg_cache.span_id ~args:[ ("phase", "dispatch") ];
             let ctx =

@@ -10,10 +10,10 @@
 
     There is one pipeline; its settings say where each phase runs and
     when data is published:
-    - [State.io_mode = Pipelined]: one tertiary worker per jukebox drive
+    - [io_mode = Pipelined]: one tertiary worker per jukebox drive
       plus a cache-disk worker, so segment N's cache-disk phase
       overlaps segment N+1's tertiary phase.
-    - [State.io_mode = Serial]: the paper's measured configuration — a
+    - [io_mode = Serial]: the paper's measured configuration — a
       single tertiary worker running both phases of each transfer
       inline, one request at a time, demand fetches and write-outs
       first-come ahead of prefetches (a prefetch that finds no free
@@ -31,7 +31,7 @@
       ([Seg_cache.line.media_blocks], kept across tickets), so WORM
       volumes need no special path. *)
 
-val spawn : State.t -> unit -> unit
+val spawn : State.t -> io_mode:State.io_mode -> unit -> unit
 (** Starts the service/I/O machinery; returns a shutdown function (the
     processes exit after finishing the current request). *)
 

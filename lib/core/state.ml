@@ -24,25 +24,9 @@ type request =
 
 type io_mode = Serial | Pipelined
 
-type busy = {
-  mutable disk_time : float;
-  mutable tertiary_time : float;
-  mutable union_time : float;
-  mutable active : int;
-  mutable busy_since : float;
-}
+type busy = { mutable active : int; mutable busy_since : float }
 
-let busy () =
-  { disk_time = 0.0; tertiary_time = 0.0; union_time = 0.0; active = 0; busy_since = 0.0 }
-
-let reset_busy b ~now =
-  b.disk_time <- 0.0;
-  b.tertiary_time <- 0.0;
-  b.union_time <- 0.0;
-  b.busy_since <- now
-
-let overlap b =
-  if b.union_time > 0.0 then (b.disk_time +. b.tertiary_time) /. b.union_time else 1.0
+let busy () = { active = 0; busy_since = 0.0 }
 
 type staged_entry =
   | Staged_block of { sb_inum : int; sb_bkey : Lfs.Bkey.t; sb_taddr : int }
@@ -60,13 +44,7 @@ type t = {
   mutable fs : Lfs.Fs.t option;
   manifests : (int, staged_entry list) Hashtbl.t;
   replicas : (int, int list) Hashtbl.t;
-  mutable demand_fetches : int;
-  mutable writeouts : int;
-  mutable rehomes : int;
-  mutable fetch_wait : float;
-  mutable queue_time : float;
   io : busy;
-  mutable prefetches_dropped : int;
   mutable streaming_fetch : bool;
   mutable streaming_writeout : bool;
   mutable idle_readahead : bool;
@@ -78,16 +56,11 @@ type t = {
   wo : busy;
   mutable on_prefetch_used : int -> unit;
   mutable on_prefetch_wasted : int -> unit;
-  mutable io_mode : io_mode;
   image_fifo : Seg_cache.line Queue.t;
       (** fetched lines whose in-memory segment buffer is still attached
           (FIFO of bounded depth — the "double buffers") *)
   cache_progress : Sim.Condvar.t;
   mutable stop_service : bool;
-  mutable blocks_migrated : int;
-  mutable bytes_migrated : int;
-  mutable segments_staged : int;
-  mutable inodes_migrated : int;
   mutable prefetch : int -> int list;
   mutable on_fetch_start : int -> unit;
   mutable on_fetch : int -> unit;
@@ -128,13 +101,7 @@ let create ~engine ~aspace ~disk ~fp ~cache =
     fs = None;
     manifests = Hashtbl.create 16;
     replicas = Hashtbl.create 8;
-    demand_fetches = 0;
-    writeouts = 0;
-    rehomes = 0;
-    fetch_wait = 0.0;
-    queue_time = 0.0;
     io = busy ();
-    prefetches_dropped = 0;
     streaming_fetch = true;
     streaming_writeout = true;
     idle_readahead = false;
@@ -142,14 +109,9 @@ let create ~engine ~aspace ~disk ~fp ~cache =
     wo = busy ();
     on_prefetch_used = (fun _ -> ());
     on_prefetch_wasted = (fun _ -> ());
-    io_mode = Pipelined;
     image_fifo = Queue.create ();
     cache_progress = Sim.Condvar.create ();
     stop_service = false;
-    blocks_migrated = 0;
-    bytes_migrated = 0;
-    segments_staged = 0;
-    inodes_migrated = 0;
     prefetch = (fun _ -> []);
     on_fetch_start = (fun _ -> ());
     on_fetch = (fun _ -> ());

@@ -41,7 +41,8 @@ type request =
       (** internal nudge: cache-line progress occurred while fetches were
           starved for lines; the service loop retries them *)
 
-(** The two worker layouts of the one service pipeline ({!Service}).
+(** The two worker layouts of the one service pipeline, chosen when
+    {!Service.spawn} starts it.
     [Serial] reproduces the paper's measured configuration — a single
     I/O worker running both phases of each transfer, one request at a
     time (Table 4's serial read-then-write pipeline). [Pipelined] is
@@ -50,23 +51,16 @@ type request =
     overlap. *)
 type io_mode = Serial | Pipelined
 
-(** Busy-time accounting of a family of transfer phases (Table 4):
-    per-device busy sums and the wall time during which at least one
-    phase was in flight. *)
+(** The open busy span of a family of transfer phases (Table 4): how
+    many phases are in flight and since when at least one has been.
+    The per-phase times and the closed spans are [metrics] histograms
+    (see [io] and [wo]). *)
 type busy = {
-  mutable disk_time : float;  (** cache-disk phases *)
-  mutable tertiary_time : float;  (** Footprint transfers issued by the I/O workers *)
-  mutable union_time : float;  (** wall time with >= 1 phase in flight *)
   mutable active : int;  (** phases currently in flight *)
   mutable busy_since : float;  (** start of the current busy span *)
 }
 
 val busy : unit -> busy
-val reset_busy : busy -> now:float -> unit
-
-val overlap : busy -> float
-(** (disk + tertiary) / union: 1.0 when the phases serialize, up to
-    2.0 when both devices are always busy at once; 1.0 when idle. *)
 
 (** Manifest entries: what was staged into a tertiary segment and at
     which address (used to re-home on end-of-medium). *)
@@ -90,14 +84,10 @@ type t = {
   replicas : (int, int list) Hashtbl.t;
       (** primary tindex -> replica tindices on other volumes (§5.4);
           replica segments are not counted as live data *)
-  mutable demand_fetches : int;
-  mutable writeouts : int;
-  mutable rehomes : int;
-  mutable fetch_wait : float;  (** process time blocked on demand fetches *)
-  mutable queue_time : float;  (** Table 4: request enqueue -> worker dispatch *)
-  io : busy;  (** Table 4: every fetch and write-out phase *)
-  mutable prefetches_dropped : int;
-      (** speculative fetches cancelled because no cache line was free *)
+  io : busy;
+      (** Table 4: every fetch and write-out phase — phases observed in
+          ["io.disk_phase_s"] / ["io.tertiary_phase_s"], closed busy
+          spans in ["io.busy_s"] *)
   mutable streaming_fetch : bool;
       (** when true (default), a fetch publishes its valid-prefix
           watermark chunk by chunk, waking waiters at their first usable
@@ -118,16 +108,16 @@ type t = {
           transfers at 64 KB; tests shrink this to observe mid-stream
           states on small segments) *)
   wo : busy;
-      (** write-out phases only: staging-disk reads and tertiary writes;
-          its overlap is the within-segment overlap of the streaming
-          write-out *)
+      (** write-out phases only: staging-disk reads and tertiary writes
+          (["writeout.disk_phase_s"], ["writeout.tertiary_phase_s"],
+          spans in ["writeout.busy_s"]); its overlap is the
+          within-segment overlap of the streaming write-out *)
   mutable on_prefetch_used : int -> unit;
       (** a prefetched line was demanded before eviction (tindex) — the
           adaptive readahead policy scores itself here *)
   mutable on_prefetch_wasted : int -> unit;
       (** a prefetched line was dropped, cancelled, or evicted without
           ever being demanded (tindex) *)
-  mutable io_mode : io_mode;  (** consulted once, by {!Service.spawn} *)
   image_fifo : Seg_cache.line Queue.t;
       (** fetched lines whose in-memory segment buffer is still attached
           ([Seg_cache.line.image]); {!Service} keeps its depth at the
@@ -136,10 +126,6 @@ type t = {
       (** broadcast whenever a cache line may have become obtainable:
           eviction, segment release, pin release, transfer completion *)
   mutable stop_service : bool;
-  mutable blocks_migrated : int;
-  mutable bytes_migrated : int;
-  mutable segments_staged : int;
-  mutable inodes_migrated : int;
   mutable prefetch : int -> int list;
       (** given a demand-fetched tindex, further tindices to stage in *)
   mutable on_fetch_start : int -> unit;

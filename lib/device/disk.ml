@@ -182,10 +182,3 @@ let bytes_read t = t.rbytes
 let bytes_written t = t.wbytes
 let seek_time t = t.seek_total
 let busy_time t = Resource.busy_time t.res
-
-let reset_stats t =
-  t.n_reads <- 0;
-  t.n_writes <- 0;
-  t.rbytes <- 0;
-  t.wbytes <- 0;
-  t.seek_total <- 0.0

@@ -65,4 +65,3 @@ val bytes_read : t -> int
 val bytes_written : t -> int
 val seek_time : t -> float
 val busy_time : t -> float
-val reset_stats : t -> unit

@@ -400,9 +400,3 @@ let swaps t = t.n_swaps
 let swap_time_total t = t.swap_total
 let bytes_read t = t.rbytes
 let bytes_written t = t.wbytes
-
-let reset_stats t =
-  t.n_swaps <- 0;
-  t.swap_total <- 0.0;
-  t.rbytes <- 0;
-  t.wbytes <- 0

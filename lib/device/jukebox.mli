@@ -142,4 +142,3 @@ val swaps : t -> int
 val swap_time_total : t -> float
 val bytes_read : t -> int
 val bytes_written : t -> int
-val reset_stats : t -> unit

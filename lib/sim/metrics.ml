@@ -82,7 +82,7 @@ let observe h x =
 let observations h = Stats.count h.welford
 let bucket_count h i = if i < 0 then h.underflow else h.buckets.(i)
 let hist_mean h = Stats.mean h.welford
-let hist_sum h = Stats.mean h.welford *. float_of_int (Stats.count h.welford)
+let hist_sum h = Stats.total h.welford
 let hist_stddev h = Stats.stddev h.welford
 let hist_min h = Stats.min_value h.welford
 let hist_max h = Stats.max_value h.welford

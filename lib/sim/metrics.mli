@@ -44,7 +44,9 @@ val observations : histogram -> int
 val hist_mean : histogram -> float
 
 val hist_sum : histogram -> float
-(** Sum of all observations ([mean * count]). *)
+(** Sum of all observations, accumulated in observation order: equal
+    to a left fold [( +. )] over them, bit for bit — so a histogram can
+    stand in for a hand-kept float accumulator. *)
 
 val nbuckets : int
 

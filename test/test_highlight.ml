@@ -191,6 +191,126 @@ let test_second_read_hits_cache () =
       check Alcotest.int "no new fetch" fetches (Hl.stats w.hl).Hl.demand_fetches;
       check Alcotest.bool "fast" true (Sim.Engine.now engine -. t0 < 1.0))
 
+(* [Hl.stats] is a view over the metrics registry: every count and time
+   it returns is read from one series, and [Hl.reset_stats] turns them
+   all into deltas. *)
+let test_stats_view () =
+  in_sim (fun engine ->
+      let w = make_world engine in
+      let fs = Hl.fs w.hl in
+      let m = Hl.metrics w.hl in
+      let bs = (Fs.param fs).Param.block_size in
+      let count name = Sim.Metrics.count (Sim.Metrics.counter m name) in
+      let sum name =
+        match Sim.Metrics.find_histogram m name with
+        | Some h -> Sim.Metrics.hist_sum h
+        | None -> 0.0
+      in
+      let ints (s : Hl.stats) =
+        [
+          ("demand_fetches", s.Hl.demand_fetches, count "service.demand_fetches_submitted");
+          ("writeouts", s.Hl.writeouts, count "service.writeouts");
+          ("rehomes", s.Hl.rehomes, count "service.rehomes");
+          ("partial_line_serves", s.Hl.partial_line_serves, count "cache.partial_serves");
+          ("tail_refetch_bytes", s.Hl.tail_refetch_bytes, count "cache.tail_refetch_blocks" * bs);
+          ("idle_prefetches_issued", s.Hl.idle_prefetches_issued, count "idle.issued");
+          ("idle_prefetches_preempted", s.Hl.idle_prefetches_preempted, count "idle.preempted");
+          ("idle_prefetches_wasted", s.Hl.idle_prefetches_wasted, count "idle.evicted_unused");
+          ("prefetches_dropped", s.Hl.prefetches_dropped, count "prefetch.dropped");
+          ("prefetches_used", s.Hl.prefetches_used, count "prefetch.used");
+          ( "prefetches_wasted",
+            s.Hl.prefetches_wasted,
+            count "prefetch.dropped" + count "prefetch.evicted_unused" );
+          ("cache_hits", s.Hl.cache_hits, count "cache.hits");
+          ("cache_misses", s.Hl.cache_misses, count "cache.misses");
+          ("cache_evictions", s.Hl.cache_evictions, count "cache.evictions");
+          ("blocks_migrated", s.Hl.blocks_migrated, count "migrator.blocks_migrated");
+          ("bytes_migrated", s.Hl.bytes_migrated, count "migrator.blocks_migrated" * bs);
+          ("segments_staged", s.Hl.segments_staged, count "migrator.segments_staged");
+          ("inodes_migrated", s.Hl.inodes_migrated, count "migrator.inodes_migrated");
+          ("io_retries", s.Hl.io_retries, count "service.retries");
+          ("io_failures", s.Hl.io_failures, count "service.io_failures");
+          ("faults_injected", s.Hl.faults_injected, count "faults.injected");
+          ( "tcleaner_volumes_cleaned",
+            s.Hl.tcleaner_volumes_cleaned,
+            count "tcleaner.volumes_cleaned" );
+          ( "tcleaner_segments_scanned",
+            s.Hl.tcleaner_segments_scanned,
+            count "tcleaner.segments_scanned" );
+          ( "tcleaner_blocks_remigrated",
+            s.Hl.tcleaner_blocks_remigrated,
+            count "tcleaner.blocks_remigrated" );
+          ( "tcleaner_inodes_remigrated",
+            s.Hl.tcleaner_inodes_remigrated,
+            count "tcleaner.inodes_remigrated" );
+        ]
+      in
+      let floats (s : Hl.stats) =
+        [
+          ("queue_time", s.Hl.queue_time, sum "service.queue_wait_s");
+          ("io_disk_time", s.Hl.io_disk_time, sum "io.disk_phase_s");
+          ("io_tertiary_time", s.Hl.io_tertiary_time, sum "io.tertiary_phase_s");
+          ("footprint_time", s.Hl.footprint_time, Footprint.time_in_footprint w.fp);
+        ]
+      in
+      let check_view phase =
+        let s = Hl.stats w.hl in
+        List.iter
+          (fun (f, v, series) -> check Alcotest.int (phase ^ ": " ^ f ^ " = series") series v)
+          (ints s);
+        List.iter
+          (fun (f, v, series) ->
+            check Alcotest.bool (phase ^ ": " ^ f ^ " = series") true (Float.equal v series))
+          (floats s);
+        s
+      in
+      let f = Dir.create_file fs "/view.dat" in
+      let data = bytes_pattern (40 * 4096) 11 in
+      File.write fs f ~off:0 data;
+      ignore (Migrator.migrate_paths (Hl.state w.hl) ~with_inodes:true [ "/view.dat" ]);
+      Hl.eject_tertiary_copies w.hl ~paths:[ "/view.dat" ];
+      for _ = 1 to 2 do
+        Bcache.invalidate_clean (Fs.bcache fs);
+        check Alcotest.bytes "read back" data (File.read fs f ~off:0 ~len:(40 * 4096))
+      done;
+      let s = check_view "before reset" in
+      List.iter
+        (fun (f, v) -> check Alcotest.bool (f ^ " happened") true (v > 0))
+        [
+          ("demand_fetches", s.Hl.demand_fetches);
+          ("writeouts", s.Hl.writeouts);
+          ("cache_hits", s.Hl.cache_hits);
+          ("cache_misses", s.Hl.cache_misses);
+          ("cache_evictions", s.Hl.cache_evictions);
+          ("blocks_migrated", s.Hl.blocks_migrated);
+          ("inodes_migrated", s.Hl.inodes_migrated);
+        ];
+      (* the world's disk is zero-latency: only tertiary time accrues *)
+      check Alcotest.bool "tertiary time accrued" true (s.Hl.io_tertiary_time > 0.0);
+      Hl.reset_stats w.hl;
+      (* every delta restarts; cache_lines and tertiary_* are current
+         state, attribution belongs to the ledger registry *)
+      let s = check_view "after reset" in
+      List.iter (fun (f, v, _) -> check Alcotest.int (f ^ " reset") 0 v) (ints s);
+      List.iter (fun (f, v, _) -> check (Alcotest.float 0.0) (f ^ " reset") 0.0 v) (floats s);
+      List.iter
+        (fun (f, v, idle) -> check (Alcotest.float 0.0) (f ^ " reset") idle v)
+        [
+          ("io_overlap", s.Hl.io_overlap, 1.0);
+          ("writeout_overlap", s.Hl.writeout_overlap, 1.0);
+          ("prefetch_accuracy", s.Hl.prefetch_accuracy, 1.0);
+          ("fetch_latency_p50", s.Hl.fetch_latency_p50, 0.0);
+          ("fetch_latency_p95", s.Hl.fetch_latency_p95, 0.0);
+          ("fetch_latency_p99", s.Hl.fetch_latency_p99, 0.0);
+          ("first_block_p50", s.Hl.first_block_p50, 0.0);
+          ("first_block_p95", s.Hl.first_block_p95, 0.0);
+        ];
+      Bcache.invalidate_clean (Fs.bcache fs);
+      check Alcotest.bytes "read after reset" data (File.read fs f ~off:0 ~len:(40 * 4096));
+      let s = check_view "after reset + read" in
+      check Alcotest.bool "hits counted from the reset" true (s.Hl.cache_hits > 0);
+      check Alcotest.int "no new fetch" 0 s.Hl.demand_fetches)
+
 let test_migrate_inodes_and_dirs () =
   in_sim (fun engine ->
       let w = make_world engine in
@@ -543,5 +663,6 @@ let suite =
         Alcotest.test_case "tertiary cleaner" `Quick test_tertiary_cleaner;
         Alcotest.test_case "sequential prefetch" `Quick test_prefetch_sequential;
       ] );
+    ("hl.stats_view", [ Alcotest.test_case "stats read the registry" `Quick test_stats_view ]);
     ("hl.properties", List.map QCheck_alcotest.to_alcotest props);
   ]

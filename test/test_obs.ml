@@ -100,6 +100,20 @@ let test_counters_and_gauges () =
   check Alcotest.int "counter reset" 0 (Metrics.count c);
   check (Alcotest.float 1e-9) "gauge reset" 0.0 (Metrics.value g)
 
+(* A histogram's sum must equal, bit for bit, the left fold a hand-kept
+   float accumulator would hold: [Hl.stats] reads its times from
+   histograms and may not move a digit. *)
+let test_hist_sum_is_fold () =
+  let m = Metrics.create () in
+  let h = Metrics.histogram m "phase_s" in
+  let xs = List.init 1000 (fun i -> (0.001 *. float_of_int (i mod 37)) +. 0.0137) in
+  List.iter (Metrics.observe h) xs;
+  let fold = List.fold_left ( +. ) 0.0 xs in
+  check Alcotest.bool
+    (Printf.sprintf "hist_sum %.17g = fold %.17g" (Metrics.hist_sum h) fold)
+    true
+    (Int64.equal (Int64.bits_of_float (Metrics.hist_sum h)) (Int64.bits_of_float fold))
+
 let test_bucket_boundaries () =
   let m = Metrics.create () in
   let h = Metrics.histogram m ~base:1e-6 "lat" in
@@ -465,6 +479,7 @@ let suite =
     ( "obs.metrics",
       [
         Alcotest.test_case "counters and gauges" `Quick test_counters_and_gauges;
+        Alcotest.test_case "histogram sum is the fold" `Quick test_hist_sum_is_fold;
         Alcotest.test_case "bucket boundaries" `Quick test_bucket_boundaries;
         Alcotest.test_case "percentiles of a known mix" `Quick test_percentiles_known;
         Alcotest.test_case "histogram merge" `Quick test_histogram_merge;
