@@ -231,9 +231,11 @@ let rec tertiary_read st ~blk ~count =
       | Some data -> data
       | None -> tertiary_read st ~blk ~count)
 
-let read_block_any st addr =
-  if Addr_space.is_disk st.aspace addr then
-    retried st ~what:"disk read" (fun () -> st.disk.Lfs.Dev.read ~blk:addr ~count:1)
+let read_block_into st addr ~dst ~dst_off =
+  let disk_read blk what =
+    retried st ~what (fun () -> st.disk.Lfs.Dev.read_into ~blk ~count:1 ~dst ~dst_off)
+  in
+  if Addr_space.is_disk st.aspace addr then disk_read addr "disk read"
   else begin
     let tindex = Addr_space.tindex_of_addr st.aspace addr in
     let off = Addr_space.offset_in_seg st.aspace addr in
@@ -242,12 +244,14 @@ let read_block_any st addr =
       when line.Seg_cache.state = Seg_cache.Resident
            || line.Seg_cache.state = Seg_cache.Staging
            || line.Seg_cache.state = Seg_cache.Staged_clean ->
-        retried st ~what:"cache-line read" (fun () ->
-            st.disk.Lfs.Dev.read ~blk:(disk_seg_base st line.Seg_cache.disk_seg + off) ~count:1)
+        disk_read (disk_seg_base st line.Seg_cache.disk_seg + off) "cache-line read"
     | _ ->
         let vol, seg = Addr_space.vol_seg_of_tindex st.aspace tindex in
-        retried st ~what:"tertiary block read" (fun () ->
-            Footprint.read_blocks st.fp ~vol ~seg ~off ~count:1)
+        let block =
+          retried st ~what:"tertiary block read" (fun () ->
+              Footprint.read_blocks st.fp ~vol ~seg ~off ~count:1)
+        in
+        Bytes.blit block 0 dst dst_off (Bytes.length block)
   end
 
 let dev st =

@@ -12,7 +12,9 @@ val raw_write_cache_line : State.t -> disk_seg:int -> Bytes.t -> unit
 (** Whole-segment raw write of a cache line (the I/O server's direct
     disk access, bypassing the buffer cache). *)
 
-val read_block_any : State.t -> int -> Bytes.t
-(** Reads one block wherever it lives: disk directly, tertiary via the
-    cache when resident or straight from the jukebox otherwise (used by
-    the tertiary cleaner, which reads whole volumes). *)
+val read_block_into : State.t -> int -> dst:Bytes.t -> dst_off:int -> unit
+(** Reads one block wherever it lives into [dst] at byte [dst_off]: disk
+    directly, tertiary via the cache disk when the segment is resident,
+    straight from the jukebox otherwise. Disk-resident blocks land in
+    [dst] with no intermediate buffer (the migrator gathers its staging
+    image this way). *)

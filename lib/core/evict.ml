@@ -21,7 +21,10 @@ let eject st line =
       st.on_prefetch_wasted line.Seg_cache.tindex
     end
   end;
+  let image = line.Seg_cache.image in
   Seg_cache.remove st.cache line;
+  (* nothing serves from an evicted line's image any more *)
+  Option.iter (recycle_image st) image;
   Sim.Metrics.incr (Sim.Metrics.counter st.metrics "cache.evictions");
   Sim.Trace.instant ~track:"service" ~cat:"cache" "evict"
     ~args:[ ("tindex", string_of_int line.Seg_cache.tindex) ];

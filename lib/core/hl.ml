@@ -416,4 +416,12 @@ let check t =
         | Some line when line.Seg_cache.disk_seg = seg -> ()
         | _ -> complain "Cached segment %d (tag %d) missing from cache directory" seg
                  e.Segusage.cache_tag);
+  (* a recycled segment buffer must have no line left serving from it *)
+  let pool = Fs.segbufs t.fsys in
+  Seg_cache.iter t.st.State.cache (fun line ->
+      match line.Seg_cache.image with
+      | Some image when Util.Bufpool.is_free pool image ->
+          complain "cache line for tseg %d: image is on the free segment-buffer list"
+            line.Seg_cache.tindex
+      | _ -> ());
   List.rev !problems

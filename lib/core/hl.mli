@@ -274,4 +274,5 @@ val reset_stats : t -> unit
 
 val check : t -> string list
 (** LFS invariants plus hierarchy invariants (cache directory vs
-    segusage tags, tertiary table consistency). *)
+    segusage tags, tertiary table consistency, no cache line serving
+    from a segment buffer that is back on the free list). *)

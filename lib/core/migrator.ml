@@ -63,9 +63,13 @@ let stage_segment ?(defer = false) st ~inode_set blocks =
   Segusage.set_cache_tag (Fs.seguse fsys) disk_seg tindex;
   let tbase = Addr_space.seg_base st.aspace tindex in
   if 1 + List.length blocks > sgb then invalid_arg "Migrator.stage_segment: overfull segment";
-  (* the segment image is assembled in place: summary in block 0, then
-     data blocks, then inode blocks; unused tail blocks stay zero *)
-  let image = Bytes.make (sgb * bs) '\000' in
+  (* the segment image is assembled in place in a pooled segment
+     buffer: summary in block 0, then data blocks, then inode blocks.
+     The whole image goes to the cache disk, so it starts zeroed: unused
+     tail blocks must stay zero on the media *)
+  let segbufs = Fs.segbufs fsys in
+  let image = Util.Bufpool.take segbufs in
+  Bytes.fill image 0 (Bytes.length image) '\000';
   (* gather the payload with the migrator's raw disk access: the blocks
      land in the private image, not the buffer cache. Each block brings
      the sum it was last read or written with when that is known, so
@@ -87,7 +91,7 @@ let stage_segment ?(defer = false) st ~inode_set blocks =
               Bytes.blit d 0 image dst bs;
               Bcache.crc (Fs.bcache fsys) (inum, bkey) d
           | None ->
-              Bytes.blit (Block_io.read_block_any st addr) 0 image dst bs;
+              Block_io.read_block_into st addr ~dst:image ~dst_off:dst;
               Fs.written_crc fsys addr
         in
         add_block_crc dst carried;
@@ -156,6 +160,9 @@ let stage_segment ?(defer = false) st ~inode_set blocks =
   Summary.serialize_into ~block_size:bs ~data_crc:!data_crc summary ~dst:image ~dst_off:0;
   Fs.charge_copy fsys (Bytes.length image);
   Block_io.raw_write_cache_line st ~disk_seg image;
+  (* the cache disk holds the only copy the write-out needs; a write
+     that raised leaves the buffer to the GC *)
+  Util.Bufpool.give segbufs image;
   (* manifest for end-of-medium re-homing *)
   Hashtbl.replace st.manifests tindex
     (List.mapi

@@ -303,7 +303,7 @@ let fetch_read st ctx =
                 match line.Seg_cache.image with
                 | Some img -> img (* retry: keep buffer and watermark *)
                 | None ->
-                    let img = Bytes.create (seg_blocks st * Footprint.block_size st.fp) in
+                    let img = Util.Bufpool.take (segbufs st) in
                     line.Seg_cache.image <- Some img;
                     img
               in
@@ -326,13 +326,15 @@ let fetch_read st ctx =
    single-block reads against a disk whose arm is also landing fetched
    segments would pay a seek + rotation each. Only the newest
    [pipeline width] buffers stay attached (the double buffers of §6.7);
-   beyond that the disk copy serves. *)
+   beyond that the disk copy serves and the buffer is recycled. *)
 let attach_image st line image =
   line.Seg_cache.image <- Some image;
   Queue.add line st.image_fifo;
   let depth = 2 * (max 1 (Footprint.ndrives st.fp) + 1) in
   while Queue.length st.image_fifo > depth do
-    (Queue.pop st.image_fifo).Seg_cache.image <- None
+    let old = Queue.pop st.image_fifo in
+    Option.iter (recycle_image st) old.Seg_cache.image;
+    old.Seg_cache.image <- None
   done
 
 (* Fetch phase B (cache-disk side): land the image in the cache line
@@ -483,6 +485,9 @@ let writeout_write st ctx =
     | Error _ as e -> e
     | Ok Footprint.Written ->
         writeout_done st ctx;
+        (* the cache-disk side is done with [w_buf] once the read
+           watermark reaches the segment end *)
+        if ctx.w_read >= seg_blocks st then Util.Bufpool.give (segbufs st) ctx.w_buf;
         Ok ()
     | Ok Footprint.End_of_medium ->
         Hl_log.Log.info (fun m ->
@@ -1010,7 +1015,7 @@ let spawn st ~io_mode =
                 w_line = line;
                 w_status = status;
                 w_done = done_cv;
-                w_buf = Bytes.create (seg_blocks st * Footprint.block_size st.fp);
+                w_buf = Util.Bufpool.take (segbufs st);
                 w_read = 0;
                 w_avail = Sim.Condvar.create ();
                 w_failed = None;

@@ -150,6 +150,13 @@ let note_progress t = Sim.Condvar.broadcast t.cache_progress
 let fs t =
   match t.fs with Some fs -> fs | None -> failwith "HighLight: file system not attached"
 
+let segbufs t = Lfs.Fs.segbufs (fs t)
+
+let recycle_image t image =
+  let holds line = match line.Seg_cache.image with Some i -> i == image | None -> false in
+  if not (Queue.fold (fun held line -> held || holds line) false t.image_fifo) then
+    Util.Bufpool.give (segbufs t) image
+
 let seg_blocks t = Addr_space.seg_blocks t.aspace
 let disk_seg_base t s = (s + 1) * seg_blocks t
 

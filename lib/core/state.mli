@@ -176,6 +176,16 @@ val note_progress : t -> unit
 val fs : t -> Lfs.Fs.t
 (** Raises if called before the file system is attached. *)
 
+val segbufs : t -> Util.Bufpool.t
+(** The file system's segment-buffer pool ({!Lfs.Fs.segbufs}): fetch
+    images and write-out buffers come from it. *)
+
+val recycle_image : t -> Bytes.t -> unit
+(** A fetch image its line just let go of (it left [image_fifo], or its
+    line was evicted) goes back to {!segbufs} — unless an [image_fifo]
+    entry still holds the same bytes, so a buffer is never free while a
+    line can serve reads from it. *)
+
 val seg_blocks : t -> int
 val disk_seg_base : t -> int -> int
 (** Physical address of a disk log segment (same formula as

@@ -86,7 +86,7 @@ let data_sum_problems fs =
   let prm = Fs.param fs in
   let dev = Fs.dev fs in
   let problems = ref [] in
-  let buf = Bytes.create (prm.Param.seg_blocks * prm.Param.block_size) in
+  let buf = Util.Bufpool.take (Fs.segbufs fs) in
   Segusage.iter (Fs.seguse fs) (fun seg e ->
       match e.Segusage.state with
       | Segusage.Clean | Segusage.Cached -> ()
@@ -107,6 +107,7 @@ let data_sum_problems fs =
                     :: !problems
               end)
             ());
+  Util.Bufpool.give (Fs.segbufs fs) buf;
   List.rev !problems
 
 let fsck fs =

@@ -37,6 +37,7 @@ and t = {
   mutable sums : int array;
       (* by disk address: the CRC-32 close_partial wrote each log block
          with since mount, -1 where unknown *)
+  segbufs : Bufpool.t;
 }
 
 let no_hooks =
@@ -55,6 +56,7 @@ let tertiary_config t = t.tertiary_cfg
 let imap t = t.inode_map
 let seguse t = t.seg_usage
 let bcache t = t.cache
+let segbufs t = t.segbufs
 let cur_seg t = t.cur_seg
 let cur_off t = t.cur_off
 let next_seg t = t.next_seg
@@ -334,11 +336,12 @@ let close_partial t p =
     let bs = t.prm.block_size in
     let blocks = List.rev p.p_blocks in
     let ndata = List.length blocks in
-    (* one buffer: summary block, then the payload from block 1 on. A
+    (* one pooled segment buffer: summary block, then the payload from
+       block 1 on; only those [ndata + 1] blocks are written. A
        block's sum is carried from its cache entry when the bytes are
        unchanged since they were last read or flushed, and hashed only
        otherwise; the partial's data sum folds the block sums. *)
-    let image = Bytes.create ((ndata + 1) * bs) in
+    let image = Bufpool.take t.segbufs in
     let crcs = Array.make ndata 0 in
     let shift = Crc32.shift bs in
     let data_crc = ref 0 in
@@ -381,8 +384,10 @@ let close_partial t p =
     in
     t.serial <- Int64.add t.serial 1L;
     Summary.serialize_into ~block_size:bs ~data_crc:!data_crc summary ~dst:image ~dst_off:0;
-    charge_copy t (Bytes.length image);
-    t.device.write ~blk:base ~data:image;
+    charge_copy t ((ndata + 1) * bs);
+    t.device.write_from ~blk:base ~src:image ~src_off:0 ~count:(ndata + 1);
+    (* a write that raised leaves the buffer to the GC *)
+    Bufpool.give t.segbufs image;
     t.n_partials <- t.n_partials + 1;
     (* summary blocks are not counted live: they die with their partial
        and the cleaner never needs to move them *)
@@ -709,6 +714,7 @@ let make_state engine prm device tertiary_cfg =
     n_partials = 0;
     cache_floor = 0;
     sums = Array.make (Layout.disk_blocks prm) (-1);
+    segbufs = Bufpool.create (Param.seg_bytes prm);
   }
 
 let mkfs engine prm device ?tertiary () =

@@ -67,6 +67,13 @@ val tertiary_config : t -> Superblock.tertiary option
 val imap : t -> Imap.t
 val seguse : t -> Segusage.t
 val bcache : t -> Bcache.t
+
+val segbufs : t -> Util.Bufpool.t
+(** The instance's pool of segment-sized ({!Param.seg_bytes}) buffers:
+    partial images, fsck's scratch segment, and — in HighLight — the
+    migrator's staging images and the I/O server's fetch and write-out
+    buffers all come from it. *)
+
 val cur_seg : t -> int
 val cur_off : t -> int
 val next_seg : t -> int

@@ -390,6 +390,34 @@ let prop_rng_int_in_bounds =
       let v = Rng.int r bound in
       v >= 0 && v < bound)
 
+(* --- Bufpool --- *)
+
+let test_bufpool_recycles () =
+  let p = Bufpool.create 64 in
+  let b = Bufpool.take p in
+  check Alcotest.int "size" 64 (Bytes.length b);
+  Bufpool.give p b;
+  check Alcotest.bool "on the free list" true (Bufpool.is_free p b);
+  check Alcotest.bool "the same buffer comes back" true (Bufpool.take p == b);
+  check Alcotest.bool "taken off the free list" false (Bufpool.is_free p b)
+
+let test_bufpool_double_give () =
+  let p = Bufpool.create 64 in
+  let a = Bufpool.take p and b = Bufpool.take p in
+  Bufpool.give p b;
+  Alcotest.check_raises "second give" (Invalid_argument "Bufpool.give: buffer already free")
+    (fun () -> Bufpool.give p b);
+  Bufpool.give p a;
+  check Alcotest.int "free list holds the peak" 2 (Bufpool.free_count p)
+
+let test_bufpool_wrong_size () =
+  let p = Bufpool.create 64 in
+  ignore (Bufpool.take p);
+  Alcotest.check_raises "another size"
+    (Invalid_argument "Bufpool.give: buffer of another size")
+    (fun () -> Bufpool.give p (Bytes.create 32));
+  check Alcotest.int "nothing added" 0 (Bufpool.free_count p)
+
 let props = [ prop_crc_detects_flip; prop_crc_matches_reference; prop_crc_combine_chains;
               prop_crc_fold_blocks;
               prop_lru_never_exceeds_cap; prop_lru_find_after_add;
@@ -430,6 +458,12 @@ let suite =
         Alcotest.test_case "sorts" `Quick test_heap_sorts;
         Alcotest.test_case "peek/length" `Quick test_heap_peek;
         Alcotest.test_case "pop releases element" `Quick test_heap_pop_releases;
+      ] );
+    ( "util.bufpool",
+      [
+        Alcotest.test_case "give then take recycles" `Quick test_bufpool_recycles;
+        Alcotest.test_case "double give raises" `Quick test_bufpool_double_give;
+        Alcotest.test_case "wrong size raises" `Quick test_bufpool_wrong_size;
       ] );
     ( "util.rng",
       [
