@@ -43,38 +43,38 @@ let note_prefetch_used st line =
     end
   end
 
+(* Copy blocks [off, off+count) of a line's fetch image into [dst]. *)
+let blit_image st image ~off ~count ~dst ~dst_off =
+  let bs = st.disk.Lfs.Dev.block_size in
+  Bytes.blit (Util.Bufpool.bytes image) (off * bs) dst dst_off (count * bs)
+
 (* Park on a Fetching line until it can serve blocks [off, off+count):
-   returns [Some data] the moment the streaming watermark covers the
-   extent (served straight from the in-memory image — the cache-disk
-   landing and the rest of the segment are still in flight), or [None]
-   once the line left Fetching, in which case the caller retakes the
-   normal lookup path. Predicate order is load-bearing: the watermark
-   is consulted *before* [failed], because a mid-stream fault fails
-   only the not-yet-valid suffix — [Service.fail_fetch] keeps the
-   delivered prefix attached so waiters below the watermark drain with
-   real data. *)
-let rec await_extent st line ~off ~count =
-  let covered =
-    match line.Seg_cache.image with
-    | Some image when line.Seg_cache.valid_blocks >= off + count -> Some image
-    | _ -> None
-  in
-  match covered with
-  | Some image ->
+   fills [dst] and returns true the moment the streaming watermark
+   covers the extent (served straight from the in-memory image — the
+   cache-disk landing and the rest of the segment are still in flight),
+   or returns false once the line left Fetching, in which case the
+   caller retakes the normal lookup path. Predicate order is
+   load-bearing: the watermark is consulted *before* [failed], because a
+   mid-stream fault fails only the not-yet-valid suffix —
+   [Service.fail_fetch] keeps the delivered prefix attached so waiters
+   below the watermark drain with real data. *)
+let rec await_extent st line ~off ~count ~dst ~dst_off =
+  match line.Seg_cache.image with
+  | Some image when line.Seg_cache.valid_blocks >= off + count ->
       (* a covered extent is served whatever the line's state: Fetching
          mid-stream, Resident (image still attached), or the Partial
          remnant of a failed fetch — the bytes below the watermark are
          real in every case *)
-      let bs = st.disk.Lfs.Dev.block_size in
-      Some (Bytes.sub image (off * bs) (count * bs))
-  | None -> (
+      blit_image st image ~off ~count ~dst ~dst_off;
+      true
+  | _ -> (
       match line.Seg_cache.failed with
       | Some msg -> raise (Io_error msg)
       | None ->
-          if line.Seg_cache.state <> Seg_cache.Fetching then None
+          if line.Seg_cache.state <> Seg_cache.Fetching then false
           else begin
             Sim.Condvar.wait line.Seg_cache.ready;
-            await_extent st line ~off ~count
+            await_extent st line ~off ~count ~dst ~dst_off
           end)
 
 (* Wait-time bookkeeping shared by the ride-along and miss paths; the
@@ -88,8 +88,9 @@ let timed_wait st series f =
         (Sim.Engine.now st.engine -. t0))
 
 (* Translate one tertiary extent (within a single tertiary segment) to
-   its cached on-disk location, demand-fetching on a miss. *)
-let rec tertiary_read st ~blk ~count =
+   its cached on-disk location, demand-fetching on a miss, and read it
+   into [dst] at [dst_off]. *)
+let rec tertiary_read st ~blk ~count ~dst ~dst_off =
   let tindex = Addr_space.tindex_of_addr st.aspace blk in
   let off = Addr_space.offset_in_seg st.aspace blk in
   if off + count > seg_blocks st then
@@ -109,14 +110,12 @@ let rec tertiary_read st ~blk ~count =
           Obs.Decision.note_segment_access ~now:(Sim.Engine.now st.engine) ~miss:false tindex;
         Seg_cache.touch st.cache line ~now:(Sim.Engine.now st.engine);
         match line.Seg_cache.image with
-        | Some image ->
-            let bs = st.disk.Lfs.Dev.block_size in
-            Bytes.sub image (off * bs) (count * bs)
+        | Some image -> blit_image st image ~off ~count ~dst ~dst_off
         | None ->
             (* a Partial line keeps its image for life; losing it means
                the prefix is gone for good — re-fetch from scratch *)
             Seg_cache.remove st.cache line;
-            tertiary_read st ~blk ~count
+            tertiary_read st ~blk ~count ~dst ~dst_off
       end
       else begin
         (* past the watermark: flip the line back to Fetching and
@@ -143,12 +142,11 @@ let rec tertiary_read st ~blk ~count =
         line.Seg_cache.ledger <- Sim.Ledger.open_request ~kind:"demand_fetch";
         State.submit st
           (Fetch { line; enqueued = Sim.Engine.now st.engine; is_prefetch = false });
-        match
-          timed_wait st "service.first_block_latency_s" (fun () ->
-              await_extent st line ~off ~count)
-        with
-        | Some data -> data
-        | None -> tertiary_read st ~blk ~count
+        if
+          not
+            (timed_wait st "service.first_block_latency_s" (fun () ->
+                 await_extent st line ~off ~count ~dst ~dst_off))
+        then tertiary_read st ~blk ~count ~dst ~dst_off
       end
   | Some line when line.Seg_cache.state = Seg_cache.Fetching -> (
       (* somebody else's fetch is in flight: ride along (a hint line
@@ -156,11 +154,11 @@ let rec tertiary_read st ~blk ~count =
       note_prefetch_used st line;
       if Obs.Decision.enabled () then
         Obs.Decision.note_segment_access ~now:(Sim.Engine.now st.engine) ~miss:false tindex;
-      match
-        timed_wait st "cache.pin_wait_s" (fun () -> await_extent st line ~off ~count)
-      with
-      | Some data -> data
-      | None -> tertiary_read st ~blk ~count)
+      if
+        not
+          (timed_wait st "cache.pin_wait_s" (fun () ->
+               await_extent st line ~off ~count ~dst ~dst_off))
+      then tertiary_read st ~blk ~count ~dst ~dst_off)
   | Some line ->
       Sim.Metrics.incr (Sim.Metrics.counter st.metrics "cache.hits");
       note_prefetch_used st line;
@@ -168,19 +166,17 @@ let rec tertiary_read st ~blk ~count =
         Obs.Decision.note_segment_access ~now:(Sim.Engine.now st.engine) ~miss:false tindex;
       Seg_cache.pin line;
       Seg_cache.touch st.cache line ~now:(Sim.Engine.now st.engine);
-      let data =
-        match line.Seg_cache.image with
-        | Some image ->
-            (* recently fetched: the segment buffer is still in memory,
-               no need to go back to the cache disk for it *)
-            let bs = st.disk.Lfs.Dev.block_size in
-            Bytes.sub image (off * bs) (count * bs)
-        | None ->
-            retried st ~what:"cache-line read" (fun () ->
-                st.disk.Lfs.Dev.read ~blk:(disk_seg_base st line.Seg_cache.disk_seg + off) ~count)
-      in
-      Seg_cache.unpin st.cache line;
-      data
+      (match line.Seg_cache.image with
+      | Some image ->
+          (* recently fetched: the segment buffer is still in memory,
+             no need to go back to the cache disk for it *)
+          blit_image st image ~off ~count ~dst ~dst_off
+      | None ->
+          retried st ~what:"cache-line read" (fun () ->
+              st.disk.Lfs.Dev.read_into
+                ~blk:(disk_seg_base st line.Seg_cache.disk_seg + off)
+                ~count ~dst ~dst_off));
+      Seg_cache.unpin st.cache line
   | None -> (
       Sim.Metrics.incr (Sim.Metrics.counter st.metrics "cache.misses");
       (* a miss on a recently demoted or evicted segment is the
@@ -224,12 +220,11 @@ let rec tertiary_read st ~blk ~count =
       (* time to first usable block — the streaming fetch's whole point;
          the full-fetch completion latency is observed by the service
          worker in service.demand_fetch_latency_s *)
-      match
-        timed_wait st "service.first_block_latency_s" (fun () ->
-            await_extent st line ~off ~count)
-      with
-      | Some data -> data
-      | None -> tertiary_read st ~blk ~count)
+      if
+        not
+          (timed_wait st "service.first_block_latency_s" (fun () ->
+               await_extent st line ~off ~count ~dst ~dst_off))
+      then tertiary_read st ~blk ~count ~dst ~dst_off)
 
 let read_block_into st addr ~dst ~dst_off =
   let disk_read blk what =
@@ -255,13 +250,23 @@ let read_block_into st addr ~dst ~dst_off =
   end
 
 let dev st =
-  let read ~blk ~count =
+  let bs = st.disk.Lfs.Dev.block_size in
+  let read_into ~blk ~count ~dst ~dst_off =
     if Addr_space.is_disk st.aspace blk then
-      retried st ~what:"log read" (fun () -> st.disk.Lfs.Dev.read ~blk ~count)
-    else if Addr_space.is_tertiary st.aspace blk then tertiary_read st ~blk ~count
+      retried st ~what:"log read" (fun () ->
+          st.disk.Lfs.Dev.read_into ~blk ~count ~dst ~dst_off)
+    else if Addr_space.is_tertiary st.aspace blk then
+      (* tertiary reads route through the cache-line machinery, which
+         serves from a pinned image or the cache disk *)
+      tertiary_read st ~blk ~count ~dst ~dst_off
     else
       invalid_arg
         (Printf.sprintf "Block_io: read of dead-zone address %d" blk)
+  in
+  let read ~blk ~count =
+    let out = Bytes.create (count * bs) in
+    read_into ~blk ~count ~dst:out ~dst_off:0;
+    out
   in
   let write ~blk ~data =
     if Addr_space.is_disk st.aspace blk then
@@ -270,18 +275,6 @@ let dev st =
       invalid_arg
         (Printf.sprintf
            "Block_io: tertiary address %d is not writable through the block map" blk)
-  in
-  let read_into ~blk ~count ~dst ~dst_off =
-    if Addr_space.is_disk st.aspace blk then
-      retried st ~what:"log read" (fun () ->
-          st.disk.Lfs.Dev.read_into ~blk ~count ~dst ~dst_off)
-    else begin
-      (* tertiary reads route through the cache-line machinery, which
-         serves from a pinned image or the cache disk; one blit at the
-         end keeps those paths simple *)
-      let data = read ~blk ~count in
-      Bytes.blit data 0 dst dst_off (Bytes.length data)
-    end
   in
   let write_from ~blk ~src ~src_off ~count =
     if Addr_space.is_disk st.aspace blk then
@@ -294,7 +287,7 @@ let dev st =
   in
   {
     Lfs.Dev.nblocks = Addr_space.total_blocks st.aspace;
-    block_size = st.disk.Lfs.Dev.block_size;
+    block_size = bs;
     read;
     write;
     read_into;

@@ -417,10 +417,9 @@ let check t =
         | _ -> complain "Cached segment %d (tag %d) missing from cache directory" seg
                  e.Segusage.cache_tag);
   (* a recycled segment buffer must have no line left serving from it *)
-  let pool = Fs.segbufs t.fsys in
   Seg_cache.iter t.st.State.cache (fun line ->
       match line.Seg_cache.image with
-      | Some image when Util.Bufpool.is_free pool image ->
+      | Some image when Util.Bufpool.is_free image ->
           complain "cache line for tseg %d: image is on the free segment-buffer list"
             line.Seg_cache.tindex
       | _ -> ());

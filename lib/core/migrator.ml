@@ -68,7 +68,8 @@ let stage_segment ?(defer = false) st ~inode_set blocks =
      The whole image goes to the cache disk, so it starts zeroed: unused
      tail blocks must stay zero on the media *)
   let segbufs = Fs.segbufs fsys in
-  let image = Util.Bufpool.take segbufs in
+  let buf = Util.Bufpool.take segbufs in
+  let image = Util.Bufpool.bytes buf in
   Bytes.fill image 0 (Bytes.length image) '\000';
   (* gather the payload with the migrator's raw disk access: the blocks
      land in the private image, not the buffer cache. Each block brings
@@ -162,7 +163,7 @@ let stage_segment ?(defer = false) st ~inode_set blocks =
   Block_io.raw_write_cache_line st ~disk_seg image;
   (* the cache disk holds the only copy the write-out needs; a write
      that raised leaves the buffer to the GC *)
-  Util.Bufpool.give segbufs image;
+  Util.Bufpool.give segbufs buf;
   (* manifest for end-of-medium re-homing *)
   Hashtbl.replace st.manifests tindex
     (List.mapi

@@ -8,7 +8,7 @@ type line = {
   mutable last_use : float;
   mutable fetched_at : float;
   mutable worthy : bool;
-  mutable image : Bytes.t option;
+  mutable image : Util.Bufpool.buf option;
       (* the in-memory segment buffer of a recent fetch; block reads are
          served from it (a copy, no disk pass) while it lives. The
          service layer bounds how many images stay attached. *)

@@ -30,7 +30,7 @@ type line = {
   mutable last_use : float;
   mutable fetched_at : float;
   mutable worthy : bool;  (** re-referenced since fetch *)
-  mutable image : Bytes.t option;
+  mutable image : Util.Bufpool.buf option;
       (** in-memory segment buffer of a recent fetch: block reads are
           served from it without a disk pass while it lives (double
           buffering, paper §6.7); the service layer bounds how many

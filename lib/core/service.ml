@@ -136,7 +136,7 @@ type wo_ctx = {
   w_line : Seg_cache.line;
   w_status : writeout_status ref;
   w_done : Sim.Condvar.t;
-  w_buf : Bytes.t;
+  w_buf : Util.Bufpool.buf;
   mutable w_read : int;  (** blocks of [w_buf] holding real data *)
   w_avail : Sim.Condvar.t;
   mutable w_failed : string option;
@@ -310,7 +310,7 @@ let fetch_read st ctx =
               let start = line.Seg_cache.valid_blocks in
               if start < seg_blocks st then
                 Footprint.read_seg_stream_into st.fp ~vol ~seg ~chunk:st.stream_chunk_blocks
-                  ~off:start ~dst:image ~dst_off:0 (fun ~off ~blocks ->
+                  ~off:start ~dst:(Util.Bufpool.bytes image) ~dst_off:0 (fun ~off ~blocks ->
                     if Obs.Health.enabled () then
                       Obs.Health.worker_beat (Sim.Engine.current_name st.engine);
                     if st.streaming_fetch && off <= line.Seg_cache.valid_blocks then begin
@@ -351,7 +351,8 @@ let fetch_write st ctx image =
                 Sim.Trace.span ~cat:"service" "fetch:disk-write"
                   ~args:[ ("tindex", string_of_int line.Seg_cache.tindex) ]
                   (fun () ->
-                    Block_io.raw_write_cache_line st ~disk_seg:line.Seg_cache.disk_seg image))))
+                    Block_io.raw_write_cache_line st ~disk_seg:line.Seg_cache.disk_seg
+                      (Util.Bufpool.bytes image)))))
   with
   | Error msg -> fail_fetch st line msg
   | Ok () ->
@@ -408,7 +409,8 @@ let writeout_stage st ctx =
                     while ctx.w_read < total && ctx.w_failed = None do
                       let off = ctx.w_read in
                       let n = min chunk (total - off) in
-                      st.disk.Lfs.Dev.read_into ~blk:(base + off) ~count:n ~dst:ctx.w_buf
+                      st.disk.Lfs.Dev.read_into ~blk:(base + off) ~count:n
+                        ~dst:(Util.Bufpool.bytes ctx.w_buf)
                         ~dst_off:(off * bs);
                       ctx.w_read <- off + n;
                       Sim.Condvar.broadcast ctx.w_avail
@@ -475,7 +477,7 @@ let writeout_write st ctx =
                 (fun () ->
                   Footprint.write_seg_stream_from st.fp ~vol ~seg
                     ~chunk:(max 1 st.stream_chunk_blocks) ~off:line.Seg_cache.media_blocks
-                    ~src:ctx.w_buf ~src_off:0 ~await (fun ~off ~blocks ->
+                    ~src:(Util.Bufpool.bytes ctx.w_buf) ~src_off:0 ~await (fun ~off ~blocks ->
                       if Obs.Health.enabled () then
                         Obs.Health.worker_beat (Sim.Engine.current_name st.engine);
                       line.Seg_cache.media_blocks <- off + blocks;
@@ -729,7 +731,7 @@ let tq_release q vol =
 
 (* Cache-disk work queue: completing a demand fetch beats everything
    else; prefetch landings and write-out staging reads ride behind. *)
-type disk_job = D_land of fetch_ctx * Bytes.t | D_stage of wo_ctx
+type disk_job = D_land of fetch_ctx * Util.Bufpool.buf | D_stage of wo_ctx
 
 type diskq = {
   dq_urgent : (float * disk_job) Queue.t;

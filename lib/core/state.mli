@@ -180,10 +180,10 @@ val segbufs : t -> Util.Bufpool.t
 (** The file system's segment-buffer pool ({!Lfs.Fs.segbufs}): fetch
     images and write-out buffers come from it. *)
 
-val recycle_image : t -> Bytes.t -> unit
+val recycle_image : t -> Util.Bufpool.buf -> unit
 (** A fetch image its line just let go of (it left [image_fifo], or its
     line was evicted) goes back to {!segbufs} — unless an [image_fifo]
-    entry still holds the same bytes, so a buffer is never free while a
+    entry still holds the same buffer, so a buffer is never free while a
     line can serve reads from it. *)
 
 val seg_blocks : t -> int

@@ -595,7 +595,7 @@ let make_state engine prm dev =
     bitmaps = Array.init prm.ngroups (fun _ -> Bytes.make prm.block_size '\000');
     itable = Hashtbl.create 64;
     dirty_inodes = Hashtbl.create 16;
-    cache = Bcache.create ~cap:prm.bcache_blocks;
+    cache = Bcache.create ~cap:prm.bcache_blocks ~block_size:prm.block_size;
     free = 0;
     last_alloc = Hashtbl.create 16;
     next_lbn = Hashtbl.create 16;

@@ -12,14 +12,35 @@
     bytes are unchanged: new content ({!put_clean} and {!put_dirty}
     without [~crc]) and in-place modification ({!mark_modified}) forget
     it; the cleaner's move ({!mark_dirty}, or {!put_dirty} with the
-    sum the block was written with) keeps it. *)
+    sum the block was written with) keeps it.
+
+    The cache owns its block buffers, as the 4.4BSD buffer cache does: a
+    block entering the cache through {!put_clean_buf} or {!put_dirty_buf}
+    sits in a buffer taken from the cache's pool ({!take}), and the
+    buffer goes back to the pool when the entry lets go of it — clean
+    eviction, {!drop}, {!drop_inum}, {!invalidate_clean}, or new content
+    replacing it. Bytes a caller hands in through {!put_clean} or
+    {!put_dirty} are not pooled and are left to the GC. So the bytes
+    {!find} returns are valid only until the next insertion into the
+    cache or the next yield to another fiber: a caller reads or writes
+    them at once and keeps no reference. *)
 
 type key = int * Bkey.t
 
 type t
 
-val create : cap:int -> t
+val create : cap:int -> block_size:int -> t
 val capacity : t -> int
+
+val pool : t -> Util.Bufpool.t
+(** The cache's pool of [block_size] buffers. *)
+
+val take : t -> Util.Bufpool.buf
+(** A buffer from the pool, for a block about to enter the cache or for
+    a private single-block read. *)
+
+val give : t -> Util.Bufpool.buf -> unit
+(** Returns a taken buffer that did not enter the cache. *)
 
 val find : t -> key -> Bytes.t option
 (** Returns the cached block (dirty or clean), promoting clean hits. *)
@@ -39,6 +60,12 @@ val put_dirty : t -> key -> ?old_addr:int -> ?crc:int -> Bytes.t -> unit
     address is kept; otherwise [old_addr] (default -1) records where the
     previous incarnation lives on disk. The entry's sum becomes [crc]
     (default -1: unknown). *)
+
+val put_clean_buf : t -> key -> addr:int -> crc:int -> Util.Bufpool.buf -> unit
+(** {!put_clean} of a buffer taken from the pool: the cache now owns it. *)
+
+val put_dirty_buf : t -> key -> old_addr:int -> crc:int -> Util.Bufpool.buf -> unit
+(** {!put_dirty} of a buffer taken from the pool: the cache now owns it. *)
 
 val mark_dirty : t -> key -> unit
 (** Promotes a clean entry to dirty with its bytes unchanged (the
@@ -81,6 +108,9 @@ val dirty_entries : t -> (key * Bytes.t * int) list
 val invalidate_clean : t -> unit
 (** Drops every clean block (used to model cache flushes between
     benchmark phases). *)
+
+val buffers : t -> Util.Bufpool.buf list
+(** The pooled buffers the live entries hold (for audits). *)
 
 val hits : t -> int
 val misses : t -> int

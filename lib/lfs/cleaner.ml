@@ -44,14 +44,12 @@ let select_victims fs ~policy ~limit =
 
 let fold_partials ?(stop = max_int) fs seg f acc =
   let p = Fs.param fs in
-  let dev = Fs.dev fs in
   let base = Layout.seg_base p seg in
   let stop = min (p.Param.seg_blocks - 1) stop in
   let rec go off acc =
     if off >= stop then acc
     else
-      let sum_block = dev.Dev.read ~blk:(base + off) ~count:1 in
-      match Summary.deserialize sum_block with
+      match Fs.with_block fs (base + off) Summary.deserialize with
       | Error _ -> acc
       | Ok (sum, data_crc) ->
           let nb = Summary.nblocks_total sum in
@@ -122,9 +120,11 @@ let collect_segment fs seg =
                             so bytes damaged on the disk since then fail
                             their new partial's checksum instead of
                             being summed afresh *)
-                         let data = dev.Dev.read ~blk:addr ~count:1 in
-                         Bcache.put_dirty cache key ~old_addr:addr
-                           ~crc:(Fs.written_crc fs addr) data);
+                         let b = Bcache.take cache in
+                         dev.Dev.read_into ~blk:addr ~count:1 ~dst:(Util.Bufpool.bytes b)
+                           ~dst_off:0;
+                         Bcache.put_dirty_buf cache key ~old_addr:addr
+                           ~crc:(Fs.written_crc fs addr) b);
                      incr moved
                    end
                  end)
@@ -133,17 +133,17 @@ let collect_segment fs seg =
          (* live inodes: re-dirty them so they are re-packed elsewhere *)
          List.iter
            (fun inode_addr ->
-             let block = dev.Dev.read ~blk:inode_addr ~count:1 in
-             Inode.iter_block block (fun disk_ino ->
-                 let inum = disk_ino.Inode.inum in
-                 if inum > 0 && inum < Imap.max_inodes (Fs.imap fs) then begin
-                   let e = Imap.get (Fs.imap fs) inum in
-                   if e.addr = inode_addr && e.version = disk_ino.Inode.version then begin
-                     let ino = Fs.get_inode fs inum in
-                     Fs.mark_inode_dirty fs ino;
-                     incr moved
-                   end
-                 end))
+             Fs.with_block fs inode_addr (fun block ->
+                 Inode.iter_block block (fun disk_ino ->
+                     let inum = disk_ino.Inode.inum in
+                     if inum > 0 && inum < Imap.max_inodes (Fs.imap fs) then begin
+                       let e = Imap.get (Fs.imap fs) inum in
+                       if e.addr = inode_addr && e.version = disk_ino.Inode.version then begin
+                         let ino = Fs.get_inode fs inum in
+                         Fs.mark_inode_dirty fs ino;
+                         incr moved
+                       end
+                     end)))
            sum.Summary.inode_addrs;
          ())
        ());

@@ -65,14 +65,14 @@ let live_audit fs =
               end
               else begin
                 (* an inode block: count the inodes that still live here *)
-                let block = (Fs.dev fs).Dev.read ~blk:addr ~count:1 in
-                Inode.iter_block block (fun ino ->
-                    let inum = ino.Inode.inum in
-                    if inum > 0 && inum < Imap.max_inodes (Fs.imap fs) then begin
-                      let entry = Imap.get (Fs.imap fs) inum in
-                      if entry.Imap.addr = addr && entry.Imap.version = ino.Inode.version then
-                        actual := !actual + Inode.isize
-                    end)
+                Fs.with_block fs addr (fun block ->
+                    Inode.iter_block block (fun ino ->
+                        let inum = ino.Inode.inum in
+                        if inum > 0 && inum < Imap.max_inodes (Fs.imap fs) then begin
+                          let entry = Imap.get (Fs.imap fs) inum in
+                          if entry.Imap.addr = addr && entry.Imap.version = ino.Inode.version
+                          then actual := !actual + Inode.isize
+                        end))
               end)
             (Cleaner.scan_segment fs seg);
           out := (seg, e.Segusage.live_bytes, !actual) :: !out);
@@ -86,7 +86,8 @@ let data_sum_problems fs =
   let prm = Fs.param fs in
   let dev = Fs.dev fs in
   let problems = ref [] in
-  let buf = Util.Bufpool.take (Fs.segbufs fs) in
+  let sbuf = Util.Bufpool.take (Fs.segbufs fs) in
+  let buf = Util.Bufpool.bytes sbuf in
   Segusage.iter (Fs.seguse fs) (fun seg e ->
       match e.Segusage.state with
       | Segusage.Clean | Segusage.Cached -> ()
@@ -107,7 +108,7 @@ let data_sum_problems fs =
                     :: !problems
               end)
             ());
-  Util.Bufpool.give (Fs.segbufs fs) buf;
+  Util.Bufpool.give (Fs.segbufs fs) sbuf;
   List.rev !problems
 
 let fsck fs =

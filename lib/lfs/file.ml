@@ -37,8 +37,7 @@ let write fs ino ~off data =
     let n = min (bsz - boff) (len - !pos) in
     if n = bsz then begin
       (* whole-block overwrite: no read-modify-write needed *)
-      let fresh = Bytes.sub data !pos bsz in
-      Fs.put_block fs ino (Bkey.Data lbn) fresh
+      Fs.put_block fs ino (Bkey.Data lbn) ~off:!pos data
     end
     else begin
       let block = Fs.get_block_for_write fs ino (Bkey.Data lbn) in
@@ -57,50 +56,51 @@ let write fs ino ~off data =
   Fs.mark_inode_dirty fs ino;
   Fs.maybe_flush fs
 
+(* Visit the pointers of indirect block [bkey] from a private copy:
+   visiting a child inserts into the cache (and the visitor may drop
+   entries), which can evict the parent and recycle its buffer mid-walk.
+   False when the block is a hole. *)
+let iter_pointers fs ino bkey f =
+  match Fs.get_block fs ino bkey with
+  | None -> false
+  | Some pdata ->
+      let cache = Fs.bcache fs in
+      let b = Bcache.take cache in
+      let ptrs = Bufpool.bytes b in
+      Bytes.blit pdata 0 ptrs 0 (Bytes.length ptrs);
+      for slot = 0 to (Bytes.length ptrs / 4) - 1 do
+        let child = Bytesx.get_i32 ptrs (slot * 4) in
+        if child <> -1 then f slot child
+      done;
+      Bcache.give cache b;
+      true
+
 (* Walk the pointer tree bottom-up so children are visited before the
    indirect blocks that point at them. *)
 let iter_assigned_blocks fs ino f =
-  let bsz = bs fs in
-  let ppb = bsz / 4 in
+  let ppb = bs fs / 4 in
   let visit_l1 p addr_of_l1 =
-    if addr_of_l1 <> -1 then begin
-      match Fs.get_block fs ino (Bkey.L1 p) with
-      | None -> ()
-      | Some pdata ->
-          for slot = 0 to ppb - 1 do
-            let child = Bytesx.get_i32 pdata (slot * 4) in
-            if child <> -1 then f (Bkey.Data (Bkey.ndirect + (p * ppb) + slot)) child
-          done;
-          f (Bkey.L1 p) addr_of_l1
-    end
+    if
+      addr_of_l1 <> -1
+      && iter_pointers fs ino (Bkey.L1 p) (fun slot child ->
+             f (Bkey.Data (Bkey.ndirect + (p * ppb) + slot)) child)
+    then f (Bkey.L1 p) addr_of_l1
   in
   let visit_l2 q addr_of_l2 =
-    if addr_of_l2 <> -1 then begin
-      match Fs.get_block fs ino (Bkey.L2 q) with
-      | None -> ()
-      | Some pdata ->
-          for slot = 0 to ppb - 1 do
-            let child = Bytesx.get_i32 pdata (slot * 4) in
-            if child <> -1 then visit_l1 (1 + (q * ppb) + slot) child
-          done;
-          f (Bkey.L2 q) addr_of_l2
-    end
+    if
+      addr_of_l2 <> -1
+      && iter_pointers fs ino (Bkey.L2 q) (fun slot child -> visit_l1 (1 + (q * ppb) + slot) child)
+    then f (Bkey.L2 q) addr_of_l2
   in
   Array.iteri
     (fun i addr -> if addr <> -1 then f (Bkey.Data i) addr)
     ino.Inode.direct;
   visit_l1 0 ino.Inode.single;
   visit_l2 0 ino.Inode.double;
-  if ino.Inode.triple <> -1 then begin
-    match Fs.get_block fs ino Bkey.L3 with
-    | None -> ()
-    | Some pdata ->
-        for slot = 0 to ppb - 1 do
-          let child = Bytesx.get_i32 pdata (slot * 4) in
-          if child <> -1 then visit_l2 (1 + slot) child
-        done;
-        f Bkey.L3 ino.Inode.triple
-  end
+  if
+    ino.Inode.triple <> -1
+    && iter_pointers fs ino Bkey.L3 (fun slot child -> visit_l2 (1 + slot) child)
+  then f Bkey.L3 ino.Inode.triple
 
 let free_blocks fs ino =
   let bsz = bs fs in

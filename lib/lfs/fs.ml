@@ -102,6 +102,17 @@ let tseg_inum = 3
 
 let mark_inode_dirty t ino = Hashtbl.replace t.dirty_inodes ino.Inode.inum ()
 
+(* A private single-block read: block [addr] lands in a buffer of the
+   cache's pool, [f] decodes it, and the buffer goes back. The buffer is
+   the reader's alone, so [f] may yield; it must not keep the bytes. *)
+let with_block t addr f =
+  let b = Bcache.take t.cache in
+  let data = Bufpool.bytes b in
+  t.device.read_into ~blk:addr ~count:1 ~dst:data ~dst_off:0;
+  let r = f data in
+  Bcache.give t.cache b;
+  r
+
 let get_inode t inum =
   match Hashtbl.find_opt t.itable inum with
   | Some ino -> ino
@@ -113,8 +124,7 @@ let get_inode t inum =
         raise Not_found
       else begin
         charge_cpu t t.prm.cpu.per_block;
-        let block = t.device.read ~blk:e.addr ~count:1 in
-        match Inode.find_in_block block ~inum with
+        match with_block t e.addr (Inode.find_in_block ~inum) with
         | None -> failwith (Printf.sprintf "Fs.get_inode: inode %d missing at %d" inum e.addr)
         | Some ino ->
             Hashtbl.replace t.itable inum ino;
@@ -164,9 +174,10 @@ let rec get_block t ino bkey =
       | -1 -> None
       | addr ->
           charge_cpu t t.prm.cpu.per_block;
-          let data = t.device.read ~blk:addr ~count:1 in
-          Bcache.put_clean t.cache key ~addr ~crc:(written_crc t addr) data;
-          Some data)
+          let b = Bcache.take t.cache in
+          t.device.read_into ~blk:addr ~count:1 ~dst:(Bufpool.bytes b) ~dst_off:0;
+          Bcache.put_clean_buf t.cache key ~addr ~crc:(written_crc t addr) b;
+          Some (Bufpool.bytes b))
 
 and lookup_addr t ino bkey =
   match Bkey.parent ~ppb:(ppb t) bkey with
@@ -190,24 +201,31 @@ let get_block_for_write t ino bkey =
           (* data holes are zeros; indirect-block holes must decode as
              "unassigned" pointers, i.e. every slot -1 *)
           let fill = if Bkey.level bkey = 0 then '\000' else '\xff' in
-          let data = Bytes.make t.prm.block_size fill in
-          Bcache.put_dirty t.cache key ~old_addr:(-1) data;
+          let b = Bcache.take t.cache in
+          let data = Bufpool.bytes b in
+          Bytes.fill data 0 (Bytes.length data) fill;
+          Bcache.put_dirty_buf t.cache key ~old_addr:(-1) ~crc:(-1) b;
           data
       | addr ->
           charge_cpu t t.prm.cpu.per_block;
-          let data = t.device.read ~blk:addr ~count:1 in
-          Bcache.put_dirty t.cache key ~old_addr:addr data;
-          data)
+          let b = Bcache.take t.cache in
+          t.device.read_into ~blk:addr ~count:1 ~dst:(Bufpool.bytes b) ~dst_off:0;
+          Bcache.put_dirty_buf t.cache key ~old_addr:addr ~crc:(-1) b;
+          Bufpool.bytes b)
 
-let put_block t ino bkey data =
-  if Bytes.length data <> t.prm.block_size then invalid_arg "Fs.put_block: wrong size";
+let put_block t ino bkey ?(off = 0) data =
+  let bs = t.prm.block_size in
+  if off < 0 || off + bs > Bytes.length data then invalid_arg "Fs.put_block: view outside data";
   let key = (ino.Inode.inum, bkey) in
   let old_addr =
     match Bcache.find t.cache key with
     | Some _ -> Bcache.addr_of t.cache key
     | None -> lookup_addr t ino bkey
   in
-  Bcache.put_dirty t.cache key ~old_addr data
+  (* taken after the lookup, which may itself insert *)
+  let b = Bcache.take t.cache in
+  Bytes.blit data off (Bufpool.bytes b) 0 bs;
+  Bcache.put_dirty_buf t.cache key ~old_addr ~crc:(-1) b
 
 let drop_block t ino bkey = Bcache.drop t.cache (ino.Inode.inum, bkey)
 
@@ -341,7 +359,8 @@ let close_partial t p =
        block's sum is carried from its cache entry when the bytes are
        unchanged since they were last read or flushed, and hashed only
        otherwise; the partial's data sum folds the block sums. *)
-    let image = Bufpool.take t.segbufs in
+    let buf = Bufpool.take t.segbufs in
+    let image = Bufpool.bytes buf in
     let crcs = Array.make ndata 0 in
     let shift = Crc32.shift bs in
     let data_crc = ref 0 in
@@ -387,7 +406,7 @@ let close_partial t p =
     charge_copy t ((ndata + 1) * bs);
     t.device.write_from ~blk:base ~src:image ~src_off:0 ~count:(ndata + 1);
     (* a write that raised leaves the buffer to the GC *)
-    Bufpool.give t.segbufs image;
+    Bufpool.give t.segbufs buf;
     t.n_partials <- t.n_partials + 1;
     (* summary blocks are not counted live: they die with their partial
        and the cleaner never needs to move them *)
@@ -696,7 +715,7 @@ let make_state engine prm device tertiary_cfg =
     tertiary_cfg;
     inode_map = Imap.create ~max_inodes:prm.max_inodes;
     seg_usage = Segusage.create ~nsegs:prm.nsegs ~seg_bytes:(Param.seg_bytes prm);
-    cache = Bcache.create ~cap:prm.bcache_blocks;
+    cache = Bcache.create ~cap:prm.bcache_blocks ~block_size:prm.block_size;
     itable = Hashtbl.create 64;
     dirty_inodes = Hashtbl.create 16;
     dead_inodes = Queue.create ();
@@ -949,4 +968,6 @@ let check t =
         (Format.asprintf "%a" Segusage.pp_state st));
   (try ignore (get_inode t root_inum)
    with _ -> complain "root inode unreadable");
+  if List.exists Bufpool.is_free (Bcache.buffers t.cache) then
+    complain "a buffer-cache entry holds a block buffer that is on the free list";
   List.rev !problems

@@ -105,14 +105,23 @@ val lookup_addr : t -> Inode.t -> Bkey.t -> int
     -1 for holes. *)
 
 val get_block : t -> Inode.t -> Bkey.t -> Bytes.t option
-(** Block content through the buffer cache; [None] for a hole. *)
+(** Block content through the buffer cache; [None] for a hole. The
+    bytes are the cache's buffer: use them before the next cache
+    insertion or yield (see {!Bcache}). *)
 
 val get_block_for_write : t -> Inode.t -> Bkey.t -> Bytes.t
 (** Like {!get_block} but materializes holes and marks the block dirty.
-    The caller mutates the returned bytes in place. *)
+    The caller mutates the returned bytes in place, at once. *)
 
-val put_block : t -> Inode.t -> Bkey.t -> Bytes.t -> unit
-(** Replaces a block's content wholesale (it becomes dirty). *)
+val put_block : t -> Inode.t -> Bkey.t -> ?off:int -> Bytes.t -> unit
+(** Replaces a block's content wholesale with the block-sized view of
+    [data] at byte [off] (default 0), copied into a buffer of the cache's
+    pool; the block becomes dirty. *)
+
+val with_block : t -> int -> (Bytes.t -> 'a) -> 'a
+(** [with_block t addr f] reads block [addr] into a private pooled
+    buffer, applies [f] and gives the buffer back. [f] may yield but must
+    not keep the bytes. *)
 
 val drop_block : t -> Inode.t -> Bkey.t -> unit
 val zap_pointer : t -> Inode.t -> Bkey.t -> unit

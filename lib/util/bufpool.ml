@@ -1,29 +1,45 @@
+type buf = { bytes : Bytes.t; mutable free : bool }
+
+(* The free list is a stack in [stack.(0 .. nfree - 1)]: an array, so a
+   take or give allocates nothing. *)
 type t = {
   size : int;
-  mutable free : Bytes.t list;
+  mutable stack : buf array;
+  mutable nfree : int;
   mutable out : int; (* taken and not given back, dropped ones included *)
 }
 
+let none = { bytes = Bytes.empty; free = true }
+
 let create size =
   if size <= 0 then invalid_arg "Bufpool.create: size must be positive";
-  { size; free = []; out = 0 }
+  { size; stack = Array.make 16 none; nfree = 0; out = 0 }
 
 let take t =
   t.out <- t.out + 1;
-  match t.free with
-  | b :: rest ->
-      t.free <- rest;
-      b
-  | [] -> Bytes.create t.size
+  if t.nfree = 0 then { bytes = Bytes.create t.size; free = false }
+  else begin
+    t.nfree <- t.nfree - 1;
+    let b = t.stack.(t.nfree) in
+    t.stack.(t.nfree) <- none;
+    b.free <- false;
+    b
+  end
 
-(* The free list is as long as the peak number of buffers out at once
-   (a handful), so the double-give scan is cheap. *)
-let is_free t b = List.exists (fun f -> f == b) t.free
+let bytes b = b.bytes
 
 let give t b =
-  if Bytes.length b <> t.size then invalid_arg "Bufpool.give: buffer of another size";
-  if t.out = 0 || is_free t b then invalid_arg "Bufpool.give: buffer already free";
+  if Bytes.length b.bytes <> t.size then invalid_arg "Bufpool.give: buffer of another size";
+  if t.out = 0 || b.free then invalid_arg "Bufpool.give: buffer already free";
   t.out <- t.out - 1;
-  t.free <- b :: t.free
+  b.free <- true;
+  if t.nfree = Array.length t.stack then begin
+    let bigger = Array.make (2 * t.nfree) none in
+    Array.blit t.stack 0 bigger 0 t.nfree;
+    t.stack <- bigger
+  end;
+  t.stack.(t.nfree) <- b;
+  t.nfree <- t.nfree + 1
 
-let free_count t = List.length t.free
+let is_free b = b.free
+let free_count t = t.nfree

@@ -44,7 +44,7 @@ let check_known what fs ino bkey =
 (* The rules on the cache entry itself: new or modified bytes forget the
    sum, moves and re-homing keep it. *)
 let test_bcache_rules () =
-  let cache = Bcache.create ~cap:8 in
+  let cache = Bcache.create ~cap:8 ~block_size:bs in
   let k = (7, Bkey.Data 0) and d = Bytes.make bs 'a' in
   Bcache.put_clean cache k ~addr:100 ~crc:1234 d;
   check Alcotest.int "read with a sum" 1234 (Bcache.crc cache k d);

@@ -74,11 +74,14 @@ let media_digest jb =
    failed for good, eject the cached copies, then read them back from
    two concurrent readers with sequential prefetch on: demand fetches,
    prefetches, landings and write-outs all cross the pipeline. *)
-let run_cell ?(media = Device.Jukebox.hp6300_platter) ?(bus = false) ?faults ?max_attempts c
-    files =
+let run_cell ?(media = Device.Jukebox.hp6300_platter) ?(bus = false) ?faults ?max_attempts
+    ?bcache_blocks c files =
   let outcome, e =
     in_sim_e (fun engine ->
         let prm = Param.for_tests ~seg_blocks:16 ~nsegs:64 () in
+        let prm =
+          { prm with Param.bcache_blocks = Option.value bcache_blocks ~default:prm.bcache_blocks }
+        in
         (* a timed disk, so the cache-disk phases take real sim time *)
         let disk = Device.Disk.create engine Device.Disk.rz57 ~name:"rz57" in
         let bus = if bus then Some (Device.Scsi_bus.create engine "scsi0") else None in
@@ -247,6 +250,20 @@ let test_failed_writeout_resumes_next_ticket () =
            [ (State.Pipelined, true); (State.Pipelined, false); (State.Serial, true) ])
        [ Device.Jukebox.hp6300_platter; Device.Jukebox.sony_worm ])
 
+(* The same scenario on a 2-block buffer cache, where nearly every block
+   read evicts and recycles a buffer: every cell still reads back the
+   same bytes and writes the same tertiary payload as the default cell
+   on that cache. (The payload's layout depends on the cache size.) *)
+let test_tiny_buffer_cache () =
+  let reference = run_cell ~bcache_blocks:2 (List.hd matrix) sample_files in
+  List.iter
+    (fun c ->
+      let name = cell_name c ^ " with a 2-block buffer cache" in
+      let o = if c == List.hd matrix then reference else run_cell ~bcache_blocks:2 c sample_files in
+      check_cell name sample_files o;
+      check Alcotest.string (name ^ ": tertiary payload") reference.media o.media)
+    matrix
+
 let suite =
   [
     ( "service.matrix",
@@ -256,5 +273,7 @@ let suite =
         Alcotest.test_case "torn write resumes, WORM included" `Quick test_torn_write_resumes;
         Alcotest.test_case "failed write-out resumes on the next ticket" `Quick
           test_failed_writeout_resumes_next_ticket;
+        Alcotest.test_case "every cell agrees on a 2-block buffer cache" `Quick
+          test_tiny_buffer_cache;
       ] );
   ]

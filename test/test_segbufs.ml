@@ -97,12 +97,13 @@ let audit w what =
 
 let probe w what =
   let pool = Fs.segbufs (Hl.fs w.hl) in
-  let b = Util.Bufpool.take pool in
+  let buf = Util.Bufpool.take pool in
+  let b = Util.Bufpool.bytes buf in
   let pattern = bytes_pattern (Bytes.length b) 0x5a in
   Bytes.blit pattern 0 b 0 (Bytes.length b);
   Sim.Engine.delay 60.0;
   check Alcotest.bool (what ^ ": a taken buffer has one writer") true (Bytes.equal b pattern);
-  Util.Bufpool.give pool b
+  Util.Bufpool.give pool buf
 
 let counter w name = Sim.Metrics.count (Sim.Metrics.counter (Hl.metrics w.hl) name)
 

@@ -395,11 +395,11 @@ let prop_rng_int_in_bounds =
 let test_bufpool_recycles () =
   let p = Bufpool.create 64 in
   let b = Bufpool.take p in
-  check Alcotest.int "size" 64 (Bytes.length b);
+  check Alcotest.int "size" 64 (Bytes.length (Bufpool.bytes b));
   Bufpool.give p b;
-  check Alcotest.bool "on the free list" true (Bufpool.is_free p b);
+  check Alcotest.bool "on the free list" true (Bufpool.is_free b);
   check Alcotest.bool "the same buffer comes back" true (Bufpool.take p == b);
-  check Alcotest.bool "taken off the free list" false (Bufpool.is_free p b)
+  check Alcotest.bool "taken off the free list" false (Bufpool.is_free b)
 
 let test_bufpool_double_give () =
   let p = Bufpool.create 64 in
@@ -415,8 +415,28 @@ let test_bufpool_wrong_size () =
   ignore (Bufpool.take p);
   Alcotest.check_raises "another size"
     (Invalid_argument "Bufpool.give: buffer of another size")
-    (fun () -> Bufpool.give p (Bytes.create 32));
+    (fun () -> Bufpool.give p (Bufpool.take (Bufpool.create 32)));
+  Alcotest.check_raises "the placeholder"
+    (Invalid_argument "Bufpool.give: buffer of another size")
+    (fun () -> Bufpool.give p Bufpool.none);
   check Alcotest.int "nothing added" 0 (Bufpool.free_count p)
+
+(* The checks read the buffer's own flag, not the free list: a list of
+   a few thousand buffers (a block pool's size on a busy cache) rejects
+   its bottom buffer's second give and a foreign buffer at once. *)
+let test_bufpool_long_free_list () =
+  let p = Bufpool.create 64 in
+  let bufs = List.init 2000 (fun _ -> Bufpool.take p) in
+  List.iter (Bufpool.give p) bufs;
+  check Alcotest.int "all free" 2000 (Bufpool.free_count p);
+  ignore (Bufpool.take p);
+  Alcotest.check_raises "bottom buffer given twice"
+    (Invalid_argument "Bufpool.give: buffer already free")
+    (fun () -> Bufpool.give p (List.hd bufs));
+  Alcotest.check_raises "another size"
+    (Invalid_argument "Bufpool.give: buffer of another size")
+    (fun () -> Bufpool.give p (Bufpool.take (Bufpool.create 128)));
+  check Alcotest.int "nothing added" 1999 (Bufpool.free_count p)
 
 let props = [ prop_crc_detects_flip; prop_crc_matches_reference; prop_crc_combine_chains;
               prop_crc_fold_blocks;
@@ -464,6 +484,7 @@ let suite =
         Alcotest.test_case "give then take recycles" `Quick test_bufpool_recycles;
         Alcotest.test_case "double give raises" `Quick test_bufpool_double_give;
         Alcotest.test_case "wrong size raises" `Quick test_bufpool_wrong_size;
+        Alcotest.test_case "checks hold on a long free list" `Quick test_bufpool_long_free_list;
       ] );
     ( "util.rng",
       [
