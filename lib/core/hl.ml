@@ -208,8 +208,8 @@ let eject_tertiary_copies t ~paths =
               if Addr_space.is_tertiary t.st.State.aspace addr then begin
                 (* never drop a dirty buffer: it holds unflushed edits
                    that supersede the tertiary copy *)
-                if not (Bcache.is_dirty (Fs.bcache fsys) (ino.Inode.inum, bkey)) then
-                  Bcache.drop (Fs.bcache fsys) (ino.Inode.inum, bkey);
+                let key = Bcache.key ino.Inode.inum bkey in
+                if not (Bcache.is_dirty (Fs.bcache fsys) key) then Bcache.drop (Fs.bcache fsys) key;
                 let tindex = Addr_space.tindex_of_addr t.st.State.aspace addr in
                 match Seg_cache.find t.st.State.cache tindex with
                 | Some line

@@ -15,7 +15,7 @@ let resolve_candidate ?(allow_tertiary = false) st (inum, bkey) =
         | -1 -> None
         | addr ->
             if Addr_space.is_tertiary st.aspace addr && not allow_tertiary then None
-            else if Bcache.is_dirty (Fs.bcache fsys) (inum, bkey) then None
+            else if Bcache.is_dirty (Fs.bcache fsys) (Bcache.key inum bkey) then None
             else Some (inum, bkey, addr))
 
 (* Build the FINFO list for a staging segment, grouping runs by inum in
@@ -86,11 +86,12 @@ let stage_segment ?(defer = false) st ~inode_set blocks =
     List.mapi
       (fun i (inum, bkey, addr) ->
         let dst = (i + 1) * bs in
+        let key = Bcache.key inum bkey in
         let carried =
-          match Bcache.find (Fs.bcache fsys) (inum, bkey) with
+          match Bcache.find (Fs.bcache fsys) key with
           | Some d ->
               Bytes.blit d 0 image dst bs;
-              Bcache.crc (Fs.bcache fsys) (inum, bkey) d
+              Bcache.crc (Fs.bcache fsys) key d
           | None ->
               Block_io.read_block_into st addr ~dst:image ~dst_off:dst;
               Fs.written_crc fsys addr
@@ -108,7 +109,7 @@ let stage_segment ?(defer = false) st ~inode_set blocks =
         | exception Not_found -> false
         | ino ->
             Fs.lookup_addr fsys ino bkey = addr
-            && not (Bcache.is_dirty (Fs.bcache fsys) (inum, bkey))
+            && not (Bcache.is_dirty (Fs.bcache fsys) (Bcache.key inum bkey))
             &&
             (Fs.repoint fsys ino bkey (tbase + 1 + i);
              true))

@@ -67,7 +67,9 @@ let rehome st line =
                    disk log by the next flush; its staged copy is dead *)
                 if
                   Lfs.Fs.lookup_addr fsys ino sb.sb_bkey = sb.sb_taddr
-                  && not (Lfs.Bcache.is_dirty (Lfs.Fs.bcache fsys) (sb.sb_inum, sb.sb_bkey))
+                  && not
+                       (Lfs.Bcache.is_dirty (Lfs.Fs.bcache fsys)
+                          (Lfs.Bcache.key sb.sb_inum sb.sb_bkey))
                 then begin
                   let new_addr = new_base + (sb.sb_taddr - old_base) in
                   Lfs.Fs.repoint fsys ino sb.sb_bkey new_addr;

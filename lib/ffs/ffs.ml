@@ -174,7 +174,7 @@ let alloc_inode t ~kind ~group =
 let ppb t = t.prm.block_size / 4
 
 let rec get_block t ino bkey =
-  let key = (ino.Inode.inum, bkey) in
+  let key = Bcache.key ino.Inode.inum bkey in
   match Bcache.find t.cache key with
   | Some data -> Some data
   | None -> (
@@ -210,24 +210,24 @@ let rec ensure_addr t ino bkey =
           mark_inode_dirty t ino
       | Bkey.In_block (pbk, slot) ->
           ignore (ensure_addr t ino pbk);
+          let pkey = Bcache.key ino.Inode.inum pbk in
           let pdata =
             match get_block t ino pbk with
             | Some d -> d
             | None ->
                 let d = Bytes.make t.prm.block_size '\xff' in
-                Bcache.put_dirty t.cache (ino.Inode.inum, pbk) ~old_addr:(-1) d;
+                Bcache.put_dirty t.cache pkey ~old_addr:(-1) d;
                 d
           in
           Bytesx.set_i32 pdata (slot * 4) addr;
-          let pkey = (ino.Inode.inum, pbk) in
           if not (Bcache.is_dirty t.cache pkey) then Bcache.mark_dirty t.cache pkey);
+      let key = Bcache.key ino.Inode.inum bkey in
       (* fresh indirect blocks must read as all-unassigned *)
-      if Bkey.level bkey > 0 && Bcache.find t.cache (ino.Inode.inum, bkey) = None then
-        Bcache.put_dirty t.cache (ino.Inode.inum, bkey) ~old_addr:addr
-          (Bytes.make t.prm.block_size '\xff');
+      if Bkey.level bkey > 0 && Bcache.find t.cache key = None then
+        Bcache.put_dirty t.cache key ~old_addr:addr (Bytes.make t.prm.block_size '\xff');
       (* remember the address for clustering of later flushes *)
-      (match Bcache.find t.cache (ino.Inode.inum, bkey) with
-      | Some _ -> Bcache.set_addr t.cache (ino.Inode.inum, bkey) addr
+      (match Bcache.find t.cache key with
+      | Some _ -> Bcache.set_addr t.cache key addr
       | None -> ());
       addr
   | addr -> addr
@@ -240,15 +240,10 @@ let flush_threshold = 256
    write each run as one transfer of at most maxcontig blocks. *)
 let flush_data t =
   let bs = t.prm.block_size in
-  let entries =
-    Bcache.dirty_entries t.cache
-    |> List.filter_map (fun (key, data, _) ->
-           match Bcache.addr_of t.cache key with
-           | -1 -> None
-           | addr -> Some (addr, key, data)
-           | exception Not_found -> None)
-    |> List.sort compare
-  in
+  let entries = ref [] in
+  Bcache.iter_dirty t.cache (fun key data addr ->
+      if addr <> -1 then entries := (addr, key, data) :: !entries);
+  let entries = List.sort compare !entries in
   let rec runs acc current = function
     | [] -> List.rev (match current with [] -> acc | c -> List.rev c :: acc)
     | (addr, key, data) :: rest -> (
@@ -319,7 +314,7 @@ let read t ino ~off ~len =
     let lbn = fileoff / bs in
     let boff = fileoff mod bs in
     let n = min (bs - boff) (len - !pos) in
-    let key = (ino.Inode.inum, Bkey.Data lbn) in
+    let key = Bcache.key ino.Inode.inum (Bkey.Data lbn) in
     (match Bcache.find t.cache key with
     | Some data -> Bytes.blit data boff out !pos n
     | None -> (
@@ -341,7 +336,7 @@ let read t ino ~off ~len =
             charge_cpu t (t.prm.cpu.per_block *. float_of_int count);
             let data = t.dev.Dev.read ~blk:addr ~count in
             for i = 0 to count - 1 do
-              let k = (ino.Inode.inum, Bkey.Data (lbn + i)) in
+              let k = Bcache.key ino.Inode.inum (Bkey.Data (lbn + i)) in
               if Bcache.find t.cache k = None then
                 Bcache.put_clean t.cache k ~addr:(addr + i) (Bytes.sub data (i * bs) bs)
             done;
@@ -365,7 +360,7 @@ let write t ino ~off data =
     let lbn = fileoff / bs in
     let boff = fileoff mod bs in
     let n = min (bs - boff) (len - !pos) in
-    let key = (ino.Inode.inum, Bkey.Data lbn) in
+    let key = Bcache.key ino.Inode.inum (Bkey.Data lbn) in
     let addr = ensure_addr t ino (Bkey.Data lbn) in
     let block =
       match Bcache.find t.cache key with
@@ -431,7 +426,7 @@ let dir_add t dir name inum =
       let fresh = Bytes.make bs '\000' in
       ignore (Dirent.add fresh name inum);
       ignore (ensure_addr t dir (Bkey.Data i));
-      Bcache.put_dirty t.cache (dir.Inode.inum, Bkey.Data i)
+      Bcache.put_dirty t.cache (Bcache.key dir.Inode.inum (Bkey.Data i))
         ~old_addr:(lookup_addr t dir (Bkey.Data i))
         fresh;
       dir.Inode.size <- (i + 1) * bs;
@@ -442,7 +437,7 @@ let dir_add t dir name inum =
       | None -> try_block (i + 1)
       | Some block ->
           if Dirent.add block name inum then begin
-            let key = (dir.Inode.inum, Bkey.Data i) in
+            let key = Bcache.key dir.Inode.inum (Bkey.Data i) in
             if not (Bcache.is_dirty t.cache key) then Bcache.mark_dirty t.cache key;
             mark_inode_dirty t dir
           end
@@ -484,7 +479,7 @@ let create_node t path ~kind =
       ignore (Dirent.add block "." ino.Inode.inum);
       ignore (Dirent.add block ".." parent.Inode.inum);
       ignore (ensure_addr t ino (Bkey.Data 0));
-      Bcache.put_dirty t.cache (ino.Inode.inum, Bkey.Data 0)
+      Bcache.put_dirty t.cache (Bcache.key ino.Inode.inum (Bkey.Data 0))
         ~old_addr:(lookup_addr t ino (Bkey.Data 0))
         block;
       parent.Inode.nlink <- parent.Inode.nlink + 1;
@@ -540,7 +535,7 @@ let unlink t path =
           match get_block t parent (Bkey.Data i) with
           | Some block when Dirent.find block base <> None ->
               ignore (Dirent.remove block base);
-              let key = (parent.Inode.inum, Bkey.Data i) in
+              let key = Bcache.key parent.Inode.inum (Bkey.Data i) in
               if not (Bcache.is_dirty t.cache key) then Bcache.mark_dirty t.cache key
           | _ -> remove_from (i + 1)
       in
@@ -623,7 +618,7 @@ let mkfs engine prm dev =
   ignore (Dirent.add block "." root_inum);
   ignore (Dirent.add block ".." root_inum);
   ignore (ensure_addr t root (Bkey.Data 0));
-  Bcache.put_dirty t.cache (root_inum, Bkey.Data 0)
+  Bcache.put_dirty t.cache (Bcache.key root_inum (Bkey.Data 0))
     ~old_addr:(lookup_addr t root (Bkey.Data 0))
     block;
   sync t;

@@ -1,174 +1,284 @@
 open Util
 
-type key = int * Bkey.t
+(* A key packs (inum, Bkey) into one int: the inum above [low_bits], the
+   block below. Data lbns keep their value (at most [max_lbn]); the
+   negative summary codes of indirect blocks map above it, to
+   [max_lbn - code], so L1, L2 and L3 keep their Bkey order. *)
+type key = int
+
+let low_bits = 29
+let low_mask = (1 lsl low_bits) - 1
+let max_lbn = Bkey.max_encodable_lbn
+
+let key inum bkey =
+  if inum < 0 || inum > max_int lsr low_bits then invalid_arg "Bcache.key: inum out of range";
+  let c = Bkey.encode bkey in
+  (inum lsl low_bits) lor if c >= 0 then c else max_lbn - c
+
+let inum k = k lsr low_bits
+
+let bkey k =
+  let low = k land low_mask in
+  Bkey.decode (if low <= max_lbn then low else max_lbn - low)
+
+(* the Bkey level of a key, without decoding it *)
+let level k =
+  let low = k land low_mask in
+  if low <= max_lbn then 0
+  else if low <= max_lbn + (1 lsl 20) then 1
+  else if low <= max_lbn + (1 lsl 21) then 2
+  else 3
+
+module Tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  (* Hashtbl indexes by the low bits of the hash: multiply to carry
+     every key bit upward, then fold the high half down, so the inum
+     reaches the bucket index of any table size. *)
+  let hash k =
+    let h = k * 0x1E3779B97F4A7C15 in
+    h lxor (h lsr 32)
+end)
 
 (* [crc] is the CRC-32 the bytes were last read or flushed with, or -1
    once they may have changed (or were never summed). [buf] is the
    pooled buffer behind [data], or [Bufpool.none] when a caller handed
    the bytes in ({!put_clean}, {!put_dirty}): only pooled buffers go
-   back to the pool when the entry lets go of them. *)
+   back to the pool when the entry lets go of them.
+
+   [prev]/[next] thread the entry into the clean LRU ring or the dirty
+   ring, as [dirty] says; [fprev]/[fnext] into its file's list, which
+   starts at [files.(inum)] and ends at [nil]. *)
 type entry = {
+  key : key;
   mutable data : Bytes.t;
   mutable buf : Bufpool.buf;
   mutable addr : int;
   mutable crc : int;
+  mutable dirty : bool;
+  mutable prev : entry;
+  mutable next : entry;
+  mutable fprev : entry;
+  mutable fnext : entry;
 }
 
+let sentinel () =
+  let rec s =
+    { key = -1; data = Bytes.empty; buf = Bufpool.none; addr = -1; crc = -1; dirty = false;
+      prev = s; next = s; fprev = s; fnext = s }
+  in
+  s
+
+(* ends every file list; its own links are never written *)
+let nil = sentinel ()
+
 type t = {
-  clean : (key, entry) Lru.t;
-  dirty : (key, entry) Hashtbl.t;
+  table : entry Tbl.t;
+  clean_ring : entry;  (* sentinel: [next] most, [prev] least recently used *)
+  dirty_ring : entry;  (* sentinel *)
+  mutable files : entry array;  (* by inum: first entry of the file, or [nil] *)
   pool : Bufpool.t;
   cap : int;
+  mutable n_clean : int;
+  mutable n_dirty : int;
   mutable n_hits : int;
   mutable n_misses : int;
 }
 
-let release pool e =
-  if e.buf != Bufpool.none then begin
-    Bufpool.give pool e.buf;
-    e.buf <- Bufpool.none
-  end
-
 let create ~cap ~block_size =
-  let pool = Bufpool.create block_size in
-  {
-    clean = Lru.create ~on_evict:(fun _ e -> release pool e) ~cap ();
-    dirty = Hashtbl.create 64;
-    pool;
-    cap;
-    n_hits = 0;
-    n_misses = 0;
-  }
+  if cap <= 0 then invalid_arg "Bcache.create: cap must be positive";
+  { table = Tbl.create 64; clean_ring = sentinel (); dirty_ring = sentinel ();
+    files = Array.make 64 nil; pool = Bufpool.create block_size; cap;
+    n_clean = 0; n_dirty = 0; n_hits = 0; n_misses = 0 }
 
 let capacity t = t.cap
 let pool t = t.pool
 let take t = Bufpool.take t.pool
 let give t b = Bufpool.give t.pool b
 
+let release t e =
+  if e.buf != Bufpool.none then begin
+    Bufpool.give t.pool e.buf;
+    e.buf <- Bufpool.none
+  end
+
+(* ---------- rings and file lists ---------- *)
+
+let unlink e =
+  e.prev.next <- e.next;
+  e.next.prev <- e.prev
+
+(* Puts an entry that is in no ring at the front of the clean or the
+   dirty ring, as [dirty] says, evicting the least recently used clean
+   entry when the clean ring is full. *)
+let rec push t e ~dirty =
+  let ring = if dirty then t.dirty_ring else t.clean_ring in
+  if dirty then t.n_dirty <- t.n_dirty + 1
+  else begin
+    if t.n_clean >= t.cap then remove t t.clean_ring.prev;
+    t.n_clean <- t.n_clean + 1
+  end;
+  e.dirty <- dirty;
+  e.prev <- ring;
+  e.next <- ring.next;
+  ring.next.prev <- e;
+  ring.next <- e
+
+and pull t e =
+  unlink e;
+  if e.dirty then t.n_dirty <- t.n_dirty - 1 else t.n_clean <- t.n_clean - 1
+
+(* Takes an entry out of the table, its ring and its file's list, and
+   gives its buffer back. *)
+and remove t e =
+  Tbl.remove t.table e.key;
+  pull t e;
+  if e.fprev == nil then t.files.(inum e.key) <- e.fnext else e.fprev.fnext <- e.fnext;
+  if e.fnext != nil then e.fnext.fprev <- e.fprev;
+  release t e
+
+let move t e ~dirty =
+  pull t e;
+  push t e ~dirty
+
+let iter_ring ring f =
+  let rec go e =
+    if e != ring then begin
+      let next = e.next in
+      f e;
+      go next
+    end
+  in
+  go ring.next
+
+let add t k ~dirty data buf addr crc =
+  let i = inum k in
+  if i >= Array.length t.files then begin
+    let files = Array.make (max (i + 1) (2 * Array.length t.files)) nil in
+    Array.blit t.files 0 files 0 (Array.length t.files);
+    t.files <- files
+  end;
+  let first = t.files.(i) in
+  let e =
+    { key = k; data; buf; addr; crc; dirty; prev = nil; next = nil; fprev = nil; fnext = first }
+  in
+  if first != nil then first.fprev <- e;
+  t.files.(i) <- e;
+  Tbl.add t.table k e;
+  push t e ~dirty
+
+(* ---------- lookups and insertions ---------- *)
+
 let find t k =
-  match Hashtbl.find_opt t.dirty k with
-  | Some e ->
+  match Tbl.find t.table k with
+  | e ->
       t.n_hits <- t.n_hits + 1;
+      if (not e.dirty) && t.clean_ring.next != e then move t e ~dirty:false;
       Some e.data
-  | None -> (
-      match Lru.find t.clean k with
-      | Some e ->
-          t.n_hits <- t.n_hits + 1;
-          Some e.data
-      | None -> None)
+  | exception Not_found -> None
 
-let entry_of t k =
-  match Hashtbl.find_opt t.dirty k with
-  | Some e -> Some e
-  | None -> Lru.peek t.clean k
-
-let addr_of t k =
-  match entry_of t k with Some e -> e.addr | None -> raise Not_found
-
-let is_dirty t k = Hashtbl.mem t.dirty k
+let addr_of t k = (Tbl.find t.table k).addr
+let is_dirty t k = match Tbl.find t.table k with e -> e.dirty | exception Not_found -> false
 
 (* An entry takes [data] (backed by [buf]); the buffer it held before
    goes back to the pool unless it is the same one. *)
 let replace_data t e data buf crc =
   if e.data != data then begin
-    release t.pool e;
+    release t e;
     e.data <- data;
     e.buf <- buf
   end;
   e.crc <- crc
 
 let insert_clean t k ~addr ~crc data buf =
-  if Hashtbl.mem t.dirty k then invalid_arg "Bcache.put_clean: entry is dirty";
-  match Lru.peek t.clean k with
-  | Some e ->
+  match Tbl.find t.table k with
+  | e ->
+      if e.dirty then invalid_arg "Bcache.put_clean: entry is dirty";
       replace_data t e data buf crc;
       e.addr <- addr;
-      Lru.add t.clean k e
-  | None -> Lru.add t.clean k { data; buf; addr; crc }
+      move t e ~dirty:false
+  | exception Not_found -> add t k ~dirty:false data buf addr crc
 
 let insert_dirty t k ~old_addr ~crc data buf =
-  match Hashtbl.find_opt t.dirty k with
-  | Some e -> replace_data t e data buf crc
-  | None -> (
-      match Lru.peek t.clean k with
-      | Some e ->
-          Lru.remove t.clean k;
-          replace_data t e data buf crc;
-          Hashtbl.replace t.dirty k e
-      | None -> Hashtbl.replace t.dirty k { data; buf; addr = old_addr; crc })
+  match Tbl.find t.table k with
+  | e ->
+      if not e.dirty then move t e ~dirty:true;
+      replace_data t e data buf crc
+  | exception Not_found -> add t k ~dirty:true data buf old_addr crc
 
 let put_clean t k ~addr ?(crc = -1) data = insert_clean t k ~addr ~crc data Bufpool.none
 let put_dirty t k ?(old_addr = -1) ?(crc = -1) data = insert_dirty t k ~old_addr ~crc data Bufpool.none
 let put_clean_buf t k ~addr ~crc b = insert_clean t k ~addr ~crc (Bufpool.bytes b) b
 let put_dirty_buf t k ~old_addr ~crc b = insert_dirty t k ~old_addr ~crc (Bufpool.bytes b) b
 
-let mark_dirty t k =
-  if not (Hashtbl.mem t.dirty k) then begin
-    match Lru.peek t.clean k with
-    | Some e ->
-        Lru.remove t.clean k;
-        Hashtbl.replace t.dirty k e
-    | None -> invalid_arg "Bcache.mark_dirty: not cached"
-  end
+let dirtied t k =
+  match Tbl.find t.table k with
+  | e ->
+      if not e.dirty then move t e ~dirty:true;
+      e
+  | exception Not_found -> invalid_arg "Bcache.mark_dirty: not cached"
 
-let mark_modified t k =
-  mark_dirty t k;
-  (Hashtbl.find t.dirty k).crc <- -1
+let mark_dirty t k = ignore (dirtied t k)
+let mark_modified t k = (dirtied t k).crc <- -1
 
 let crc t k data =
-  match entry_of t k with Some e when e.data == data -> e.crc | _ -> -1
+  match Tbl.find t.table k with e when e.data == data -> e.crc | _ | (exception Not_found) -> -1
 
 let set_crc t k data crc =
-  match entry_of t k with Some e when e.data == data -> e.crc <- crc | _ -> ()
+  match Tbl.find t.table k with
+  | e when e.data == data -> e.crc <- crc
+  | _ | (exception Not_found) -> ()
 
 let mark_flushed t k ~addr =
-  match Hashtbl.find_opt t.dirty k with
-  | None -> invalid_arg "Bcache.mark_flushed: not dirty"
-  | Some e ->
-      Hashtbl.remove t.dirty k;
+  match Tbl.find t.table k with
+  | e when e.dirty ->
       e.addr <- addr;
-      Lru.add t.clean k e
+      move t e ~dirty:false
+  | _ | (exception Not_found) -> invalid_arg "Bcache.mark_flushed: not dirty"
 
 let set_addr t k addr =
-  match entry_of t k with
-  | Some e -> e.addr <- addr
-  | None -> invalid_arg "Bcache.set_addr: not cached"
+  match Tbl.find t.table k with
+  | e -> e.addr <- addr
+  | exception Not_found -> invalid_arg "Bcache.set_addr: not cached"
 
-let drop t k =
-  (match Hashtbl.find_opt t.dirty k with
-  | Some e ->
-      Hashtbl.remove t.dirty k;
-      release t.pool e
-  | None -> ());
-  match Lru.peek t.clean k with
-  | Some e ->
-      Lru.remove t.clean k;
-      release t.pool e
-  | None -> ()
+let drop t k = match Tbl.find t.table k with e -> remove t e | exception Not_found -> ()
 
-let drop_inum t inum =
-  let doomed = ref [] in
-  Hashtbl.iter (fun (i, bk) _ -> if i = inum then doomed := (i, bk) :: !doomed) t.dirty;
-  Lru.iter (fun (i, bk) _ -> if i = inum then doomed := (i, bk) :: !doomed) t.clean;
-  List.iter (drop t) !doomed
+let drop_inum t i =
+  let rec go e =
+    if e != nil then begin
+      let next = e.fnext in
+      remove t e;
+      go next
+    end
+  in
+  if i >= 0 && i < Array.length t.files then go t.files.(i)
 
-let dirty_count t = Hashtbl.length t.dirty
-let clean_count t = Lru.length t.clean
+let dirty_count t = t.n_dirty
+let clean_count t = t.n_clean
+let iter_dirty t f = iter_ring t.dirty_ring (fun e -> f e.key e.data e.addr)
 
-let iter_dirty t f = Hashtbl.iter (fun k _ -> f k) t.dirty
+let iter_dirty_sorted t ~level:l f =
+  let n = ref 0 in
+  iter_ring t.dirty_ring (fun e -> if level e.key = l then incr n);
+  let sorted = Array.make !n nil in
+  n := 0;
+  iter_ring t.dirty_ring (fun e ->
+      if level e.key = l then begin
+        sorted.(!n) <- e;
+        incr n
+      end);
+  Array.sort (fun a b -> Int.compare a.key b.key) sorted;
+  Array.iter (fun e -> f e.key e.data e.addr) sorted
 
-let dirty_entries t =
-  Hashtbl.fold (fun k e acc -> (k, e.data, e.addr) :: acc) t.dirty []
-
-let invalidate_clean t =
-  Lru.iter (fun _ e -> release t.pool e) t.clean;
-  Lru.clear t.clean
+let invalidate_clean t = iter_ring t.clean_ring (remove t)
 
 let buffers t =
   let held = ref [] in
-  let note _ e = if e.buf != Bufpool.none then held := e.buf :: !held in
-  Hashtbl.iter note t.dirty;
-  Lru.iter note t.clean;
+  let note e = if e.buf != Bufpool.none then held := e.buf :: !held in
+  iter_ring t.dirty_ring note;
+  iter_ring t.clean_ring note;
   !held
 
 let hits t = t.n_hits

@@ -1,8 +1,10 @@
 (** Buffer cache over file blocks, keyed by (inum, {!Bkey.t}) — logical
     identity, not disk address, because in a log-structured file system
     a dirty block has no address until the segment writer assigns one.
-    Clean blocks live in an LRU and may be evicted at any time; dirty
-    blocks are pinned until the log flushes them. Each entry remembers
+    The pair is packed into one int ({!key}), and one hash table maps it
+    to an entry threaded into one of two rings: clean blocks live in an
+    LRU ring and may be evicted at any time; dirty blocks sit in a dirty
+    ring, pinned until the log flushes them. Each entry remembers
     the disk address of its last written incarnation so the flusher can
     decrement the old segment's live bytes.
 
@@ -25,7 +27,17 @@
     cache or the next yield to another fiber: a caller reads or writes
     them at once and keeps no reference. *)
 
-type key = int * Bkey.t
+type key = private int
+(** (inum, {!Bkey.t}) packed: the inum above the low 29 bits, the block
+    below them. Within one Bkey level, keys sort in (inum, {!Bkey.compare})
+    order. *)
+
+val key : int -> Bkey.t -> key
+(** [key inum bkey]. Raises [Invalid_argument] for a negative inum or a
+    block {!Bkey.encode} rejects. *)
+
+val inum : key -> int
+val bkey : key -> Bkey.t
 
 type t
 
@@ -94,16 +106,23 @@ val set_addr : t -> key -> int -> unit
     block without changing its content). *)
 
 val drop : t -> key -> unit
+
 val drop_inum : t -> int -> unit
-(** Discards every block of a file (unlink). *)
+(** Discards every block of a file (unlink), walking only that file's
+    entries. *)
 
 val dirty_count : t -> int
 val clean_count : t -> int
 
-val iter_dirty : t -> (key -> unit) -> unit
+val iter_dirty : t -> (key -> Bytes.t -> int -> unit) -> unit
+(** [iter_dirty t f] calls [f key data old_addr] on every dirty block,
+    unordered; [f] must not change the cache. *)
 
-val dirty_entries : t -> (key * Bytes.t * int) list
-(** All dirty blocks as (key, data, previous address), unordered. *)
+val iter_dirty_sorted : t -> level:int -> (key -> Bytes.t -> int -> unit) -> unit
+(** [iter_dirty_sorted t ~level f] calls [f key data old_addr] on every
+    dirty block of {!Bkey.level} [level], in ascending key order. The
+    blocks are gathered before the first call, so [f] may insert into
+    the cache and flush the blocks it has already been given. *)
 
 val invalidate_clean : t -> unit
 (** Drops every clean block (used to model cache flushes between

@@ -40,6 +40,9 @@ val encode : t -> int
 
 val decode : int -> t
 
+val max_encodable_lbn : int
+(** Largest data lbn {!encode} accepts (2{^28} - 1). *)
+
 val max_data_lbn : ppb:int -> int
 (** Largest addressable logical block for this geometry. *)
 

@@ -110,7 +110,7 @@ let collect_segment fs seg =
                  let addr = !cursor in
                  incr cursor;
                  if is_live fs ~addr ~inum ~version:fi.Summary.fi_version bkey then begin
-                   let key = (inum, bkey) in
+                   let key = Bcache.key inum bkey in
                    let cache = Fs.bcache fs in
                    if not (Bcache.is_dirty cache key) then begin
                      (match Bcache.find cache key with

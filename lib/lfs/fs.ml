@@ -165,7 +165,7 @@ let touch_atime t inum =
 let ppb t = t.prm.block_size / 4
 
 let rec get_block t ino bkey =
-  let key = (ino.Inode.inum, bkey) in
+  let key = Bcache.key ino.Inode.inum bkey in
   match Bcache.find t.cache key with
   | Some data -> Some data
   | None -> (
@@ -190,7 +190,7 @@ and lookup_addr t ino bkey =
       | Some pdata -> Bytesx.get_i32 pdata (slot * 4))
 
 let get_block_for_write t ino bkey =
-  let key = (ino.Inode.inum, bkey) in
+  let key = Bcache.key ino.Inode.inum bkey in
   match Bcache.find t.cache key with
   | Some data ->
       Bcache.mark_modified t.cache key;
@@ -216,7 +216,7 @@ let get_block_for_write t ino bkey =
 let put_block t ino bkey ?(off = 0) data =
   let bs = t.prm.block_size in
   if off < 0 || off + bs > Bytes.length data then invalid_arg "Fs.put_block: view outside data";
-  let key = (ino.Inode.inum, bkey) in
+  let key = Bcache.key ino.Inode.inum bkey in
   let old_addr =
     match Bcache.find t.cache key with
     | Some _ -> Bcache.addr_of t.cache key
@@ -227,7 +227,7 @@ let put_block t ino bkey ?(off = 0) data =
   Bytes.blit data off (Bufpool.bytes b) 0 bs;
   Bcache.put_dirty_buf t.cache key ~old_addr ~crc:(-1) b
 
-let drop_block t ino bkey = Bcache.drop t.cache (ino.Inode.inum, bkey)
+let drop_block t ino bkey = Bcache.drop t.cache (Bcache.key ino.Inode.inum bkey)
 
 let set_pointer t ino bkey addr =
   match Bkey.parent ~ppb:(ppb t) bkey with
@@ -241,7 +241,7 @@ let set_pointer t ino bkey addr =
 
 let zap_pointer t ino bkey =
   let addr = lookup_addr t ino bkey in
-  let key = (ino.Inode.inum, bkey) in
+  let key = Bcache.key ino.Inode.inum bkey in
   let cached_old =
     match Bcache.find t.cache key with
     | Some _ -> ( try Bcache.addr_of t.cache key with Not_found -> -1)
@@ -253,7 +253,7 @@ let zap_pointer t ino bkey =
   if addr >= 0 then set_pointer t ino bkey (-1)
 
 let repoint t ino bkey new_addr =
-  let key = (ino.Inode.inum, bkey) in
+  let key = Bcache.key ino.Inode.inum bkey in
   if Bcache.is_dirty t.cache key then invalid_arg "Fs.repoint: block is dirty";
   let old_addr = lookup_addr t ino bkey in
   if old_addr >= 0 then account t ~addr:old_addr (-t.prm.block_size);
@@ -322,7 +322,8 @@ let finfos_of_partial t p =
     (fun (staged, _) ->
       match staged with
       | Inode_block _ -> ()
-      | File_block (inum, bkey) -> (
+      | File_block key -> (
+          let inum = Bcache.inum key and bkey = Bcache.bkey key in
           match !groups with
           | (i, blocks) :: rest when i = inum -> groups := (i, bkey :: blocks) :: rest
           | _ -> groups := (inum, [ bkey ]) :: !groups))
@@ -426,7 +427,7 @@ let close_partial t p =
 let summary_cost p staged =
   match staged with
   | Inode_block _ -> 4
-  | File_block (inum, _) -> if inum = p.p_last_ino then 4 else 16
+  | File_block key -> if Bcache.inum key = p.p_last_ino then 4 else 16
 
 (* Stage one block into the log, returning its assigned address. *)
 let stage_block t pref staged payload =
@@ -448,7 +449,7 @@ let stage_block t pref staged payload =
   t.cur_off <- t.cur_off + 1;
   p.p_sum_bytes <- p.p_sum_bytes + summary_cost p staged;
   (match staged with
-  | File_block (inum, _) -> p.p_last_ino <- inum
+  | File_block key -> p.p_last_ino <- Bcache.inum key
   | Inode_block _ -> p.p_last_ino <- -1);
   p.p_blocks <- (staged, payload) :: p.p_blocks;
   p.p_nblocks <- p.p_nblocks + 1;
@@ -465,15 +466,17 @@ let segments_needed t extra_blocks =
   let rec walk inum bkey =
     match Bkey.parent ~ppb:(ppb t) bkey with
     | Bkey.In_block (pbk, _) ->
-        if not (Hashtbl.mem ancestors (inum, pbk)) then begin
-          Hashtbl.replace ancestors (inum, pbk) ();
+        let pkey = Bcache.key inum pbk in
+        if not (Hashtbl.mem ancestors pkey) then begin
+          Hashtbl.replace ancestors pkey ();
           walk inum pbk
         end
     | _ -> ()
   in
-  Bcache.iter_dirty t.cache (fun (inum, bkey) ->
+  Bcache.iter_dirty t.cache (fun key _ _ ->
+      let inum = Bcache.inum key in
       Hashtbl.replace owners inum ();
-      walk inum bkey);
+      walk inum (Bcache.bkey key));
   let indirect = Hashtbl.length ancestors in
   let ipb = Inode.per_block ~block_size:t.prm.block_size in
   Hashtbl.iter (fun inum () -> Hashtbl.replace owners inum ()) t.dirty_inodes;
@@ -511,25 +514,15 @@ let flush t =
        level's flush assigns addresses and dirties the parents that the
        next level picks up. *)
     for level = 0 to 3 do
-      let entries =
-        List.filter (fun ((_, bkey), _, _) -> Bkey.level bkey = level)
-          (Bcache.dirty_entries t.cache)
-      in
-      let entries =
-        List.sort (fun ((i1, b1), _, _) ((i2, b2), _, _) ->
-            match compare i1 i2 with 0 -> Bkey.compare b1 b2 | c -> c)
-          entries
-      in
-      List.iter
-        (fun ((inum, bkey), data, old_addr) ->
+      Bcache.iter_dirty_sorted t.cache ~level (fun key data old_addr ->
+          let inum = Bcache.inum key in
           let ino = try get_inode t inum with Not_found ->
             failwith (Printf.sprintf "Fs.flush: dirty block of missing inode %d" inum)
           in
-          let addr = stage_block t pref (File_block (inum, bkey)) data in
+          let addr = stage_block t pref (File_block key) data in
           if old_addr >= 0 then account t ~addr:old_addr (-bs);
           account t ~addr bs;
-          set_pointer t ino bkey addr)
-        entries
+          set_pointer t ino (Bcache.bkey key) addr)
     done;
     (* Inode blocks: pack dirty inodes (and zero-nlink corpses, which
        roll-forward uses to replay deletions) and point the inode map at

@@ -23,7 +23,7 @@ type op =
   | Invalidate_clean
   | Find of Bcache.key
 
-let show_key (i, b) = Format.asprintf "(%d,%a)" i Bkey.pp b
+let show_key k = Format.asprintf "(%d,%a)" (Bcache.inum k) Bkey.pp (Bcache.bkey k)
 
 let show_op = function
   | Put_clean (k, c) -> Printf.sprintf "put_clean %s %C" (show_key k) c
@@ -37,7 +37,7 @@ let show_op = function
 
 let gen_op =
   let open QCheck.Gen in
-  let key = map2 (fun i lbn -> (i, Bkey.Data lbn)) (int_range 1 2) (int_bound 3) in
+  let key = map2 (fun i lbn -> Bcache.key i (Bkey.Data lbn)) (int_range 1 2) (int_bound 3) in
   let content = map Char.chr (int_range 97 122) in
   frequency
     [
@@ -98,7 +98,7 @@ let run_ops ops =
         Hashtbl.remove model k
     | Drop_inum i ->
         Bcache.drop_inum cache i;
-        Hashtbl.filter_map_inplace (fun (i', _) v -> if i' = i then None else Some v) model
+        Hashtbl.filter_map_inplace (fun k v -> if Bcache.inum k = i then None else Some v) model
     | Invalidate_clean ->
         Bcache.invalidate_clean cache;
         Hashtbl.filter_map_inplace (fun _ ((_, dirty) as v) -> if dirty then Some v else None) model
@@ -130,7 +130,7 @@ let test_eviction_recycles () =
   let put i =
     let b = Bcache.take cache in
     Bytes.fill (Util.Bufpool.bytes b) 0 block 'x';
-    Bcache.put_clean_buf cache (i, Bkey.Data 0) ~addr:i ~crc:(-1) b;
+    Bcache.put_clean_buf cache (Bcache.key i (Bkey.Data 0)) ~addr:i ~crc:(-1) b;
     b
   in
   let first = put 1 in
@@ -139,8 +139,8 @@ let test_eviction_recycles () =
   check Alcotest.bool "the evicted entry's buffer is free" true (Util.Bufpool.is_free first);
   check Alcotest.bool "and is the next one taken" true (Bcache.take cache == first);
   Bcache.give cache first;
-  Bcache.put_dirty cache (9, Bkey.Data 0) (Bytes.make block 'f');
-  Bcache.drop cache (9, Bkey.Data 0);
+  Bcache.put_dirty cache (Bcache.key 9 (Bkey.Data 0)) (Bytes.make block 'f');
+  Bcache.drop cache (Bcache.key 9 (Bkey.Data 0));
   check Alcotest.int "caller-owned bytes stay out of the pool" 1
     (Util.Bufpool.free_count (Bcache.pool cache))
 

@@ -27,7 +27,7 @@ let bs = 4096
    bytes; a stale one is what the clearing paths exist to prevent. *)
 let carried fs ino bkey =
   let cache = Fs.bcache fs in
-  let key = (ino.Inode.inum, bkey) in
+  let key = Bcache.key ino.Inode.inum bkey in
   match Bcache.find cache key with
   | None -> Alcotest.failf "block of ino %d not cached" ino.Inode.inum
   | Some data -> (Bcache.crc cache key data, Util.Crc32.bytes data)
@@ -45,7 +45,7 @@ let check_known what fs ino bkey =
    sum, moves and re-homing keep it. *)
 let test_bcache_rules () =
   let cache = Bcache.create ~cap:8 ~block_size:bs in
-  let k = (7, Bkey.Data 0) and d = Bytes.make bs 'a' in
+  let k = Bcache.key 7 (Bkey.Data 0) and d = Bytes.make bs 'a' in
   Bcache.put_clean cache k ~addr:100 ~crc:1234 d;
   check Alcotest.int "read with a sum" 1234 (Bcache.crc cache k d);
   check Alcotest.int "other bytes carry nothing" (-1) (Bcache.crc cache k (Bytes.copy d));
@@ -63,7 +63,7 @@ let test_bcache_rules () =
   check Alcotest.int "put_dirty forgets" (-1) (Bcache.crc cache k d);
   Bcache.put_dirty cache k ~crc:55 d;
   check Alcotest.int "put_dirty with the written sum" 55 (Bcache.crc cache k d);
-  let k2 = (8, Bkey.Data 0) in
+  let k2 = Bcache.key 8 (Bkey.Data 0) in
   Bcache.put_clean cache k2 ~addr:400 d;
   check Alcotest.int "read without a sum" (-1) (Bcache.crc cache k2 d)
 
@@ -105,7 +105,7 @@ let test_get_block_for_write_forgets () =
   (* and on an entry that is already dirty but still carries a sum: the
      cleaner's move leaves exactly that state *)
   Fs.flush fs;
-  Bcache.mark_dirty (Fs.bcache fs) (ino.Inode.inum, Bkey.Data 3);
+  Bcache.mark_dirty (Fs.bcache fs) (Bcache.key ino.Inode.inum (Bkey.Data 3));
   let block = Fs.get_block_for_write fs ino (Bkey.Data 3) in
   Bytes.fill block 0 16 'y';
   check_sound "get_block_for_write on a moved entry" fs ino (Bkey.Data 3);

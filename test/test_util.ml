@@ -167,69 +167,6 @@ let test_crc32_summary_superblock () =
   let cblock = Superblock.serialize_checkpoint ~block_size:4096 cp in
   check Alcotest.bool "checkpoint round-trip" true (Superblock.deserialize_checkpoint cblock = Some cp)
 
-(* --- Lru --- *)
-
-let test_lru_basic () =
-  let l = Lru.create ~cap:2 () in
-  Lru.add l 1 "a";
-  Lru.add l 2 "b";
-  check Alcotest.(option string) "find 1" (Some "a") (Lru.find l 1);
-  Lru.add l 3 "c" (* evicts 2, since 1 was just promoted *);
-  check Alcotest.(option string) "2 gone" None (Lru.find l 2);
-  check Alcotest.(option string) "1 stays" (Some "a") (Lru.find l 1);
-  check Alcotest.int "len" 2 (Lru.length l)
-
-let test_lru_on_evict () =
-  let evicted = ref [] in
-  let l = Lru.create ~on_evict:(fun k v -> evicted := (k, v) :: !evicted) ~cap:1 () in
-  Lru.add l 1 "a";
-  Lru.add l 2 "b";
-  check Alcotest.(list (pair int string)) "evicted" [ (1, "a") ] !evicted
-
-let test_lru_replace () =
-  let l = Lru.create ~cap:2 () in
-  Lru.add l 1 "a";
-  Lru.add l 1 "a2";
-  check Alcotest.(option string) "replaced" (Some "a2") (Lru.find l 1);
-  check Alcotest.int "no dup" 1 (Lru.length l)
-
-let test_lru_peek_no_promote () =
-  let l = Lru.create ~cap:2 () in
-  Lru.add l 1 "a";
-  Lru.add l 2 "b";
-  ignore (Lru.peek l 1);
-  Lru.add l 3 "c";
-  (* 1 was peeked, not promoted, so it is still LRU and gets evicted *)
-  check Alcotest.(option string) "1 evicted" None (Lru.peek l 1);
-  check Alcotest.(option string) "2 stays" (Some "b") (Lru.peek l 2)
-
-let test_lru_pop_lru () =
-  let l = Lru.create ~cap:3 () in
-  Lru.add l 1 "a";
-  Lru.add l 2 "b";
-  Lru.add l 3 "c";
-  check Alcotest.(option (pair int string)) "pop" (Some (1, "a")) (Lru.pop_lru l);
-  check Alcotest.(option (pair int string)) "pop2" (Some (2, "b")) (Lru.pop_lru l);
-  check Alcotest.int "len" 1 (Lru.length l)
-
-let test_lru_iter_order () =
-  let l = Lru.create ~cap:4 () in
-  List.iter (fun k -> Lru.add l k (string_of_int k)) [ 1; 2; 3 ];
-  ignore (Lru.find l 1);
-  let order = ref [] in
-  Lru.iter (fun k _ -> order := k :: !order) l;
-  check Alcotest.(list int) "mru first" [ 1; 3; 2 ] (List.rev !order)
-
-let test_lru_remove_clear () =
-  let l = Lru.create ~cap:4 () in
-  List.iter (fun k -> Lru.add l k k) [ 1; 2; 3 ];
-  Lru.remove l 2;
-  check Alcotest.(option int) "removed" None (Lru.peek l 2);
-  check Alcotest.int "len" 2 (Lru.length l);
-  Lru.clear l;
-  check Alcotest.int "cleared" 0 (Lru.length l);
-  check Alcotest.(option (pair int int)) "pop empty" None (Lru.pop_lru l)
-
 (* --- Heap --- *)
 
 let test_heap_sorts () =
@@ -350,25 +287,6 @@ let prop_crc_fold_blocks =
       done;
       !folded = Crc32.bytes data)
 
-let prop_lru_never_exceeds_cap =
-  QCheck.Test.make ~name:"lru size bounded by capacity" ~count:200
-    QCheck.(pair (int_range 1 16) (list small_nat))
-    (fun (cap, ops) ->
-      let l = Lru.create ~cap () in
-      List.iter (fun k -> Lru.add l k k) ops;
-      Lru.length l <= cap)
-
-let prop_lru_find_after_add =
-  QCheck.Test.make ~name:"most recent add always findable" ~count:200
-    QCheck.(pair (int_range 1 16) (small_list small_nat))
-    (fun (cap, ops) ->
-      let l = Lru.create ~cap () in
-      List.for_all
-        (fun k ->
-          Lru.add l k (k * 2);
-          Lru.peek l k = Some (k * 2))
-        ops)
-
 let prop_heap_pop_sorted =
   QCheck.Test.make ~name:"heap pops in nondecreasing order" ~count:200
     QCheck.(list int)
@@ -440,7 +358,6 @@ let test_bufpool_long_free_list () =
 
 let props = [ prop_crc_detects_flip; prop_crc_matches_reference; prop_crc_combine_chains;
               prop_crc_fold_blocks;
-              prop_lru_never_exceeds_cap; prop_lru_find_after_add;
               prop_heap_pop_sorted; prop_rng_int_in_bounds ]
 
 let suite =
@@ -462,16 +379,6 @@ let suite =
         Alcotest.test_case "every short range" `Quick test_crc32_every_short_range;
         Alcotest.test_case "out-of-range view raises" `Quick test_crc32_out_of_range;
         Alcotest.test_case "summary and superblock sums" `Quick test_crc32_summary_superblock;
-      ] );
-    ( "util.lru",
-      [
-        Alcotest.test_case "basic eviction" `Quick test_lru_basic;
-        Alcotest.test_case "on_evict callback" `Quick test_lru_on_evict;
-        Alcotest.test_case "replace" `Quick test_lru_replace;
-        Alcotest.test_case "peek does not promote" `Quick test_lru_peek_no_promote;
-        Alcotest.test_case "pop_lru" `Quick test_lru_pop_lru;
-        Alcotest.test_case "iter order" `Quick test_lru_iter_order;
-        Alcotest.test_case "remove and clear" `Quick test_lru_remove_clear;
       ] );
     ( "util.heap",
       [
