@@ -23,9 +23,15 @@ let summary_sample () =
     inode_addrs = [ 700; 701 ];
   }
 
-let test_crc32 =
-  let block = Bytes.create 4096 in
-  Test.make ~name:"crc32 of a 4KB block" (Staged.stage (fun () -> Util.Crc32.bytes block))
+(* a block summary's worth, one 4 KB block, one 1 MB segment; each
+   case reports its throughput too *)
+let crc32_cases =
+  List.map
+    (fun (label, n) ->
+      let buf = Bytes.init n (fun i -> Char.chr (i land 0xff)) in
+      ( Test.make ~name:("crc32 of " ^ label) (Staged.stage (fun () -> Util.Crc32.bytes buf)),
+        Some n ))
+    [ ("64 B", 64); ("a 4KB block", 4096); ("a 1MB segment", 1 lsl 20) ]
 
 let test_summary_serialize =
   let sum = summary_sample () in
@@ -55,27 +61,27 @@ let test_stp_score =
          Policy.Stp.score Policy.Stp.default ~now:1000.0 ~atime:10.0 ~size:1048576))
 
 let benchmarks =
-  [
-    test_crc32;
-    test_summary_serialize;
-    test_summary_deserialize;
-    test_inode_pack;
-    test_zipf;
-    test_stp_score;
-  ]
+  crc32_cases
+  @ List.map
+      (fun t -> (t, None))
+      [ test_summary_serialize; test_summary_deserialize; test_inode_pack; test_zipf; test_stp_score ]
 
 let run () =
   print_endline "\n== Micro-benchmarks (real CPU time, Bechamel) ==";
+  Printf.printf "crc32 kernel: %s\n" Util.Crc32.kernel;
   let instances = Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ~kde:(Some 500) () in
   List.iter
-    (fun test ->
+    (fun (test, bytes) ->
       let results = Benchmark.all cfg instances test in
       let results = Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]) Instance.monotonic_clock results in
       Hashtbl.iter
         (fun name result ->
           match Analyze.OLS.estimates result with
-          | Some [ est ] -> Printf.printf "  %-32s %10.1f ns/op\n" name est
+          | Some [ est ] -> (
+              match bytes with
+              | Some n -> Printf.printf "  %-32s %10.1f ns/op %8.0f MB/s\n" name est (float n *. 1e3 /. est)
+              | None -> Printf.printf "  %-32s %10.1f ns/op\n" name est)
           | _ -> Printf.printf "  %-32s (no estimate)\n" name)
         results)
     benchmarks

@@ -80,7 +80,9 @@ let spawn t ?name f =
   and handler =
     {
       Effect.Deep.retc = ignore;
-      exnc = raise;
+      (* keep the raising frame: a plain [raise] would restart the
+         backtrace here, so every error would point at [spawn] *)
+      exnc = (fun e -> Printexc.raise_with_backtrace e (Printexc.get_raw_backtrace ()));
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
@@ -136,9 +138,10 @@ let step t =
            s.Eventq.act <- Eventq.Noop;
            Effect.Deep.continue k ()
      with e ->
+       let bt = Printexc.get_raw_backtrace () in
        t.running_pid <- -1;
        t.running_name <- "";
-       raise e);
+       Printexc.raise_with_backtrace e bt);
     t.running_pid <- -1;
     t.running_name <- ""
   end

@@ -7,6 +7,11 @@ val bytes : ?off:int -> ?len:int -> Bytes.t -> int
 
 val string : string -> int
 
+val kernel : string
+(** The register update in use, picked once from the CPU at start-up:
+    ["pclmul"] (carry-less multiply folding, x86-64) or ["table"]
+    (portable slicing-by-8). Both give the same sums. *)
+
 type shift
 (** Tables that append a second part of one fixed length. *)
 
@@ -19,3 +24,11 @@ val combine : shift -> int -> int -> int
     by [b], for [b] of length [n], without touching their bytes. Folding
     per-block sums from [0] (the sum of nothing) gives the sum of the
     blocks' concatenation. *)
+
+(**/**)
+
+module Private : sig
+  val table_bytes : ?off:int -> ?len:int -> Bytes.t -> int
+  (** {!bytes} on the portable table kernel, whatever {!kernel} is; for
+      tests that compare the two kernels. *)
+end

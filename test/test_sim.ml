@@ -13,6 +13,35 @@ let test_delay_advances_clock () =
   Engine.run e;
   check Alcotest.(list (float 1e-9)) "times" [ 4.0; 1.5 ] !seen
 
+exception Boom
+
+let[@inline never] raise_boom () = if Sys.opaque_identity true then raise Boom
+
+(* An error escaping a process keeps the frame that raised it, on the
+   first slice and on a resumed one, through [Engine.run]. *)
+let test_backtrace_survives_run () =
+  let was = Printexc.backtrace_status () in
+  Printexc.record_backtrace true;
+  Fun.protect ~finally:(fun () -> Printexc.record_backtrace was) @@ fun () ->
+  let frames_of body =
+    let e = Engine.create () in
+    Engine.spawn e body;
+    match Engine.run e with
+    | () -> Alcotest.fail "no exception escaped"
+    | exception Boom -> (
+        match Printexc.backtrace_slots (Printexc.get_raw_backtrace ()) with
+        | None -> []
+        | Some slots -> Array.to_list slots |> List.filter_map Printexc.Slot.name)
+  in
+  List.iter
+    (fun (label, body) ->
+      let frames = frames_of body in
+      check Alcotest.bool
+        (Printf.sprintf "%s: raise_boom in [%s]" label (String.concat "; " frames))
+        true
+        (List.exists (String.ends_with ~suffix:".raise_boom") frames))
+    [ ("first slice", raise_boom); ("after a delay", fun () -> Engine.delay 1.0; raise_boom ()) ]
+
 let test_zero_delay_and_order () =
   let e = Engine.create () in
   let order = ref [] in
@@ -367,6 +396,7 @@ let suite =
         Alcotest.test_case "suspend/wake" `Quick test_suspend_wake;
         Alcotest.test_case "double wake harmless" `Quick test_double_wake_harmless;
         Alcotest.test_case "blocked process count" `Quick test_blocked_processes;
+        Alcotest.test_case "errors keep their backtrace" `Quick test_backtrace_survives_run;
       ] );
     ( "sim.condvar",
       [

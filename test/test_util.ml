@@ -73,8 +73,8 @@ let test_crc32_range () =
   let b = Bytes.of_string "xxhelloyy" in
   check Alcotest.int "sub" (Crc32.string "hello") (Crc32.bytes ~off:2 ~len:5 b)
 
-(* The bytewise CRC-32 the library used to run, kept here as the oracle
-   for the slicing-by-8 implementation. *)
+(* The bytewise CRC-32 the library first ran, kept here as the oracle
+   for both C kernels. *)
 let crc32_reference b off len =
   let table =
     Array.init 256 (fun n ->
@@ -90,17 +90,37 @@ let crc32_reference b off len =
   done;
   !crc lxor 0xffffffff
 
+let pseudo_random_bytes n =
+  Bytes.init n (fun i -> Char.chr ((((i * 89) + 13) lxor (i lsr 7)) land 0xff))
+
 let test_crc32_every_short_range () =
-  (* every offset 0..8 and every length 0..40: all the tail shapes
-     around and between 8-byte steps *)
-  let b = Bytes.init 64 (fun i -> Char.chr (((i * 89) + 13) land 0xff)) in
-  for off = 0 to 8 do
-    for len = 0 to 40 do
-      check Alcotest.int
-        (Printf.sprintf "off %d len %d" off len)
-        (crc32_reference b off len) (Crc32.bytes ~off ~len b)
+  (* every offset 0..15 and every length 0..300: the 64-byte fold entry,
+     each count of 16-byte folds after it, every tail the table kernel
+     finishes, and the short ranges it runs alone *)
+  let b = pseudo_random_bytes 320 in
+  for off = 0 to 15 do
+    for len = 0 to 300 do
+      let want = crc32_reference b off len in
+      let label = Printf.sprintf "off %d len %d" off len in
+      check Alcotest.int label want (Crc32.bytes ~off ~len b);
+      check Alcotest.int ("table " ^ label) want (Crc32.Private.table_bytes ~off ~len b)
     done
   done
+
+let test_crc32_kernels_agree () =
+  (* the portable kernel against the one in use (the fast one on a CPU
+     with PCLMULQDQ) on long ranges, up to a whole 1 MB segment *)
+  check Alcotest.bool "known kernel" true (List.mem Crc32.kernel [ "pclmul"; "table" ]);
+  let b = pseudo_random_bytes ((1 lsl 20) + 16) in
+  List.iter
+    (fun len ->
+      for off = 0 to 15 do
+        let label = Printf.sprintf "off %d len %d" off len in
+        check Alcotest.int label (Crc32.Private.table_bytes ~off ~len b) (Crc32.bytes ~off ~len b)
+      done)
+    [ 1023; 4096; 4097; 4111; 4160; 65535; 1 lsl 20 ];
+  check Alcotest.int "a segment against the bytewise reference"
+    (crc32_reference b 3 (1 lsl 20)) (Crc32.bytes ~off:3 ~len:(1 lsl 20) b)
 
 let test_crc32_out_of_range () =
   let b = Bytes.make 16 'a' in
@@ -255,6 +275,16 @@ let prop_crc_matches_reference =
       let len = if n - off = 0 then 0 else c mod (n - off + 1) in
       Crc32.bytes ~off ~len b = crc32_reference b off len)
 
+let prop_crc_kernel_matches_reference =
+  QCheck.Test.make ~name:"crc32 kernels match the bytewise reference up to 9000 bytes"
+    ~count:300
+    QCheck.(triple (int_bound 9_000) (int_bound 15) int)
+    (fun (len, off, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let b = Bytes.init (off + len) (fun _ -> Char.chr (Random.State.int rng 256)) in
+      let want = crc32_reference b off len in
+      Crc32.bytes ~off ~len b = want && Crc32.Private.table_bytes ~off ~len b = want)
+
 let prop_crc_combine_chains =
   QCheck.Test.make ~name:"crc32 combine over pieces equals one pass" ~count:300
     QCheck.(pair (string_of_size Gen.(0 -- 200)) (small_list small_nat))
@@ -356,7 +386,8 @@ let test_bufpool_long_free_list () =
     (fun () -> Bufpool.give p (Bufpool.take (Bufpool.create 128)));
   check Alcotest.int "nothing added" 1999 (Bufpool.free_count p)
 
-let props = [ prop_crc_detects_flip; prop_crc_matches_reference; prop_crc_combine_chains;
+let props = [ prop_crc_detects_flip; prop_crc_matches_reference; prop_crc_kernel_matches_reference;
+              prop_crc_combine_chains;
               prop_crc_fold_blocks;
               prop_heap_pop_sorted; prop_rng_int_in_bounds ]
 
@@ -377,6 +408,7 @@ let suite =
         Alcotest.test_case "combine" `Quick test_crc32_combine;
         Alcotest.test_case "byte range" `Quick test_crc32_range;
         Alcotest.test_case "every short range" `Quick test_crc32_every_short_range;
+        Alcotest.test_case "table and fast kernels agree" `Quick test_crc32_kernels_agree;
         Alcotest.test_case "out-of-range view raises" `Quick test_crc32_out_of_range;
         Alcotest.test_case "summary and superblock sums" `Quick test_crc32_summary_superblock;
       ] );
