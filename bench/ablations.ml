@@ -345,7 +345,9 @@ let rearrange_variant ~rearrange =
           ignore (Highlight.Migrator.migrate_paths st [ path ]))
         [ ("/landsat", 'L'); ("/avhrr", 'A') ];
       let rearranger = Policy.Rearrange.create ~window:10_000.0 ~min_group:4 st in
-      if rearrange then Policy.Rearrange.install rearranger;
+      let _stop_observing =
+        if rearrange then Policy.Rearrange.install rearranger else ignore
+      in
       let analyse () =
         (* joint analysis: alternating chunks of both sets *)
         for chunk = 0 to 3 do

@@ -25,7 +25,7 @@ let () =
 
       (* attach the block-range tracker to the access stream *)
       let tracker = Policy.Block_range.create ~max_records_per_file:256 () in
-      Policy.Block_range.attach tracker ~block_size:prm.Param.block_size hl;
+      let _detach = Policy.Block_range.attach tracker ~block_size:prm.Param.block_size hl in
 
       (* a 16 MB relation of 4 KB pages *)
       let npages = 4096 in

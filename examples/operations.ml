@@ -65,10 +65,12 @@ let () =
       | None -> print_endline "  nothing worth cleaning");
 
       print_endline "\n== 5. a user touches an archived project; the agent says hold on ==";
-      Highlight.Hl.set_fetch_notifier hl (function
-        | Highlight.Hl.Fetch_started _ ->
-            print_endline "  [agent] hold on: your data is coming from the jukebox"
-        | Highlight.Hl.Fetch_completed _ -> ());
+      let stop_agent =
+        Highlight.State.subscribe st (function
+          | Highlight.State.Fetch_started _ ->
+              print_endline "  [agent] hold on: your data is coming from the jukebox"
+          | _ -> ())
+      in
       Highlight.Hl.eject_tertiary_copies hl ~paths:[ "/project1" ];
       Bcache.invalidate_clean (Fs.bcache fs);
       let t0 = Sim.Engine.now engine in
@@ -81,5 +83,6 @@ let () =
       (match Highlight.Hl.check hl with
       | [] -> print_endline "invariants: ok"
       | probs -> List.iter print_endline probs);
+      stop_agent ();
       Highlight.Hl.unmount hl);
   Sim.Engine.run engine

@@ -39,12 +39,15 @@ let () =
       Bcache.invalidate_clean (Fs.bcache fs);
 
       (* the paper's s10 notification agent: tell the user to hold on *)
-      Highlight.Hl.set_fetch_notifier hl (function
-        | Highlight.Hl.Fetch_started tindex ->
-            Printf.printf "  [agent] hold on: fetching tertiary segment %d from the jukebox...\n"
-              tindex
-        | Highlight.Hl.Fetch_completed tindex ->
-            Printf.printf "  [agent] segment %d is on disk, continuing\n" tindex);
+      let stop_agent =
+        Highlight.State.subscribe (Highlight.Hl.state hl) (function
+          | Highlight.State.Fetch_started tindex ->
+              Printf.printf
+                "  [agent] hold on: fetching tertiary segment %d from the jukebox...\n" tindex
+          | Highlight.State.Fetch_landed tindex ->
+              Printf.printf "  [agent] segment %d is on disk, continuing\n" tindex
+          | _ -> ())
+      in
 
       let t0 = Sim.Engine.now engine in
       let back = Highlight.Hl.read_file hl "/data/results.bin" () in
@@ -65,5 +68,6 @@ let () =
         (s.Highlight.Hl.tertiary_live_bytes / 1024);
       print_newline ();
       print_string (Highlight.Hl_debug.render_hierarchy hl);
+      stop_agent ();
       Highlight.Hl.unmount hl);
   Sim.Engine.run engine

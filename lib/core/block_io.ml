@@ -28,21 +28,6 @@ let retried st ~what f =
 let raw_write_cache_line st ~disk_seg data =
   st.disk.Lfs.Dev.write ~blk:(disk_seg_base st disk_seg) ~data
 
-(* A demand use of a line a readahead hint staged in: score the
-   prefetch as accurate and hand the outcome to the adaptive policy. *)
-let note_prefetch_used st line =
-  if line.Seg_cache.prefetched then begin
-    line.Seg_cache.prefetched <- false;
-    if line.Seg_cache.idle_hint then
-      (* idle-daemon speculation pays off quietly: scored under idle.*,
-         never fed to the adaptive readahead policy *)
-      Sim.Metrics.incr (Sim.Metrics.counter st.metrics "idle.used")
-    else begin
-      Sim.Metrics.incr (Sim.Metrics.counter st.metrics "prefetch.used");
-      st.on_prefetch_used line.Seg_cache.tindex
-    end
-  end
-
 (* Copy blocks [off, off+count) of a line's fetch image into [dst]. *)
 let blit_image st image ~off ~count ~dst ~dst_off =
   let bs = st.disk.Lfs.Dev.block_size in
@@ -105,7 +90,7 @@ let rec tertiary_read st ~blk ~count ~dst ~dst_off =
            served from memory, no tertiary traffic *)
         Sim.Metrics.incr (Sim.Metrics.counter st.metrics "cache.hits");
         Sim.Metrics.incr (Sim.Metrics.counter st.metrics "cache.partial_serves");
-        note_prefetch_used st line;
+        score_prefetch st line `Used;
         if Obs.Decision.enabled () then
           Obs.Decision.note_segment_access ~now:(Sim.Engine.now st.engine) ~miss:false tindex;
         Seg_cache.touch st.cache line ~now:(Sim.Engine.now st.engine);
@@ -127,9 +112,11 @@ let rec tertiary_read st ~blk ~count ~dst ~dst_off =
         Sim.Metrics.incr
           ~by:(seg_blocks st - line.Seg_cache.valid_blocks)
           (Sim.Metrics.counter st.metrics "cache.tail_refetch_blocks");
+        (* demanding a prefetch's Partial remnant is its use *)
+        score_prefetch st line `Used;
         if Obs.Decision.enabled () then
           Obs.Decision.note_segment_access ~now:(Sim.Engine.now st.engine) ~miss:true tindex;
-        st.on_fetch_start tindex;
+        emit st (Fetch_started tindex);
         line.Seg_cache.failed <- None;
         line.Seg_cache.state <- Seg_cache.Fetching;
         line.Seg_cache.span_id <-
@@ -151,7 +138,7 @@ let rec tertiary_read st ~blk ~count ~dst ~dst_off =
   | Some line when line.Seg_cache.state = Seg_cache.Fetching -> (
       (* somebody else's fetch is in flight: ride along (a hint line
          demanded while still in flight is an accurate prefetch) *)
-      note_prefetch_used st line;
+      score_prefetch st line `Used;
       if Obs.Decision.enabled () then
         Obs.Decision.note_segment_access ~now:(Sim.Engine.now st.engine) ~miss:false tindex;
       if
@@ -161,7 +148,7 @@ let rec tertiary_read st ~blk ~count ~dst ~dst_off =
       then tertiary_read st ~blk ~count ~dst ~dst_off)
   | Some line ->
       Sim.Metrics.incr (Sim.Metrics.counter st.metrics "cache.hits");
-      note_prefetch_used st line;
+      score_prefetch st line `Used;
       if Obs.Decision.enabled () then
         Obs.Decision.note_segment_access ~now:(Sim.Engine.now st.engine) ~miss:false tindex;
       Seg_cache.pin line;
@@ -184,7 +171,7 @@ let rec tertiary_read st ~blk ~count ~dst ~dst_off =
       if Obs.Decision.enabled () then
         Obs.Decision.note_segment_access ~now:(Sim.Engine.now st.engine) ~miss:true tindex;
       (* tell the notification agent the caller is in for a wait *)
-      st.on_fetch_start tindex;
+      emit st (Fetch_started tindex);
       let line =
         Seg_cache.insert st.cache ~tindex ~disk_seg:(-1) ~state:Seg_cache.Fetching
           ~now:(Sim.Engine.now st.engine)

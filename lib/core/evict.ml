@@ -10,17 +10,7 @@ let eject st line =
       invalid_arg "Evict.eject: line not evictable");
   Hl_log.Log.debug (fun m ->
       m "eject cache line: tseg %d (disk seg %d)" line.Seg_cache.tindex line.Seg_cache.disk_seg);
-  if line.Seg_cache.prefetched then begin
-    if line.Seg_cache.idle_hint then
-      (* idle-daemon speculation is scored on its own: it must never
-         drag down the adaptive readahead's accuracy *)
-      Sim.Metrics.incr (Sim.Metrics.counter st.metrics "idle.evicted_unused")
-    else begin
-      (* the hint never paid off: the readahead policy hears about it *)
-      Sim.Metrics.incr (Sim.Metrics.counter st.metrics "prefetch.evicted_unused");
-      st.on_prefetch_wasted line.Seg_cache.tindex
-    end
-  end;
+  score_prefetch st line `Evicted;
   let image = line.Seg_cache.image in
   Seg_cache.remove st.cache line;
   (* nothing serves from an evicted line's image any more *)

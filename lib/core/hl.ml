@@ -4,7 +4,7 @@ type t = {
   st : State.t;
   fsys : Fs.t;
   shutdown : unit -> unit;
-  mutable observer : inum:int -> off:int -> len:int -> write:bool -> unit;
+  mutable readahead_sub : unit -> unit;  (* ends the adaptive policy's scoring *)
 }
 
 let fs t = t.fsys
@@ -86,7 +86,7 @@ let mkfs engine prm ~disk ~fp ?cache_segs ?(cache_policy = Seg_cache.Lru)
   Segusage.mark_all_dirty st.State.tseg;
   Fs.checkpoint fsys;
   let shutdown = Service.spawn st ~io_mode in
-  { st; fsys; shutdown; observer = (fun ~inum:_ ~off:_ ~len:_ ~write:_ -> ()) }
+  { st; fsys; shutdown; readahead_sub = ignore }
 
 let mount engine ~disk ~fp ?cpu ?bcache_blocks ?(cache_policy = Seg_cache.Lru)
     ?(io_mode = State.Pipelined) () =
@@ -134,7 +134,7 @@ let mount engine ~disk ~fp ?cpu ?bcache_blocks ?(cache_policy = Seg_cache.Lru)
           (Seg_cache.insert st.State.cache ~tindex:e.Segusage.cache_tag ~disk_seg:seg
              ~state:Seg_cache.Resident ~now:(Sim.Engine.now engine)));
   let shutdown = Service.spawn st ~io_mode in
-  { st; fsys; shutdown; observer = (fun ~inum:_ ~off:_ ~len:_ ~write:_ -> ()) }
+  { st; fsys; shutdown; readahead_sub = ignore }
 
 let grow_disk t ~added_segs ?new_disk () =
   let prm = Fs.param t.fsys in
@@ -159,39 +159,41 @@ let unmount t =
   Fs.unmount t.fsys;
   t.shutdown ()
 
-let set_prefetch_sequential t ~depth =
+(* Installing a prefetch policy retires the previous one, including
+   the adaptive policy's scoring subscription. *)
+let set_prefetch_hints t f =
+  t.readahead_sub ();
+  t.readahead_sub <- ignore;
+  t.st.State.prefetch <- f
+
+(* stay within the same volume: crossing volumes means a swap *)
+let same_volume t tindex hints =
   let spv = Addr_space.segs_per_volume t.st.State.aspace in
-  t.st.State.prefetch <-
-    (fun tindex ->
-      (* stay within the same volume: crossing volumes means a swap *)
-      List.init depth (fun i -> tindex + i + 1)
-      |> List.filter (fun x -> x / spv = tindex / spv))
+  List.filter (fun x -> x / spv = tindex / spv) hints
+
+let set_prefetch_sequential t ~depth =
+  set_prefetch_hints t (fun tindex ->
+      same_volume t tindex (List.init depth (fun i -> tindex + i + 1)))
 
 let set_prefetch_adaptive t ?min_depth ?max_depth () =
   let ra = Readahead.create ?min_depth ?max_depth () in
-  let spv = Addr_space.segs_per_volume t.st.State.aspace in
   let depth_gauge = Sim.Metrics.gauge t.st.State.metrics "prefetch.depth" in
-  Sim.Metrics.set depth_gauge (float_of_int (Readahead.depth ra));
-  t.st.State.prefetch <-
-    (fun tindex ->
-      let hs =
-        Readahead.hints ra ~tindex
-        (* stay within the same volume: crossing volumes means a swap *)
-        |> List.filter (fun x -> x / spv = tindex / spv)
-      in
-      Sim.Metrics.set depth_gauge (float_of_int (Readahead.depth ra));
+  let publish () = Sim.Metrics.set depth_gauge (float_of_int (Readahead.depth ra)) in
+  publish ();
+  set_prefetch_hints t (fun tindex ->
+      let hs = same_volume t tindex (Readahead.hints ra ~tindex) in
+      publish ();
       hs);
-  t.st.State.on_prefetch_used <-
-    (fun _ ->
-      Readahead.note_used ra;
-      Sim.Metrics.set depth_gauge (float_of_int (Readahead.depth ra)));
-  t.st.State.on_prefetch_wasted <-
-    (fun _ ->
-      Readahead.note_wasted ra;
-      Sim.Metrics.set depth_gauge (float_of_int (Readahead.depth ra)));
+  t.readahead_sub <-
+    State.subscribe t.st (function
+      | State.Prefetch_used _ ->
+          Readahead.note_used ra;
+          publish ()
+      | State.Prefetch_wasted _ ->
+          Readahead.note_wasted ra;
+          publish ()
+      | _ -> ());
   ra
-
-let set_prefetch_hints t f = t.st.State.prefetch <- f
 
 let set_streaming_fetch t flag = t.st.State.streaming_fetch <- flag
 let set_streaming_writeout t flag = t.st.State.streaming_writeout <- flag
@@ -231,17 +233,11 @@ let eject_tertiary_copies t ~paths =
           end)
     paths
 
-type fetch_event = Fetch_started of int | Fetch_completed of int
-
-let set_fetch_notifier t f =
-  t.st.State.on_fetch_start <- (fun tindex -> f (Fetch_started tindex));
-  let previous = t.st.State.on_fetch in
-  t.st.State.on_fetch <-
-    (fun tindex ->
-      previous tindex;
-      f (Fetch_completed tindex))
-
-let set_access_observer t f = t.observer <- f
+(* the event is built only while somebody listens *)
+let access t ~inum ~off ~len ~write =
+  match t.st.State.subscribers with
+  | [] -> ()
+  | _ -> State.emit t.st (State.File_access { inum; off; len; write })
 
 let write_file t path ?(off = 0) data =
   let ino =
@@ -249,13 +245,13 @@ let write_file t path ?(off = 0) data =
     | Some ino -> ino
     | None -> Dir.create_file t.fsys path
   in
-  t.observer ~inum:ino.Inode.inum ~off ~len:(Bytes.length data) ~write:true;
+  access t ~inum:ino.Inode.inum ~off ~len:(Bytes.length data) ~write:true;
   File.write t.fsys ino ~off data
 
 let read_file t path ?(off = 0) ?len () =
   let ino = Dir.namei t.fsys path in
   let len = Option.value len ~default:(ino.Inode.size - off) in
-  t.observer ~inum:ino.Inode.inum ~off ~len ~write:false;
+  access t ~inum:ino.Inode.inum ~off ~len ~write:false;
   File.read t.fsys ino ~off ~len
 
 type stats = {

@@ -89,7 +89,8 @@ val set_prefetch_adaptive : t -> ?min_depth:int -> ?max_depth:int -> unit -> Rea
     {!Readahead}): hints stay within the demanded volume, depth is
     exported as the ["prefetch.depth"] gauge, and every prefetched
     line's fate (demanded vs. dropped / evicted unused) feeds back into
-    the depth. Returns the detector for direct inspection. *)
+    the depth, through a subscription the next prefetch policy installed
+    cancels. Returns the detector for direct inspection. *)
 
 val set_prefetch_hints : t -> (int -> int list) -> unit
 (** Arbitrary prefetch policy: given a fetched tindex, more to load. *)
@@ -120,19 +121,11 @@ val eject_tertiary_copies : t -> paths:string list -> unit
 (** Drops the cached copies of the tertiary segments holding these
     files' blocks (benchmark support: force future reads to fetch). *)
 
-type fetch_event = Fetch_started of int | Fetch_completed of int
-
-val set_fetch_notifier : t -> (fetch_event -> unit) -> unit
-(** The user-notification agent of paper §10: invoked when a process is
-    about to block on a tertiary access ("hold on") and when the fetch
-    completes. Composes with any prefetch hints already installed. *)
-
 (** {1 Convenience I/O}
 
-    Thin wrappers over {!Lfs.File} that also feed an access observer
-    (used by the block-range migration policy, paper §5.2). *)
+    Thin wrappers over {!Lfs.File} that also emit a {!State.File_access}
+    event while anything is subscribed ({!State.subscribe}). *)
 
-val set_access_observer : t -> (inum:int -> off:int -> len:int -> write:bool -> unit) -> unit
 val write_file : t -> string -> ?off:int -> Bytes.t -> unit
 val read_file : t -> string -> ?off:int -> ?len:int -> unit -> Bytes.t
 

@@ -55,7 +55,7 @@ type t = {
          last_use and the line is still in the directory — stale
          entries are discarded as they surface. Keeps Lru
          [choose_victim] amortised O(log n) instead of a full scan. *)
-  mutable on_free : unit -> unit;
+  freed : Sim.Condvar.t;
 }
 
 let create ?(policy = Lru) ?(seed = 1993) ~max_lines () =
@@ -71,10 +71,10 @@ let create ?(policy = Lru) ?(seed = 1993) ~max_lines () =
       Util.Heap.create ~capacity:(2 * max_lines)
         ~cmp:(fun (a, _) (b, _) -> Float.compare a b)
         ();
-    on_free = (fun () -> ());
+    freed = Sim.Condvar.create ();
   }
 
-let set_on_free t f = t.on_free <- f
+let freed t = t.freed
 
 let policy t = t.pol
 let set_policy t p = t.pol <- p
@@ -135,7 +135,7 @@ let pin line = line.pins <- line.pins + 1
 let unpin t line =
   if line.pins <= 0 then invalid_arg "Seg_cache.unpin: not pinned";
   line.pins <- line.pins - 1;
-  if line.pins = 0 then t.on_free ()
+  if line.pins = 0 then Sim.Condvar.broadcast t.freed
 
 let evictable line =
   line.pins = 0
@@ -217,6 +217,6 @@ let retag t line tindex =
 let remove t line =
   Hashtbl.remove t.table line.tindex;
   line.image <- None;
-  t.on_free ()
+  Sim.Condvar.broadcast t.freed
 let iter t f = Hashtbl.iter (fun _ l -> f l) t.table
 let lines t = Hashtbl.fold (fun _ l acc -> l :: acc) t.table []

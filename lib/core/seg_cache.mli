@@ -106,12 +106,12 @@ val touch : t -> line -> now:float -> unit
 val pin : line -> unit
 
 val unpin : t -> line -> unit
-(** Dropping the last pin fires the [on_free] callback. *)
+(** Dropping the last pin broadcasts {!freed}. *)
 
-val set_on_free : t -> (unit -> unit) -> unit
-(** Callback invoked whenever a line leaves the directory or loses its
-    last pin — i.e. whenever an allocation waiter may now succeed. The
-    service layer routes this to {!State.t.cache_progress}. *)
+val freed : t -> Sim.Condvar.t
+(** Broadcast whenever a line leaves the directory or loses its last
+    pin — i.e. whenever an allocation waiter may now succeed. It is the
+    instance's {!State.t.cache_progress}. *)
 
 val evictable : line -> bool
 (** Unpinned and Resident / Staged_clean / Partial — a legal eviction

@@ -208,10 +208,6 @@ let fail_fetch st line msg =
   line.Seg_cache.span_id <- -1;
   Sim.Ledger.close line.Seg_cache.ledger;
   line.Seg_cache.ledger <- Sim.Ledger.none;
-  if line.Seg_cache.prefetched then
-    if line.Seg_cache.idle_hint then
-      Sim.Metrics.incr (Sim.Metrics.counter st.metrics "idle.evicted_unused")
-    else st.on_prefetch_wasted line.Seg_cache.tindex;
   if line.Seg_cache.disk_seg >= 0 then
     Lfs.Fs.release_segment (fs st) line.Seg_cache.disk_seg;
   if
@@ -219,11 +215,14 @@ let fail_fetch st line msg =
     && line.Seg_cache.state = Seg_cache.Fetching
     && not st.stop_service
   then begin
+    (* a prefetched Partial line is scored later, when it is used,
+       dropped or evicted *)
     line.Seg_cache.disk_seg <- -1;
     line.Seg_cache.state <- Seg_cache.Partial;
     Sim.Metrics.incr (Sim.Metrics.counter st.metrics "cache.partial_lines")
   end
   else begin
+    score_prefetch st line `Failed;
     let prefix = line.Seg_cache.image in
     Seg_cache.remove st.cache line;
     (* [remove] detaches the image; re-attach it to the directory-less
@@ -380,7 +379,7 @@ let fetch_write st ctx image =
       Sim.Condvar.broadcast line.Seg_cache.ready;
       (* the line is evictable now: wake allocation waiters *)
       note_progress st;
-      st.on_fetch line.Seg_cache.tindex
+      emit st (Fetch_landed line.Seg_cache.tindex)
 
 (* ---------- write-out ---------- *)
 
@@ -439,7 +438,7 @@ let writeout_done st ctx =
   line.Seg_cache.span_id <- -1;
   Sim.Ledger.close line.Seg_cache.ledger;
   line.Seg_cache.ledger <- Sim.Ledger.none;
-  st.on_writeout line.Seg_cache.tindex;
+  emit st (Writeout_done line.Seg_cache.tindex);
   note_progress st;
   Sim.Condvar.broadcast ctx.w_done
 
@@ -483,7 +482,9 @@ let writeout_write st ctx =
                       if Obs.Health.enabled () then
                         Obs.Health.worker_beat (Sim.Engine.current_name st.engine);
                       line.Seg_cache.media_blocks <- off + blocks;
-                      st.on_writeout_chunk line.Seg_cache.tindex (off + blocks)))))
+                      emit st
+                        (Writeout_chunk
+                           { tindex = line.Seg_cache.tindex; written = off + blocks })))))
     with
     | exception Stream_aborted msg -> Error msg
     | Error _ as e -> e
@@ -595,12 +596,7 @@ let drop_hint st line =
   line.Seg_cache.ledger <- Sim.Ledger.none;
   if line.Seg_cache.disk_seg >= 0 then Lfs.Fs.release_segment (fs st) line.Seg_cache.disk_seg;
   Seg_cache.remove st.cache line;
-  if line.Seg_cache.idle_hint then
-    Sim.Metrics.incr (Sim.Metrics.counter st.metrics "idle.preempted")
-  else begin
-    Sim.Metrics.incr (Sim.Metrics.counter st.metrics "prefetch.dropped");
-    if line.Seg_cache.prefetched then st.on_prefetch_wasted line.Seg_cache.tindex
-  end;
+  score_prefetch st line `Dropped;
   Sim.Condvar.broadcast line.Seg_cache.ready
 
 (* Idle-readahead preemption: demand or write-out work arriving kicks

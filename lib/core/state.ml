@@ -32,6 +32,19 @@ type staged_entry =
   | Staged_block of { sb_inum : int; sb_bkey : Lfs.Bkey.t; sb_taddr : int }
   | Staged_inode_block of { si_taddr : int; si_inums : int list }
 
+type event =
+  | Fetch_started of int
+  | Fetch_landed of int
+  | Writeout_done of int
+  | Writeout_chunk of { tindex : int; written : int }
+  | Prefetch_used of int
+  | Prefetch_wasted of int
+  | File_access of { inum : int; off : int; len : int; write : bool }
+
+(* boxed so that unsubscribing removes this subscription even when the
+   same closure is subscribed twice *)
+type subscriber = { deliver : event -> unit }
+
 type t = {
   engine : Sim.Engine.t;
   metrics : Sim.Metrics.t;
@@ -48,36 +61,15 @@ type t = {
   mutable streaming_fetch : bool;
   mutable streaming_writeout : bool;
   mutable idle_readahead : bool;
-      (** when a tertiary worker goes idle, prefetch warm segments off
-          the currently loaded volumes (cost-aware: never triggers a
-          swap); queued idle prefetches are cancelled the moment demand
-          or write-out work arrives *)
   mutable stream_chunk_blocks : int;
   wo : busy;
-  mutable on_prefetch_used : int -> unit;
-  mutable on_prefetch_wasted : int -> unit;
   image_fifo : Seg_cache.line Queue.t;
-      (** fetched lines whose in-memory segment buffer is still attached
-          (FIFO of bounded depth — the "double buffers") *)
   cache_progress : Sim.Condvar.t;
   mutable stop_service : bool;
   mutable prefetch : int -> int list;
-  mutable on_fetch_start : int -> unit;
-  mutable on_fetch : int -> unit;
-      (** observation hook: a demand fetch of this tindex completed *)
-  mutable on_writeout : int -> unit;
-      (** observation hook: a write-out of this tindex reached tertiary
-          storage (the crash-recovery harness snapshots here) *)
-  mutable on_writeout_chunk : int -> int -> unit;
-      (** observation hook: [on_writeout_chunk tindex written] — a
-          write-out's written prefix advanced to [written] blocks *)
+  mutable subscribers : subscriber list;
   heat : Obs.Heat.t;
-      (** per-tertiary-segment access temperature (half-life decay),
-          touched on every tertiary read — the idle-readahead daemon's
-          warmth signal *)
   idle_kick : Sim.Condvar.t;
-      (** poked whenever a tertiary worker runs out of work; the
-          idle-readahead daemon sleeps here *)
   mutable avoid_volume : int option;
   mutable restrict_volume : int option;
   retry : retry_policy;
@@ -86,7 +78,6 @@ type t = {
 exception Tertiary_full
 
 let create ~engine ~aspace ~disk ~fp ~cache =
-  let st =
   {
     engine;
     metrics = Sim.Metrics.create ();
@@ -107,28 +98,20 @@ let create ~engine ~aspace ~disk ~fp ~cache =
     idle_readahead = false;
     stream_chunk_blocks = 16;
     wo = busy ();
-    on_prefetch_used = (fun _ -> ());
-    on_prefetch_wasted = (fun _ -> ());
     image_fifo = Queue.create ();
-    cache_progress = Sim.Condvar.create ();
+    (* a pin release or a directory removal can turn a failed
+       cache-line allocation into a successful one: the allocators
+       sleep on the cache's own condition variable *)
+    cache_progress = Seg_cache.freed cache;
     stop_service = false;
     prefetch = (fun _ -> []);
-    on_fetch_start = (fun _ -> ());
-    on_fetch = (fun _ -> ());
-    on_writeout = (fun _ -> ());
-    on_writeout_chunk = (fun _ _ -> ());
+    subscribers = [];
     heat = Obs.Heat.create ();
     idle_kick = Sim.Condvar.create ();
     avoid_volume = None;
     restrict_volume = None;
     retry = default_retry_policy ();
   }
-  in
-  (* a pin release or a directory removal can turn a failed cache-line
-     allocation into a successful one: route those events to the same
-     condition variable the allocators sleep on *)
-  Seg_cache.set_on_free cache (fun () -> Sim.Condvar.broadcast st.cache_progress);
-  st
 
 (* Every enqueue also kicks [cache_progress]: the service loop may be
    sleeping there (waiting for a line to free up) rather than in
@@ -144,6 +127,41 @@ let submit t req =
   | Progress -> ());
   Sim.Mailbox.send t.service_mb req;
   Sim.Condvar.broadcast t.cache_progress
+
+let subscribe t f =
+  let sub = { deliver = f } in
+  t.subscribers <- t.subscribers @ [ sub ];
+  fun () -> t.subscribers <- List.filter (fun s -> s != sub) t.subscribers
+
+(* no closure allocated while nobody listens *)
+let emit t ev =
+  match t.subscribers with [] -> () | subs -> List.iter (fun s -> s.deliver ev) subs
+
+let count t name = Sim.Metrics.incr (Sim.Metrics.counter t.metrics name)
+
+(* Idle-daemon speculation is scored under idle.* only: it must never
+   move the adaptive readahead's depth. Clearing [prefetched] makes the
+   first fate the only one scored. *)
+let score_prefetch t line (fate : [ `Used | `Dropped | `Evicted | `Failed ]) =
+  let idle = line.Seg_cache.idle_hint in
+  (* a withdrawn hint counts as withdrawn even when a reader that rode
+     along on it already scored it used *)
+  if fate = `Dropped then count t (if idle then "idle.preempted" else "prefetch.dropped");
+  if line.Seg_cache.prefetched then begin
+    line.Seg_cache.prefetched <- false;
+    let tindex = line.Seg_cache.tindex in
+    match (fate, idle) with
+    | `Used, true -> count t "idle.used"
+    | `Used, false ->
+        count t "prefetch.used";
+        emit t (Prefetch_used tindex)
+    | (`Evicted | `Failed), true -> count t "idle.evicted_unused"
+    | `Evicted, false ->
+        count t "prefetch.evicted_unused";
+        emit t (Prefetch_wasted tindex)
+    | (`Dropped | `Failed), false -> emit t (Prefetch_wasted tindex)
+    | `Dropped, true -> ()
+  end
 
 let note_progress t = Sim.Condvar.broadcast t.cache_progress
 

@@ -68,6 +68,21 @@ type staged_entry =
   | Staged_block of { sb_inum : int; sb_bkey : Lfs.Bkey.t; sb_taddr : int }
   | Staged_inode_block of { si_taddr : int; si_inums : int list }
 
+(** The instance's event stream (DESIGN.md "Instance events"); each
+    [int] is a tindex. Per instance, not per engine: a second {!Hl}
+    mounted on the same engine hears only its own. *)
+type event =
+  | Fetch_started of int  (** a reader is about to wait on a fetch: §10's "hold on" *)
+  | Fetch_landed of int  (** a fetch reached the cache disk, prefetches included *)
+  | Writeout_done of int  (** a write-out reached tertiary storage *)
+  | Writeout_chunk of { tindex : int; written : int }  (** media prefix now [written] blocks *)
+  | Prefetch_used of int  (** a readahead hint was demanded (idle hints never emit) *)
+  | Prefetch_wasted of int  (** a readahead hint left the cache undemanded *)
+  | File_access of { inum : int; off : int; len : int; write : bool }
+      (** an {!Hl.read_file} / {!Hl.write_file} call *)
+
+type subscriber
+
 type t = {
   engine : Sim.Engine.t;
   metrics : Sim.Metrics.t;
@@ -112,34 +127,18 @@ type t = {
           (["writeout.disk_phase_s"], ["writeout.tertiary_phase_s"],
           spans in ["writeout.busy_s"]); its overlap is the
           within-segment overlap of the streaming write-out *)
-  mutable on_prefetch_used : int -> unit;
-      (** a prefetched line was demanded before eviction (tindex) — the
-          adaptive readahead policy scores itself here *)
-  mutable on_prefetch_wasted : int -> unit;
-      (** a prefetched line was dropped, cancelled, or evicted without
-          ever being demanded (tindex) *)
   image_fifo : Seg_cache.line Queue.t;
       (** fetched lines whose in-memory segment buffer is still attached
           ([Seg_cache.line.image]); {!Service} keeps its depth at the
           pipeline width — the "double buffers" of §6.7 *)
   cache_progress : Sim.Condvar.t;
       (** broadcast whenever a cache line may have become obtainable:
-          eviction, segment release, pin release, transfer completion *)
+          eviction, segment release, pin release, transfer completion
+          (the cache's own {!Seg_cache.freed}) *)
   mutable stop_service : bool;
   mutable prefetch : int -> int list;
       (** given a demand-fetched tindex, further tindices to stage in *)
-  mutable on_fetch_start : int -> unit;
-      (** notification agent (paper §10): a process is about to wait on a
-          tertiary access for this tindex — the "hold on" message *)
-  mutable on_fetch : int -> unit;
-      (** observation hook: a demand fetch of this tindex completed *)
-  mutable on_writeout : int -> unit;
-      (** observation hook: a write-out of this tindex reached tertiary
-          storage (the crash-recovery harness snapshots here) *)
-  mutable on_writeout_chunk : int -> int -> unit;
-      (** observation hook: [on_writeout_chunk tindex written] — a
-          write-out's written prefix advanced to [written] blocks on the
-          media (the chunk-boundary crash harness snapshots here) *)
+  mutable subscribers : subscriber list;  (** see {!subscribe} *)
   heat : Obs.Heat.t;
       (** per-tertiary-segment access temperature (half-life decay),
           touched by {!Block_io} on every tertiary read — the
@@ -169,6 +168,21 @@ val submit : t -> request -> unit
 (** Enqueue a request for the service process and signal
     [cache_progress] (a new request is itself progress: a write-out can
     free the line a starved fetch is waiting for). *)
+
+val subscribe : t -> (event -> unit) -> unit -> unit
+(** [subscribe st f] delivers every later event to [f], after the
+    earlier subscribers; the result unsubscribes [f] alone (idempotent). *)
+
+val emit : t -> event -> unit
+(** Delivers the event to every subscriber, in subscription order. *)
+
+val score_prefetch : t -> Seg_cache.line -> [ `Used | `Dropped | `Evicted | `Failed ] -> unit
+(** Scores a prefetched line once, at its fate (demanded; withdrawn
+    before it ran; evicted; its failed fetch took the line): bumps the
+    [prefetch.*] / [idle.*] counter and, for a readahead hint, emits
+    [Prefetch_used] or [Prefetch_wasted]. A line no longer [prefetched]
+    scores nothing, except that [`Dropped] always counts
+    [prefetch.dropped] / [idle.preempted]. *)
 
 val note_progress : t -> unit
 (** Broadcast [cache_progress]. *)

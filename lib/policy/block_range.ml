@@ -102,6 +102,8 @@ let cold_blocks t ~now ~older_than =
 let forget t inum = Hashtbl.remove t.table inum
 
 let attach t ~block_size hl =
-  Highlight.Hl.set_access_observer hl (fun ~inum ~off ~len ~write ->
-      observe_bytes t ~block_size ~inum ~off ~len ~write
-        ~now:(Sim.Engine.now (Highlight.Hl.engine hl)))
+  Highlight.State.subscribe (Highlight.Hl.state hl) (function
+    | Highlight.State.File_access { inum; off; len; write } ->
+        observe_bytes t ~block_size ~inum ~off ~len ~write
+          ~now:(Sim.Engine.now (Highlight.Hl.engine hl))
+    | _ -> ())

@@ -6,8 +6,8 @@
     migration. A per-file record cap bounds the bookkeeping, trading
     decision quality for space exactly as the paper describes.
 
-    The tracker is fed by the application layer (or {!Highlight.Hl}'s
-    access observer); the paper notes the in-kernel mechanism for this
+    The tracker is fed by the application layer (or by the instance's
+    [File_access] events); the paper notes the in-kernel mechanism for this
     had "no clear implementation strategy" — this is the user-level
     approximation. *)
 
@@ -38,5 +38,6 @@ val cold_blocks : t -> now:float -> older_than:float -> (int * Lfs.Bkey.t) list
 val forget : t -> int -> unit
 (** Drops a file's records (unlink). *)
 
-val attach : t -> block_size:int -> Highlight.Hl.t -> unit
-(** Installs the tracker as the instance's access observer. *)
+val attach : t -> block_size:int -> Highlight.Hl.t -> unit -> unit
+(** Subscribes the tracker to the instance's [File_access] events;
+    returns the unsubscribe. *)

@@ -29,7 +29,8 @@ let observe t tindex =
       close_current t;
       t.current <- Some (now, [ tindex ])
 
-let install t = t.st.State.on_fetch <- observe t
+let install t =
+  State.subscribe t.st (function State.Fetch_landed tindex -> observe t tindex | _ -> ())
 
 let pending_groups t =
   (* a quiet period closes the running group; a running group that is

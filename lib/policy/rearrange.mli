@@ -7,8 +7,8 @@
 
     The variant implemented is the one the paper prefers: rewriting
     segments *as they are read into the cache*, "more likely to reflect
-    true access locality". Demand fetches are observed through the
-    hierarchy's fetch hook; segments fetched within a locality window
+    true access locality". Fetch landings are observed on the
+    instance's event stream; segments fetched within a locality window
     form a group, and a group large enough is re-migrated together. Like
     the paper warns, this consumes extra tertiary space — the old copies
     become dead and await the tertiary cleaner. *)
@@ -24,10 +24,11 @@ val create :
     to one access group. [min_group] (default 3): smaller groups are
     not worth rewriting. *)
 
-val install : t -> unit
-(** Starts observing demand fetches (sets the hierarchy's fetch hook).
-    Observation only records; call {!run_once} (or {!spawn_daemon})
-    to perform the rewrites outside the service process. *)
+val install : t -> unit -> unit
+(** Starts observing fetch landings ({!Highlight.State.subscribe});
+    returns the unsubscribe. Observation only records; call
+    {!run_once} (or {!spawn_daemon}) to perform the rewrites outside the
+    service process. *)
 
 val pending_groups : t -> int list list
 (** Current co-access groups that qualify for rewriting. *)

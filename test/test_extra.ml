@@ -371,7 +371,12 @@ let test_fetch_notifier () =
       let hl = Hl.mkfs engine prm ~disk:(Dev.of_store store) ~fp () in
       let fs = Hl.fs hl in
       let events = ref [] in
-      Hl.set_fetch_notifier hl (fun e -> events := (e, Sim.Engine.now engine) :: !events);
+      ignore
+        (State.subscribe (Hl.state hl) (function
+           | (State.Fetch_started _ | State.Fetch_landed _) as e ->
+               events := (e, Sim.Engine.now engine) :: !events
+           | _ -> ())
+          : unit -> unit);
       let f = Dir.create_file fs "/slow" in
       File.write fs f ~off:0 (bytes_pattern (10 * 4096) 4);
       ignore (Migrator.migrate_paths (Hl.state hl) [ "/slow" ]);
@@ -388,8 +393,9 @@ let test_fetch_notifier () =
         List.fold_left
           (fun (s, c) (e, _) ->
             match e with
-            | Hl.Fetch_started _ -> (s + 1, c)
-            | Hl.Fetch_completed _ -> (s, c + 1))
+            | State.Fetch_started _ -> (s + 1, c)
+            | State.Fetch_landed _ -> (s, c + 1)
+            | _ -> (s, c))
           (0, 0) !events
       in
       check Alcotest.bool "hold-on message sent" true (started >= 1);
@@ -398,6 +404,61 @@ let test_fetch_notifier () =
       let times = List.rev_map snd !events in
       check Alcotest.bool "ordered" true
         (match times with t1 :: t2 :: _ -> t2 >= t1 | _ -> false))
+
+(* Two fetch subscribers and a rearranger share one instance: each
+   hears every fetch start and landing, and an unsubscribed listener
+   hears nothing more. *)
+let test_subscriptions_compose () =
+  in_sim (fun engine ->
+      let prm = Param.for_tests ~seg_blocks:16 ~nsegs:48 () in
+      let jb = mk_jb engine "jb" in
+      let fp = Footprint.create ~seg_blocks:16 ~segs_per_volume:8 [ jb ] in
+      let hl = Hl.mkfs engine prm ~disk:(Dev.of_store (mk_store prm)) ~fp () in
+      let fs = Hl.fs hl in
+      let st = Hl.state hl in
+      let listener () =
+        let started = ref [] and landed = ref [] in
+        let unsubscribe =
+          State.subscribe st (function
+            | State.Fetch_started t -> started := t :: !started
+            | State.Fetch_landed t -> landed := t :: !landed
+            | _ -> ())
+        in
+        ((fun () -> (List.sort compare !started, List.sort compare !landed)), unsubscribe)
+      in
+      let heard_a, stop_a = listener () in
+      let rearranger = Policy.Rearrange.create ~window:1000.0 ~min_group:1 st in
+      let stop_rearranger = Policy.Rearrange.install rearranger in
+      let heard_b, stop_b = listener () in
+      let f = Dir.create_file fs "/slow" in
+      File.write fs f ~off:0 (bytes_pattern (40 * 4096) 6);
+      let tsegs = Migrator.migrate_paths st [ "/slow" ] in
+      let cold_read () =
+        Hl.eject_tertiary_copies hl ~paths:[ "/slow" ];
+        Bcache.invalidate_clean (Fs.bcache fs);
+        ignore (File.read fs f ~off:0 ~len:(40 * 4096));
+        (* let the last landing finish behind the streaming reader *)
+        Sim.Engine.delay 120.0
+      in
+      cold_read ();
+      let ((started, landed) as a) = heard_a () in
+      check Alcotest.bool "the read fetched migrated segments" true
+        (started <> [] && List.for_all (fun t -> List.mem t tsegs) started);
+      check Alcotest.(list int) "each start lands" started landed;
+      check Alcotest.(pair (list int) (list int)) "second subscriber hears the same" a (heard_b ());
+      check Alcotest.(list int) "rearranger sees the landings" landed
+        (List.sort compare (List.concat (Policy.Rearrange.pending_groups rearranger)));
+      stop_a ();
+      stop_a ();
+      cold_read ();
+      check Alcotest.(pair (list int) (list int)) "unsubscribed: nothing more" a (heard_a ());
+      let started_b, landed_b = heard_b () in
+      check Alcotest.int "still subscribed: twice the starts" (2 * List.length started)
+        (List.length started_b);
+      check Alcotest.int "still subscribed: twice the landings" (2 * List.length landed)
+        (List.length landed_b);
+      stop_b ();
+      stop_rearranger ())
 
 let test_concurrent_processes () =
   (* two writers, a reader, a cleaner daemon and an automigration daemon
@@ -559,7 +620,10 @@ let suite =
         Alcotest.test_case "volume spill" `Quick test_jaquith_volume_spill;
       ] );
     ( "extra.notifier",
-      [ Alcotest.test_case "hold-on notification agent" `Quick test_fetch_notifier ] );
+      [
+        Alcotest.test_case "hold-on notification agent" `Quick test_fetch_notifier;
+        Alcotest.test_case "subscriptions compose" `Quick test_subscriptions_compose;
+      ] );
     ( "extra.concurrency",
       [ Alcotest.test_case "daemons + writers + reader" `Quick test_concurrent_processes ] );
     ( "extra.growth",

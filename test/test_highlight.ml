@@ -191,6 +191,17 @@ let test_second_read_hits_cache () =
       check Alcotest.int "no new fetch" fetches (Hl.stats w.hl).Hl.demand_fetches;
       check Alcotest.bool "fast" true (Sim.Engine.now engine -. t0 < 1.0))
 
+(* Size tripwire: at 33 fields State.t fell into a slow OCaml 5.1
+   major-heap size class, and perfbench migrate_fetch wall_s rose about
+   20% with no code path changed (DESIGN.md "Observability"; 33-36
+   fields are slow). A field that must be added can go into a
+   sub-record. *)
+let test_state_size () =
+  in_sim (fun engine ->
+      let w = make_world engine in
+      let fields = Obj.size (Obj.repr (Hl.state w.hl)) in
+      check Alcotest.bool (Printf.sprintf "State.t has %d fields (< 33)" fields) true (fields < 33))
+
 (* [Hl.stats] is a view over the metrics registry: every count and time
    it returns is read from one series, and [Hl.reset_stats] turns them
    all into deltas. *)
@@ -663,6 +674,10 @@ let suite =
         Alcotest.test_case "tertiary cleaner" `Quick test_tertiary_cleaner;
         Alcotest.test_case "sequential prefetch" `Quick test_prefetch_sequential;
       ] );
-    ("hl.stats_view", [ Alcotest.test_case "stats read the registry" `Quick test_stats_view ]);
+    ( "hl.stats_view",
+      [
+        Alcotest.test_case "stats read the registry" `Quick test_stats_view;
+        Alcotest.test_case "State.t below 33 fields" `Quick test_state_size;
+      ] );
     ("hl.properties", List.map QCheck_alcotest.to_alcotest props);
   ]

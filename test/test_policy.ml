@@ -293,7 +293,7 @@ let test_rearrange_clusters_coaccessed () =
         (vol_of_first "/setA" <> vol_of_first "/setB");
       (* now they are analysed together: alternating reads *)
       let rearranger = Policy.Rearrange.create ~window:1000.0 ~min_group:2 st in
-      Policy.Rearrange.install rearranger;
+      let _stop_observing = Policy.Rearrange.install rearranger in
       let alternating_read () =
         for chunk = 0 to 3 do
           List.iter

@@ -96,10 +96,13 @@ let test_crash_at_every_writeout_boundary () =
       Hl.write_file w.hl "/a" a;
       Fs.checkpoint fsys;
       let snapshots = ref [] in
-      st.State.on_writeout <-
-        (fun _tindex -> snapshots := Fs.crash_image fsys w.store :: !snapshots);
+      let unsubscribe =
+        State.subscribe st (function
+          | State.Writeout_done _ -> snapshots := Fs.crash_image fsys w.store :: !snapshots
+          | _ -> ())
+      in
       ignore (Migrator.migrate_paths st [ "/a" ]);
-      st.State.on_writeout <- (fun _ -> ());
+      unsubscribe ();
       check Alcotest.bool "migration produced write-outs" true (!snapshots <> []);
       List.iteri
         (fun i img ->
@@ -132,11 +135,13 @@ let test_crash_at_every_stream_chunk () =
       Hl.write_file w.hl "/a" a;
       Fs.checkpoint fsys;
       let snapshots = ref [] in
-      st.State.on_writeout_chunk <-
-        (fun _tindex _written ->
-          snapshots := Fs.crash_image fsys w.store :: !snapshots);
+      let unsubscribe =
+        State.subscribe st (function
+          | State.Writeout_chunk _ -> snapshots := Fs.crash_image fsys w.store :: !snapshots
+          | _ -> ())
+      in
       ignore (Migrator.migrate_paths st [ "/a" ]);
-      st.State.on_writeout_chunk <- (fun _ _ -> ());
+      unsubscribe ();
       check Alcotest.bool "streaming write-out crossed several chunk boundaries" true
         (List.length !snapshots >= 4);
       List.iteri

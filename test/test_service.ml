@@ -126,24 +126,33 @@ let run_starved_fetch io_mode () =
       check (Alcotest.list Alcotest.string) "invariants" [] (Hl.check hl))
 
 (* Eviction with every line pinned or Staging: nothing is evictable, no
-   victim is offered, and the release of the last pin fires on_free. *)
+   victim is offered, and the release of the last pin wakes the
+   allocation waiters. *)
 let test_eviction_all_pinned () =
-  let c = Seg_cache.create ~max_lines:4 () in
-  let l1 = Seg_cache.insert c ~tindex:1 ~disk_seg:1 ~state:Seg_cache.Staging ~now:1.0 in
-  let l2 = Seg_cache.insert c ~tindex:2 ~disk_seg:2 ~state:Seg_cache.Resident ~now:1.0 in
-  Seg_cache.pin l2;
-  check Alcotest.bool "nothing evictable" true (Seg_cache.choose_victim c = None);
-  let freed = ref 0 in
-  Seg_cache.set_on_free c (fun () -> incr freed);
-  Seg_cache.unpin c l2;
-  check Alcotest.int "unpin fired on_free" 1 !freed;
-  check Alcotest.bool "pinned line now victim" true (Seg_cache.choose_victim c = Some l2);
-  (* a Staging line stays untouchable: it holds the only copy *)
-  l2.Seg_cache.state <- Seg_cache.Staging;
-  check Alcotest.bool "staging never evictable" true (Seg_cache.choose_victim c = None);
-  ignore l1;
-  Seg_cache.remove c l2;
-  check Alcotest.int "remove fired on_free" 2 !freed
+  in_sim (fun engine ->
+      let c = Seg_cache.create ~max_lines:4 () in
+      let l1 = Seg_cache.insert c ~tindex:1 ~disk_seg:1 ~state:Seg_cache.Staging ~now:1.0 in
+      let l2 = Seg_cache.insert c ~tindex:2 ~disk_seg:2 ~state:Seg_cache.Resident ~now:1.0 in
+      Seg_cache.pin l2;
+      check Alcotest.bool "nothing evictable" true (Seg_cache.choose_victim c = None);
+      let freed = ref 0 in
+      Sim.Engine.spawn engine ~name:"allocation-waiter" (fun () ->
+          for _ = 1 to 2 do
+            Sim.Condvar.wait (Seg_cache.freed c);
+            incr freed
+          done);
+      Sim.Engine.delay 1.0;
+      Seg_cache.unpin c l2;
+      Sim.Engine.delay 1.0;
+      check Alcotest.int "unpin woke the waiter" 1 !freed;
+      check Alcotest.bool "pinned line now victim" true (Seg_cache.choose_victim c = Some l2);
+      (* a Staging line stays untouchable: it holds the only copy *)
+      l2.Seg_cache.state <- Seg_cache.Staging;
+      check Alcotest.bool "staging never evictable" true (Seg_cache.choose_victim c = None);
+      ignore l1;
+      Seg_cache.remove c l2;
+      Sim.Engine.delay 1.0;
+      check Alcotest.int "remove woke the waiter" 2 !freed)
 
 let suite =
   [

@@ -331,7 +331,9 @@ let test_hint_into_full_cache () =
       let fs = Hl.fs hl in
       let st = Hl.state hl in
       let wasted = ref 0 in
-      st.State.on_prefetch_wasted <- (fun _ -> incr wasted);
+      ignore
+        (State.subscribe st (function State.Prefetch_wasted _ -> incr wasted | _ -> ())
+          : unit -> unit);
       let a = bytes_pattern file_bytes 3 and b = bytes_pattern file_bytes 5 in
       Hl.write_file hl "/a" a;
       Hl.write_file hl "/b" b;
@@ -384,6 +386,64 @@ let test_hint_clean_tindex_ignored () =
         (Seg_cache.length (Hl.cache hl) >= 1
         && List.for_all (fun l -> not l.Seg_cache.prefetched) (Seg_cache.lines (Hl.cache hl)));
       Hl.shutdown_service hl)
+
+(* A failed prefetch is scored once, at its final fate. Failing after
+   its first chunk (read op 8) leaves a Partial line, which /b's read
+   then uses: used once, never wasted at the failure as well. Failing
+   on its first chunk (op 7) removes the line: wasted, and /b's read is
+   a plain demand fetch. *)
+let failed_prefetch ?(tail_only = false) ~op ~partial ~used:want_used ~wasted:want_wasted () =
+  in_sim (fun engine ->
+      with_plan (fun () ->
+          let hl, _fp = make_slow_world engine in
+          let st = Hl.state hl in
+          st.State.retry.State.max_attempts <- 1;
+          let a = bytes_pattern file_bytes 3 and b = bytes_pattern file_bytes 5 in
+          Hl.write_file hl "/a" a;
+          Hl.write_file hl "/b" b;
+          Fs.checkpoint (Hl.fs hl);
+          st.State.restrict_volume <- Some 0;
+          ignore (Migrator.migrate_paths st [ "/a"; "/b" ]);
+          st.State.restrict_volume <- None;
+          Hl.eject_tertiary_copies hl ~paths:[ "/a"; "/b" ];
+          let first_hint = ref None in
+          Hl.set_prefetch_hints hl (fun t ->
+              if !first_hint = None then first_hint := Some (t + 1);
+              [ t + 1 ]);
+          let used = ref [] and wasted = ref [] in
+          ignore
+            (State.subscribe st (function
+               | State.Prefetch_used t -> used := t :: !used
+               | State.Prefetch_wasted t -> wasted := t :: !wasted
+               | _ -> ())
+              : unit -> unit);
+          Sim.Fault.install engine ~metrics:(Hl.metrics hl)
+            (parse_ok (Printf.sprintf "jb:drive* read op=%d media_error transient" op));
+          check Alcotest.bool "/a ok" true (Bytes.equal (Hl.read_file hl "/a" ()) a);
+          Sim.Engine.delay 60.0;
+          let count name = Sim.Metrics.count (Sim.Metrics.counter st.State.metrics name) in
+          check Alcotest.int "the prefetch failed" 1 (count "service.fetch_failures");
+          (* the hint behind /a's first demand fetch is the one that failed *)
+          let failed = Option.get !first_hint in
+          let scored l = List.length (List.filter (( = ) failed) !l) in
+          check Alcotest.int "partial lines" partial (count "cache.partial_lines");
+          (if tail_only then begin
+             (* past the prefix: a tail re-fetch is the first use; the
+                line is then evicted untouched *)
+             let off = Bytes.length b - 4096 in
+             check Alcotest.bool "/b tail ok" true
+               (Bytes.equal (Hl.read_file hl "/b" ~off ~len:4096 ()) (Bytes.sub b off 4096));
+             Sim.Engine.delay 60.0;
+             Hl.eject_tertiary_copies hl ~paths:[ "/b" ]
+           end
+           else check Alcotest.bool "/b ok" true (Bytes.equal (Hl.read_file hl "/b" ()) b));
+          Sim.Engine.delay 60.0;
+          check Alcotest.int "the partial line's tail re-fetched" partial
+            (count "cache.tail_refetches");
+          check Alcotest.int "scored used" want_used (scored used);
+          check Alcotest.int "scored wasted" want_wasted (scored wasted);
+          check (Alcotest.list Alcotest.string) "invariants" [] (Hl.check hl);
+          Hl.shutdown_service hl))
 
 (* Used vs evicted-unused: a prefetched line demanded before eviction
    scores as accurate; one ejected untouched scores as wasted. *)
@@ -548,6 +608,12 @@ let suite =
         Alcotest.test_case "hint to clean tindex ignored" `Quick test_hint_clean_tindex_ignored;
         Alcotest.test_case "used vs evicted-unused accounting" `Quick
           test_prefetch_used_and_evicted_unused;
+        Alcotest.test_case "failed prefetch scored once" `Quick
+          (failed_prefetch ~op:8 ~partial:1 ~used:1 ~wasted:0);
+        Alcotest.test_case "failed prefetch without a line wasted" `Quick
+          (failed_prefetch ~op:7 ~partial:0 ~used:0 ~wasted:1);
+        Alcotest.test_case "failed prefetch used by a tail re-fetch" `Quick
+          (failed_prefetch ~tail_only:true ~op:8 ~partial:1 ~used:1 ~wasted:0);
       ] );
     ( "streaming.readahead",
       [
