@@ -5,25 +5,45 @@ open State
    are absorbed here with the instance's retry policy; exhaustion
    surfaces as {!State.Io_error} — the EIO a kernel driver would
    return. *)
-let retried st ~what f =
-  let rec go attempt backoff =
+let rec retry_after st ~what f d attempt backoff =
+  if attempt >= st.retry.max_attempts then begin
+    Sim.Metrics.incr (Sim.Metrics.counter st.metrics "service.io_failures");
+    raise
+      (Io_error
+         (Printf.sprintf "%s: %s (%d attempts)" what (Sim.Fault.descriptor_to_string d) attempt))
+  end
+  else begin
+    Sim.Metrics.incr (Sim.Metrics.counter st.metrics "service.retries");
+    Sim.Engine.delay backoff;
     match f () with
     | v -> v
     | exception Sim.Fault.Injected d ->
-        if attempt >= st.retry.max_attempts then begin
-          Sim.Metrics.incr (Sim.Metrics.counter st.metrics "service.io_failures");
-          raise
-            (Io_error
-               (Printf.sprintf "%s: %s (%d attempts)" what
-                  (Sim.Fault.descriptor_to_string d) attempt))
-        end
-        else begin
-          Sim.Metrics.incr (Sim.Metrics.counter st.metrics "service.retries");
-          Sim.Engine.delay backoff;
-          go (attempt + 1) (Float.min (backoff *. 2.0) st.retry.backoff_cap)
-        end
-  in
-  go 1 st.retry.backoff_base
+        retry_after st ~what f d (attempt + 1) (Float.min (backoff *. 2.0) st.retry.backoff_cap)
+  end
+
+let retried st ~what f =
+  match f () with
+  | v -> v
+  | exception Sim.Fault.Injected d -> retry_after st ~what f d 1 st.retry.backoff_base
+
+(* [retried] around one disk read or write, with no closure unless the
+   first attempt faults: most of the log's block traffic (the cleaner's
+   single-block reads above all) comes through these. *)
+let disk_read_into st ~what ~blk ~count ~dst ~dst_off =
+  match st.disk.Lfs.Dev.read_into ~blk ~count ~dst ~dst_off with
+  | () -> ()
+  | exception Sim.Fault.Injected d ->
+      retry_after st ~what
+        (fun () -> st.disk.Lfs.Dev.read_into ~blk ~count ~dst ~dst_off)
+        d 1 st.retry.backoff_base
+
+let disk_write_from st ~what ~blk ~src ~src_off ~count =
+  match st.disk.Lfs.Dev.write_from ~blk ~src ~src_off ~count with
+  | () -> ()
+  | exception Sim.Fault.Injected d ->
+      retry_after st ~what
+        (fun () -> st.disk.Lfs.Dev.write_from ~blk ~src ~src_off ~count)
+        d 1 st.retry.backoff_base
 
 let raw_write_cache_line st ~disk_seg data =
   st.disk.Lfs.Dev.write ~blk:(disk_seg_base st disk_seg) ~data
@@ -159,10 +179,9 @@ let rec tertiary_read st ~blk ~count ~dst ~dst_off =
              no need to go back to the cache disk for it *)
           blit_image st image ~off ~count ~dst ~dst_off
       | None ->
-          retried st ~what:"cache-line read" (fun () ->
-              st.disk.Lfs.Dev.read_into
-                ~blk:(disk_seg_base st line.Seg_cache.disk_seg + off)
-                ~count ~dst ~dst_off));
+          disk_read_into st ~what:"cache-line read"
+            ~blk:(disk_seg_base st line.Seg_cache.disk_seg + off)
+            ~count ~dst ~dst_off);
       Seg_cache.unpin st.cache line
   | None -> (
       Sim.Metrics.incr (Sim.Metrics.counter st.metrics "cache.misses");
@@ -214,10 +233,8 @@ let rec tertiary_read st ~blk ~count ~dst ~dst_off =
       then tertiary_read st ~blk ~count ~dst ~dst_off)
 
 let read_block_into st addr ~dst ~dst_off =
-  let disk_read blk what =
-    retried st ~what (fun () -> st.disk.Lfs.Dev.read_into ~blk ~count:1 ~dst ~dst_off)
-  in
-  if Addr_space.is_disk st.aspace addr then disk_read addr "disk read"
+  if Addr_space.is_disk st.aspace addr then
+    disk_read_into st ~what:"disk read" ~blk:addr ~count:1 ~dst ~dst_off
   else begin
     let tindex = Addr_space.tindex_of_addr st.aspace addr in
     let off = Addr_space.offset_in_seg st.aspace addr in
@@ -226,7 +243,9 @@ let read_block_into st addr ~dst ~dst_off =
       when line.Seg_cache.state = Seg_cache.Resident
            || line.Seg_cache.state = Seg_cache.Staging
            || line.Seg_cache.state = Seg_cache.Staged_clean ->
-        disk_read (disk_seg_base st line.Seg_cache.disk_seg + off) "cache-line read"
+        disk_read_into st ~what:"cache-line read"
+          ~blk:(disk_seg_base st line.Seg_cache.disk_seg + off)
+          ~count:1 ~dst ~dst_off
     | _ ->
         let vol, seg = Addr_space.vol_seg_of_tindex st.aspace tindex in
         let block =
@@ -240,8 +259,7 @@ let dev st =
   let bs = st.disk.Lfs.Dev.block_size in
   let read_into ~blk ~count ~dst ~dst_off =
     if Addr_space.is_disk st.aspace blk then
-      retried st ~what:"log read" (fun () ->
-          st.disk.Lfs.Dev.read_into ~blk ~count ~dst ~dst_off)
+      disk_read_into st ~what:"log read" ~blk ~count ~dst ~dst_off
     else if Addr_space.is_tertiary st.aspace blk then
       (* tertiary reads route through the cache-line machinery, which
          serves from a pinned image or the cache disk *)
@@ -265,8 +283,7 @@ let dev st =
   in
   let write_from ~blk ~src ~src_off ~count =
     if Addr_space.is_disk st.aspace blk then
-      retried st ~what:"log write" (fun () ->
-          st.disk.Lfs.Dev.write_from ~blk ~src ~src_off ~count)
+      disk_write_from st ~what:"log write" ~blk ~src ~src_off ~count
     else
       invalid_arg
         (Printf.sprintf

@@ -64,13 +64,13 @@ let stage_segment ?(defer = false) st ~inode_set blocks =
   let tbase = Addr_space.seg_base st.aspace tindex in
   if 1 + List.length blocks > sgb then invalid_arg "Migrator.stage_segment: overfull segment";
   (* the segment image is assembled in place in a pooled segment
-     buffer: summary in block 0, then data blocks, then inode blocks.
-     The whole image goes to the cache disk, so it starts zeroed: unused
-     tail blocks must stay zero on the media *)
+     buffer: summary in block 0, then data blocks, then inode blocks,
+     each overwriting its whole block. The whole image goes to the cache
+     disk, so the tail past the last packed block is zeroed before the
+     write: unused blocks must be zero on the media *)
   let segbufs = Fs.segbufs fsys in
   let buf = Util.Bufpool.take segbufs in
   let image = Util.Bufpool.bytes buf in
-  Bytes.fill image 0 (Bytes.length image) '\000';
   (* gather the payload with the migrator's raw disk access: the blocks
      land in the private image, not the buffer cache. Each block brings
      the sum it was last read or written with when that is known, so
@@ -160,6 +160,8 @@ let stage_segment ?(defer = false) st ~inode_set blocks =
     }
   in
   Summary.serialize_into ~block_size:bs ~data_crc:!data_crc summary ~dst:image ~dst_off:0;
+  let used = (1 + ndata + List.length inode_blocks) * bs in
+  Bytes.fill image used (Bytes.length image - used) '\000';
   Fs.charge_copy fsys (Bytes.length image);
   Block_io.raw_write_cache_line st ~disk_seg image;
   (* the cache disk holds the only copy the write-out needs; a write

@@ -181,7 +181,7 @@ let with_retries st ~what f =
           Sim.Trace.instant ~track:"service" ~cat:"fault" "retry"
             ~args:[ ("what", what); ("attempt", string_of_int attempt) ];
           (* backoff is queueing blame: the request is parked, not moving *)
-          Sim.Ledger.charged_active Sim.Ledger.Queue_wait (fun () -> Sim.Engine.delay backoff);
+          Sim.Ledger.charged_delay Sim.Ledger.Queue_wait backoff;
           go (attempt + 1) (Float.min (backoff *. 2.0) st.retry.backoff_cap)
         end
   in

@@ -55,6 +55,9 @@ let hp7958a =
     op_overhead = 0.0030 (* HP-IB command turnaround is slow *);
   }
 
+(* all-float, so stored flat: adding a seek boxes nothing *)
+type seek_acc = { mutable seek_total : float }
+
 type t = {
   engine : Engine.t;
   label : string;
@@ -68,7 +71,7 @@ type t = {
   mutable n_writes : int;
   mutable rbytes : int;
   mutable wbytes : int;
-  mutable seek_total : float;
+  acc : seek_acc;
 }
 
 (* 4.4BSD physio splits raw transfers at MAXPHYS (64 KB); each chunk is a
@@ -93,7 +96,7 @@ let create engine ?bus ?nblocks prof ~name =
     n_writes = 0;
     rbytes = 0;
     wbytes = 0;
-    seek_total = 0.0;
+    acc = { seek_total = 0.0 };
   }
 
 let name t = t.label
@@ -109,46 +112,53 @@ let seek_duration t dist =
     let frac = float_of_int dist /. float_of_int (nblocks t) in
     t.prof.seek_min +. ((t.prof.seek_max -. t.prof.seek_min) *. Float.pow frac seek_exponent)
 
-(* The [Trace.enabled] forks keep the disabled-tracing path free of the
-   argument lists and int-formatting the spans carry — this is the
-   hottest device loop in the tree. *)
-let chunk_io t ~blk ~count ~rate ~op =
-  Resource.with_resource t.res (fun () ->
-      let dist = abs (blk - t.arm) in
-      let seek = seek_duration t dist in
-      let rot = if dist = 0 then 0.0 else t.prof.rot_latency in
-      t.seek_total <- t.seek_total +. seek;
-      let position () =
-        Ledger.charged_active Ledger.Seek_rotate (fun () ->
-            Engine.delay (t.prof.op_overhead +. seek +. rot))
-      in
-      if Trace.enabled () then
-        Trace.span ~track:t.site ~cat:"disk" "position"
-          ~args:[ ("seek_blocks", string_of_int dist) ]
-          position
-      else position ();
-      let xfer = float_of_int (count * t.prof.block_size) /. rate in
-      let transfer () =
-        match t.bus with
-        | Some bus -> Scsi_bus.transfer bus xfer
-        | None -> Ledger.charged_active Ledger.Transfer (fun () -> Engine.delay xfer)
-      in
-      if Trace.enabled () then
-        Trace.span ~track:t.site ~cat:"disk" op
-          ~args:[ ("blk", string_of_int blk); ("blocks", string_of_int count) ]
-          transfer
-      else transfer ();
-      t.arm <- blk + count)
+(* One chunk holds the arm: position (overhead + seek + rotation), then
+   transfer over the bus if there is one. This is the hottest device
+   loop in the tree, so the untraced path allocates nothing of its own
+   beyond the two [Engine.delay] payloads: the [Trace.span] and ledger
+   thunks, with their argument lists and int formatting, are built only
+   when a tracer or a ledger registry is installed, and the seek total
+   is an unboxed float. *)
+let move t xfer =
+  match t.bus with
+  | Some bus -> Scsi_bus.transfer bus xfer
+  | None -> Ledger.charged_delay Ledger.Transfer xfer
 
-let split_io t ~blk ~count ~rate ~op =
-  let rec go blk count =
-    if count > 0 then begin
-      let n = min count max_transfer_blocks in
-      chunk_io t ~blk ~count:n ~rate ~op;
-      go (blk + n) (count - n)
-    end
-  in
-  go blk count
+let chunk_body t ~blk ~count ~rate ~op =
+  let dist = abs (blk - t.arm) in
+  let seek = seek_duration t dist in
+  let rot = if dist = 0 then 0.0 else t.prof.rot_latency in
+  t.acc.seek_total <- t.acc.seek_total +. seek;
+  let d = t.prof.op_overhead +. seek +. rot in
+  if Trace.enabled () then
+    Trace.span ~track:t.site ~cat:"disk" "position"
+      ~args:[ ("seek_blocks", string_of_int dist) ]
+      (fun () -> Ledger.charged_delay Ledger.Seek_rotate d)
+  else Ledger.charged_delay Ledger.Seek_rotate d;
+  let xfer = float_of_int (count * t.prof.block_size) /. rate in
+  if Trace.enabled () then
+    Trace.span ~track:t.site ~cat:"disk" op
+      ~args:[ ("blk", string_of_int blk); ("blocks", string_of_int count) ]
+      (fun () -> move t xfer)
+  else move t xfer;
+  t.arm <- blk + count
+
+(* [Resource.acquire]/[release] around the chunk rather than
+   [with_resource] and a closure *)
+let chunk_io t ~blk ~count ~rate ~op =
+  Resource.acquire t.res;
+  match chunk_body t ~blk ~count ~rate ~op with
+  | () -> Resource.release t.res
+  | exception e ->
+      Resource.release t.res;
+      raise e
+
+let rec split_io t ~blk ~count ~rate ~op =
+  if count > 0 then begin
+    let n = min count max_transfer_blocks in
+    chunk_io t ~blk ~count:n ~rate ~op;
+    split_io t ~blk:(blk + n) ~count:(count - n) ~rate ~op
+  end
 
 let read_into t ~blk ~count ~dst ~dst_off =
   Fault.check ~site:t.site Fault.Read;
@@ -180,5 +190,5 @@ let reads t = t.n_reads
 let writes t = t.n_writes
 let bytes_read t = t.rbytes
 let bytes_written t = t.wbytes
-let seek_time t = t.seek_total
+let seek_time t = t.acc.seek_total
 let busy_time t = Resource.busy_time t.res

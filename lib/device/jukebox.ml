@@ -204,9 +204,7 @@ let swap t d vol =
             ("load", string_of_int vol);
           ]
         (fun () ->
-          let move () =
-            Ledger.charged_active Ledger.Robot_swap (fun () -> Engine.delay t.changer.swap_time)
-          in
+          let move () = Ledger.charged_delay Ledger.Robot_swap t.changer.swap_time in
           match t.bus with
           | Some bus when t.changer.hogs_bus -> Resource.with_resource (Scsi_bus.resource bus) move
           | _ -> move ());
@@ -270,8 +268,8 @@ let position_and_transfer ?(chunk = chunk_blocks) ?on_chunk t d ~blk ~count ~rat
       if d.pos <> blk then begin
         let dist = abs (blk - d.pos) in
         let position () =
-          Ledger.charged_active Ledger.Seek_rotate (fun () ->
-              Engine.delay (t.prof.seek_const +. (t.prof.seek_per_block *. float_of_int dist)))
+          Ledger.charged_delay Ledger.Seek_rotate
+            (t.prof.seek_const +. (t.prof.seek_per_block *. float_of_int dist))
         in
         (* guard keeps the disabled-tracing chunk loop free of span
            argument formatting *)
@@ -285,7 +283,7 @@ let position_and_transfer ?(chunk = chunk_blocks) ?on_chunk t d ~blk ~count ~rat
       let transfer () =
         match t.bus with
         | Some bus -> Scsi_bus.transfer bus xfer
-        | None -> Ledger.charged_active Ledger.Transfer (fun () -> Engine.delay xfer)
+        | None -> Ledger.charged_delay Ledger.Transfer xfer
       in
       (if Trace.enabled () then
          Trace.span ~track:d.track ~cat:"jukebox" op

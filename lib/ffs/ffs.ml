@@ -173,6 +173,21 @@ let alloc_inode t ~kind ~group =
 
 let ppb t = t.prm.block_size / 4
 
+(* Every block enters the cache in a buffer of the cache's pool. The
+   buffer is taken after any lookup that may itself insert. *)
+let put_dirty_copy t key ~old_addr data =
+  let b = Bcache.take t.cache in
+  Bytes.blit data 0 (Bufpool.bytes b) 0 t.prm.block_size;
+  Bcache.put_dirty_buf t.cache key ~old_addr ~crc:(-1) b
+
+(* a fresh indirect block: every pointer unassigned *)
+let put_dirty_unassigned t key ~old_addr =
+  let b = Bcache.take t.cache in
+  let d = Bufpool.bytes b in
+  Bytes.fill d 0 t.prm.block_size '\xff';
+  Bcache.put_dirty_buf t.cache key ~old_addr ~crc:(-1) b;
+  d
+
 let rec get_block t ino bkey =
   let key = Bcache.key ino.Inode.inum bkey in
   match Bcache.find t.cache key with
@@ -183,9 +198,10 @@ let rec get_block t ino bkey =
       | -1 -> None
       | addr ->
           charge_cpu t t.prm.cpu.per_block;
-          let data = t.dev.Dev.read ~blk:addr ~count:1 in
-          Bcache.put_clean t.cache key ~addr data;
-          Some data)
+          let b = Bcache.take t.cache in
+          t.dev.Dev.read_into ~blk:addr ~count:1 ~dst:(Bufpool.bytes b) ~dst_off:0;
+          Bcache.put_clean_buf t.cache key ~addr ~crc:(-1) b;
+          Some (Bufpool.bytes b))
 
 and lookup_addr t ino bkey =
   match Bkey.parent ~ppb:(ppb t) bkey with
@@ -214,17 +230,14 @@ let rec ensure_addr t ino bkey =
           let pdata =
             match get_block t ino pbk with
             | Some d -> d
-            | None ->
-                let d = Bytes.make t.prm.block_size '\xff' in
-                Bcache.put_dirty t.cache pkey ~old_addr:(-1) d;
-                d
+            | None -> put_dirty_unassigned t pkey ~old_addr:(-1)
           in
           Bytesx.set_i32 pdata (slot * 4) addr;
           if not (Bcache.is_dirty t.cache pkey) then Bcache.mark_dirty t.cache pkey);
       let key = Bcache.key ino.Inode.inum bkey in
       (* fresh indirect blocks must read as all-unassigned *)
       if Bkey.level bkey > 0 && Bcache.find t.cache key = None then
-        Bcache.put_dirty t.cache key ~old_addr:addr (Bytes.make t.prm.block_size '\xff');
+        ignore (put_dirty_unassigned t key ~old_addr:addr);
       (* remember the address for clustering of later flushes *)
       (match Bcache.find t.cache key with
       | Some _ -> Bcache.set_addr t.cache key addr
@@ -337,8 +350,11 @@ let read t ino ~off ~len =
             let data = t.dev.Dev.read ~blk:addr ~count in
             for i = 0 to count - 1 do
               let k = Bcache.key ino.Inode.inum (Bkey.Data (lbn + i)) in
-              if Bcache.find t.cache k = None then
-                Bcache.put_clean t.cache k ~addr:(addr + i) (Bytes.sub data (i * bs) bs)
+              if Bcache.find t.cache k = None then begin
+                let b = Bcache.take t.cache in
+                Bytes.blit data (i * bs) (Bufpool.bytes b) 0 bs;
+                Bcache.put_clean_buf t.cache k ~addr:(addr + i) ~crc:(-1) b
+              end
             done;
             let cached = match Bcache.find t.cache key with Some d -> d | None -> assert false in
             Bytes.blit cached boff out !pos n));
@@ -368,16 +384,17 @@ let write t ino ~off data =
           if not (Bcache.is_dirty t.cache key) then Bcache.mark_dirty t.cache key;
           b
       | None ->
-          let b =
-            if n = bs then Bytes.create bs
-            else if fileoff >= ino.Inode.size then Bytes.make bs '\000'
-            else begin
-              charge_cpu t t.prm.cpu.per_block;
-              t.dev.Dev.read ~blk:addr ~count:1
-            end
-          in
-          Bcache.put_dirty t.cache key ~old_addr:addr b;
-          b
+          let b = Bcache.take t.cache in
+          let block = Bufpool.bytes b in
+          (* a whole-block write overwrites every byte *)
+          if n = bs then ()
+          else if fileoff >= ino.Inode.size then Bytes.fill block 0 bs '\000'
+          else begin
+            charge_cpu t t.prm.cpu.per_block;
+            t.dev.Dev.read_into ~blk:addr ~count:1 ~dst:block ~dst_off:0
+          end;
+          Bcache.put_dirty_buf t.cache key ~old_addr:addr ~crc:(-1) b;
+          block
     in
     Bytes.blit data !pos block boff n;
     pos := !pos + n
@@ -426,9 +443,8 @@ let dir_add t dir name inum =
       let fresh = Bytes.make bs '\000' in
       ignore (Dirent.add fresh name inum);
       ignore (ensure_addr t dir (Bkey.Data i));
-      Bcache.put_dirty t.cache (Bcache.key dir.Inode.inum (Bkey.Data i))
-        ~old_addr:(lookup_addr t dir (Bkey.Data i))
-        fresh;
+      let old_addr = lookup_addr t dir (Bkey.Data i) in
+      put_dirty_copy t (Bcache.key dir.Inode.inum (Bkey.Data i)) ~old_addr fresh;
       dir.Inode.size <- (i + 1) * bs;
       mark_inode_dirty t dir
     end
@@ -479,9 +495,8 @@ let create_node t path ~kind =
       ignore (Dirent.add block "." ino.Inode.inum);
       ignore (Dirent.add block ".." parent.Inode.inum);
       ignore (ensure_addr t ino (Bkey.Data 0));
-      Bcache.put_dirty t.cache (Bcache.key ino.Inode.inum (Bkey.Data 0))
-        ~old_addr:(lookup_addr t ino (Bkey.Data 0))
-        block;
+      let old_addr = lookup_addr t ino (Bkey.Data 0) in
+      put_dirty_copy t (Bcache.key ino.Inode.inum (Bkey.Data 0)) ~old_addr block;
       parent.Inode.nlink <- parent.Inode.nlink + 1;
       mark_inode_dirty t parent
   | _ -> ());
@@ -618,9 +633,8 @@ let mkfs engine prm dev =
   ignore (Dirent.add block "." root_inum);
   ignore (Dirent.add block ".." root_inum);
   ignore (ensure_addr t root (Bkey.Data 0));
-  Bcache.put_dirty t.cache (Bcache.key root_inum (Bkey.Data 0))
-    ~old_addr:(lookup_addr t root (Bkey.Data 0))
-    block;
+  let old_addr = lookup_addr t root (Bkey.Data 0) in
+  put_dirty_copy t (Bcache.key root_inum (Bkey.Data 0)) ~old_addr block;
   sync t;
   t
 

@@ -72,7 +72,7 @@ let real_segs t jb = Jukebox.vol_capacity jb / t.seg_blocks
 let timed t f =
   (* the server round-trip is queueing from the request's point of view *)
   if t.rpc_latency > 0.0 then
-    Sim.Ledger.charged_active Sim.Ledger.Queue_wait (fun () -> Sim.Engine.delay t.rpc_latency);
+    Sim.Ledger.charged_delay Sim.Ledger.Queue_wait t.rpc_latency;
   let t0 = Sim.Engine.now t.engine in
   let r = f () in
   t.fp_time <- t.fp_time +. (Sim.Engine.now t.engine -. t0);

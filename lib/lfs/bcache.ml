@@ -21,13 +21,36 @@ let bkey k =
   let low = k land low_mask in
   Bkey.decode (if low <= max_lbn then low else max_lbn - low)
 
+(* The low bits of the first L1 and L2 key and of L3; [L1 p] sits at
+   [l1 + p], [L2 q] at [l2 + q]. *)
+let l1 = max_lbn - Bkey.encode (Bkey.L1 0)
+let l2 = max_lbn - Bkey.encode (Bkey.L2 0)
+let l3 = max_lbn - Bkey.encode Bkey.L3
+
 (* the Bkey level of a key, without decoding it *)
 let level k =
   let low = k land low_mask in
-  if low <= max_lbn then 0
-  else if low <= max_lbn + (1 lsl 20) then 1
-  else if low <= max_lbn + (1 lsl 21) then 2
-  else 3
+  if low < l1 then 0 else if low < l2 then 1 else if low < l3 then 2 else 3
+
+(* [Bkey.parent] on packed keys, with no allocation: the parent is the
+   key of the indirect block holding the pointer, or [none] when the
+   pointer is in the inode, and the slot is its index in that block or
+   the inode's pointer slot ({!Inode.pointer}). *)
+let none = -1
+
+let parent ~ppb k =
+  let file = k land lnot low_mask and low = k land low_mask in
+  if low < l1 then if low < Bkey.ndirect then none else file lor (l1 + ((low - Bkey.ndirect) / ppb))
+  else if low < l2 then if low = l1 then none else file lor (l2 + ((low - l1 - 1) / ppb))
+  else if low < l3 then if low = l2 then none else file lor l3
+  else none
+
+let slot ~ppb k =
+  let low = k land low_mask in
+  if low < l1 then if low < Bkey.ndirect then low else (low - Bkey.ndirect) mod ppb
+  else if low < l2 then if low = l1 then Bkey.ndirect else (low - l1 - 1) mod ppb
+  else if low < l3 then if low = l2 then Bkey.ndirect + 1 else low - l2 - 1
+  else Bkey.ndirect + 2
 
 module Tbl = Hashtbl.Make (struct
   type t = int
@@ -44,9 +67,9 @@ end)
 
 (* [crc] is the CRC-32 the bytes were last read or flushed with, or -1
    once they may have changed (or were never summed). [buf] is the
-   pooled buffer behind [data], or [Bufpool.none] when a caller handed
-   the bytes in ({!put_clean}, {!put_dirty}): only pooled buffers go
-   back to the pool when the entry lets go of them.
+   pooled buffer behind [data] while the entry is in the cache, and
+   [Bufpool.none] once it left: that is how a {!handle} knows it is
+   stale.
 
    [prev]/[next] thread the entry into the clean LRU ring or the dirty
    ring, as [dirty] says; [fprev]/[fnext] into its file's list, which
@@ -99,10 +122,8 @@ let take t = Bufpool.take t.pool
 let give t b = Bufpool.give t.pool b
 
 let release t e =
-  if e.buf != Bufpool.none then begin
-    Bufpool.give t.pool e.buf;
-    e.buf <- Bufpool.none
-  end
+  Bufpool.give t.pool e.buf;
+  e.buf <- Bufpool.none
 
 (* ---------- rings and file lists ---------- *)
 
@@ -182,36 +203,31 @@ let find t k =
 let addr_of t k = (Tbl.find t.table k).addr
 let is_dirty t k = match Tbl.find t.table k with e -> e.dirty | exception Not_found -> false
 
-(* An entry takes [data] (backed by [buf]); the buffer it held before
-   goes back to the pool unless it is the same one. *)
-let replace_data t e data buf crc =
-  if e.data != data then begin
+(* An entry takes buffer [b]; the buffer it held before goes back to
+   the pool unless it is the same one. *)
+let replace_data t e b crc =
+  if e.buf != b then begin
     release t e;
-    e.data <- data;
-    e.buf <- buf
+    e.data <- Bufpool.bytes b;
+    e.buf <- b
   end;
   e.crc <- crc
 
-let insert_clean t k ~addr ~crc data buf =
+let put_clean_buf t k ~addr ~crc b =
   match Tbl.find t.table k with
   | e ->
-      if e.dirty then invalid_arg "Bcache.put_clean: entry is dirty";
-      replace_data t e data buf crc;
+      if e.dirty then invalid_arg "Bcache.put_clean_buf: entry is dirty";
+      replace_data t e b crc;
       e.addr <- addr;
       move t e ~dirty:false
-  | exception Not_found -> add t k ~dirty:false data buf addr crc
+  | exception Not_found -> add t k ~dirty:false (Bufpool.bytes b) b addr crc
 
-let insert_dirty t k ~old_addr ~crc data buf =
+let put_dirty_buf t k ~old_addr ~crc b =
   match Tbl.find t.table k with
   | e ->
       if not e.dirty then move t e ~dirty:true;
-      replace_data t e data buf crc
-  | exception Not_found -> add t k ~dirty:true data buf old_addr crc
-
-let put_clean t k ~addr ?(crc = -1) data = insert_clean t k ~addr ~crc data Bufpool.none
-let put_dirty t k ?(old_addr = -1) ?(crc = -1) data = insert_dirty t k ~old_addr ~crc data Bufpool.none
-let put_clean_buf t k ~addr ~crc b = insert_clean t k ~addr ~crc (Bufpool.bytes b) b
-let put_dirty_buf t k ~old_addr ~crc b = insert_dirty t k ~old_addr ~crc (Bufpool.bytes b) b
+      replace_data t e b crc
+  | exception Not_found -> add t k ~dirty:true (Bufpool.bytes b) b old_addr crc
 
 let dirtied t k =
   match Tbl.find t.table k with
@@ -223,13 +239,25 @@ let dirtied t k =
 let mark_dirty t k = ignore (dirtied t k)
 let mark_modified t k = (dirtied t k).crc <- -1
 
-let crc t k data =
-  match Tbl.find t.table k with e when e.data == data -> e.crc | _ | (exception Not_found) -> -1
+(* ---------- handles ---------- *)
 
-let set_crc t k data crc =
-  match Tbl.find t.table k with
-  | e when e.data == data -> e.crc <- crc
-  | _ | (exception Not_found) -> ()
+type handle = entry
+
+let no_handle = nil
+
+(* A handle answers while its entry is in the cache and still holds
+   [data]: an entry that left gave its buffer back. *)
+let holds (e : handle) data = e.buf != Bufpool.none && e.data == data
+let handle_crc e data = if holds e data then e.crc else -1
+let set_handle_crc e data crc = if holds e data then e.crc <- crc
+
+let mark_written t e data ~crc ~addr =
+  if e.buf != Bufpool.none then begin
+    e.addr <- addr;
+    if e.dirty && e.data == data && e.crc = crc then move t e ~dirty:false
+  end
+
+let crc t k data = match Tbl.find t.table k with e -> handle_crc e data | exception Not_found -> -1
 
 let mark_flushed t k ~addr =
   match Tbl.find t.table k with
@@ -270,13 +298,13 @@ let iter_dirty_sorted t ~level:l f =
         incr n
       end);
   Array.sort (fun a b -> Int.compare a.key b.key) sorted;
-  Array.iter (fun e -> f e.key e.data e.addr) sorted
+  Array.iter (fun e -> f e e.key e.data e.addr) sorted
 
 let invalidate_clean t = iter_ring t.clean_ring (remove t)
 
 let buffers t =
   let held = ref [] in
-  let note e = if e.buf != Bufpool.none then held := e.buf :: !held in
+  let note e = held := e.buf :: !held in
   iter_ring t.dirty_ring note;
   iter_ring t.clean_ring note;
   !held

@@ -11,18 +11,17 @@
     An entry also carries the CRC-32 its bytes were last read or flushed
     with, so the log writer can fold it into a partial's data checksum
     instead of hashing the block again. The sum is valid only while the
-    bytes are unchanged: new content ({!put_clean} and {!put_dirty}
-    without [~crc]) and in-place modification ({!mark_modified}) forget
-    it; the cleaner's move ({!mark_dirty}, or {!put_dirty} with the
-    sum the block was written with) keeps it.
+    bytes are unchanged: new content ({!put_clean_buf} and
+    {!put_dirty_buf} with [~crc:-1]) and in-place modification
+    ({!mark_modified}) forget it; the cleaner's move ({!mark_dirty}, or
+    {!put_dirty_buf} with the sum the block was written with) keeps it.
 
-    The cache owns its block buffers, as the 4.4BSD buffer cache does: a
-    block entering the cache through {!put_clean_buf} or {!put_dirty_buf}
-    sits in a buffer taken from the cache's pool ({!take}), and the
-    buffer goes back to the pool when the entry lets go of it — clean
-    eviction, {!drop}, {!drop_inum}, {!invalidate_clean}, or new content
-    replacing it. Bytes a caller hands in through {!put_clean} or
-    {!put_dirty} are not pooled and are left to the GC. So the bytes
+    The cache owns its block buffers, as the 4.4BSD buffer cache does:
+    every block enters the cache in a buffer taken from the cache's pool
+    ({!take}) and handed over through {!put_clean_buf} or
+    {!put_dirty_buf}, and the buffer goes back to the pool when the
+    entry lets go of it — clean eviction, {!drop}, {!drop_inum},
+    {!invalidate_clean}, or new content replacing it. So the bytes
     {!find} returns are valid only until the next insertion into the
     cache or the next yield to another fiber: a caller reads or writes
     them at once and keeps no reference. *)
@@ -38,6 +37,29 @@ val key : int -> Bkey.t -> key
 
 val inum : key -> int
 val bkey : key -> Bkey.t
+
+val level : key -> int
+(** {!Bkey.level} of the key's block, without decoding it. *)
+
+(** {2 Block mapping on packed keys}
+
+    {!Bkey.parent} without allocating: the segment writer and the block
+    map walk every dirty block's ancestors with these. *)
+
+val none : key
+(** Not a key: what {!parent} returns for a pointer kept in the inode. *)
+
+val parent : ppb:int -> key -> key
+(** [parent ~ppb k] is the key of the indirect block holding [k]'s
+    pointer, in [k]'s file, or {!none} when the inode holds it. *)
+
+val slot : ppb:int -> key -> int
+(** The index of [k]'s pointer in its {!parent} block, or, when the
+    inode holds it, its inode slot as {!Inode.pointer} numbers them. *)
+
+module Tbl : Hashtbl.S with type key = int
+(** Int-keyed tables with the cache's own hash, which spreads packed
+    keys over the buckets. *)
 
 type t
 
@@ -63,21 +85,18 @@ val addr_of : t -> key -> int
 
 val is_dirty : t -> key -> bool
 
-val put_clean : t -> key -> addr:int -> ?crc:int -> Bytes.t -> unit
-(** Inserts a block just read from [addr], with the sum it was written
-    with when known ([crc], default -1: unknown). *)
-
-val put_dirty : t -> key -> ?old_addr:int -> ?crc:int -> Bytes.t -> unit
-(** Inserts new content. If the key was already cached its remembered
-    address is kept; otherwise [old_addr] (default -1) records where the
-    previous incarnation lives on disk. The entry's sum becomes [crc]
-    (default -1: unknown). *)
-
 val put_clean_buf : t -> key -> addr:int -> crc:int -> Util.Bufpool.buf -> unit
-(** {!put_clean} of a buffer taken from the pool: the cache now owns it. *)
+(** Inserts a block just read from [addr] into a buffer taken from the
+    pool, which the cache now owns, with the sum it was written with
+    when known ([crc], or -1: unknown). Raises [Invalid_argument] if the
+    key is cached dirty. *)
 
 val put_dirty_buf : t -> key -> old_addr:int -> crc:int -> Util.Bufpool.buf -> unit
-(** {!put_dirty} of a buffer taken from the pool: the cache now owns it. *)
+(** Inserts new content in a buffer taken from the pool, which the cache
+    now owns. If the key was already cached its remembered address is
+    kept; otherwise [old_addr] (-1: none) records where the previous
+    incarnation lives on disk. The entry's sum becomes [crc] (-1:
+    unknown). *)
 
 val mark_dirty : t -> key -> unit
 (** Promotes a clean entry to dirty with its bytes unchanged (the
@@ -92,14 +111,10 @@ val crc : t -> key -> Bytes.t -> int
     [data] (physically); -1 when unknown or when the entry is gone or
     holds other bytes. *)
 
-val set_crc : t -> key -> Bytes.t -> int -> unit
-(** Records the sum of [data] on [key]'s entry if it still holds exactly
-    [data]. *)
-
 val mark_flushed : t -> key -> addr:int -> unit
-(** Called by the segment writer once the block is on disk at [addr].
-    The sum is kept: the writer records it with {!set_crc} before the
-    write, and a change during the write has already forgotten it. *)
+(** Called by a file system's writer once the block is on disk at
+    [addr]: the entry becomes clean, its sum kept. Raises
+    [Invalid_argument] if the key is not cached dirty. *)
 
 val set_addr : t -> key -> int -> unit
 (** Rewrites a clean entry's remembered address (migration re-homes a
@@ -118,11 +133,41 @@ val iter_dirty : t -> (key -> Bytes.t -> int -> unit) -> unit
 (** [iter_dirty t f] calls [f key data old_addr] on every dirty block,
     unordered; [f] must not change the cache. *)
 
-val iter_dirty_sorted : t -> level:int -> (key -> Bytes.t -> int -> unit) -> unit
-(** [iter_dirty_sorted t ~level f] calls [f key data old_addr] on every
-    dirty block of {!Bkey.level} [level], in ascending key order. The
-    blocks are gathered before the first call, so [f] may insert into
-    the cache and flush the blocks it has already been given. *)
+(** {2 Handles}
+
+    A handle is a cache entry as the segment writer carries it from
+    staging to the end of the partial's write, so it looks nothing up
+    again by key. A handle answers only while its entry is still in the
+    cache holding the same bytes (physically): the writer yields while
+    its partial is on the way to the disk, and a concurrent write or
+    unlink may give the entry new bytes or drop it meanwhile. *)
+
+type handle
+
+val no_handle : handle
+(** A handle of no entry: answers nothing. *)
+
+val iter_dirty_sorted : t -> level:int -> (handle -> key -> Bytes.t -> int -> unit) -> unit
+(** [iter_dirty_sorted t ~level f] calls [f h key data old_addr] on
+    every dirty block of {!Bkey.level} [level], in ascending key order,
+    [h] being its entry. The blocks are gathered before the first call,
+    so [f] may insert into the cache and flush the blocks it has
+    already been given. *)
+
+val handle_crc : handle -> Bytes.t -> int
+(** {!crc} through a handle: the entry's sum if it still holds [data],
+    else -1. *)
+
+val set_handle_crc : handle -> Bytes.t -> int -> unit
+(** Records the sum of [data] on the handle's entry if it still holds
+    [data]. *)
+
+val mark_written : t -> handle -> Bytes.t -> crc:int -> addr:int -> unit
+(** The segment writer's {!mark_flushed}: [data], summed [crc], is on
+    disk at [addr]. An entry still in the cache remembers [addr]; it
+    becomes clean only if it still holds [data] with the sum [crc]
+    unchanged, since bytes replaced or modified during the write are not
+    the ones on disk. A dropped entry is left alone. *)
 
 val invalidate_clean : t -> unit
 (** Drops every clean block (used to model cache flushes between

@@ -2,6 +2,21 @@ open Util
 
 exception No_space
 
+(* The open partial segment: one per file system, reused for every
+   partial. Blocks are staged into arrays sized to a segment, a file
+   block with its cache entry, so the writer never looks a staged block
+   up by key again. *)
+type partial = {
+  mutable p_start : int;  (* offset of the summary block within the segment *)
+  mutable p_n : int;  (* blocks staged *)
+  mutable p_sum_bytes : int;  (* running summary-space estimate *)
+  mutable p_last_ino : int;  (* for finfo run-length grouping *)
+  p_keys : Bcache.key array;  (* [Bcache.none] for an inode block *)
+  p_entries : Bcache.handle array;  (* [Bcache.no_handle] for an inode block *)
+  p_payloads : Bytes.t array;
+  p_crcs : int array;
+}
+
 type hooks = {
   is_foreign : int -> bool;
   account_foreign : addr:int -> int -> unit;
@@ -38,6 +53,8 @@ and t = {
       (* by disk address: the CRC-32 close_partial wrote each log block
          with since mount, -1 where unknown *)
   segbufs : Bufpool.t;
+  part : partial;
+  seen : unit Bcache.Tbl.t;  (* segments_needed's, cleared per call *)
 }
 
 let no_hooks =
@@ -90,9 +107,9 @@ let account t ~addr delta =
   if addr >= 0 then
     if t.hooks.is_foreign addr then t.hooks.account_foreign ~addr delta
     else
-      match Layout.seg_of_addr t.prm addr with
-      | Some seg -> Segusage.add_live t.seg_usage seg delta
-      | None -> ()
+      match Layout.seg_index t.prm addr with
+      | -1 -> ()
+      | seg -> Segusage.add_live t.seg_usage seg delta
 
 (* ---------- Inode management ---------- *)
 
@@ -164,13 +181,14 @@ let touch_atime t inum =
 
 let ppb t = t.prm.block_size / 4
 
-let rec get_block t ino bkey =
-  let key = Bcache.key ino.Inode.inum bkey in
+(* The map walks packed keys: [Bcache.parent] and [Bcache.slot] locate
+   a pointer with no [Bkey.parent] built per step. *)
+let rec get_block_key t ino key =
   match Bcache.find t.cache key with
   | Some data -> Some data
   | None -> (
       Bcache.note_miss t.cache;
-      match lookup_addr t ino bkey with
+      match lookup_key t ino key with
       | -1 -> None
       | addr ->
           charge_cpu t t.prm.cpu.per_block;
@@ -179,28 +197,29 @@ let rec get_block t ino bkey =
           Bcache.put_clean_buf t.cache key ~addr ~crc:(written_crc t addr) b;
           Some (Bufpool.bytes b))
 
-and lookup_addr t ino bkey =
-  match Bkey.parent ~ppb:(ppb t) bkey with
-  | (Bkey.In_inode_direct _ | Bkey.In_inode_single | Bkey.In_inode_double | Bkey.In_inode_triple)
-    as p ->
-      Inode.get_inode_slot ino p
-  | Bkey.In_block (pbk, slot) -> (
-      match get_block t ino pbk with
-      | None -> -1
-      | Some pdata -> Bytesx.get_i32 pdata (slot * 4))
+and lookup_key t ino key =
+  let ppb = ppb t in
+  let p = Bcache.parent ~ppb key in
+  if (p :> int) < 0 then Inode.pointer ino (Bcache.slot ~ppb key)
+  else
+    match get_block_key t ino p with
+    | None -> -1
+    | Some pdata -> Bytesx.get_i32 pdata (Bcache.slot ~ppb key * 4)
 
-let get_block_for_write t ino bkey =
-  let key = Bcache.key ino.Inode.inum bkey in
+let get_block t ino bkey = get_block_key t ino (Bcache.key ino.Inode.inum bkey)
+let lookup_addr t ino bkey = lookup_key t ino (Bcache.key ino.Inode.inum bkey)
+
+let get_block_for_write_key t ino key =
   match Bcache.find t.cache key with
   | Some data ->
       Bcache.mark_modified t.cache key;
       data
   | None -> (
-      match lookup_addr t ino bkey with
+      match lookup_key t ino key with
       | -1 ->
           (* data holes are zeros; indirect-block holes must decode as
              "unassigned" pointers, i.e. every slot -1 *)
-          let fill = if Bkey.level bkey = 0 then '\000' else '\xff' in
+          let fill = if Bcache.level key = 0 then '\000' else '\xff' in
           let b = Bcache.take t.cache in
           let data = Bufpool.bytes b in
           Bytes.fill data 0 (Bytes.length data) fill;
@@ -213,6 +232,8 @@ let get_block_for_write t ino bkey =
           Bcache.put_dirty_buf t.cache key ~old_addr:addr ~crc:(-1) b;
           Bufpool.bytes b)
 
+let get_block_for_write t ino bkey = get_block_for_write_key t ino (Bcache.key ino.Inode.inum bkey)
+
 let put_block t ino bkey ?(off = 0) data =
   let bs = t.prm.block_size in
   if off < 0 || off + bs > Bytes.length data then invalid_arg "Fs.put_block: view outside data";
@@ -220,7 +241,7 @@ let put_block t ino bkey ?(off = 0) data =
   let old_addr =
     match Bcache.find t.cache key with
     | Some _ -> Bcache.addr_of t.cache key
-    | None -> lookup_addr t ino bkey
+    | None -> lookup_key t ino key
   in
   (* taken after the lookup, which may itself insert *)
   let b = Bcache.take t.cache in
@@ -229,19 +250,18 @@ let put_block t ino bkey ?(off = 0) data =
 
 let drop_block t ino bkey = Bcache.drop t.cache (Bcache.key ino.Inode.inum bkey)
 
-let set_pointer t ino bkey addr =
-  match Bkey.parent ~ppb:(ppb t) bkey with
-  | (Bkey.In_inode_direct _ | Bkey.In_inode_single | Bkey.In_inode_double | Bkey.In_inode_triple)
-    as p ->
-      Inode.set_inode_slot ino p addr;
-      mark_inode_dirty t ino
-  | Bkey.In_block (pbk, slot) ->
-      let pdata = get_block_for_write t ino pbk in
-      Bytesx.set_i32 pdata (slot * 4) addr
+let set_pointer t ino key addr =
+  let ppb = ppb t in
+  let p = Bcache.parent ~ppb key in
+  if (p :> int) < 0 then begin
+    Inode.set_pointer ino (Bcache.slot ~ppb key) addr;
+    mark_inode_dirty t ino
+  end
+  else Bytesx.set_i32 (get_block_for_write_key t ino p) (Bcache.slot ~ppb key * 4) addr
 
 let zap_pointer t ino bkey =
-  let addr = lookup_addr t ino bkey in
   let key = Bcache.key ino.Inode.inum bkey in
+  let addr = lookup_key t ino key in
   let cached_old =
     match Bcache.find t.cache key with
     | Some _ -> ( try Bcache.addr_of t.cache key with Not_found -> -1)
@@ -250,25 +270,20 @@ let zap_pointer t ino bkey =
   let victim = if addr >= 0 then addr else cached_old in
   if victim >= 0 then account t ~addr:victim (-t.prm.block_size);
   Bcache.drop t.cache key;
-  if addr >= 0 then set_pointer t ino bkey (-1)
+  if addr >= 0 then set_pointer t ino key (-1)
 
 let repoint t ino bkey new_addr =
   let key = Bcache.key ino.Inode.inum bkey in
   if Bcache.is_dirty t.cache key then invalid_arg "Fs.repoint: block is dirty";
-  let old_addr = lookup_addr t ino bkey in
+  let old_addr = lookup_key t ino key in
   if old_addr >= 0 then account t ~addr:old_addr (-t.prm.block_size);
   account t ~addr:new_addr t.prm.block_size;
-  set_pointer t ino bkey new_addr;
+  set_pointer t ino key new_addr;
   (match Bcache.find t.cache key with
   | Some _ -> Bcache.set_addr t.cache key new_addr
   | None -> ())
 
 (* ---------- The segment writer ---------- *)
-
-(* Blocks of an open partial: identity for the summary plus payload. *)
-type staged =
-  | File_block of Bcache.key
-  | Inode_block of int list  (* inums packed in it *)
 
 let seg_remaining t = t.prm.seg_blocks - t.cur_off
 
@@ -293,105 +308,87 @@ let advance_segment t =
   t.n_segs_written <- t.n_segs_written + 1;
   t.next_seg <- successor
 
-type partial = {
-  p_start : int;  (* offset of the summary block within the segment *)
-  mutable p_blocks : (staged * Bytes.t) list;  (* reversed *)
-  mutable p_nblocks : int;
-  mutable p_sum_bytes : int;  (* running summary-space estimate *)
-  mutable p_last_ino : int;  (* for finfo run-length grouping *)
-}
-
 let open_partial t =
   if seg_remaining t < 2 then advance_segment t;
-  let p =
-    {
-      p_start = t.cur_off;
-      p_blocks = [];
-      p_nblocks = 0;
-      p_sum_bytes = Summary.header_bytes;
-      p_last_ino = -1;
-    }
-  in
-  t.cur_off <- t.cur_off + 1;
-  (* summary block *)
-  p
+  let p = t.part in
+  p.p_start <- t.cur_off;
+  p.p_n <- 0;
+  p.p_sum_bytes <- Summary.header_bytes;
+  p.p_last_ino <- -1;
+  t.cur_off <- t.cur_off + 1 (* summary block *)
 
 let finfos_of_partial t p =
-  let groups = ref [] in
-  List.iter
-    (fun (staged, _) ->
-      match staged with
-      | Inode_block _ -> ()
-      | File_block key -> (
-          let inum = Bcache.inum key and bkey = Bcache.bkey key in
-          match !groups with
-          | (i, blocks) :: rest when i = inum -> groups := (i, bkey :: blocks) :: rest
-          | _ -> groups := (inum, [ bkey ]) :: !groups))
-    (List.rev p.p_blocks);
-  List.rev_map
-    (fun (inum, blocks_rev) ->
-      let e = Imap.get t.inode_map inum in
-      let lastlength =
-        match Hashtbl.find_opt t.itable inum with
-        | Some ino when ino.Inode.size mod t.prm.block_size <> 0 ->
-            ino.Inode.size mod t.prm.block_size
-        | _ -> t.prm.block_size
-      in
-      {
-        Summary.fi_ino = inum;
-        fi_version = e.version;
-        fi_lastlength = lastlength;
-        fi_blocks = List.rev blocks_rev;
-      })
-    !groups
+  let finfo inum blocks =
+    let e = Imap.get t.inode_map inum in
+    let lastlength =
+      match Hashtbl.find_opt t.itable inum with
+      | Some ino when ino.Inode.size mod t.prm.block_size <> 0 ->
+          ino.Inode.size mod t.prm.block_size
+      | _ -> t.prm.block_size
+    in
+    {
+      Summary.fi_ino = inum;
+      fi_version = e.version;
+      fi_lastlength = lastlength;
+      fi_blocks = blocks;
+    }
+  in
+  (* backwards, so each run of one file's blocks, and the runs, come out
+     in staging order with no reversal; inode blocks do not break a run *)
+  let rec go i inum blocks acc =
+    if i < 0 then match blocks with [] -> acc | _ -> finfo inum blocks :: acc
+    else
+      let key = p.p_keys.(i) in
+      if (key :> int) < 0 then go (i - 1) inum blocks acc
+      else
+        let owner = Bcache.inum key in
+        match blocks with
+        | _ :: _ when owner <> inum ->
+            go (i - 1) owner [ Bcache.bkey key ] (finfo inum blocks :: acc)
+        | _ -> go (i - 1) owner (Bcache.bkey key :: blocks) acc
+  in
+  go (p.p_n - 1) (-1) [] []
 
-let close_partial t p =
-  if p.p_blocks = [] then begin
+let close_partial t =
+  let p = t.part in
+  let n = p.p_n in
+  if n = 0 then begin
     (* nothing was staged: return the reserved summary slot *)
     t.cur_off <- t.cur_off - 1;
     assert (t.cur_off = p.p_start)
   end
   else begin
     let bs = t.prm.block_size in
-    let blocks = List.rev p.p_blocks in
-    let ndata = List.length blocks in
     (* one pooled segment buffer: summary block, then the payload from
-       block 1 on; only those [ndata + 1] blocks are written. A
-       block's sum is carried from its cache entry when the bytes are
-       unchanged since they were last read or flushed, and hashed only
-       otherwise; the partial's data sum folds the block sums. *)
+       block 1 on; only those [n + 1] blocks are written. A block's sum
+       is carried from its cache entry when the bytes are unchanged
+       since they were last read or flushed, and hashed only otherwise;
+       the partial's data sum folds the block sums. *)
     let buf = Bufpool.take t.segbufs in
     let image = Bufpool.bytes buf in
-    let crcs = Array.make ndata 0 in
     let shift = Crc32.shift bs in
     let data_crc = ref 0 in
-    List.iteri
-      (fun i (staged, payload) ->
-        let dst = (i + 1) * bs in
-        Bytes.blit payload 0 image dst bs;
-        let crc =
-          match staged with
-          | File_block key ->
-              let carried = Bcache.crc t.cache key payload in
-              if carried >= 0 then carried
-              else begin
-                let c = Crc32.bytes ~off:dst ~len:bs image in
-                Bcache.set_crc t.cache key payload c;
-                c
-              end
-          | Inode_block _ -> Crc32.bytes ~off:dst ~len:bs image
-        in
-        crcs.(i) <- crc;
-        data_crc := Crc32.combine shift !data_crc crc)
-      blocks;
+    for i = 0 to n - 1 do
+      let dst = (i + 1) * bs in
+      let payload = p.p_payloads.(i) and h = p.p_entries.(i) in
+      Bytes.blit payload 0 image dst bs;
+      let carried = Bcache.handle_crc h payload in
+      let crc =
+        if carried >= 0 then carried
+        else begin
+          let c = Crc32.bytes ~off:dst ~len:bs image in
+          Bcache.set_handle_crc h payload c;
+          c
+        end
+      in
+      p.p_crcs.(i) <- crc;
+      data_crc := Crc32.combine shift !data_crc crc
+    done;
     let base = Layout.seg_base t.prm t.cur_seg + p.p_start in
-    let inode_addrs =
-      List.concat
-        (List.mapi
-           (fun i (staged, _) ->
-             match staged with Inode_block _ -> [ base + 1 + i ] | File_block _ -> [])
-           blocks)
-    in
+    let inode_addrs = ref [] in
+    for i = n - 1 downto 0 do
+      if (p.p_keys.(i) :> int) < 0 then inode_addrs := (base + 1 + i) :: !inode_addrs
+    done;
     let summary =
       {
         Summary.ss_next = Layout.seg_base t.prm t.next_seg;
@@ -399,60 +396,55 @@ let close_partial t p =
         ss_serial = Int64.add t.serial 1L;
         ss_flags = 0;
         finfos = finfos_of_partial t p;
-        inode_addrs;
+        inode_addrs = !inode_addrs;
       }
     in
     t.serial <- Int64.add t.serial 1L;
     Summary.serialize_into ~block_size:bs ~data_crc:!data_crc summary ~dst:image ~dst_off:0;
-    charge_copy t ((ndata + 1) * bs);
-    t.device.write_from ~blk:base ~src:image ~src_off:0 ~count:(ndata + 1);
+    charge_copy t ((n + 1) * bs);
+    t.device.write_from ~blk:base ~src:image ~src_off:0 ~count:(n + 1);
     (* a write that raised leaves the buffer to the GC *)
     Bufpool.give t.segbufs buf;
     t.n_partials <- t.n_partials + 1;
     (* summary blocks are not counted live: they die with their partial
        and the cleaner never needs to move them *)
     Segusage.set_lastmod t.seg_usage t.cur_seg (now t);
-    (* now that bytes are on the device, record their sums and clean
-       the cache entries *)
-    List.iteri
-      (fun i (staged, _) ->
-        t.sums.(base + 1 + i) <- crcs.(i);
-        match staged with
-        | File_block key -> Bcache.mark_flushed t.cache key ~addr:(base + 1 + i)
-        | Inode_block _ -> ())
-      blocks
+    (* now that bytes are on the device, record their sums and clean the
+       cache entries that still hold them: the write yielded, so a
+       staged entry may have new bytes or be gone *)
+    for i = 0 to n - 1 do
+      let addr = base + 1 + i in
+      t.sums.(addr) <- p.p_crcs.(i);
+      if (p.p_keys.(i) :> int) >= 0 then
+        Bcache.mark_written t.cache p.p_entries.(i) p.p_payloads.(i) ~crc:p.p_crcs.(i) ~addr
+    done;
+    (* hold no entry or block past the partial *)
+    Array.fill p.p_entries 0 n Bcache.no_handle;
+    Array.fill p.p_payloads 0 n Bytes.empty
   end
 
 (* Space the block's summary record needs. *)
-let summary_cost p staged =
-  match staged with
-  | Inode_block _ -> 4
-  | File_block key -> if Bcache.inum key = p.p_last_ino then 4 else 16
+let summary_cost p (key : Bcache.key) =
+  if (key :> int) < 0 || Bcache.inum key = p.p_last_ino then 4 else 16
 
-(* Stage one block into the log, returning its assigned address. *)
-let stage_block t pref staged payload =
-  let p = !pref in
-  let bs = t.prm.block_size in
-  let need_new_partial =
-    seg_remaining t < 1 || p.p_sum_bytes + summary_cost p staged > bs
-  in
-  let p =
-    if need_new_partial then begin
-      close_partial t p;
-      let np = open_partial t in
-      pref := np;
-      np
-    end
-    else p
-  in
+(* Stage one block into the log, returning its assigned address: a file
+   block with its key and cache entry, an inode block with [Bcache.none]
+   and [Bcache.no_handle]. *)
+let stage_block t (key : Bcache.key) h payload =
+  let p = t.part in
+  if seg_remaining t < 1 || p.p_sum_bytes + summary_cost p key > t.prm.block_size then begin
+    close_partial t;
+    open_partial t
+  end;
   let addr = Layout.seg_base t.prm t.cur_seg + t.cur_off in
   t.cur_off <- t.cur_off + 1;
-  p.p_sum_bytes <- p.p_sum_bytes + summary_cost p staged;
-  (match staged with
-  | File_block key -> p.p_last_ino <- Bcache.inum key
-  | Inode_block _ -> p.p_last_ino <- -1);
-  p.p_blocks <- (staged, payload) :: p.p_blocks;
-  p.p_nblocks <- p.p_nblocks + 1;
+  p.p_sum_bytes <- p.p_sum_bytes + summary_cost p key;
+  p.p_last_ino <- (if (key :> int) < 0 then -1 else Bcache.inum key);
+  let i = p.p_n in
+  p.p_keys.(i) <- key;
+  p.p_entries.(i) <- h;
+  p.p_payloads.(i) <- payload;
+  p.p_n <- i + 1;
   addr
 
 let segments_needed t extra_blocks =
@@ -460,29 +452,36 @@ let segments_needed t extra_blocks =
   let data = Bcache.dirty_count t.cache + extra_blocks in
   (* count the indirect blocks the dirty set can touch, exactly: every
      distinct ancestor of a dirty block may be dirtied by set_pointer;
-     and every file with a dirty block gets its inode rewritten too *)
-  let ancestors = Hashtbl.create 32 in
-  let owners = Hashtbl.create 32 in
-  let rec walk inum bkey =
-    match Bkey.parent ~ppb:(ppb t) bkey with
-    | Bkey.In_block (pbk, _) ->
-        let pkey = Bcache.key inum pbk in
-        if not (Hashtbl.mem ancestors pkey) then begin
-          Hashtbl.replace ancestors pkey ();
-          walk inum pbk
-        end
-    | _ -> ()
+     and every file with a dirty block gets its inode rewritten too.
+     One reused table holds both sets: ancestors under their keys,
+     files under the complement of their inum, which no key takes. *)
+  let seen = t.seen in
+  Bcache.Tbl.clear seen;
+  let ppb = ppb t in
+  let indirect = ref 0 and owners = ref 0 in
+  let note_owner inum =
+    let o = lnot inum in
+    if not (Bcache.Tbl.mem seen o) then begin
+      Bcache.Tbl.add seen o ();
+      incr owners
+    end
+  in
+  let rec walk key =
+    let pk = Bcache.parent ~ppb key in
+    if (pk :> int) >= 0 && not (Bcache.Tbl.mem seen (pk :> int)) then begin
+      Bcache.Tbl.add seen (pk :> int) ();
+      incr indirect;
+      walk pk
+    end
   in
   Bcache.iter_dirty t.cache (fun key _ _ ->
-      let inum = Bcache.inum key in
-      Hashtbl.replace owners inum ();
-      walk inum (Bcache.bkey key));
-  let indirect = Hashtbl.length ancestors in
+      note_owner (Bcache.inum key);
+      walk key);
+  Hashtbl.iter (fun inum () -> note_owner inum) t.dirty_inodes;
   let ipb = Inode.per_block ~block_size:t.prm.block_size in
-  Hashtbl.iter (fun inum () -> Hashtbl.replace owners inum ()) t.dirty_inodes;
-  let ninodes = Hashtbl.length owners + Queue.length t.dead_inodes in
+  let ninodes = !owners + Queue.length t.dead_inodes in
   let inode_blocks = ((ninodes + ipb - 1) / ipb) + 1 in
-  let total = data + indirect + inode_blocks in
+  let total = data + !indirect + inode_blocks in
   let summaries = (total / bs_per_seg) + 2 in
   ((total + summaries + bs_per_seg - 1) / bs_per_seg) + 1
 
@@ -509,20 +508,20 @@ let flush t =
     t.in_flush <- true;
     Fun.protect ~finally:(fun () -> t.in_flush <- false) @@ fun () ->
     let bs = t.prm.block_size in
-    let pref = ref (open_partial t) in
+    open_partial t;
     (* Levels 0-3: data blocks, then L1, L2, L3 indirect blocks. Each
        level's flush assigns addresses and dirties the parents that the
        next level picks up. *)
     for level = 0 to 3 do
-      Bcache.iter_dirty_sorted t.cache ~level (fun key data old_addr ->
+      Bcache.iter_dirty_sorted t.cache ~level (fun h key data old_addr ->
           let inum = Bcache.inum key in
           let ino = try get_inode t inum with Not_found ->
             failwith (Printf.sprintf "Fs.flush: dirty block of missing inode %d" inum)
           in
-          let addr = stage_block t pref (File_block key) data in
+          let addr = stage_block t key h data in
           if old_addr >= 0 then account t ~addr:old_addr (-bs);
           account t ~addr bs;
-          set_pointer t ino (Bcache.bkey key) addr)
+          set_pointer t ino key addr)
     done;
     (* Inode blocks: pack dirty inodes (and zero-nlink corpses, which
        roll-forward uses to replay deletions) and point the inode map at
@@ -546,8 +545,7 @@ let flush t =
           let chunk = List.filteri (fun i _ -> i < take) batch in
           let rest = List.filteri (fun i _ -> i >= take) batch in
           let block = Inode.pack_block ~block_size:bs (List.map fst chunk) in
-          let inums = List.map (fun (ino, _) -> ino.Inode.inum) chunk in
-          let addr = stage_block t pref (Inode_block inums) block in
+          let addr = stage_block t Bcache.none Bcache.no_handle block in
           (* inode blocks are accounted per inode, matching the per-inode
              decrement when an inode later moves out or is freed *)
           account t ~addr (Inode.isize * List.length (List.filter snd chunk));
@@ -563,7 +561,7 @@ let flush t =
     in
     pack (live @ dead);
     Hashtbl.reset t.dirty_inodes;
-    close_partial t !pref
+    close_partial t
   end
 
 let maybe_flush t =
@@ -727,6 +725,18 @@ let make_state engine prm device tertiary_cfg =
     cache_floor = 0;
     sums = Array.make (Layout.disk_blocks prm) (-1);
     segbufs = Bufpool.create (Param.seg_bytes prm);
+    part =
+      {
+        p_start = 0;
+        p_n = 0;
+        p_sum_bytes = 0;
+        p_last_ino = -1;
+        p_keys = Array.make prm.seg_blocks Bcache.none;
+        p_entries = Array.make prm.seg_blocks Bcache.no_handle;
+        p_payloads = Array.make prm.seg_blocks Bytes.empty;
+        p_crcs = Array.make prm.seg_blocks 0;
+      };
+    seen = Bcache.Tbl.create 64;
   }
 
 let mkfs engine prm device ?tertiary () =

@@ -146,6 +146,13 @@ val flush : t -> unit
 val maybe_flush : t -> unit
 (** Flushes when about a segment's worth of dirty data has gathered. *)
 
+val segments_needed : t -> int -> int
+(** [segments_needed t extra] bounds the segments a {!flush} of the
+    current dirty set plus [extra] more blocks may take: the dirty
+    blocks, every indirect block above them, an inode block share for
+    every file they or the dirty inodes belong to, and the summaries.
+    {!flush} raises {!No_space} up front when fewer are free. *)
+
 val alloc_clean_segment : t -> for_cache:bool -> int option
 (** Takes a clean segment out of the allocation pool, leaving it in
     [Cached] state. With [for_cache:true] (demand-fetch cache lines) it

@@ -42,20 +42,29 @@ let create ~inum ~kind ~version ~now =
 
 let per_block ~block_size = block_size / isize
 
-let get_inode_slot t = function
-  | Bkey.In_inode_direct i -> t.direct.(i)
-  | Bkey.In_inode_single -> t.single
-  | Bkey.In_inode_double -> t.double
-  | Bkey.In_inode_triple -> t.triple
-  | Bkey.In_block _ -> invalid_arg "Inode.get_inode_slot: not an inode slot"
+(* Inode pointer slots by number: the direct slots, then single,
+   double and triple. *)
+let pointer t i =
+  if i < Bkey.ndirect then t.direct.(i)
+  else if i = Bkey.ndirect then t.single
+  else if i = Bkey.ndirect + 1 then t.double
+  else t.triple
 
-let set_inode_slot t parent v =
-  match parent with
-  | Bkey.In_inode_direct i -> t.direct.(i) <- v
-  | Bkey.In_inode_single -> t.single <- v
-  | Bkey.In_inode_double -> t.double <- v
-  | Bkey.In_inode_triple -> t.triple <- v
-  | Bkey.In_block _ -> invalid_arg "Inode.set_inode_slot: not an inode slot"
+let set_pointer t i v =
+  if i < Bkey.ndirect then t.direct.(i) <- v
+  else if i = Bkey.ndirect then t.single <- v
+  else if i = Bkey.ndirect + 1 then t.double <- v
+  else t.triple <- v
+
+let slot_number = function
+  | Bkey.In_inode_direct i -> i
+  | Bkey.In_inode_single -> Bkey.ndirect
+  | Bkey.In_inode_double -> Bkey.ndirect + 1
+  | Bkey.In_inode_triple -> Bkey.ndirect + 2
+  | Bkey.In_block _ -> invalid_arg "Inode: not an inode slot"
+
+let get_inode_slot t parent = pointer t (slot_number parent)
+let set_inode_slot t parent v = set_pointer t (slot_number parent) v
 
 let kind_code = function Reg -> 1 | Dir -> 2 | Symlink -> 3
 

@@ -37,6 +37,14 @@ val get_inode_slot : t -> Bkey.parent -> int
 
 val set_inode_slot : t -> Bkey.parent -> int -> unit
 
+val pointer : t -> int -> int
+(** [pointer t i] reads inode pointer slot [i], numbered [0] to
+    [Bkey.ndirect - 1] for the direct slots, then [Bkey.ndirect] for the
+    single, [+ 1] for the double and [+ 2] for the triple indirect
+    pointer ({!Bcache.slot} numbers them so). *)
+
+val set_pointer : t -> int -> int -> unit
+
 val write_to : Bytes.t -> off:int -> t -> unit
 val read_from : Bytes.t -> off:int -> t option
 (** [None] when the slot holds no inode. *)

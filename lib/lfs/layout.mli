@@ -16,6 +16,10 @@ val seg_of_addr : Param.t -> int -> int option
 (** Log segment containing a disk address; [None] for the reserved area
     or addresses beyond the disk. *)
 
+val seg_index : Param.t -> int -> int
+(** {!seg_of_addr} without the option, for per-block accounting: [-1]
+    for the reserved area or addresses beyond the disk. *)
+
 val off_in_seg : Param.t -> int -> int
 val disk_blocks : Param.t -> int
 (** Total device blocks the file system needs. *)

@@ -29,6 +29,7 @@ let create ?capacity () =
   }
 
 let now t = t.clock.Eventq.time
+let clock t = t.clock
 let events_retired t = t.events_retired
 let pending_events t = Eventq.length t.q
 

@@ -20,6 +20,12 @@ val create : ?capacity:int -> unit -> t
 val now : t -> float
 (** Current virtual time in seconds. *)
 
+val clock : t -> Eventq.clock
+(** The engine's live clock record, for accounting on the per-request
+    path: reading its [time] field into a float record involves no call
+    and no float box, which {!now} costs wherever it is not inlined.
+    Read it only; the engine alone advances it. *)
+
 val schedule : t -> after:float -> (unit -> unit) -> unit
 (** [schedule t ~after f] runs [f] on the scheduler [after] virtual
     seconds from now (clamped at 0). Unlike {!spawn}, [f] is a plain

@@ -272,6 +272,13 @@ let charged_active cat f =
               charge l cat (Engine.now r.engine -. t0);
               raise e))
 
+(* The device models' common case: with no registry installed this is a
+   bare [Engine.delay], with no thunk built for it. *)
+let charged_delay cat d =
+  match !installed with
+  | None -> Engine.delay d
+  | Some _ -> charged_active cat (fun () -> Engine.delay d)
+
 (* ---------- aggregate summary and export ---------- *)
 
 type cat_stat = { cat : category; total_s : float; count : int; p95_s : float }

@@ -92,6 +92,11 @@ val charged_active : category -> (unit -> 'a) -> 'a
 (** Runs [f] and charges its virtual duration to the running process's
     active ledger, if any. *)
 
+val charged_delay : category -> float -> unit
+(** [charged_delay cat d] is [charged_active cat (fun () -> Engine.delay d)]
+    without the closure when no registry is installed: the per-request
+    form the device models use. *)
+
 (** {1 Aggregate summary and export} *)
 
 type cat_stat = { cat : category; total_s : float; count : int; p95_s : float }

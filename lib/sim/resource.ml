@@ -1,3 +1,7 @@
+(* An all-float record is stored flat, so the per-request busy-time
+   stores write unboxed doubles instead of allocating a box each. *)
+type busy = { mutable total : float; mutable since : float }
+
 type t = {
   engine : Engine.t;
   label : string;
@@ -6,8 +10,8 @@ type t = {
   mutable held : int;
   waiting : (unit -> unit) Queue.t;
   created_at : float;
-  mutable busy : float;
-  mutable busy_since : float;
+  busy : busy;
+  now : Eventq.clock;  (* the engine's: read in place, never through a call *)
 }
 
 let create engine ?(capacity = 1) ?wait_category label =
@@ -20,8 +24,8 @@ let create engine ?(capacity = 1) ?wait_category label =
     held = 0;
     waiting = Queue.create ();
     created_at = Engine.now engine;
-    busy = 0.0;
-    busy_since = 0.0;
+    busy = { total = 0.0; since = 0.0 };
+    now = Engine.clock engine;
   }
 
 let name t = t.label
@@ -31,7 +35,7 @@ let acquire t =
      the head waiter: [held] never drops, so no third party can steal the
      unit between the release and the waiter's resumption. *)
   if t.held < t.capacity && Queue.is_empty t.waiting then begin
-    if t.held = 0 then t.busy_since <- Engine.now t.engine;
+    if t.held = 0 then t.busy.since <- t.now.Eventq.time;
     t.held <- t.held + 1
   end
   else begin
@@ -47,7 +51,7 @@ let release t =
   | Some wake -> wake ()
   | None ->
       t.held <- t.held - 1;
-      if t.held = 0 then t.busy <- t.busy +. (Engine.now t.engine -. t.busy_since)
+      if t.held = 0 then t.busy.total <- t.busy.total +. (t.now.Eventq.time -. t.busy.since)
 
 let with_resource t f =
   acquire t;
@@ -63,7 +67,7 @@ let in_use t = t.held
 let queue_length t = Queue.length t.waiting
 
 let busy_time t =
-  if t.held > 0 then t.busy +. (Engine.now t.engine -. t.busy_since) else t.busy
+  if t.held > 0 then t.busy.total +. (Engine.now t.engine -. t.busy.since) else t.busy.total
 
 let utilization t =
   let elapsed = Engine.now t.engine -. t.created_at in

@@ -11,7 +11,15 @@ let block = 16
 let k i lbn = Bcache.key i (Bkey.Data lbn)
 let mem cache key = match Bcache.addr_of cache key with _ -> true | exception Not_found -> false
 let found cache key = Option.map Bytes.to_string (Bcache.find cache key)
-let put_clean cache key c = Bcache.put_clean cache key ~addr:1 (Bytes.make block c)
+
+(* a pooled buffer of the cache, filled with [c] *)
+let filled cache c =
+  let b = Bcache.take cache in
+  Bytes.fill (Util.Bufpool.bytes b) 0 block c;
+  b
+
+let put_clean cache key c = Bcache.put_clean_buf cache key ~addr:1 ~crc:(-1) (filled cache c)
+let put_dirty cache key c = Bcache.put_dirty_buf cache key ~old_addr:(-1) ~crc:(-1) (filled cache c)
 
 (* --- keys --- *)
 
@@ -128,7 +136,7 @@ let test_eviction_order () =
 let test_drop_invalidate () =
   let c = Bcache.create ~cap:4 ~block_size:block in
   List.iter (fun lbn -> put_clean c (k 1 lbn) 'x') [ 0; 1; 2 ];
-  Bcache.put_dirty c (k 1 3) (Bytes.make block 'd');
+  put_dirty c (k 1 3) 'd';
   Bcache.drop c (k 1 1);
   check Alcotest.bool "dropped" false (mem c (k 1 1));
   check Alcotest.int "clean count" 2 (Bcache.clean_count c);
@@ -161,9 +169,9 @@ let prop_last_put_found =
 
 (* --- unlink --- *)
 
-(* Three files on a full cache, each with pooled clean entries, a pooled
-   dirty one and a caller-owned dirty one; unlinking the middle file
-   takes exactly its entries and gives back exactly its pooled buffers. *)
+(* Three files on a full cache, each with clean entries and two dirty
+   ones; unlinking the middle file takes exactly its entries and gives
+   back exactly their buffers. *)
 let test_drop_inum () =
   let per_file = 4 in
   let c = Bcache.create ~cap:(3 * per_file) ~block_size:block in
@@ -181,13 +189,13 @@ let test_drop_inum () =
       done;
       Bcache.put_dirty_buf c (k inum per_file) ~old_addr:(-1) ~crc:(-1)
         (fill (content inum per_file));
-      Bcache.put_dirty c (k inum (per_file + 1)) (Bytes.make block (content inum (per_file + 1))))
+      put_dirty c (k inum (per_file + 1)) (content inum (per_file + 1)))
     files;
   check Alcotest.int "cache full" (3 * per_file) (Bcache.clean_count c);
   let free () = Util.Bufpool.free_count (Bcache.pool c) in
   let free_before = free () in
   Bcache.drop_inum c 2;
-  check Alcotest.int "pooled buffers back: four clean, one dirty" (free_before + per_file + 1)
+  check Alcotest.int "buffers back: four clean, two dirty" (free_before + per_file + 2)
     (free ());
   for lbn = 0 to per_file + 1 do
     check Alcotest.bool (Printf.sprintf "(2, %d) gone" lbn) false (mem c (k 2 lbn))
@@ -206,7 +214,7 @@ let test_drop_inum () =
     [ 1; 3 ];
   Bcache.drop_inum c 2;
   Bcache.drop_inum c 1_000_000;
-  check Alcotest.int "uncached files drop nothing" (free_before + per_file + 1) (free ())
+  check Alcotest.int "uncached files drop nothing" (free_before + per_file + 2) (free ())
 
 (* --- model --- *)
 
@@ -294,7 +302,7 @@ let apply cache m op =
         true
       end
   | Put_dirty (key, c) ->
-      Bcache.put_dirty cache key (Bytes.make block c);
+      put_dirty cache key c;
       m.clean <- List.remove_assoc key m.clean;
       Hashtbl.replace m.dirty key c;
       true

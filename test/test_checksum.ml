@@ -45,8 +45,14 @@ let check_known what fs ino bkey =
    sum, moves and re-homing keep it. *)
 let test_bcache_rules () =
   let cache = Bcache.create ~cap:8 ~block_size:bs in
-  let k = Bcache.key 7 (Bkey.Data 0) and d = Bytes.make bs 'a' in
-  Bcache.put_clean cache k ~addr:100 ~crc:1234 d;
+  let filled c =
+    let b = Bcache.take cache in
+    Bytes.fill (Util.Bufpool.bytes b) 0 bs c;
+    b
+  in
+  let k = Bcache.key 7 (Bkey.Data 0) and b = filled 'a' in
+  let d = Util.Bufpool.bytes b in
+  Bcache.put_clean_buf cache k ~addr:100 ~crc:1234 b;
   check Alcotest.int "read with a sum" 1234 (Bcache.crc cache k d);
   check Alcotest.int "other bytes carry nothing" (-1) (Bcache.crc cache k (Bytes.copy d));
   Bcache.mark_dirty cache k;
@@ -57,15 +63,61 @@ let test_bcache_rules () =
   check Alcotest.int "set_addr keeps" 1234 (Bcache.crc cache k d);
   Bcache.mark_modified cache k;
   check Alcotest.int "mark_modified forgets" (-1) (Bcache.crc cache k d);
-  Bcache.set_crc cache k d 42;
-  check Alcotest.int "set_crc" 42 (Bcache.crc cache k d);
-  Bcache.put_dirty cache k d;
-  check Alcotest.int "put_dirty forgets" (-1) (Bcache.crc cache k d);
-  Bcache.put_dirty cache k ~crc:55 d;
+  Bcache.put_dirty_buf cache k ~old_addr:(-1) ~crc:55 b;
   check Alcotest.int "put_dirty with the written sum" 55 (Bcache.crc cache k d);
-  let k2 = Bcache.key 8 (Bkey.Data 0) in
-  Bcache.put_clean cache k2 ~addr:400 d;
-  check Alcotest.int "read without a sum" (-1) (Bcache.crc cache k2 d)
+  Bcache.put_dirty_buf cache k ~old_addr:(-1) ~crc:(-1) b;
+  check Alcotest.int "put_dirty forgets" (-1) (Bcache.crc cache k d);
+  let k2 = Bcache.key 8 (Bkey.Data 0) and b2 = filled 'a' in
+  Bcache.put_clean_buf cache k2 ~addr:400 ~crc:(-1) b2;
+  check Alcotest.int "read without a sum" (-1) (Bcache.crc cache k2 (Util.Bufpool.bytes b2))
+
+(* The segment writer's handles: one answers while its entry is in the
+   cache holding the staged bytes, and [mark_written] cleans only an
+   entry whose bytes are the ones written. Four dirty entries are
+   staged; during the "write" one gets new bytes, one is modified in
+   place, one is dropped, one is left alone. *)
+let test_handle_liveness () =
+  let cache = Bcache.create ~cap:8 ~block_size:bs in
+  let filled c =
+    let b = Bcache.take cache in
+    Bytes.fill (Util.Bufpool.bytes b) 0 bs c;
+    b
+  in
+  let key lbn = Bcache.key 7 (Bkey.Data lbn) in
+  List.iter
+    (fun lbn -> Bcache.put_dirty_buf cache (key lbn) ~old_addr:(-1) ~crc:(-1) (filled 'a'))
+    [ 0; 1; 2; 3 ];
+  let staged = ref [] in
+  Bcache.iter_dirty_sorted cache ~level:0 (fun h _ data _ -> staged := (h, data) :: !staged);
+  let staged = List.rev !staged in
+  check Alcotest.int "all four staged" 4 (List.length staged);
+  List.iteri (fun i (h, data) -> Bcache.set_handle_crc h data (100 + i)) staged;
+  List.iteri
+    (fun i (h, data) ->
+      check Alcotest.int "sum through the handle" (100 + i) (Bcache.handle_crc h data))
+    staged;
+  Bcache.put_dirty_buf cache (key 1) ~old_addr:(-1) ~crc:(-1) (filled 'b');
+  Bcache.mark_modified cache (key 2);
+  Bcache.drop cache (key 3);
+  List.iteri
+    (fun i (h, data) -> Bcache.mark_written cache h data ~crc:(100 + i) ~addr:(50 + i))
+    staged;
+  let answers lbn =
+    let h, data = List.nth staged lbn in
+    Bcache.handle_crc h data
+  in
+  check Alcotest.int "untouched: answers" 100 (answers 0);
+  check Alcotest.bool "untouched: clean" false (Bcache.is_dirty cache (key 0));
+  check Alcotest.int "untouched: at its new address" 50 (Bcache.addr_of cache (key 0));
+  check Alcotest.int "new bytes: stale" (-1) (answers 1);
+  check Alcotest.bool "new bytes: still dirty" true (Bcache.is_dirty cache (key 1));
+  check Alcotest.int "new bytes: remembers the written address" 51 (Bcache.addr_of cache (key 1));
+  check Alcotest.int "modified in place: forgot its sum" (-1) (answers 2);
+  check Alcotest.bool "modified in place: still dirty" true (Bcache.is_dirty cache (key 2));
+  check Alcotest.int "dropped: stale" (-1) (answers 3);
+  check Alcotest.bool "dropped: not re-added" false (Bcache.is_dirty cache (key 3));
+  check Alcotest.int "no handle answers nothing" (-1)
+    (Bcache.handle_crc Bcache.no_handle Bytes.empty)
 
 (* Twenty blocks: twelve direct, eight under the single indirect block. *)
 let twenty_block_file fs =
@@ -233,6 +285,7 @@ let suite =
           test_get_block_for_write_forgets;
         Alcotest.test_case "set_pointer forgets the indirect block's sum" `Quick
           test_set_pointer_forgets;
+        Alcotest.test_case "segment-writer handles go stale" `Quick test_handle_liveness;
         Alcotest.test_case "truncate's tail zeroing forgets the sum" `Quick
           test_truncate_tail_forgets;
         Alcotest.test_case "cleaning a damaged block does not launder it" `Quick

@@ -270,6 +270,115 @@ let test_disk_stats () =
       check Alcotest.int "bytes read" (4 * 4096) (Disk.bytes_read d);
       check Alcotest.int "bytes written" 4096 (Disk.bytes_written d))
 
+(* --- Request-path allocation --- *)
+
+(* One untraced single-block request may allocate only what the engine
+   needs to block (two [Engine.delay] payloads, about 22 words); the
+   rest of the path carries no closures or boxed floats. The bound
+   leaves a few words of slack over the measured ~28, and sits far
+   below the 85 a closure-built request allocates. *)
+let request_words_bound = 32.0
+
+let words_per_request io =
+  Sim.Trace.stop ();
+  Sim.Ledger.uninstall ();
+  Sim.Fault.clear ();
+  let e = Sim.Engine.create () in
+  let bus = Scsi_bus.create e "alloc" in
+  let d = Disk.create e ~bus ~nblocks:4096 Disk.rz57 ~name:"alloc" in
+  let buf = Bytes.make 4096 'a' in
+  let n = 2000 in
+  let words = ref nan in
+  Sim.Engine.spawn e (fun () ->
+      (* first touches create the store's pages *)
+      for i = 0 to 99 do
+        Disk.write_from d ~blk:(i * 37 mod 4096) ~src:buf ~src_off:0 ~count:1
+      done;
+      let w0 = Gc.minor_words () in
+      for i = 0 to n - 1 do
+        io d ~blk:(i * 37 mod 3700) buf
+      done;
+      words := (Gc.minor_words () -. w0) /. float_of_int n);
+  Sim.Engine.run e;
+  !words
+
+let test_request_alloc () =
+  let read d ~blk buf = Disk.read_into d ~blk ~count:1 ~dst:buf ~dst_off:0 in
+  let write d ~blk buf = Disk.write_from d ~blk ~src:buf ~src_off:0 ~count:1 in
+  List.iter
+    (fun (what, io) ->
+      let w = words_per_request io in
+      check Alcotest.bool
+        (Printf.sprintf "%s: %.1f minor words per request <= %.0f" what w request_words_bound)
+        true (w <= request_words_bound))
+    [ ("read_into", read); ("write_from", write) ]
+
+let count_sub s sub =
+  let n = String.length sub in
+  let rec go i acc =
+    if i + n > String.length s then acc
+    else if String.sub s i n = sub then go (i + n) (acc + 1)
+    else go (i + 1) acc
+  in
+  go 0 0
+
+(* The same path with Trace and Ledger installed: three readers, two on
+   one disk (queue wait) and one on a second disk of the same bus (bus
+   contention), each under its own request ledger. Every chunk still
+   emits its position, read and bus spans, and the per-category totals
+   are the ones the closure-built path charged. *)
+let test_request_observed () =
+  let e = Sim.Engine.create () in
+  let tr = Sim.Trace.start e in
+  Sim.Ledger.install e;
+  Fun.protect
+    ~finally:(fun () ->
+      Sim.Trace.stop ();
+      Sim.Ledger.uninstall ())
+    (fun () ->
+      let bus = Scsi_bus.create e "obs" in
+      let d0 = Disk.create e ~bus ~nblocks:4096 Disk.rz57 ~name:"obs0" in
+      let d1 = Disk.create e ~bus ~nblocks:4096 Disk.rz57 ~name:"obs1" in
+      let reader d ~blk ~count =
+        Sim.Engine.spawn e (fun () ->
+            let l = Sim.Ledger.open_request ~kind:"probe" in
+            Sim.Ledger.with_active l (fun () -> ignore (Disk.read d ~blk ~count));
+            Sim.Ledger.close l)
+      in
+      reader d0 ~blk:100 ~count:40;
+      reader d0 ~blk:2000 ~count:24;
+      reader d1 ~blk:300 ~count:32;
+      Sim.Engine.run e;
+      let js = Sim.Trace.export tr in
+      (* 3 + 2 chunks on obs0, 2 on obs1 *)
+      check Alcotest.int "position spans" 7 (count_sub js "\"name\":\"position\"");
+      check Alcotest.int "read spans" 7 (count_sub js "\"name\":\"read\"");
+      check Alcotest.int "bus spans" 7 (count_sub js "\"name\":\"xfer\"");
+      let cs =
+        match List.find_opt (fun cs -> cs.Sim.Ledger.cls = "probe") (Sim.Ledger.summary ()) with
+        | Some cs -> cs
+        | None -> Alcotest.fail "no probe class"
+      in
+      check Alcotest.int "requests" 3 cs.Sim.Ledger.requests;
+      let total cat =
+        match List.find_opt (fun c -> c.Sim.Ledger.cat = cat) cs.Sim.Ledger.by_category with
+        | Some c -> c.Sim.Ledger.total_s
+        | None -> 0.0
+      in
+      List.iter
+        (fun (cat, expected) ->
+          let got = total cat in
+          check Alcotest.bool
+            (Printf.sprintf "%s total %.9f = %.9f" (Sim.Ledger.category_name cat) got expected)
+            true
+            (Float.abs (got -. expected) <= 1e-12))
+        [
+          (Sim.Ledger.Seek_rotate, 0.18269435726611424);
+          (Sim.Ledger.Transfer, 0.27099505998588569);
+          (Sim.Ledger.Bus_contention, 0.10685417903924278);
+          (Sim.Ledger.Queue_wait, 0.30283669074964853);
+        ])
+
 (* --- Jukebox --- *)
 
 let mk_jb ?(drives = 2) ?(nvolumes = 4) ?(vol_capacity = 2560) e =
@@ -574,6 +683,8 @@ let suite =
         Alcotest.test_case "data integrity" `Quick test_disk_data_integrity;
         Alcotest.test_case "arm contention interleaves" `Quick test_disk_contention_interleaves;
         Alcotest.test_case "stats" `Quick test_disk_stats;
+        Alcotest.test_case "untraced request allocation" `Quick test_request_alloc;
+        Alcotest.test_case "observed request spans and charges" `Quick test_request_observed;
       ] );
     ( "device.jukebox",
       [

@@ -908,7 +908,122 @@ let test_live_audit_close () =
         (abs (recorded - actual) <= 4 * 4096))
     (Debug.live_audit fs)
 
-let props = [ prop_bkey_roundtrip; prop_fs_vs_model; prop_summary_roundtrip; prop_crash_recovery ]
+(* Block keys spread over every level of a tree with [ppb] pointers per
+   block: direct, single, double and triple data blocks, and L1, L2 and
+   L3 blocks. *)
+let gen_bkey ppb =
+  let open QCheck.Gen in
+  let nd = Bkey.ndirect in
+  let top = Bkey.max_data_lbn ~ppb in
+  frequency
+    [
+      (2, map (fun l -> Bkey.Data l) (0 -- (nd - 1)));
+      (3, map (fun l -> Bkey.Data l) (nd -- (nd + ppb - 1)));
+      (3, map (fun l -> Bkey.Data l) (nd + ppb -- min top (nd + ppb + (ppb * ppb) - 1)));
+      (2, map (fun l -> Bkey.Data l) (min top (nd + ppb + (ppb * ppb)) -- top));
+      (2, map (fun p -> Bkey.L1 p) (0 -- ((top - nd) / ppb)));
+      (2, map (fun q -> Bkey.L2 q) (0 -- ppb));
+      (1, return Bkey.L3);
+    ]
+
+(* [Bcache.parent]/[Bcache.slot] on packed keys locate the same pointer
+   as [Bkey.parent] *)
+let prop_packed_parent =
+  QCheck.Test.make ~name:"packed-key parent and slot match Bkey.parent" ~count:2000
+    (QCheck.make
+       ~print:(fun (ppb, inum, bk) -> Format.asprintf "ppb %d, inum %d, %a" ppb inum Bkey.pp bk)
+       QCheck.Gen.(oneofl [ 4; 128; 1024; 2048 ] >>= fun ppb ->
+                   triple (return ppb) (0 -- 100_000) (gen_bkey ppb)))
+    (fun (ppb, inum, bk) ->
+      let key = Bcache.key inum bk in
+      let parent = Bcache.parent ~ppb key and slot = Bcache.slot ~ppb key in
+      match Bkey.parent ~ppb bk with
+      | Bkey.In_block (pbk, i) -> parent = Bcache.key inum pbk && slot = i
+      | Bkey.In_inode_direct i -> parent = Bcache.none && slot = i
+      | Bkey.In_inode_single -> parent = Bcache.none && slot = Bkey.ndirect
+      | Bkey.In_inode_double -> parent = Bcache.none && slot = Bkey.ndirect + 1
+      | Bkey.In_inode_triple -> parent = Bcache.none && slot = Bkey.ndirect + 2)
+
+(* The [Bkey]-walking count [Fs.segments_needed] made before it moved to
+   packed keys and one reused table, kept as the oracle. *)
+let segments_needed_oracle fs extra_blocks ~dirty_inums ~dead =
+  let prm = Fs.param fs in
+  let ppb = prm.Param.block_size / 4 in
+  let bs_per_seg = Param.data_blocks_per_seg prm in
+  let cache = Fs.bcache fs in
+  let data = Bcache.dirty_count cache + extra_blocks in
+  let ancestors = Hashtbl.create 32 in
+  let owners = Hashtbl.create 32 in
+  let rec walk inum bkey =
+    match Bkey.parent ~ppb bkey with
+    | Bkey.In_block (pbk, _) ->
+        let pkey = Bcache.key inum pbk in
+        if not (Hashtbl.mem ancestors pkey) then begin
+          Hashtbl.replace ancestors pkey ();
+          walk inum pbk
+        end
+    | _ -> ()
+  in
+  Bcache.iter_dirty cache (fun key _ _ ->
+      let inum = Bcache.inum key in
+      Hashtbl.replace owners inum ();
+      walk inum (Bcache.bkey key));
+  let indirect = Hashtbl.length ancestors in
+  let ipb = Inode.per_block ~block_size:prm.Param.block_size in
+  List.iter (fun inum -> Hashtbl.replace owners inum ()) dirty_inums;
+  let ninodes = Hashtbl.length owners + dead in
+  let inode_blocks = ((ninodes + ipb - 1) / ipb) + 1 in
+  let total = data + indirect + inode_blocks in
+  let summaries = (total / bs_per_seg) + 2 in
+  ((total + summaries + bs_per_seg - 1) / bs_per_seg) + 1
+
+(* Random dirty sets over several files, with new (dirty) and freed
+   inodes beside them, on 512-byte and 4 KB blocks. A wrong count moves
+   the point where [Fs.flush] raises [No_space]. *)
+let prop_segments_needed =
+  let gen =
+    let open QCheck.Gen in
+    oneofl [ 512; 4096 ] >>= fun bs ->
+    let ppb = bs / 4 in
+    quad (return bs)
+      (list_size (0 -- 200) (pair (20 -- 27) (gen_bkey ppb)))
+      (0 -- 4) bool
+  in
+  let print (bs, blocks, fresh, free) =
+    Printf.sprintf "bs %d, %d fresh inodes%s, dirty [%s]" bs fresh
+      (if free then " (one freed)" else "")
+      (String.concat "; "
+         (List.map (fun (i, bk) -> Format.asprintf "%d:%a" i Bkey.pp bk) blocks))
+  in
+  QCheck.Test.make ~name:"segments_needed matches the Bkey-walking count" ~count:300
+    (QCheck.make ~print gen)
+    (fun (bs, blocks, fresh, free) ->
+      let prm = { (Param.for_tests ~seg_blocks:32 ~nsegs:64 ()) with Param.block_size = bs } in
+      let fs, _, _ = fresh_fs ~prm () in
+      let cache = Fs.bcache fs in
+      List.iter
+        (fun (inum, bk) ->
+          let b = Bcache.take cache in
+          Bcache.put_dirty_buf cache (Bcache.key inum bk) ~old_addr:(-1) ~crc:(-1) b)
+        blocks;
+      let inos = List.init fresh (fun _ -> Fs.alloc_inode fs ~kind:Inode.Reg) in
+      let dirty_inums, dead =
+        match inos with
+        | ino :: rest when free ->
+            Fs.free_inode fs ino.Inode.inum;
+            (List.map (fun i -> i.Inode.inum) rest, 1)
+        | _ -> (List.map (fun i -> i.Inode.inum) inos, 0)
+      in
+      List.for_all
+        (fun extra ->
+          Fs.segments_needed fs extra = segments_needed_oracle fs extra ~dirty_inums ~dead)
+        [ 0; 1; 40 ])
+
+let props =
+  [
+    prop_bkey_roundtrip; prop_fs_vs_model; prop_summary_roundtrip; prop_crash_recovery;
+    prop_packed_parent; prop_segments_needed;
+  ]
 
 let suite =
   [

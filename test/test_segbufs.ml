@@ -266,6 +266,51 @@ let test_recycled_staging_tail_is_zero () =
       audit w "staged files";
       Hl.shutdown_service w.hl)
 
+(* The migrator zeroes only the image's tail past its last packed
+   block, so everything before it must be overwritten: with every free
+   segment buffer pre-dirtied, a short segment must still reach the
+   cache disk as summary, payload, then zeros. *)
+let test_staging_tail_zeroed_over_dirt () =
+  in_sim (fun engine ->
+      let w = make_world engine in
+      let fs = Hl.fs w.hl in
+      write w "/small" (bytes_pattern (2 * bs) 5);
+      Fs.checkpoint fs;
+      let pool = Fs.segbufs fs in
+      let bufs = List.init (max 1 (Util.Bufpool.free_count pool)) (fun _ -> Util.Bufpool.take pool) in
+      List.iter
+        (fun b ->
+          let d = Util.Bufpool.bytes b in
+          Bytes.fill d 0 (Bytes.length d) '\xAA')
+        bufs;
+      List.iter (Util.Bufpool.give pool) bufs;
+      let inum = (Dir.namei fs "/small").Inode.inum in
+      let tindex =
+        match Migrator.stage_only w.st [ (inum, Bkey.Data 0); (inum, Bkey.Data 1) ] with
+        | [ t ] -> t
+        | l -> Alcotest.failf "expected one staged segment, got %d" (List.length l)
+      in
+      let line =
+        match Seg_cache.find (Hl.cache w.hl) tindex with
+        | Some l -> l
+        | None -> Alcotest.fail "staged line missing"
+      in
+      let base = State.disk_seg_base w.st line.Seg_cache.disk_seg in
+      let block k = w.st.State.disk.Dev.read ~blk:(base + k) ~count:1 in
+      check Alcotest.bool "summary block parses" true
+        (Result.is_ok (Summary.deserialize (block 0)));
+      check Alcotest.bool "payload staged" true
+        (Bytes.equal (Bytes.cat (block 1) (block 2)) (Hashtbl.find w.model "/small"));
+      for k = 3 to seg_blocks - 1 do
+        check Alcotest.bool (Printf.sprintf "tail block %d is zero" k) true
+          (Util.Bytesx.is_zero (block k))
+      done;
+      ignore (Migrator.flush_staged w.st ());
+      Hl.eject_tertiary_copies w.hl ~paths:[ "/small" ];
+      verify w "staged over dirt";
+      audit w "staged over dirt";
+      Hl.shutdown_service w.hl)
+
 let suite =
   [
     ( "segbufs.failures",
@@ -276,6 +321,8 @@ let suite =
           test_torn_writeout_resumes;
         Alcotest.test_case "end-of-medium re-home" `Quick test_end_of_medium_rehome;
         Alcotest.test_case "evictions under a full cache" `Quick test_evictions_full_cache;
+        Alcotest.test_case "pre-dirtied staging image: zeros past the last block" `Quick
+          test_staging_tail_zeroed_over_dirt;
         Alcotest.test_case "recycled staging image has a zero tail" `Quick
           test_recycled_staging_tail_is_zero;
       ] );
