@@ -289,6 +289,20 @@ let dev st =
         (Printf.sprintf
            "Block_io: tertiary address %d is not writable through the block map" blk)
   in
+  (* the block map names and lands pages of disk addresses only, like
+     its writes *)
+  let on_disk blk =
+    if not (Addr_space.is_disk st.aspace blk) then
+      invalid_arg (Printf.sprintf "Block_io: tertiary address %d has no disk pages" blk)
+  in
+  let pages ~blk ~count f =
+    on_disk blk;
+    st.disk.Lfs.Dev.pages ~blk ~count f
+  in
+  let share_from ~blk ~src ~src_blk ~count =
+    on_disk blk;
+    retried st ~what:"log write" (fun () -> st.disk.Lfs.Dev.share_from ~blk ~src ~src_blk ~count)
+  in
   {
     Lfs.Dev.nblocks = Addr_space.total_blocks st.aspace;
     block_size = bs;
@@ -296,4 +310,6 @@ let dev st =
     write;
     read_into;
     write_from;
+    pages;
+    share_from;
   }

@@ -16,6 +16,10 @@ type line = {
       (* streaming-fetch watermark: the first [valid_blocks] blocks of
          [image] hold real data. Full (= seg_blocks) once the tertiary
          read completes; blocking fetches go straight to full. *)
+  mutable image_copy : int;
+  mutable image_version : int;
+      (* the tertiary copy [image] was read from (-1: several) and its
+         volume's version at the first read, for the landing to share *)
   mutable media_blocks : int;
       (* write-out watermark: leading blocks of the tertiary segment
          already on the media; survives a failed write-out ticket *)
@@ -110,6 +114,8 @@ let insert t ~tindex ~disk_seg ~state ~now =
       worthy = false;
       image = None;
       valid_blocks = 0;
+      image_copy = -1;
+      image_version = 0;
       media_blocks = 0;
       prefetched = false;
       idle_hint = false;

@@ -41,6 +41,14 @@ type line = {
           (broadcasting [ready] each time) so waiters needing an early
           offset unblock before the whole segment arrives; blocking
           fetches set it to the full segment size at completion. *)
+  mutable image_copy : int;
+      (** the tertiary copy (a tindex) every block of [image] was read
+          from, whose pages the fetch landing shares; -1 when the blocks
+          came from more than one copy *)
+  mutable image_version : int;
+      (** {!Device.Blockstore.version} of [image_copy]'s volume when its
+          first block was read: the landing shares only if the volume
+          has not changed since, and writes the image otherwise *)
   mutable media_blocks : int;
       (** write-out watermark of a Staging line: how many leading blocks
           of its tertiary segment are already on the media. A torn

@@ -309,6 +309,15 @@ let fetch_read st ctx =
                     img
               in
               let start = line.Seg_cache.valid_blocks in
+              (* remember which copy the image comes from, for the
+                 landing to share: a fresh image is all this copy's, a
+                 continued one stays single-copy only if it is the same *)
+              (if start = 0 then begin
+                 line.Seg_cache.image_copy <- source;
+                 line.Seg_cache.image_version <-
+                   Device.Blockstore.version (fst (Footprint.seg_store st.fp ~vol ~seg))
+               end
+               else if source <> line.Seg_cache.image_copy then line.Seg_cache.image_copy <- -1);
               if start < seg_blocks st then
                 Footprint.read_seg_stream_into st.fp ~vol ~seg ~chunk:st.stream_chunk_blocks
                   ~off:start ~dst:(Util.Bufpool.bytes image) ~dst_off:0 (fun ~off ~blocks ->
@@ -338,6 +347,28 @@ let attach_image st line image =
     old.Seg_cache.image <- None
   done
 
+(* The landing's disk write. The image's bytes already sit on the
+   tertiary copy they were read from, so the cache line shares that
+   copy's pages instead of copying the image — unless the volume has
+   changed since the read began (a tertiary clean erased it) or the
+   image came from two copies, when the image itself is written. *)
+let land_image st line image =
+  let blk = disk_seg_base st line.Seg_cache.disk_seg in
+  let copy = line.Seg_cache.image_copy in
+  let source =
+    if copy < 0 then None
+    else
+      let vol, seg = Addr_space.vol_seg_of_tindex st.aspace copy in
+      let store, src_blk = Footprint.seg_store st.fp ~vol ~seg in
+      if Device.Blockstore.version store = line.Seg_cache.image_version then Some (store, src_blk)
+      else None
+  in
+  match source with
+  | Some (src, src_blk) -> st.disk.Lfs.Dev.share_from ~blk ~src ~src_blk ~count:(seg_blocks st)
+  | None ->
+      Block_io.raw_write_cache_line st ~disk_seg:line.Seg_cache.disk_seg
+        (Util.Bufpool.bytes image)
+
 (* Fetch phase B (cache-disk side): land the image in the cache line
    and publish the whole segment. *)
 let fetch_write st ctx image =
@@ -351,9 +382,7 @@ let fetch_write st ctx image =
             phased st `Disk (fun () ->
                 Sim.Trace.span ~cat:"service" "fetch:disk-write"
                   ~args:[ ("tindex", string_of_int line.Seg_cache.tindex) ]
-                  (fun () ->
-                    Block_io.raw_write_cache_line st ~disk_seg:line.Seg_cache.disk_seg
-                      (Util.Bufpool.bytes image)))))
+                  (fun () -> land_image st line image))))
   with
   | Error msg -> fail_fetch st line msg
   | Ok () ->
@@ -478,7 +507,9 @@ let writeout_write st ctx =
                 (fun () ->
                   Footprint.write_seg_stream_from st.fp ~vol ~seg
                     ~chunk:(max 1 st.stream_chunk_blocks) ~off:line.Seg_cache.media_blocks
-                    ~src:(Util.Bufpool.bytes ctx.w_buf) ~src_off:0 ~await (fun ~off ~blocks ->
+                    ~src:st.disk.Lfs.Dev.pages
+                    ~src_blk:(disk_seg_base st line.Seg_cache.disk_seg)
+                    ~await (fun ~off ~blocks ->
                       if Obs.Health.enabled () then
                         Obs.Health.worker_beat (Sim.Engine.current_name st.engine);
                       line.Seg_cache.media_blocks <- off + blocks;

@@ -1,25 +1,73 @@
-(* Blocks live in pages of [page_blocks] consecutive blocks, allocated on
-   first write to any of them and overwritten in place. Pages rather
-   than a buffer per block: a 4 KB block is above the minor heap's size
+(* Blocks live in pages of [page_blocks] consecutive slots. A page is a
+   buffer shared copy-on-write by every directory slot that holds it, in
+   this store or another: [refs] counts those holders, and a page with
+   more than one is never written — a store about to write one takes a
+   private page first and copies over only its own written slots that
+   the write does not cover. Which slots of a page hold data is the
+   store's own business ([bits] in the directory), so a shared or
+   recycled page never needs zeroing: a read returns zeros for a slot
+   whose bit is clear, whatever the page holds there. Pages rather than
+   a buffer per block: a 4 KB block is above the minor heap's size
    limit, so a fresh buffer per block write would be a major-heap
-   allocation every time. [written] is the page's bitmap (bit i = block
-   i of the page). Unwritten slots always hold zeros, so a read blits a
-   page's range whatever its bitmap says. The last page of a device is
-   cut to the device's end. *)
+   allocation every time. *)
 let page_blocks = 32
 
-type page = { data : Bytes.t; mutable written : int }
+type page = { data : Bytes.t; mutable refs : int }
 
-module Pages = Hashtbl.Make (Int)
+(* Two-level directory: leaf [i] covers pages [i * leaf_pages] up to
+   [(i + 1) * leaf_pages]. [bits.(j)] is this store's written bitmap of
+   page j of the leaf (bit k = slot k) and is 0 exactly when
+   [pages.(j) == no_page]. A leaf is allocated on the first write under
+   it; until then the directory points at [empty_leaf], which reads as
+   unwritten and is never mutated. A flat page array would cost a word
+   per page of a sparse 9 TB jukebox; a leaf costs two words per page of
+   a 32 MB range that has been written. *)
+let leaf_pages = 256
 
-type t = { block_size : int; nblocks : int; pages : page Pages.t; mutable nwritten : int }
+type leaf = { pages : page array; bits : int array }
+
+let no_page = { data = Bytes.empty; refs = 0 }
+let empty_leaf = { pages = Array.make leaf_pages no_page; bits = Array.make leaf_pages 0 }
+
+(* Pages whose last holder was this store wait on [free] for its next
+   private page: a fetch landing that shares a volume's pages releases
+   the cache line's own, and the log's next write into a shared page
+   takes one back. The cap (8 MB of 4 KB blocks, the most a cache disk
+   holds in the archive benchmark) bounds what an erased volume can
+   hoard. *)
+let free_cap = 64
+
+type t = {
+  block_size : int;
+  nblocks : int;
+  page_bytes : int;
+  dir : leaf array;
+  mutable nwritten : int;
+  mutable free : page list;
+  mutable nfree : int;
+  mutable taken : int;
+  mutable version : int;
+}
 
 let create ~block_size ~nblocks =
   if block_size <= 0 || nblocks <= 0 then invalid_arg "Blockstore.create";
-  { block_size; nblocks; pages = Pages.create 64; nwritten = 0 }
+  let npages = (nblocks + page_blocks - 1) / page_blocks in
+  {
+    block_size;
+    nblocks;
+    page_bytes = min page_blocks nblocks * block_size;
+    dir = Array.make ((npages + leaf_pages - 1) / leaf_pages) empty_leaf;
+    nwritten = 0;
+    free = [];
+    nfree = 0;
+    taken = 0;
+    version = 0;
+  }
 
 let block_size t = t.block_size
 let nblocks t = t.nblocks
+let pages_taken t = t.taken
+let version t = t.version
 
 let check_range t blk count =
   if blk < 0 || count <= 0 || blk + count > t.nblocks then
@@ -28,6 +76,81 @@ let check_range t blk count =
          (blk + count) t.nblocks)
 
 let rec popcount n = if n = 0 then 0 else 1 + popcount (n land (n - 1))
+
+(* length of the run of set (resp. clear) bits starting at bit 0 *)
+let rec ones b = if b land 1 = 0 then 0 else 1 + ones (b lsr 1)
+let rec zeros b = if b land 1 <> 0 then 0 else 1 + zeros (b lsr 1)
+
+let slot_mask lo n = ((1 lsl n) - 1) lsl lo
+let leaf_of t pi = t.dir.(pi / leaf_pages)
+let index pi = pi land (leaf_pages - 1)
+
+let leaf_for_write t pi =
+  let l = leaf_of t pi in
+  if l != empty_leaf then l
+  else begin
+    let l = { pages = Array.make leaf_pages no_page; bits = Array.make leaf_pages 0 } in
+    t.dir.(pi / leaf_pages) <- l;
+    l
+  end
+
+let take t =
+  t.taken <- t.taken + 1;
+  match t.free with
+  | p :: rest ->
+      t.free <- rest;
+      t.nfree <- t.nfree - 1;
+      p.refs <- 1;
+      p
+  | [] -> { data = Bytes.create t.page_bytes; refs = 1 }
+
+let release t p =
+  p.refs <- p.refs - 1;
+  if p.refs = 0 && t.nfree < free_cap then begin
+    t.free <- p :: t.free;
+    t.nfree <- t.nfree + 1
+  end
+
+(* Copies each run of set bits of [bits] (a slot bitmap) from one page
+   buffer to the same place in another. *)
+let rec blit_slots bs src dst bits slot =
+  if bits <> 0 then begin
+    let z = zeros bits in
+    let bits = bits lsr z and slot = slot + z in
+    let n = ones bits in
+    Bytes.blit src (slot * bs) dst (slot * bs) (n * bs);
+    blit_slots bs src dst (bits lsr n) (slot + n)
+  end
+
+(* The page of [pi] made ready for a write of slots [lo, lo + n): a
+   private page, holding the store's other written slots. Marks the
+   slots written. *)
+let writable t pi lo n =
+  let l = leaf_for_write t pi in
+  let j = index pi in
+  let mask = slot_mask lo n in
+  let w = l.bits.(j) in
+  let p =
+    if w = 0 then begin
+      let p = take t in
+      l.pages.(j) <- p;
+      p
+    end
+    else
+      let p = l.pages.(j) in
+      if p.refs = 1 then p
+      else begin
+        let q = take t in
+        blit_slots t.block_size p.data q.data (w land lnot mask) 0;
+        p.refs <- p.refs - 1;
+        l.pages.(j) <- q;
+        q
+      end
+  in
+  t.version <- t.version + 1;
+  t.nwritten <- t.nwritten + popcount (mask land lnot w);
+  l.bits.(j) <- w lor mask;
+  p
 
 (* Calls [f t page_index first_slot slot_count buf buf_off] for each
    page the block range [blk, blk + count) touches, [buf_off] being
@@ -44,41 +167,44 @@ let iter_pages t ~blk ~count buf buf_off f =
     b := !b + n
   done
 
+(* Slots [lo, lo + n) of a page whose bitmap, shifted to [lo], is [w]:
+   each run of written slots is blitted, each run of unwritten ones
+   zero-filled. *)
+let rec read_runs bs data lo w i n dst dst_off =
+  if i < n then begin
+    let set = (w lsr i) land 1 in
+    let j = ref (i + 1) in
+    while !j < n && (w lsr !j) land 1 = set do
+      incr j
+    done;
+    let len = (!j - i) * bs in
+    if set = 1 then Bytes.blit data ((lo + i) * bs) dst (dst_off + (i * bs)) len
+    else Bytes.fill dst (dst_off + (i * bs)) len '\000';
+    read_runs bs data lo w !j n dst dst_off
+  end
+
 let read_page t pi lo n dst dst_off =
   let bs = t.block_size in
-  match Pages.find t.pages pi with
-  | p -> Bytes.blit p.data (lo * bs) dst dst_off (n * bs)
-  | exception Not_found -> Bytes.fill dst dst_off (n * bs) '\000'
+  let l = leaf_of t pi in
+  let j = index pi in
+  let all = (1 lsl n) - 1 in
+  let w = (l.bits.(j) lsr lo) land all in
+  if w = all then Bytes.blit l.pages.(j).data (lo * bs) dst dst_off (n * bs)
+  else if w = 0 then Bytes.fill dst dst_off (n * bs) '\000'
+  else read_runs bs l.pages.(j).data lo w 0 n dst dst_off
 
 let write_page t pi lo n src src_off =
-  let p =
-    match Pages.find t.pages pi with
-    | p -> p
-    | exception Not_found ->
-        let len = min page_blocks (t.nblocks - (pi * page_blocks)) in
-        let p = { data = Bytes.make (len * t.block_size) '\000'; written = 0 } in
-        Pages.add t.pages pi p;
-        p
-  in
-  Bytes.blit src src_off p.data (lo * t.block_size) (n * t.block_size);
-  let mask = ((1 lsl n) - 1) lsl lo in
-  t.nwritten <- t.nwritten + popcount (mask land lnot p.written);
-  p.written <- p.written lor mask
+  let p = writable t pi lo n in
+  Bytes.blit src src_off p.data (lo * t.block_size) (n * t.block_size)
 
 (* The into/from pair is the zero-copy discipline: callers hand a view
    (buffer + offset) and blocks move once, between the store's pages
-   and that view. [read]/[write] are the allocating conveniences on
-   top. *)
+   and that view. *)
 let read_into t ~blk ~count ~dst ~dst_off =
   check_range t blk count;
   if dst_off < 0 || dst_off + (count * t.block_size) > Bytes.length dst then
     invalid_arg "Blockstore.read_into: view outside buffer";
   iter_pages t ~blk ~count dst dst_off read_page
-
-let read t ~blk ~count =
-  let out = Bytes.create (count * t.block_size) in
-  read_into t ~blk ~count ~dst:out ~dst_off:0;
-  out
 
 let write_from t ~blk ~src ~src_off ~count =
   check_range t blk count;
@@ -92,37 +218,118 @@ let write t ~blk data =
     invalid_arg "Blockstore.write: length must be a positive multiple of block size";
   write_from t ~blk ~src:data ~src_off:0 ~count:(len / t.block_size)
 
+(* Slots [lo, lo + n) of [dst]'s page [pi] take [src]'s page [spi] if
+   every corresponding source slot is written and the destination page
+   holds no other written slot, or already is that page; false leaves
+   both stores untouched. *)
+let share_page ~src ~spi ~dst ~pi ~lo ~n =
+  let mask = slot_mask lo n in
+  let sl = leaf_of src spi in
+  let sj = index spi in
+  let p = sl.pages.(sj) in
+  let j = index pi in
+  let dl = leaf_of dst pi in
+  let w = dl.bits.(j) in
+  let held = dl.pages.(j) in
+  if sl.bits.(sj) land mask <> mask || (held != p && w land lnot mask <> 0) then false
+  else begin
+    let l = leaf_for_write dst pi in
+    if held != p then begin
+      if w <> 0 then release dst held;
+      p.refs <- p.refs + 1;
+      l.pages.(j) <- p
+    end;
+    dst.version <- dst.version + 1;
+    dst.nwritten <- dst.nwritten + popcount (mask land lnot w);
+    l.bits.(j) <- w lor mask;
+    true
+  end
+
+(* Slots [lo, lo + n) of [dst]'s page [pi] as a copy of [src]'s blocks
+   from [sb]: written source blocks are blitted, unwritten ones land as
+   written zeros — what a write of the bytes read would leave. *)
+let copy_page ~src ~sb ~dst ~pi ~lo ~n =
+  let q = writable dst pi lo n in
+  let bs = dst.block_size in
+  for i = 0 to n - 1 do
+    let s = sb + i in
+    let spi = s / page_blocks in
+    let slot = s - (spi * page_blocks) in
+    let sl = leaf_of src spi in
+    let sj = index spi in
+    if sl.bits.(sj) land (1 lsl slot) <> 0 then
+      Bytes.blit sl.pages.(sj).data (slot * bs) q.data ((lo + i) * bs) bs
+    else Bytes.fill q.data ((lo + i) * bs) bs '\000'
+  done
+
+let share ~src ~src_blk ~dst ~dst_blk ~count =
+  check_range src src_blk count;
+  check_range dst dst_blk count;
+  if src.block_size <> dst.block_size then invalid_arg "Blockstore.share: block sizes differ";
+  if src == dst && src_blk < dst_blk + count && dst_blk < src_blk + count then
+    invalid_arg "Blockstore.share: overlapping ranges in one store";
+  let aligned = src.page_bytes = dst.page_bytes && (src_blk - dst_blk) mod page_blocks = 0 in
+  let stop = dst_blk + count in
+  let b = ref dst_blk in
+  while !b < stop do
+    let pi = !b / page_blocks in
+    let lo = !b - (pi * page_blocks) in
+    let n = min (page_blocks - lo) (stop - !b) in
+    let sb = src_blk + (!b - dst_blk) in
+    if not (aligned && share_page ~src ~spi:(sb / page_blocks) ~dst ~pi ~lo ~n) then
+      copy_page ~src ~sb ~dst ~pi ~lo ~n;
+    b := !b + n
+  done
+
+type pages = blk:int -> count:int -> (t -> blk:int -> off:int -> count:int -> unit) -> unit
+
 let copy t =
-  let dup = Pages.create (max 64 (Pages.length t.pages)) in
-  Pages.iter
-    (fun pi p -> Pages.replace dup pi { data = Bytes.copy p.data; written = p.written })
-    t.pages;
-  { t with pages = dup }
+  let dir =
+    Array.map
+      (fun l ->
+        if l == empty_leaf then l
+        else begin
+          Array.iteri (fun j p -> if l.bits.(j) <> 0 then p.refs <- p.refs + 1) l.pages;
+          { pages = Array.copy l.pages; bits = Array.copy l.bits }
+        end)
+      t.dir
+  in
+  { t with dir; free = []; nfree = 0; taken = 0 }
 
 let is_written t blk =
   blk >= 0
   && blk < t.nblocks
   &&
-  match Pages.find_opt t.pages (blk / page_blocks) with
-  | Some p -> p.written land (1 lsl (blk mod page_blocks)) <> 0
-  | None -> false
+  let pi = blk / page_blocks in
+  (leaf_of t pi).bits.(index pi) land (1 lsl (blk - (pi * page_blocks))) <> 0
 
 let written_blocks t = t.nwritten
 
 let erase t =
-  Pages.reset t.pages;
+  Array.iteri
+    (fun i l ->
+      if l != empty_leaf then begin
+        Array.iteri (fun j p -> if l.bits.(j) <> 0 then release t p) l.pages;
+        t.dir.(i) <- empty_leaf
+      end)
+    t.dir;
+  if t.nwritten > 0 then t.version <- t.version + 1;
   t.nwritten <- 0
 
 let erase_block t blk =
-  let pi = blk / page_blocks in
-  match Pages.find_opt t.pages pi with
-  | Some p when blk >= 0 ->
-      let slot = blk - (pi * page_blocks) in
-      let bit = 1 lsl slot in
-      if p.written land bit <> 0 then begin
-        p.written <- p.written land lnot bit;
-        t.nwritten <- t.nwritten - 1;
-        if p.written = 0 then Pages.remove t.pages pi
-        else Bytes.fill p.data (slot * t.block_size) t.block_size '\000'
+  if blk >= 0 && blk < t.nblocks then begin
+    let pi = blk / page_blocks in
+    let l = leaf_of t pi in
+    let j = index pi in
+    let bit = 1 lsl (blk - (pi * page_blocks)) in
+    let w = l.bits.(j) in
+    if w land bit <> 0 then begin
+      l.bits.(j) <- w land lnot bit;
+      t.nwritten <- t.nwritten - 1;
+      t.version <- t.version + 1;
+      if w = bit then begin
+        release t l.pages.(j);
+        l.pages.(j) <- no_page
       end
-  | _ -> ()
+    end
+  end

@@ -1,11 +1,15 @@
 (** Sparse backing store for simulated media. Devices carry real bytes so
     file-system correctness is checked end to end, but memory is
     allocated only for the pages touched: blocks are grouped in pages of
-    32 consecutive blocks, and a page is allocated on the first write to
-    any of its blocks and freed once its last written block is erased (a
-    9 TB jukebox costs nothing until used). Overwrites land in place.
-    Unwritten blocks read back as zeros, like a freshly formatted
-    medium. *)
+    32 consecutive blocks, taken on the first write to any of them (a
+    9 TB jukebox costs nothing until used). Unwritten blocks read back
+    as zeros, like a freshly formatted medium.
+
+    Pages are shared copy-on-write: {!copy} and {!share} hand the same
+    pages to another store (or another range of this one), and whichever
+    holder writes a shared page first takes a private page for it.
+    Each store keeps its own record of which blocks it has written, so
+    sharing a page never exposes the other holder's blocks. *)
 
 type t
 
@@ -13,14 +17,10 @@ val create : block_size:int -> nblocks:int -> t
 val block_size : t -> int
 val nblocks : t -> int
 
-val read : t -> blk:int -> count:int -> Bytes.t
-(** Returns [count * block_size] bytes. Out-of-range access raises
-    [Invalid_argument]. *)
-
 val read_into : t -> blk:int -> count:int -> dst:Bytes.t -> dst_off:int -> unit
-(** Lands [count] blocks directly at [dst_off] in the caller's buffer —
-    the zero-copy primitive under {!read}. The view must lie inside
-    [dst]. *)
+(** Lands [count] blocks directly at [dst_off] in the caller's buffer.
+    The view must lie inside [dst]; out-of-range access raises
+    [Invalid_argument]. *)
 
 val write : t -> blk:int -> Bytes.t -> unit
 (** The byte length must be a positive multiple of the block size. *)
@@ -29,11 +29,31 @@ val write_from : t -> blk:int -> src:Bytes.t -> src_off:int -> count:int -> unit
 (** Writes [count] blocks from the view at [src_off] in [src] without an
     intermediate slice allocation — the primitive under {!write}. *)
 
+val share : src:t -> src_blk:int -> dst:t -> dst_blk:int -> count:int -> unit
+(** Makes blocks [dst_blk, dst_blk + count) of [dst] equal to blocks
+    [src_blk, src_blk + count) of [src], all marked written — the effect
+    of a {!write_from} of what {!read_into} would return — without
+    copying where it can: every part of the range that lines up with a
+    source page whose blocks there are all written, and whose
+    destination page holds no other written block, takes that page.
+    Anything else is copied (an unwritten source block lands as written
+    zeros). Both stores must have one block size; ranges in one store
+    must not overlap. *)
+
+type pages = blk:int -> count:int -> (t -> blk:int -> off:int -> count:int -> unit) -> unit
+(** How a device names the pages behind a range of its blocks, untimed:
+    [pages ~blk ~count f] calls [f store ~blk ~off ~count] for each
+    piece of the range that is contiguous in one store, with the
+    piece's first block in that store and its offset in the range. A
+    move whose bytes already sit on that device {!share}s them from
+    there. *)
+
 val copy : t -> t
-(** Deep snapshot of the store's current contents — the raw platter
-    state at this instant. The crash-recovery harness captures one
-    mid-run ({!Lfs.Fs.crash_image}) and remounts it to exercise
-    roll-forward from a torn log. *)
+(** Snapshot of the store's current contents — the raw platter state at
+    this instant. Every page is shared, so the copy costs the directory
+    only; later writes to either side copy at most one page each. The
+    crash-recovery harness captures one mid-run ({!Lfs.Fs.crash_image})
+    and remounts it to exercise roll-forward from a torn log. *)
 
 val is_written : t -> int -> bool
 (** Whether the block has ever been written (distinguishes an explicit
@@ -45,3 +65,13 @@ val erase : t -> unit
 val erase_block : t -> int -> unit
 (** Forgets one block (used when a tertiary volume is reclaimed); its
     page is released when no written block is left in it. *)
+
+val pages_taken : t -> int
+(** Private pages this store has taken since it was created (by
+    {!create} or {!copy}): one per first write into an untouched page and
+    one per write into a page another holder shares. *)
+
+val version : t -> int
+(** Rises with every change to the store: a write, a {!share} into it,
+    {!erase} of a non-empty store, {!erase_block} of a written block.
+    Equal values at two instants mean no block changed in between. *)

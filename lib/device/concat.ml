@@ -101,3 +101,14 @@ let write t ~blk data =
   if Bytes.length data = 0 || Bytes.length data mod t.bs <> 0 then
     invalid_arg "Concat.write: bad length";
   write_from t ~blk ~src:data ~src_off:0 ~count:(Bytes.length data / t.bs)
+
+let share_from t ~blk ~src ~src_blk ~count =
+  List.iter
+    (fun (d, phys, logical, run) ->
+      Disk.share_from d ~blk:phys ~src ~src_blk:(src_blk + (logical - blk)) ~count:run)
+    (extents t blk count [])
+
+let pages t ~blk ~count f =
+  List.iter
+    (fun (d, phys, logical, run) -> f (Disk.store d) ~blk:phys ~off:(logical - blk) ~count:run)
+    (extents t blk count [])

@@ -29,3 +29,11 @@ val read_into : t -> blk:int -> count:int -> dst:Bytes.t -> dst_off:int -> unit
 
 val write_from : t -> blk:int -> src:Bytes.t -> src_off:int -> count:int -> unit
 (** Zero-copy {!write} of a view — no per-run slice allocation. *)
+
+val share_from : t -> blk:int -> src:Blockstore.t -> src_blk:int -> count:int -> unit
+(** {!Disk.share_from} of each physically-contiguous run on its member
+    disk. *)
+
+val pages : t -> Blockstore.pages
+(** The member-disk stores behind a logical range, one call per
+    physically-contiguous run. *)

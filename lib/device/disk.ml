@@ -180,6 +180,15 @@ let write_from t ~blk ~src ~src_off ~count =
   t.n_writes <- t.n_writes + 1;
   t.wbytes <- t.wbytes + (count * t.prof.block_size)
 
+(* [write_from] whose data are blocks of another store, shared
+   copy-on-write: the same fault check, timing and counters *)
+let share_from t ~blk ~src ~src_blk ~count =
+  Fault.check ~site:t.site Fault.Write;
+  Blockstore.share ~src ~src_blk ~dst:t.store ~dst_blk:blk ~count;
+  split_io t ~blk ~count ~rate:t.prof.write_rate ~op:"write";
+  t.n_writes <- t.n_writes + 1;
+  t.wbytes <- t.wbytes + (count * t.prof.block_size)
+
 let write t ~blk data =
   let len = Bytes.length data in
   if len = 0 || len mod t.prof.block_size <> 0 then

@@ -51,9 +51,16 @@ val write_from : t -> blk:int -> src:Bytes.t -> src_off:int -> count:int -> unit
 (** {!write} of the [count]-block view at [src_off] in [src] — lets a
     caller write one run of a larger image without slicing it out. *)
 
+val share_from : t -> blk:int -> src:Blockstore.t -> src_blk:int -> count:int -> unit
+(** {!write_from} of [count] blocks of another store, from [src_blk]:
+    the same fault check, timing and counters, but the blocks are
+    {!Blockstore.share}d rather than copied — a fetch landing bytes
+    that already sit on a tertiary volume. *)
+
 val store : t -> Blockstore.t
-(** Direct access to the backing bytes, bypassing timing — used only by
-    debugging/introspection tools, never by the file systems. *)
+(** Direct access to the backing bytes, bypassing timing — used by
+    debugging/introspection tools and to name the pages a shared move
+    takes, never to read or write file-system data. *)
 
 val arm_position : t -> int
 

@@ -354,7 +354,9 @@ let write t ~vol ~blk data =
       t.wbytes <- t.wbytes + Bytes.length data)
 
 (* Streaming write: the same drive/robot/bus model as [write], but the
-   store mutates and the fault plan is consulted per chunk — a drive or
+   data are blocks another device already holds ([src] names their
+   pages), which each chunk shares onto the volume instead of copying;
+   the store mutates and the fault plan is consulted per chunk — a drive or
    bus fault at chunk k leaves exactly the chunks before it written, and
    those are exactly the chunks [f] has reported (a chunk lands in the
    store only once its transfer completed). A retry that resumes after
@@ -363,15 +365,15 @@ let write t ~vol ~blk data =
    [await] runs before each chunk and may block holding the drive — the
    written-prefix watermark stall of a streaming write-out, which is how
    a real tape drive starves when the staging disk falls behind. *)
-let write_stream_from t ~vol ~blk ~src ~src_off ~count ?(chunk = chunk_blocks) ?await f =
+let write_stream_from t ~vol ~blk ~(src : Blockstore.pages) ~src_blk ~count ?(chunk = chunk_blocks)
+    ?await f =
   if vol < 0 || vol >= nvolumes t then invalid_arg "Jukebox.write_stream_from: bad volume";
   if chunk <= 0 then invalid_arg "Jukebox.write_stream_from: bad chunk";
   let bs = t.prof.block_size in
-  if src_off < 0 || src_off + (count * bs) > Bytes.length src then
-    invalid_arg "Jukebox.write_stream_from: view outside buffer";
+  let store = t.volumes.(vol) in
   if t.prof.kind = Worm then
     for i = blk to blk + count - 1 do
-      if Blockstore.is_written t.volumes.(vol) i then raise (Worm_overwrite { vol; blk = i })
+      if Blockstore.is_written store i then raise (Worm_overwrite { vol; blk = i })
     done;
   with_drive t vol ~for_write:true (fun d ->
       let rec go off remaining =
@@ -384,9 +386,9 @@ let write_stream_from t ~vol ~blk ~src ~src_off ~count ?(chunk = chunk_blocks) ?
           Fault.check ~site:d.track Fault.Write;
           position_and_transfer ~chunk t d ~blk:(blk + off) ~count:n ~rate:t.prof.write_rate
             ~op:"write";
-          Blockstore.write_from t.volumes.(vol) ~blk:(blk + off) ~src
-            ~src_off:(src_off + (off * bs))
-            ~count:n;
+          src ~blk:(src_blk + off) ~count:n (fun from ~blk:from_blk ~off:o ~count ->
+              Blockstore.share ~src:from ~src_blk:from_blk ~dst:store ~dst_blk:(blk + off + o)
+                ~count);
           t.wbytes <- t.wbytes + (n * bs);
           f ~off ~blocks:n;
           go (off + n) (remaining - n)

@@ -95,14 +95,17 @@ val write_stream_from :
   t ->
   vol:int ->
   blk:int ->
-  src:Bytes.t ->
-  src_off:int ->
+  src:Blockstore.pages ->
+  src_blk:int ->
   count:int ->
   ?chunk:int ->
   ?await:(off:int -> blocks:int -> unit) ->
   (off:int -> blocks:int -> unit) ->
   unit
-(** Streaming write, symmetric to {!read_stream_into}: the volume
+(** Streaming write, symmetric to {!read_stream_into}, of the [count]
+    blocks that [src] names from [src_blk]: each chunk
+    {!Blockstore.share}s them onto the volume rather than copying them
+    (a write-out of a segment that sits on the cache disk). The volume
     mutates and the fault plan is consulted per [chunk]-block piece, so
     a drive or bus fault can fire at chunk k leaving exactly the prefix
     written — a chunk lands on the volume only after its transfer, so

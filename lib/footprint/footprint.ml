@@ -124,14 +124,13 @@ let write_seg t ~vol ~seg data =
 
 (* Streaming write-out, symmetric to [read_seg_stream_into]: the
    end-of-medium check happens up front (as in [write_seg], before any
-   motion), then the image streams to the device in chunks with
+   motion), then the segment's blocks, which [src] names on another
+   device, stream to the volume in chunks with
    per-chunk fault checks. [await] is the written-prefix watermark hook:
    it runs before each chunk and may block until the staging read has
    delivered that piece. [off] > 0 resumes a torn write after the
    prefix already on the media; positions stay segment-absolute. *)
-let write_seg_stream_from t ~vol ~seg ?chunk ?(off = 0) ~src ~src_off ?await f =
-  if src_off < 0 || src_off + (t.seg_blocks * t.block_size) > Bytes.length src then
-    invalid_arg "Footprint.write_seg_stream_from: view outside buffer";
+let write_seg_stream_from t ~vol ~seg ?chunk ?(off = 0) ~src ~src_blk ?await f =
   let jb, v = locate t vol in
   if seg < 0 || seg >= t.segs_per_volume then
     invalid_arg "Footprint.write_seg_stream_from: bad segment";
@@ -147,13 +146,17 @@ let write_seg_stream_from t ~vol ~seg ?chunk ?(off = 0) ~src ~src_off ?await f =
     timed t (fun () ->
         Jukebox.write_stream_from jb ~vol:v
           ~blk:((seg * t.seg_blocks) + start)
-          ~src
-          ~src_off:(src_off + (start * t.block_size))
+          ~src ~src_blk:(src_blk + start)
           ~count:(t.seg_blocks - start) ?chunk ?await:(shift await)
           (fun ~off ~blocks ->
             t.wbytes <- t.wbytes + (blocks * t.block_size);
             f ~off:(start + off) ~blocks);
         Written)
+
+let seg_store t ~vol ~seg =
+  let jb, v = locate t vol in
+  if seg < 0 || seg >= real_segs t jb then invalid_arg "Footprint.seg_store: bad segment";
+  (Jukebox.volume_store jb v, seg * t.seg_blocks)
 
 let erase_volume t vol =
   let jb, v = locate t vol in

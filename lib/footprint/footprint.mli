@@ -75,13 +75,15 @@ val write_seg_stream_from :
   seg:int ->
   ?chunk:int ->
   ?off:int ->
-  src:Bytes.t ->
-  src_off:int ->
+  src:Blockstore.pages ->
+  src_blk:int ->
   ?await:(off:int -> blocks:int -> unit) ->
   (off:int -> blocks:int -> unit) ->
   write_result
-(** Streaming {!write_seg} from the segment-sized view at [src_off]:
-    per-chunk fault checks (a media error at chunk k leaves the prefix
+(** Streaming {!write_seg} of the segment that [src] names from
+    [src_blk] on another device (a staged segment on the cache disk),
+    whose pages each chunk shares onto the volume: per-chunk fault
+    checks (a media error at chunk k leaves the prefix
     written), [End_of_medium] still detected up front before any
     motion. With [off] > 0 only the segment's suffix from that block is
     written — the resume of a torn write, which never rewrites a block
@@ -90,6 +92,10 @@ val write_seg_stream_from :
     piece available — the read watermark of the write-out pipeline;
     the final callback fires as each chunk lands. Both callbacks get
     segment-absolute positions. *)
+
+val seg_store : t -> vol:int -> seg:int -> Blockstore.t * int
+(** The volume store holding a segment and the segment's first block
+    there, untimed: the pages a fetch landing shares. *)
 
 val erase_volume : t -> int -> unit
 (** Support for the tertiary cleaner: reclaims a whole volume. *)

@@ -197,7 +197,7 @@ let test_cleaner_does_not_launder () =
   (* nothing cached: the cleaner must read the block from the disk *)
   Bcache.invalidate_clean (Fs.bcache fs);
   let victim = Fs.lookup_addr fs ino (Bkey.Data 5) in
-  let block = Device.Blockstore.read store ~blk:victim ~count:1 in
+  let block = (Lfs.Dev.of_store store).Lfs.Dev.read ~blk:victim ~count:1 in
   Bytes.set block 17 (Char.chr (Char.code (Bytes.get block 17) lxor 0x40));
   Device.Blockstore.write store ~blk:victim block;
   let seg = Option.get (Layout.seg_of_addr prm victim) in

@@ -11,15 +11,21 @@ let in_sim f =
 
 (* --- Blockstore --- *)
 
+(* [count] blocks of a store in a fresh buffer *)
+let store_read s ~blk ~count =
+  let out = Bytes.create (count * Blockstore.block_size s) in
+  Blockstore.read_into s ~blk ~count ~dst:out ~dst_off:0;
+  out
+
 let test_store_zero_fill () =
   let s = Blockstore.create ~block_size:16 ~nblocks:8 in
-  check Alcotest.bool "reads zeros" true (Util.Bytesx.is_zero (Blockstore.read s ~blk:3 ~count:2))
+  check Alcotest.bool "reads zeros" true (Util.Bytesx.is_zero (store_read s ~blk:3 ~count:2))
 
 let test_store_roundtrip () =
   let s = Blockstore.create ~block_size:16 ~nblocks:8 in
   let data = Bytes.of_string (String.init 32 (fun i -> Char.chr (i + 65))) in
   Blockstore.write s ~blk:2 data;
-  check Alcotest.bytes "roundtrip" data (Blockstore.read s ~blk:2 ~count:2);
+  check Alcotest.bytes "roundtrip" data (store_read s ~blk:2 ~count:2);
   check Alcotest.bool "marked written" true (Blockstore.is_written s 3);
   check Alcotest.bool "others untouched" false (Blockstore.is_written s 4);
   check Alcotest.int "count" 2 (Blockstore.written_blocks s)
@@ -27,8 +33,8 @@ let test_store_roundtrip () =
 let test_store_bounds () =
   let s = Blockstore.create ~block_size:16 ~nblocks:8 in
   let boom f = try f (); false with Invalid_argument _ -> true in
-  check Alcotest.bool "read past end" true (boom (fun () -> ignore (Blockstore.read s ~blk:7 ~count:2)));
-  check Alcotest.bool "negative" true (boom (fun () -> ignore (Blockstore.read s ~blk:(-1) ~count:1)));
+  check Alcotest.bool "read past end" true (boom (fun () -> ignore (store_read s ~blk:7 ~count:2)));
+  check Alcotest.bool "negative" true (boom (fun () -> ignore (store_read s ~blk:(-1) ~count:1)));
   check Alcotest.bool "bad write len" true (boom (fun () -> Blockstore.write s ~blk:0 (Bytes.create 10)))
 
 let test_store_erase_block () =
@@ -36,16 +42,50 @@ let test_store_erase_block () =
   Blockstore.write s ~blk:1 (Bytes.make 16 'z');
   Blockstore.erase_block s 1;
   check Alcotest.bool "erased" false (Blockstore.is_written s 1);
-  check Alcotest.bool "zeros again" true (Util.Bytesx.is_zero (Blockstore.read s ~blk:1 ~count:1))
+  check Alcotest.bool "zeros again" true (Util.Bytesx.is_zero (store_read s ~blk:1 ~count:1))
+
+(* A snapshot shares every page: [copy] takes none, and afterwards each
+   single-block write, to either side, takes at most one private page —
+   the memory a snapshot costs is the pages written since. *)
+let test_store_snapshot_cost () =
+  let s = Blockstore.create ~block_size:64 ~nblocks:1000 in
+  Blockstore.write s ~blk:0 (Bytes.make (1000 * 64) 'o');
+  let before = Blockstore.pages_taken s in
+  let c = Blockstore.copy s in
+  check Alcotest.int "copy takes no page" 0 (Blockstore.pages_taken c);
+  check Alcotest.int "original takes no page" before (Blockstore.pages_taken s);
+  let rng = Util.Rng.create 5 in
+  List.iter
+    (fun k ->
+      for i = 1 to k do
+        let side = if Util.Rng.int rng 2 = 0 then s else c in
+        Blockstore.write side ~blk:(Util.Rng.int rng 1000) (Bytes.make 64 (Char.chr (48 + (i mod 10))))
+      done;
+      let taken = Blockstore.pages_taken s - before + Blockstore.pages_taken c in
+      check Alcotest.bool
+        (Printf.sprintf "%d pages taken for %d writes since the copy" taken k)
+        true (taken <= k);
+      (* a write into a page already private to its side takes none *)
+      let again = Blockstore.pages_taken c in
+      Blockstore.write c ~blk:0 (Bytes.make 64 'x');
+      Blockstore.write c ~blk:1 (Bytes.make 64 'y');
+      check Alcotest.bool "rewrites of a private page take at most one" true
+        (Blockstore.pages_taken c - again <= 1))
+    [ 1; 7; 40 ];
+  check Alcotest.bool "copy still reads its own bytes" true
+    (Bytes.equal (store_read c ~blk:1 ~count:1) (Bytes.make 64 'y'))
 
 (* Model test: random operations run against the store and against a
    reference that keeps one [Bytes] per written block (the store's
    former representation). [Copy] forks a new store/model pair; later
    operations pick a pair by index, so writes to a copy and to its
    original are both exercised and each must stay invisible to the
-   other. The 8-byte blocks and 100-block device (three full 32-block
-   pages plus a short one) keep ranges straddling page boundaries and
-   partly written pages common. *)
+   other. [Share] moves a range from one pair to another (or within
+   one), page-aligned about half the time, so shared pages then take
+   writes, erases and further shares on either side. The 8-byte blocks
+   and 100-block device (three full 32-block pages plus a short one)
+   keep ranges straddling page boundaries and partly written pages
+   common. *)
 type store_op =
   | Op_write of int * int * int * int (* store, blk, count, seed *)
   | Op_write_from of int * int * int * int * int (* ... + src_off *)
@@ -53,6 +93,7 @@ type store_op =
   | Op_erase_block of int * int
   | Op_erase of int
   | Op_copy of int
+  | Op_share of int * int * int * int * int (* src store, src blk, dst store, dst blk, count *)
 
 let model_bs = 8
 let model_nblocks = 100
@@ -64,6 +105,7 @@ let pp_store_op = function
   | Op_erase_block (w, b) -> Printf.sprintf "erase_block(s%d, %d)" w b
   | Op_erase w -> Printf.sprintf "erase(s%d)" w
   | Op_copy w -> Printf.sprintf "copy(s%d)" w
+  | Op_share (sw, sb, dw, db, c) -> Printf.sprintf "share(s%d, %d -> s%d, %d, %d)" sw sb dw db c
 
 let gen_store_op =
   let open QCheck.Gen in
@@ -82,6 +124,19 @@ let gen_store_op =
       (3, map2 (fun w b -> Op_erase_block (w, b)) small_nat (int_bound (model_nblocks - 1)));
       (1, map (fun w -> Op_erase w) small_nat);
       (1, map (fun w -> Op_copy w) small_nat);
+      ( 4,
+        (* aligned: the destination sits at the source's page offset *)
+        pair small_nat small_nat >>= fun (sw, dw) ->
+        int_bound (model_nblocks - 1) >>= fun sb ->
+        oneof
+          [
+            int_bound (model_nblocks - 1);
+            (int_bound 3 >|= fun k ->
+             let db = (sb mod 32) + (32 * k) in
+             if db < model_nblocks then db else sb mod 32);
+          ]
+        >>= fun db ->
+        int_range 1 (min 70 (model_nblocks - max sb db)) >|= fun c -> Op_share (sw, sb, dw, db, c) );
     ]
 
 let block_fill seed blk = Bytes.init model_bs (fun i -> Char.chr ((seed + (blk * 31) + (i * 7) + 1) land 0xff))
@@ -111,7 +166,7 @@ let prop_store_matches_model =
              (fun blk -> Blockstore.is_written store blk = Hashtbl.mem model blk)
              (List.init model_nblocks Fun.id)
         && Bytes.equal
-             (Blockstore.read store ~blk:0 ~count:model_nblocks)
+             (store_read store ~blk:0 ~count:model_nblocks)
              (model_read model 0 model_nblocks)
       in
       List.for_all
@@ -158,6 +213,22 @@ let prop_store_matches_model =
                 let store, model = pick w in
                 worlds := Array.append !worlds [| (Blockstore.copy store, Hashtbl.copy model) |];
                 true
+            | Op_share (sw, src_blk, dw, dst_blk, count) -> (
+                let src, smodel = pick sw and dst, dmodel = pick dw in
+                match Blockstore.share ~src ~src_blk ~dst ~dst_blk ~count with
+                | () ->
+                    (* a share writes what a read of the source returns *)
+                    let blocks =
+                      List.init count (fun i ->
+                          Bytes.sub (model_read smodel (src_blk + i) 1) 0 model_bs)
+                    in
+                    List.iteri (fun i b -> Hashtbl.replace dmodel (dst_blk + i) b) blocks;
+                    true
+                | exception Invalid_argument _ ->
+                    (* only overlapping ranges of one store are refused *)
+                    src == dst
+                    && src_blk < dst_blk + count
+                    && dst_blk < src_blk + count)
           in
           step_ok && Array.for_all agrees !worlds)
         ops)
@@ -232,7 +303,7 @@ let test_disk_data_integrity () =
       List.iter (fun (blk, data) -> Blockstore.write expect ~blk data) blobs;
       List.iter
         (fun (blk, _) ->
-          check Alcotest.bytes "disk data" (Blockstore.read expect ~blk ~count:2)
+          check Alcotest.bytes "disk data" (store_read expect ~blk ~count:2)
             (Disk.read d ~blk ~count:2))
         blobs)
 
@@ -272,9 +343,10 @@ let test_disk_stats () =
 
 (* --- Request-path allocation --- *)
 
-(* One untraced single-block request may allocate only what the engine
-   needs to block (two [Engine.delay] payloads, about 22 words); the
-   rest of the path carries no closures or boxed floats. The bound
+(* One untraced single-block request — a read, a write, or a fetch
+   landing's shared write — may allocate only what the engine needs to
+   block (two [Engine.delay] payloads, about 22 words); the rest of the
+   path carries no closures or boxed floats. The bound
    leaves a few words of slack over the measured ~28, and sits far
    below the 85 a closure-built request allocates. *)
 let request_words_bound = 32.0
@@ -305,13 +377,18 @@ let words_per_request io =
 let test_request_alloc () =
   let read d ~blk buf = Disk.read_into d ~blk ~count:1 ~dst:buf ~dst_off:0 in
   let write d ~blk buf = Disk.write_from d ~blk ~src:buf ~src_off:0 ~count:1 in
+  (* one written page to share from, at each block's own page offset:
+     untouched disk pages take it, pages holding other blocks copy *)
+  let src = Blockstore.create ~block_size:4096 ~nblocks:32 in
+  Blockstore.write src ~blk:0 (Bytes.make (32 * 4096) 's');
+  let share d ~blk _ = Disk.share_from d ~blk ~src ~src_blk:(blk mod 32) ~count:1 in
   List.iter
     (fun (what, io) ->
       let w = words_per_request io in
       check Alcotest.bool
         (Printf.sprintf "%s: %.1f minor words per request <= %.0f" what w request_words_bound)
         true (w <= request_words_bound))
-    [ ("read_into", read); ("write_from", write) ]
+    [ ("read_into", read); ("write_from", write); ("share_from", share) ]
 
 let count_sub s sub =
   let n = String.length sub in
@@ -673,6 +750,7 @@ let suite =
         Alcotest.test_case "roundtrip" `Quick test_store_roundtrip;
         Alcotest.test_case "bounds" `Quick test_store_bounds;
         Alcotest.test_case "erase block" `Quick test_store_erase_block;
+        Alcotest.test_case "snapshot cost" `Quick test_store_snapshot_cost;
       ] );
     ( "device.disk",
       [

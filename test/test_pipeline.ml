@@ -59,11 +59,13 @@ let media_digest jb =
   let buf = Buffer.create 4096 in
   for vol = 0 to Device.Jukebox.nvolumes jb - 1 do
     let store = Device.Jukebox.volume_store jb vol in
+    let block = Bytes.create (Device.Blockstore.block_size store) in
     Buffer.add_string buf (Printf.sprintf "vol%d:" vol);
     for blk = 0 to Device.Blockstore.nblocks store - 1 do
       if blk mod 16 <> 0 && Device.Blockstore.is_written store blk then begin
         Buffer.add_string buf (string_of_int blk);
-        Buffer.add_bytes buf (Device.Blockstore.read store ~blk ~count:1)
+        Device.Blockstore.read_into store ~blk ~count:1 ~dst:block ~dst_off:0;
+        Buffer.add_bytes buf block
       end
     done
   done;

@@ -248,13 +248,15 @@ let prop_flushed_files_survive_crash =
 let golden_media_digest = "fcdb6a979ae48c8b9a9b9e3642f0fb3b"
 
 let store_digest buf name store =
+  let block = Bytes.create (Device.Blockstore.block_size store) in
   Buffer.add_string buf
     (Printf.sprintf "%s:%d:%d;" name (Device.Blockstore.nblocks store)
        (Device.Blockstore.written_blocks store));
   for blk = 0 to Device.Blockstore.nblocks store - 1 do
     if Device.Blockstore.is_written store blk then begin
       Buffer.add_string buf (string_of_int blk);
-      Buffer.add_bytes buf (Device.Blockstore.read store ~blk ~count:1)
+      Device.Blockstore.read_into store ~blk ~count:1 ~dst:block ~dst_off:0;
+        Buffer.add_bytes buf block
     end
   done
 
