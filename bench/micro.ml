@@ -1,5 +1,6 @@
 (* Bechamel micro-benchmarks of the hot CPU paths: summary checksums and
-   serialization, inode packing, cleaner victim ranking, Zipf sampling.
+   serialization, inode packing, cleaner victim ranking, Zipf sampling;
+   then the two segment moves of the tertiary path, timed in a loop.
    These measure real wall-clock cost of the implementation, separate
    from the simulated-time experiments. *)
 
@@ -66,6 +67,75 @@ let benchmarks =
       (fun t -> (t, None))
       [ test_summary_serialize; test_summary_deserialize; test_inode_pack; test_zipf; test_stp_score ]
 
+(* The I/O server's two whole-segment moves, through the calls the
+   service makes, on a 1 MB segment: a fetch streams a volume segment
+   into an image and lands it on the cache disk; a write-out lifts a
+   staged segment off the disk into an image and streams it onto a
+   volume. Every segment sits on page boundaries, so both must move
+   page references only: the line reports host time and words
+   allocated per segment, and the blocks any store took by copying
+   (CI requires 0). *)
+let seg_blocks = 256
+let rounds = 200
+
+let segment_move name ~prepare ~move =
+  let engine = Sim.Engine.create () in
+  let disk = Device.Disk.create engine ~nblocks:(10 * seg_blocks) Device.Disk.rz57 ~name:"disk" in
+  let jb =
+    Device.Jukebox.create engine ~drives:1 ~nvolumes:1 ~vol_capacity:(8 * seg_blocks)
+      ~media:Device.Jukebox.hp6300_platter ~changer:Device.Jukebox.hp6300_changer "jb"
+  in
+  let fp = Footprint.create ~seg_blocks ~segs_per_volume:8 [ jb ] in
+  let dev = Lfs.Dev.of_disk disk in
+  let image = Device.Blockstore.image ~block_size:4096 ~nblocks:seg_blocks in
+  let stores = [ Device.Disk.store disk; Device.Jukebox.volume_store jb 0; image ] in
+  let copied () =
+    List.fold_left (fun acc s -> acc + Device.Blockstore.blocks_copied s) 0 stores
+  in
+  let result = ref (0.0, 0.0, 0) in
+  Sim.Engine.spawn engine (fun () ->
+      prepare jb dev;
+      move fp dev image 0;
+      let words () =
+        Gc.minor ();
+        let minor, promoted, major = Gc.counters () in
+        minor +. major -. promoted
+      in
+      let c0 = copied () and w0 = words () and t0 = Unix.gettimeofday () in
+      for i = 1 to rounds do
+        move fp dev image i
+      done;
+      let dt = Unix.gettimeofday () -. t0 in
+      result := (dt, words () -. w0, copied () - c0));
+  Sim.Engine.run engine;
+  let dt, words, blocks = !result in
+  let n = float rounds in
+  Printf.printf "  %-32s %10.1f us/seg %8.0f words/seg %6d blocks copied\n" name (dt *. 1e6 /. n)
+    (words /. n) blocks
+
+let segment_bytes = Bytes.init (seg_blocks * 4096) (fun i -> Char.chr ((i * 7) land 0xff))
+let disk_seg i = (1 + (i mod 8)) * seg_blocks
+let ignore_chunk ~off:_ ~blocks:_ = ()
+
+let segment_moves () =
+  segment_move "segment fetch+land"
+    ~prepare:(fun jb _ -> Device.Jukebox.write jb ~vol:0 ~blk:0 segment_bytes)
+    ~move:(fun fp dev image i ->
+      Footprint.read_seg_stream_into fp ~vol:0 ~seg:0 ~dst:image ignore_chunk;
+      dev.Lfs.Dev.share_from ~blk:(disk_seg i) ~src:image ~src_blk:0 ~count:seg_blocks;
+      Device.Blockstore.erase image);
+  segment_move "segment write-out"
+    ~prepare:(fun _ dev -> dev.Lfs.Dev.write ~blk:(disk_seg 0) ~data:segment_bytes)
+    ~move:(fun fp dev image i ->
+      dev.Lfs.Dev.share_into ~blk:(disk_seg 0) ~count:seg_blocks ~dst:image ~dst_blk:0;
+      (match
+         Footprint.write_seg_stream_from fp ~vol:0 ~seg:(i mod 8) ~src:image ~src_blk:0
+           ignore_chunk
+       with
+      | Footprint.Written -> ()
+      | Footprint.End_of_medium -> failwith "micro: end of medium");
+      Device.Blockstore.erase image)
+
 let run () =
   print_endline "\n== Micro-benchmarks (real CPU time, Bechamel) ==";
   Printf.printf "crc32 kernel: %s\n" Util.Crc32.kernel;
@@ -84,4 +154,5 @@ let run () =
               | None -> Printf.printf "  %-32s %10.1f ns/op\n" name est)
           | _ -> Printf.printf "  %-32s (no estimate)\n" name)
         results)
-    benchmarks
+    benchmarks;
+  segment_moves ()

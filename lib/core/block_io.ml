@@ -45,14 +45,6 @@ let disk_write_from st ~what ~blk ~src ~src_off ~count =
         (fun () -> st.disk.Lfs.Dev.write_from ~blk ~src ~src_off ~count)
         d 1 st.retry.backoff_base
 
-let raw_write_cache_line st ~disk_seg data =
-  st.disk.Lfs.Dev.write ~blk:(disk_seg_base st disk_seg) ~data
-
-(* Copy blocks [off, off+count) of a line's fetch image into [dst]. *)
-let blit_image st image ~off ~count ~dst ~dst_off =
-  let bs = st.disk.Lfs.Dev.block_size in
-  Bytes.blit (Util.Bufpool.bytes image) (off * bs) dst dst_off (count * bs)
-
 (* Park on a Fetching line until it can serve blocks [off, off+count):
    fills [dst] and returns true the moment the streaming watermark
    covers the extent (served straight from the in-memory image — the
@@ -70,7 +62,7 @@ let rec await_extent st line ~off ~count ~dst ~dst_off =
          mid-stream, Resident (image still attached), or the Partial
          remnant of a failed fetch — the bytes below the watermark are
          real in every case *)
-      blit_image st image ~off ~count ~dst ~dst_off;
+      Device.Blockstore.read_into image ~blk:off ~count ~dst ~dst_off;
       true
   | _ -> (
       match line.Seg_cache.failed with
@@ -115,7 +107,7 @@ let rec tertiary_read st ~blk ~count ~dst ~dst_off =
           Obs.Decision.note_segment_access ~now:(Sim.Engine.now st.engine) ~miss:false tindex;
         Seg_cache.touch st.cache line ~now:(Sim.Engine.now st.engine);
         match line.Seg_cache.image with
-        | Some image -> blit_image st image ~off ~count ~dst ~dst_off
+        | Some image -> Device.Blockstore.read_into image ~blk:off ~count ~dst ~dst_off
         | None ->
             (* a Partial line keeps its image for life; losing it means
                the prefix is gone for good — re-fetch from scratch *)
@@ -175,9 +167,9 @@ let rec tertiary_read st ~blk ~count ~dst ~dst_off =
       Seg_cache.touch st.cache line ~now:(Sim.Engine.now st.engine);
       (match line.Seg_cache.image with
       | Some image ->
-          (* recently fetched: the segment buffer is still in memory,
+          (* recently fetched: the segment image is still in memory,
              no need to go back to the cache disk for it *)
-          blit_image st image ~off ~count ~dst ~dst_off
+          Device.Blockstore.read_into image ~blk:off ~count ~dst ~dst_off
       | None ->
           disk_read_into st ~what:"cache-line read"
             ~blk:(disk_seg_base st line.Seg_cache.disk_seg + off)
@@ -289,19 +281,19 @@ let dev st =
         (Printf.sprintf
            "Block_io: tertiary address %d is not writable through the block map" blk)
   in
-  (* the block map names and lands pages of disk addresses only, like
-     its writes *)
+  (* the block map shares pages of disk addresses only, like its
+     writes *)
   let on_disk blk =
     if not (Addr_space.is_disk st.aspace blk) then
       invalid_arg (Printf.sprintf "Block_io: tertiary address %d has no disk pages" blk)
   in
-  let pages ~blk ~count f =
-    on_disk blk;
-    st.disk.Lfs.Dev.pages ~blk ~count f
-  in
   let share_from ~blk ~src ~src_blk ~count =
     on_disk blk;
     retried st ~what:"log write" (fun () -> st.disk.Lfs.Dev.share_from ~blk ~src ~src_blk ~count)
+  in
+  let share_into ~blk ~count ~dst ~dst_blk =
+    on_disk blk;
+    retried st ~what:"log read" (fun () -> st.disk.Lfs.Dev.share_into ~blk ~count ~dst ~dst_blk)
   in
   {
     Lfs.Dev.nblocks = Addr_space.total_blocks st.aspace;
@@ -310,6 +302,6 @@ let dev st =
     write;
     read_into;
     write_from;
-    pages;
     share_from;
+    share_into;
   }

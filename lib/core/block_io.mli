@@ -8,10 +8,6 @@
 
 val dev : State.t -> Lfs.Dev.t
 
-val raw_write_cache_line : State.t -> disk_seg:int -> Bytes.t -> unit
-(** Whole-segment raw write of a cache line (the I/O server's direct
-    disk access, bypassing the buffer cache). *)
-
 val read_block_into : State.t -> int -> dst:Bytes.t -> dst_off:int -> unit
 (** Reads one block wherever it lives into [dst] at byte [dst_off]: disk
     directly, tertiary via the cache disk when the segment is resident,

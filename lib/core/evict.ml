@@ -11,10 +11,9 @@ let eject st line =
   Hl_log.Log.debug (fun m ->
       m "eject cache line: tseg %d (disk seg %d)" line.Seg_cache.tindex line.Seg_cache.disk_seg);
   score_prefetch st line `Evicted;
-  let image = line.Seg_cache.image in
   Seg_cache.remove st.cache line;
   (* nothing serves from an evicted line's image any more *)
-  Option.iter (recycle_image st) image;
+  release_image st line;
   Sim.Metrics.incr (Sim.Metrics.counter st.metrics "cache.evictions");
   Sim.Trace.instant ~track:"service" ~cat:"cache" "evict"
     ~args:[ ("tindex", string_of_int line.Seg_cache.tindex) ];
@@ -56,20 +55,6 @@ let choose_victim st =
         Obs.Decision.note_evicted ~now ~policy:pol victim.Seg_cache.tindex
       end;
       Some victim
-
-let eject_idle st ~keep =
-  let ejected = ref 0 in
-  let rec go () =
-    if Seg_cache.length st.cache > keep then
-      match choose_victim st with
-      | Some victim ->
-          eject st victim;
-          incr ejected;
-          go ()
-      | None -> ()
-  in
-  go ();
-  !ejected
 
 (* One allocation attempt: evict past the cap or a victim if needed,
    but never wait. *)

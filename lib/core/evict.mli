@@ -14,10 +14,6 @@ val choose_victim : State.t -> Seg_cache.line option
     (victim plus passed-over candidates) and registers the victim for
     the eviction-regret SLI. Zero-cost when the observatory is off. *)
 
-val eject_idle : State.t -> keep:int -> int
-(** Migrator-style housekeeping: evicts least-valuable lines until at
-    most [keep] remain. Returns the number ejected. *)
-
 val try_allocate : ?staging:bool -> State.t -> int option
 (** One allocation attempt that never waits: ejects a victim when past
     the cap or when the clean pool is empty; [None] when nothing could

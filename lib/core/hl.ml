@@ -412,11 +412,24 @@ let check t =
         | Some line when line.Seg_cache.disk_seg = seg -> ()
         | _ -> complain "Cached segment %d (tag %d) missing from cache directory" seg
                  e.Segusage.cache_tag);
-  (* a recycled segment buffer must have no line left serving from it *)
-  Seg_cache.iter t.st.State.cache (fun line ->
-      match line.Seg_cache.image with
-      | Some image when Util.Bufpool.is_free image ->
-          complain "cache line for tseg %d: image is on the free segment-buffer list"
-            line.Seg_cache.tindex
-      | _ -> ());
+  (* every segment image taken is attached to a line (in the directory
+     or in [image_fifo]) or held by a move in flight, and none of those
+     is back in the pool *)
+  let pool = t.st.State.images in
+  let held = ref [] in
+  let note line =
+    match line.Seg_cache.image with
+    | Some image when not (List.memq image !held) ->
+        if List.memq image pool.State.free_images then
+          complain "cache line for tseg %d: image is in the free image pool"
+            line.Seg_cache.tindex;
+        held := image :: !held
+    | _ -> ()
+  in
+  Seg_cache.iter t.st.State.cache note;
+  Queue.iter note t.st.State.image_fifo;
+  let attached = List.length !held + pool.State.moving_images in
+  if attached <> pool.State.images_out then
+    complain "%d segment images taken, %d attached to lines or held by moves"
+      pool.State.images_out attached;
   List.rev !problems

@@ -267,5 +267,6 @@ val reset_stats : t -> unit
 
 val check : t -> string list
 (** LFS invariants plus hierarchy invariants (cache directory vs
-    segusage tags, tertiary table consistency, no cache line serving
-    from a segment buffer that is back on the free list). *)
+    segusage tags, tertiary table consistency, every segment image
+    taken attached to a line or held by a write-out in flight, and none
+    of them back in the image pool). *)

@@ -1,7 +1,6 @@
 open State
 open Lfs
 
-
 (* A candidate is a disk-resident, clean, currently-mapped block. *)
 let resolve_candidate ?(allow_tertiary = false) st (inum, bkey) =
   let fsys = fs st in
@@ -89,10 +88,10 @@ let stage_segment ?(defer = false) st ~inode_set blocks =
         let key = Bcache.key inum bkey in
         let carried =
           match Bcache.find (Fs.bcache fsys) key with
-          | Some d ->
+          | d when d != Bcache.miss ->
               Bytes.blit d 0 image dst bs;
               Bcache.crc (Fs.bcache fsys) key d
-          | None ->
+          | _ ->
               Block_io.read_block_into st addr ~dst:image ~dst_off:dst;
               Fs.written_crc fsys addr
         in
@@ -163,7 +162,8 @@ let stage_segment ?(defer = false) st ~inode_set blocks =
   let used = (1 + ndata + List.length inode_blocks) * bs in
   Bytes.fill image used (Bytes.length image - used) '\000';
   Fs.charge_copy fsys (Bytes.length image);
-  Block_io.raw_write_cache_line st ~disk_seg image;
+  (* a raw whole-segment write, bypassing the buffer cache *)
+  st.disk.Lfs.Dev.write ~blk:(disk_seg_base st disk_seg) ~data:image;
   (* the cache disk holds the only copy the write-out needs; a write
      that raised leaves the buffer to the GC *)
   Util.Bufpool.give segbufs buf;
@@ -363,15 +363,6 @@ let migrate_paths st ?(wait = true) ?(checkpoint = true) ?(with_inodes = true)
       paths
   in
   migrate_files st ~wait ~checkpoint ~with_inodes ~self_contained inums
-
-let demote_cached_clean st =
-  Seg_cache.iter st.cache (fun line ->
-      if line.Seg_cache.state = Seg_cache.Staging then begin
-        match Hashtbl.find_opt st.manifests line.Seg_cache.tindex with
-        | Some _ -> ()
-        | None -> line.Seg_cache.state <- Seg_cache.Staged_clean
-      end)
-
 
 let stage_only st pairs =
   if List.filter_map (resolve_candidate st) pairs = [] then []

@@ -63,7 +63,3 @@ val stage_files_only : State.t -> int list -> int list
 val flush_staged : State.t -> ?wait:bool -> unit -> int
 (** Requests copy-out for every Staging cache line; returns how many
     were queued. *)
-
-val demote_cached_clean : State.t -> unit
-(** Housekeeping used by write-behind experiments: turns any Staging
-    lines that have completed copy-out into evictable lines. *)

@@ -8,48 +8,22 @@ type line = {
   mutable last_use : float;
   mutable fetched_at : float;
   mutable worthy : bool;
-  mutable image : Util.Bufpool.buf option;
-      (* the in-memory segment buffer of a recent fetch; block reads are
-         served from it (a copy, no disk pass) while it lives. The
-         service layer bounds how many images stay attached. *)
+  mutable image : Device.Blockstore.t option;
   mutable valid_blocks : int;
-      (* streaming-fetch watermark: the first [valid_blocks] blocks of
-         [image] hold real data. Full (= seg_blocks) once the tertiary
-         read completes; blocking fetches go straight to full. *)
-  mutable image_copy : int;
-  mutable image_version : int;
-      (* the tertiary copy [image] was read from (-1: several) and its
-         volume's version at the first read, for the landing to share *)
   mutable media_blocks : int;
-      (* write-out watermark: leading blocks of the tertiary segment
-         already on the media; survives a failed write-out ticket *)
   mutable prefetched : bool;
-      (* inserted by a readahead hint and not yet demanded — flips off
-         on first demand use; an eviction while still set counts as a
-         wasted prefetch *)
   mutable idle_hint : bool;
-      (* inserted by the idle-readahead daemon rather than the demand
-         readahead policy: preemption and waste are counted separately
-         and never feed the adaptive readahead's accuracy loop *)
   ready : Sim.Condvar.t;
   mutable span_id : int;
-      (* async-span id of the in-flight fetch/write-out lifecycle
-         ([Sim.Trace.async_begin]); -1 when no span is open *)
   mutable ledger : Sim.Ledger.t;
-      (* wait-profile ledger of the in-flight fetch/write-out, riding
-         the line across dispatcher and worker processes like [span_id];
-         [Sim.Ledger.none] when no request is in flight *)
   mutable failed : string option;
-      (* set (with the reason) when the in-flight fetch failed
-         permanently; waiters on [ready] must check it and surface
-         [State.Io_error] instead of re-fetching through this line *)
 }
 
 type policy = Lru | Random_evict | Least_worthy
 
 type t = {
   table : (int, line) Hashtbl.t;
-  mutable pol : policy;
+  pol : policy;
   rng : Util.Rng.t;
   max : int;
   lru : (float * line) Util.Heap.t;
@@ -81,7 +55,6 @@ let create ?(policy = Lru) ?(seed = 1993) ~max_lines () =
 let freed t = t.freed
 
 let policy t = t.pol
-let set_policy t p = t.pol <- p
 
 let policy_name t =
   match t.pol with
@@ -114,8 +87,6 @@ let insert t ~tindex ~disk_seg ~state ~now =
       worthy = false;
       image = None;
       valid_blocks = 0;
-      image_copy = -1;
-      image_version = 0;
       media_blocks = 0;
       prefetched = false;
       idle_hint = false;
@@ -222,7 +193,6 @@ let retag t line tindex =
 
 let remove t line =
   Hashtbl.remove t.table line.tindex;
-  line.image <- None;
   Sim.Condvar.broadcast t.freed
 let iter t f = Hashtbl.iter (fun _ l -> f l) t.table
 let lines t = Hashtbl.fold (fun _ l acc -> l :: acc) t.table []

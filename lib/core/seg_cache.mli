@@ -30,25 +30,19 @@ type line = {
   mutable last_use : float;
   mutable fetched_at : float;
   mutable worthy : bool;  (** re-referenced since fetch *)
-  mutable image : Util.Bufpool.buf option;
-      (** in-memory segment buffer of a recent fetch: block reads are
-          served from it without a disk pass while it lives (double
-          buffering, paper §6.7); the service layer bounds how many
-          stay attached *)
+  mutable image : Device.Blockstore.t option;
+      (** in-memory segment image of a recent fetch, holding the pages
+          the tertiary read shared: block reads are served from it
+          without a disk pass while it lives (double buffering, paper
+          §6.7); the service layer bounds how many stay attached and
+          gives each back to the instance's pool
+          ({!State.release_image}) *)
   mutable valid_blocks : int;
       (** streaming-fetch watermark: how many leading blocks of [image]
           hold real data. A streaming fetch advances it chunk by chunk
           (broadcasting [ready] each time) so waiters needing an early
           offset unblock before the whole segment arrives; blocking
           fetches set it to the full segment size at completion. *)
-  mutable image_copy : int;
-      (** the tertiary copy (a tindex) every block of [image] was read
-          from, whose pages the fetch landing shares; -1 when the blocks
-          came from more than one copy *)
-  mutable image_version : int;
-      (** {!Device.Blockstore.version} of [image_copy]'s volume when its
-          first block was read: the landing shares only if the volume
-          has not changed since, and writes the image otherwise *)
   mutable media_blocks : int;
       (** write-out watermark of a Staging line: how many leading blocks
           of its tertiary segment are already on the media. A torn
@@ -90,7 +84,6 @@ type t
 
 val create : ?policy:policy -> ?seed:int -> max_lines:int -> unit -> t
 val policy : t -> policy
-val set_policy : t -> policy -> unit
 
 val policy_name : t -> string
 (** The policy id used in decision records and eviction-regret SLIs. *)
@@ -130,5 +123,8 @@ val choose_victim : t -> line option
     The line is not removed. *)
 
 val remove : t -> line -> unit
+(** Takes the line out of the directory; its [image] stays attached for
+    the caller to keep or give back. *)
+
 val iter : t -> (line -> unit) -> unit
 val lines : t -> line list

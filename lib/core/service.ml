@@ -125,21 +125,23 @@ let pick_source st tindex =
 
 type fetch_ctx = { f_line : Seg_cache.line; f_urgent : bool; f_enqueued : float }
 
-(* One write-out in flight. The disk side fills [w_buf] front to back,
-   advancing the [w_read] watermark and broadcasting [w_avail]; the
-   tertiary side's per-chunk await blocks until the watermark covers the
-   chunk it is about to put on the media. How much of the tertiary
-   segment is already there lives on the line ([media_blocks]), not
-   here, so a retry — or a later ticket after this one failed — resumes
-   instead of rewriting. A permanent disk-side failure parks in
-   [w_failed] — the tertiary side surfaces it, so the write-out fails
-   exactly once, from the worker that owns its ledger. *)
+(* One write-out in flight. The disk side shares the staged segment's
+   pages into [w_image] front to back, advancing the [w_read] watermark
+   and broadcasting [w_avail]; the tertiary side's per-chunk await
+   blocks until the watermark covers the chunk it is about to share
+   onto the media. How much of the tertiary segment is already there
+   lives on the line ([media_blocks]), not here, so a retry — or a
+   later ticket after this one failed — resumes instead of rewriting. A
+   permanent disk-side failure parks in [w_failed] — the tertiary side
+   surfaces it, so the write-out fails exactly once, from the worker
+   that owns its ledger. *)
 type wo_ctx = {
   w_line : Seg_cache.line;
   w_status : writeout_status ref;
   w_done : Sim.Condvar.t;
-  w_buf : Util.Bufpool.buf;
-  mutable w_read : int;  (** blocks of [w_buf] holding real data *)
+  w_image : Device.Blockstore.t;
+  mutable w_read : int;  (** blocks of [w_image] holding the segment *)
+  mutable w_halves : int;  (** halves not yet over; see [wo_settle] *)
   w_avail : Sim.Condvar.t;
   mutable w_failed : string option;
   w_overlap : bool;
@@ -149,6 +151,26 @@ type wo_ctx = {
           cache-disk worker before the job is queued for a drive
           (Pipelined), or inline by the tertiary worker (Serial) *)
 }
+
+(* Readers of a just-fetched segment are served from its in-memory
+   image instead of re-reading the cache disk the worker just wrote —
+   single-block reads against a disk whose arm is also landing fetched
+   segments would pay a seek + rotation each. Only the newest
+   [pipeline width] images stay attached (the double buffers of §6.7);
+   beyond that the disk copy serves and the image goes back. *)
+let attach_image st line =
+  Queue.add line st.image_fifo;
+  let depth = 2 * (max 1 (Footprint.ndrives st.fp) + 1) in
+  while Queue.length st.image_fifo > depth do
+    release_image st (Queue.pop st.image_fifo)
+  done
+
+(* One half of a write-out — its staging read or its tertiary write —
+   finished, failed or will never run. Until both are, a late staging
+   read may share into the image, or a chunk in transfer from it. *)
+let wo_settle st ctx =
+  ctx.w_halves <- ctx.w_halves - 1;
+  if ctx.w_halves = 0 then give_image ~moving:true st ctx.w_image
 
 (* ---------- fault handling ---------- *)
 
@@ -198,8 +220,8 @@ let with_retries st ~what f =
    pool (the prefix lives in memory), waiters and later readers inside
    the watermark are served from it, and a read past the watermark
    triggers a tail-only re-fetch (see {!Block_io.tertiary_read}). With
-   nothing delivered the line leaves the directory as before — a later
-   access re-fetches from scratch. *)
+   nothing delivered the line leaves the directory and its image goes
+   back — a later access re-fetches from scratch. *)
 let fail_fetch st line msg =
   Hl_log.Log.info (fun m -> m "fetch of tseg %d failed: %s" line.Seg_cache.tindex msg);
   line.Seg_cache.failed <- Some msg;
@@ -223,12 +245,10 @@ let fail_fetch st line msg =
   end
   else begin
     score_prefetch st line `Failed;
-    let prefix = line.Seg_cache.image in
     Seg_cache.remove st.cache line;
-    (* [remove] detaches the image; re-attach it to the directory-less
-       line so parked waiters below the watermark still drain with the
-       data that really did arrive *)
-    if line.Seg_cache.valid_blocks > 0 then line.Seg_cache.image <- prefix
+    (* with a prefix (the service is stopping), parked waiters below the
+       watermark still drain from the image until [image_fifo] turns *)
+    if line.Seg_cache.valid_blocks > 0 then attach_image st line else release_image st line
   end;
   Sim.Condvar.broadcast line.Seg_cache.ready;
   note_progress st
@@ -269,11 +289,11 @@ let fail_request st req msg =
 
 (* ---------- fetch ---------- *)
 
-(* Fetch phase A (tertiary worker): read the segment image from the
-   cheapest copy into the line's image buffer, chunk by chunk, each
-   chunk landing at its final offset (one store→image copy). The copy
-   is re-chosen on every retry, so a replica on a healthy volume can
-   stand in for a primary behind a dead drive.
+(* Fetch phase A (tertiary worker): read the segment from the cheapest
+   copy into the line's image, chunk by chunk, each chunk's volume
+   pages shared into the image at their segment offsets — no byte is
+   copied. The copy is re-chosen on every retry, so a replica on a
+   healthy volume can stand in for a primary behind a dead drive.
 
    The [valid_blocks] watermark is what waiters see. A streaming fetch
    publishes it as each chunk crosses the bus, broadcasting [ready] so a
@@ -302,25 +322,16 @@ let fetch_read st ctx =
             (fun () ->
               let image =
                 match line.Seg_cache.image with
-                | Some img -> img (* retry: keep buffer and watermark *)
+                | Some img -> img (* retry: keep image and watermark *)
                 | None ->
-                    let img = Util.Bufpool.take (segbufs st) in
+                    let img = take_image st in
                     line.Seg_cache.image <- Some img;
                     img
               in
               let start = line.Seg_cache.valid_blocks in
-              (* remember which copy the image comes from, for the
-                 landing to share: a fresh image is all this copy's, a
-                 continued one stays single-copy only if it is the same *)
-              (if start = 0 then begin
-                 line.Seg_cache.image_copy <- source;
-                 line.Seg_cache.image_version <-
-                   Device.Blockstore.version (fst (Footprint.seg_store st.fp ~vol ~seg))
-               end
-               else if source <> line.Seg_cache.image_copy then line.Seg_cache.image_copy <- -1);
               if start < seg_blocks st then
                 Footprint.read_seg_stream_into st.fp ~vol ~seg ~chunk:st.stream_chunk_blocks
-                  ~off:start ~dst:(Util.Bufpool.bytes image) ~dst_off:0 (fun ~off ~blocks ->
+                  ~off:start ~dst:image (fun ~off ~blocks ->
                     if Obs.Health.enabled () then
                       Obs.Health.worker_beat (Sim.Engine.current_name st.engine);
                     if st.streaming_fetch && off <= line.Seg_cache.valid_blocks then begin
@@ -331,46 +342,9 @@ let fetch_read st ctx =
                     end);
               image)))
 
-(* Readers of a just-fetched segment are served from its in-memory
-   buffer instead of re-reading the cache disk the worker just wrote —
-   single-block reads against a disk whose arm is also landing fetched
-   segments would pay a seek + rotation each. Only the newest
-   [pipeline width] buffers stay attached (the double buffers of §6.7);
-   beyond that the disk copy serves and the buffer is recycled. *)
-let attach_image st line image =
-  line.Seg_cache.image <- Some image;
-  Queue.add line st.image_fifo;
-  let depth = 2 * (max 1 (Footprint.ndrives st.fp) + 1) in
-  while Queue.length st.image_fifo > depth do
-    let old = Queue.pop st.image_fifo in
-    Option.iter (recycle_image st) old.Seg_cache.image;
-    old.Seg_cache.image <- None
-  done
-
-(* The landing's disk write. The image's bytes already sit on the
-   tertiary copy they were read from, so the cache line shares that
-   copy's pages instead of copying the image — unless the volume has
-   changed since the read began (a tertiary clean erased it) or the
-   image came from two copies, when the image itself is written. *)
-let land_image st line image =
-  let blk = disk_seg_base st line.Seg_cache.disk_seg in
-  let copy = line.Seg_cache.image_copy in
-  let source =
-    if copy < 0 then None
-    else
-      let vol, seg = Addr_space.vol_seg_of_tindex st.aspace copy in
-      let store, src_blk = Footprint.seg_store st.fp ~vol ~seg in
-      if Device.Blockstore.version store = line.Seg_cache.image_version then Some (store, src_blk)
-      else None
-  in
-  match source with
-  | Some (src, src_blk) -> st.disk.Lfs.Dev.share_from ~blk ~src ~src_blk ~count:(seg_blocks st)
-  | None ->
-      Block_io.raw_write_cache_line st ~disk_seg:line.Seg_cache.disk_seg
-        (Util.Bufpool.bytes image)
-
 (* Fetch phase B (cache-disk side): land the image in the cache line
-   and publish the whole segment. *)
+   and publish the whole segment: a timed disk write sharing the pages
+   the tertiary read delivered, whatever has happened to the volume. *)
 let fetch_write st ctx image =
   let line = ctx.f_line in
   match
@@ -382,11 +356,14 @@ let fetch_write st ctx image =
             phased st `Disk (fun () ->
                 Sim.Trace.span ~cat:"service" "fetch:disk-write"
                   ~args:[ ("tindex", string_of_int line.Seg_cache.tindex) ]
-                  (fun () -> land_image st line image))))
+                  (fun () ->
+                    st.disk.Lfs.Dev.share_from
+                      ~blk:(disk_seg_base st line.Seg_cache.disk_seg)
+                      ~src:image ~src_blk:0 ~count:(seg_blocks st)))))
   with
   | Error msg -> fail_fetch st line msg
   | Ok () ->
-      attach_image st line image;
+      attach_image st line;
       line.Seg_cache.state <- Seg_cache.Resident;
       line.Seg_cache.valid_blocks <- seg_blocks st;
       line.Seg_cache.fetched_at <- now st;
@@ -412,15 +389,15 @@ let fetch_write st ctx image =
 
 (* ---------- write-out ---------- *)
 
-(* Write-out, disk side: lift the staged image off the cache disk into
-   [w_buf], advancing [w_read] and broadcasting [w_avail] after each
-   piece. Overlapped, it runs on the cache-disk worker in
-   [stream_chunk_blocks] pieces with no request ledger active — the
-   tertiary side owns the write-out's ledger end to end, so this read
-   charges nobody (its effect shows up as the stalls it removes).
-   Otherwise it is one whole-segment read charged to the write-out,
-   finished before the tertiary write starts. A retry resumes from the
-   watermark. *)
+(* Write-out, disk side: lift the staged segment off the cache disk
+   into [w_image] (timed reads that share its pages), advancing [w_read]
+   and broadcasting [w_avail] after each piece. Overlapped, it runs on
+   the cache-disk worker in [stream_chunk_blocks] pieces with no
+   request ledger active — the tertiary side owns the write-out's
+   ledger end to end, so this read charges nobody (its effect shows up
+   as the stalls it removes). Otherwise it is one whole-segment read
+   charged to the write-out, finished before the tertiary write starts.
+   A retry resumes from the watermark. *)
 let writeout_stage st ctx =
   let line = ctx.w_line in
   Sim.Trace.async_instant line.Seg_cache.span_id ~args:[ ("phase", "disk-read") ];
@@ -435,23 +412,22 @@ let writeout_stage st ctx =
                   ~args:[ ("tindex", string_of_int line.Seg_cache.tindex) ]
                   (fun () ->
                     let base = disk_seg_base st line.Seg_cache.disk_seg in
-                    let bs = st.disk.Lfs.Dev.block_size in
                     while ctx.w_read < total && ctx.w_failed = None do
                       let off = ctx.w_read in
                       let n = min chunk (total - off) in
-                      st.disk.Lfs.Dev.read_into ~blk:(base + off) ~count:n
-                        ~dst:(Util.Bufpool.bytes ctx.w_buf)
-                        ~dst_off:(off * bs);
+                      st.disk.Lfs.Dev.share_into ~blk:(base + off) ~count:n ~dst:ctx.w_image
+                        ~dst_blk:off;
                       ctx.w_read <- off + n;
                       Sim.Condvar.broadcast ctx.w_avail
                     done))))
   with
-  | Ok () -> ()
+  | Ok () -> wo_settle st ctx
   | Error msg ->
       (* don't settle the ticket from here: the tertiary side owns the
          write-out and surfaces the failure *)
       if ctx.w_failed = None then ctx.w_failed <- Some msg;
-      Sim.Condvar.broadcast ctx.w_avail
+      Sim.Condvar.broadcast ctx.w_avail;
+      wo_settle st ctx
 
 (* Write-out completion: publish the staged line as clean, settle the
    ticket, close the books. *)
@@ -484,8 +460,8 @@ exception Stream_aborted of string
    for good, resumes there, so no block is ever written twice — which is
    what lets WORM volumes take the same path. End-of-medium re-homes
    onto a new tertiary segment and restarts there: the image is
-   address-free (pointers live in the fs maps), so the buffer and the
-   read watermark carry over. *)
+   address-free (pointers live in the fs maps), so it and the read
+   watermark carry over. *)
 let writeout_write st ctx =
   let line = ctx.w_line in
   let await ~off ~blocks =
@@ -507,9 +483,7 @@ let writeout_write st ctx =
                 (fun () ->
                   Footprint.write_seg_stream_from st.fp ~vol ~seg
                     ~chunk:(max 1 st.stream_chunk_blocks) ~off:line.Seg_cache.media_blocks
-                    ~src:st.disk.Lfs.Dev.pages
-                    ~src_blk:(disk_seg_base st line.Seg_cache.disk_seg)
-                    ~await (fun ~off ~blocks ->
+                    ~src:ctx.w_image ~src_blk:0 ~await (fun ~off ~blocks ->
                       if Obs.Health.enabled () then
                         Obs.Health.worker_beat (Sim.Engine.current_name st.engine);
                       line.Seg_cache.media_blocks <- off + blocks;
@@ -521,9 +495,6 @@ let writeout_write st ctx =
     | Error _ as e -> e
     | Ok Footprint.Written ->
         writeout_done st ctx;
-        (* the cache-disk side is done with [w_buf] once the read
-           watermark reaches the segment end *)
-        if ctx.w_read >= seg_blocks st then Util.Bufpool.give (segbufs st) ctx.w_buf;
         Ok ()
     | Ok Footprint.End_of_medium ->
         Hl_log.Log.info (fun m ->
@@ -627,6 +598,7 @@ let drop_hint st line =
   line.Seg_cache.ledger <- Sim.Ledger.none;
   if line.Seg_cache.disk_seg >= 0 then Lfs.Fs.release_segment (fs st) line.Seg_cache.disk_seg;
   Seg_cache.remove st.cache line;
+  release_image st line;
   score_prefetch st line `Dropped;
   Sim.Condvar.broadcast line.Seg_cache.ready
 
@@ -760,7 +732,7 @@ let tq_release q vol =
 
 (* Cache-disk work queue: completing a demand fetch beats everything
    else; prefetch landings and write-out staging reads ride behind. *)
-type disk_job = D_land of fetch_ctx * Util.Bufpool.buf | D_stage of wo_ctx
+type disk_job = D_land of fetch_ctx * Device.Blockstore.t | D_stage of wo_ctx
 
 type diskq = {
   dq_urgent : (float * disk_job) Queue.t;
@@ -938,6 +910,7 @@ let spawn st ~io_mode =
                with
               | Ok () -> ()
               | Error msg -> fail_writeout st ctx msg);
+              wo_settle st ctx;
               tq_release tq vol;
               idle ();
               loop ()
@@ -965,8 +938,12 @@ let spawn st ~io_mode =
                    drive once the image is whole *)
                 (if not ctx.w_overlap then
                    match ctx.w_failed with
-                   | Some msg -> fail_writeout st ctx msg
-                   | None when st.stop_service -> fail_writeout st ctx "service stopped"
+                   | Some msg ->
+                       fail_writeout st ctx msg;
+                       wo_settle st ctx
+                   | None when st.stop_service ->
+                       fail_writeout st ctx "service stopped";
+                       wo_settle st ctx
                    | None -> tq_push_writeout st tq ctx);
                 loop ()
           in
@@ -1046,8 +1023,9 @@ let spawn st ~io_mode =
                 w_line = line;
                 w_status = status;
                 w_done = done_cv;
-                w_buf = Util.Bufpool.take (segbufs st);
+                w_image = take_image ~moving:true st;
                 w_read = 0;
+                w_halves = 2;
                 w_avail = Sim.Condvar.create ();
                 w_failed = None;
                 w_overlap = st.streaming_writeout && dq <> None;
@@ -1057,7 +1035,7 @@ let spawn st ~io_mode =
             | Some dq ->
                 (* the cache-disk worker stages the image; overlapped,
                    both halves start now — the disk read begins filling
-                   the buffer while the tertiary job queues for a drive —
+                   the image while the tertiary job queues for a drive —
                    otherwise the tertiary job is queued when the read
                    finishes *)
                 dq_push st dq ~urgent:false (D_stage ctx);
@@ -1086,7 +1064,11 @@ let spawn st ~io_mode =
       (fun _ vw ->
         drain vw.vw_urgent abort_fetch;
         drain vw.vw_prefetch abort_fetch;
-        drain vw.vw_wo (fun (_, _, ctx) -> fail_writeout st ctx abort))
+        drain vw.vw_wo (fun (_, _, ctx) ->
+            fail_writeout st ctx abort;
+            wo_settle st ctx;
+            (* Serial stages inline: that half never ran either *)
+            if dq = None then wo_settle st ctx))
       tq.tq_vols;
     (* [fail_writeout] is idempotent and always unsticks the stream
        watermark, so reaching an overlapped write-out from both of its
@@ -1094,7 +1076,11 @@ let spawn st ~io_mode =
     let abort_disk_job (_, job) =
       match job with
       | D_land (ctx, _) -> fail_fetch st ctx.f_line abort
-      | D_stage ctx -> fail_writeout st ctx abort
+      | D_stage ctx ->
+          fail_writeout st ctx abort;
+          wo_settle st ctx;
+          (* not overlapped, the tertiary half was never queued *)
+          if not ctx.w_overlap then wo_settle st ctx
     in
     Option.iter
       (fun dq ->

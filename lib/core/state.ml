@@ -45,6 +45,12 @@ type event =
    same closure is subscribed twice *)
 type subscriber = { deliver : event -> unit }
 
+type images = {
+  mutable free_images : Device.Blockstore.t list;
+  mutable images_out : int;
+  mutable moving_images : int;
+}
+
 type t = {
   engine : Sim.Engine.t;
   metrics : Sim.Metrics.t;
@@ -64,6 +70,7 @@ type t = {
   mutable stream_chunk_blocks : int;
   wo : busy;
   image_fifo : Seg_cache.line Queue.t;
+  images : images;
   cache_progress : Sim.Condvar.t;
   mutable stop_service : bool;
   mutable prefetch : int -> int list;
@@ -99,6 +106,7 @@ let create ~engine ~aspace ~disk ~fp ~cache =
     stream_chunk_blocks = 16;
     wo = busy ();
     image_fifo = Queue.create ();
+    images = { free_images = []; images_out = 0; moving_images = 0 };
     (* a pin release or a directory removal can turn a failed
        cache-line allocation into a successful one: the allocators
        sleep on the cache's own condition variable *)
@@ -168,15 +176,33 @@ let note_progress t = Sim.Condvar.broadcast t.cache_progress
 let fs t =
   match t.fs with Some fs -> fs | None -> failwith "HighLight: file system not attached"
 
-let segbufs t = Lfs.Fs.segbufs (fs t)
-
-let recycle_image t image =
-  let holds line = match line.Seg_cache.image with Some i -> i == image | None -> false in
-  if not (Queue.fold (fun held line -> held || holds line) false t.image_fifo) then
-    Util.Bufpool.give (segbufs t) image
-
 let seg_blocks t = Addr_space.seg_blocks t.aspace
 let disk_seg_base t s = (s + 1) * seg_blocks t
+
+(* An image holds no bytes, only references to the pages it was filled
+   from; erasing it on the way back drops them, so a pooled image pins
+   nothing and a later write to those pages goes in place. *)
+let take_image ?(moving = false) t =
+  let p = t.images in
+  p.images_out <- p.images_out + 1;
+  if moving then p.moving_images <- p.moving_images + 1;
+  match p.free_images with
+  | img :: rest ->
+      p.free_images <- rest;
+      img
+  | [] -> Device.Blockstore.image ~block_size:t.disk.Lfs.Dev.block_size ~nblocks:(seg_blocks t)
+
+let give_image ?(moving = false) t img =
+  let p = t.images in
+  if List.memq img p.free_images then invalid_arg "State.give_image: image already free";
+  Device.Blockstore.erase img;
+  p.images_out <- p.images_out - 1;
+  if moving then p.moving_images <- p.moving_images - 1;
+  p.free_images <- img :: p.free_images
+
+let release_image t line =
+  Option.iter (give_image t) line.Seg_cache.image;
+  line.Seg_cache.image <- None
 
 let next_tseg t =
   let fsys = fs t in

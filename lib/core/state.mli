@@ -83,6 +83,17 @@ type event =
 
 type subscriber
 
+(** The instance's pool of segment images: one-segment
+    {!Device.Blockstore.image} stores that fetches and write-outs share
+    pages through (DESIGN.md "Shared media pages"). *)
+type images = {
+  mutable free_images : Device.Blockstore.t list;  (** erased, ready to take *)
+  mutable images_out : int;  (** taken and not yet given back *)
+  mutable moving_images : int;
+      (** of those, held by a write-out or a replica copy in flight
+          rather than by a line *)
+}
+
 type t = {
   engine : Sim.Engine.t;
   metrics : Sim.Metrics.t;
@@ -128,9 +139,10 @@ type t = {
           spans in ["writeout.busy_s"]); its overlap is the
           within-segment overlap of the streaming write-out *)
   image_fifo : Seg_cache.line Queue.t;
-      (** fetched lines whose in-memory segment buffer is still attached
+      (** fetched lines whose in-memory segment image is still attached
           ([Seg_cache.line.image]); {!Service} keeps its depth at the
           pipeline width — the "double buffers" of §6.7 *)
+  images : images;
   cache_progress : Sim.Condvar.t;
       (** broadcast whenever a cache line may have become obtainable:
           eviction, segment release, pin release, transfer completion
@@ -190,15 +202,20 @@ val note_progress : t -> unit
 val fs : t -> Lfs.Fs.t
 (** Raises if called before the file system is attached. *)
 
-val segbufs : t -> Util.Bufpool.t
-(** The file system's segment-buffer pool ({!Lfs.Fs.segbufs}): fetch
-    images and write-out buffers come from it. *)
+val take_image : ?moving:bool -> t -> Device.Blockstore.t
+(** An empty segment image from the pool (or a new one): a store of one
+    segment, which a fetch or a write-out fills by sharing pages.
+    [moving] (default false) counts it as held by a move in flight
+    rather than by a line. *)
 
-val recycle_image : t -> Util.Bufpool.buf -> unit
-(** A fetch image its line just let go of (it left [image_fifo], or its
-    line was evicted) goes back to {!segbufs} — unless an [image_fifo]
-    entry still holds the same buffer, so a buffer is never free while a
-    line can serve reads from it. *)
+val give_image : ?moving:bool -> t -> Device.Blockstore.t -> unit
+(** Erases the image — its page references drop, its directory stays —
+    and returns it to the pool; [moving] as it was taken. *)
+
+val release_image : t -> Seg_cache.line -> unit
+(** Detaches the line's image, if it has one, and gives it back: the
+    line left [image_fifo], was evicted or dropped, or its fetch failed
+    with nothing delivered. *)
 
 val seg_blocks : t -> int
 val disk_seg_base : t -> int -> int

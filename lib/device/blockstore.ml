@@ -32,42 +32,44 @@ let empty_leaf = { pages = Array.make leaf_pages no_page; bits = Array.make leaf
 (* Pages whose last holder was this store wait on [free] for its next
    private page: a fetch landing that shares a volume's pages releases
    the cache line's own, and the log's next write into a shared page
-   takes one back. The cap (8 MB of 4 KB blocks, the most a cache disk
-   holds in the archive benchmark) bounds what an erased volume can
-   hoard. *)
-let free_cap = 64
+   takes one back. The default cap (8 MB of 4 KB blocks, the most a
+   cache disk holds in the archive benchmark) bounds what an erased
+   volume can hoard. *)
+let default_free_cap = 64
 
 type t = {
   block_size : int;
   nblocks : int;
-  page_bytes : int;
   dir : leaf array;
+  free_cap : int;
   mutable nwritten : int;
   mutable free : page list;
   mutable nfree : int;
   mutable taken : int;
-  mutable version : int;
+  mutable copied : int;
 }
 
-let create ~block_size ~nblocks =
+let make ~free_cap ~block_size ~nblocks =
   if block_size <= 0 || nblocks <= 0 then invalid_arg "Blockstore.create";
   let npages = (nblocks + page_blocks - 1) / page_blocks in
   {
     block_size;
     nblocks;
-    page_bytes = min page_blocks nblocks * block_size;
     dir = Array.make ((npages + leaf_pages - 1) / leaf_pages) empty_leaf;
+    free_cap;
     nwritten = 0;
     free = [];
     nfree = 0;
     taken = 0;
-    version = 0;
+    copied = 0;
   }
 
+let create ~block_size ~nblocks = make ~free_cap:default_free_cap ~block_size ~nblocks
+let image ~block_size ~nblocks = make ~free_cap:0 ~block_size ~nblocks
 let block_size t = t.block_size
 let nblocks t = t.nblocks
 let pages_taken t = t.taken
-let version t = t.version
+let blocks_copied t = t.copied
 
 let check_range t blk count =
   if blk < 0 || count <= 0 || blk + count > t.nblocks then
@@ -102,11 +104,11 @@ let take t =
       t.nfree <- t.nfree - 1;
       p.refs <- 1;
       p
-  | [] -> { data = Bytes.create t.page_bytes; refs = 1 }
+  | [] -> { data = Bytes.create (page_blocks * t.block_size); refs = 1 }
 
 let release t p =
   p.refs <- p.refs - 1;
-  if p.refs = 0 && t.nfree < free_cap then begin
+  if p.refs = 0 && t.nfree < t.free_cap then begin
     t.free <- p :: t.free;
     t.nfree <- t.nfree + 1
   end
@@ -123,8 +125,8 @@ let rec blit_slots bs src dst bits slot =
   end
 
 (* The page of [pi] made ready for a write of slots [lo, lo + n): a
-   private page, holding the store's other written slots. Marks the
-   slots written. *)
+   private page, holding the store's other written slots (a carry-over
+   that counts as copied). Marks the slots written. *)
 let writable t pi lo n =
   let l = leaf_for_write t pi in
   let j = index pi in
@@ -141,13 +143,14 @@ let writable t pi lo n =
       if p.refs = 1 then p
       else begin
         let q = take t in
-        blit_slots t.block_size p.data q.data (w land lnot mask) 0;
+        let carried = w land lnot mask in
+        blit_slots t.block_size p.data q.data carried 0;
+        t.copied <- t.copied + popcount carried;
         p.refs <- p.refs - 1;
         l.pages.(j) <- q;
         q
       end
   in
-  t.version <- t.version + 1;
   t.nwritten <- t.nwritten + popcount (mask land lnot w);
   l.bits.(j) <- w lor mask;
   p
@@ -210,6 +213,7 @@ let write_from t ~blk ~src ~src_off ~count =
   check_range t blk count;
   if src_off < 0 || src_off + (count * t.block_size) > Bytes.length src then
     invalid_arg "Blockstore.write_from: view outside buffer";
+  t.copied <- t.copied + count;
   iter_pages t ~blk ~count src src_off write_page
 
 let write t ~blk data =
@@ -239,7 +243,6 @@ let share_page ~src ~spi ~dst ~pi ~lo ~n =
       p.refs <- p.refs + 1;
       l.pages.(j) <- p
     end;
-    dst.version <- dst.version + 1;
     dst.nwritten <- dst.nwritten + popcount (mask land lnot w);
     l.bits.(j) <- w lor mask;
     true
@@ -251,6 +254,7 @@ let share_page ~src ~spi ~dst ~pi ~lo ~n =
 let copy_page ~src ~sb ~dst ~pi ~lo ~n =
   let q = writable dst pi lo n in
   let bs = dst.block_size in
+  dst.copied <- dst.copied + n;
   for i = 0 to n - 1 do
     let s = sb + i in
     let spi = s / page_blocks in
@@ -268,7 +272,7 @@ let share ~src ~src_blk ~dst ~dst_blk ~count =
   if src.block_size <> dst.block_size then invalid_arg "Blockstore.share: block sizes differ";
   if src == dst && src_blk < dst_blk + count && dst_blk < src_blk + count then
     invalid_arg "Blockstore.share: overlapping ranges in one store";
-  let aligned = src.page_bytes = dst.page_bytes && (src_blk - dst_blk) mod page_blocks = 0 in
+  let aligned = (src_blk - dst_blk) mod page_blocks = 0 in
   let stop = dst_blk + count in
   let b = ref dst_blk in
   while !b < stop do
@@ -281,8 +285,6 @@ let share ~src ~src_blk ~dst ~dst_blk ~count =
     b := !b + n
   done
 
-type pages = blk:int -> count:int -> (t -> blk:int -> off:int -> count:int -> unit) -> unit
-
 let copy t =
   let dir =
     Array.map
@@ -294,7 +296,7 @@ let copy t =
         end)
       t.dir
   in
-  { t with dir; free = []; nfree = 0; taken = 0 }
+  { t with dir; free = []; nfree = 0; taken = 0; copied = 0 }
 
 let is_written t blk =
   blk >= 0
@@ -305,15 +307,20 @@ let is_written t blk =
 
 let written_blocks t = t.nwritten
 
+(* Leaves stay allocated: a store erased and filled again (a recycled
+   fetch image, a reclaimed volume) allocates no directory. *)
 let erase t =
-  Array.iteri
-    (fun i l ->
-      if l != empty_leaf then begin
-        Array.iteri (fun j p -> if l.bits.(j) <> 0 then release t p) l.pages;
-        t.dir.(i) <- empty_leaf
-      end)
+  Array.iter
+    (fun l ->
+      if l != empty_leaf then
+        for j = 0 to leaf_pages - 1 do
+          if l.bits.(j) <> 0 then begin
+            release t l.pages.(j);
+            l.pages.(j) <- no_page;
+            l.bits.(j) <- 0
+          end
+        done)
     t.dir;
-  if t.nwritten > 0 then t.version <- t.version + 1;
   t.nwritten <- 0
 
 let erase_block t blk =
@@ -326,7 +333,6 @@ let erase_block t blk =
     if w land bit <> 0 then begin
       l.bits.(j) <- w land lnot bit;
       t.nwritten <- t.nwritten - 1;
-      t.version <- t.version + 1;
       if w = bit then begin
         release t l.pages.(j);
         l.pages.(j) <- no_page

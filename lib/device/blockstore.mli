@@ -14,6 +14,13 @@
 type t
 
 val create : block_size:int -> nblocks:int -> t
+
+val image : block_size:int -> nblocks:int -> t
+(** A store that borrows pages for a while — a segment image that a
+    fetch or a write-out shares through — and never hoards one: a page
+    whose last holder it was goes to the GC, not to its free list, so
+    {!erase} leaves it holding nothing. *)
+
 val block_size : t -> int
 val nblocks : t -> int
 
@@ -40,14 +47,6 @@ val share : src:t -> src_blk:int -> dst:t -> dst_blk:int -> count:int -> unit
     zeros). Both stores must have one block size; ranges in one store
     must not overlap. *)
 
-type pages = blk:int -> count:int -> (t -> blk:int -> off:int -> count:int -> unit) -> unit
-(** How a device names the pages behind a range of its blocks, untimed:
-    [pages ~blk ~count f] calls [f store ~blk ~off ~count] for each
-    piece of the range that is contiguous in one store, with the
-    piece's first block in that store and its offset in the range. A
-    move whose bytes already sit on that device {!share}s them from
-    there. *)
-
 val copy : t -> t
 (** Snapshot of the store's current contents — the raw platter state at
     this instant. Every page is shared, so the copy costs the directory
@@ -60,7 +59,11 @@ val is_written : t -> int -> bool
     zero write from untouched medium; WORM enforcement sits on this). *)
 
 val written_blocks : t -> int
+
 val erase : t -> unit
+(** Forgets every block and lets go of every page. The directory stays
+    allocated, so a store erased and filled again (a recycled segment
+    image, a reclaimed volume) allocates none. *)
 
 val erase_block : t -> int -> unit
 (** Forgets one block (used when a tertiary volume is reclaimed); its
@@ -68,10 +71,13 @@ val erase_block : t -> int -> unit
 
 val pages_taken : t -> int
 (** Private pages this store has taken since it was created (by
-    {!create} or {!copy}): one per first write into an untouched page and
-    one per write into a page another holder shares. *)
+    {!create}, {!image} or {!copy}): one per first write into an
+    untouched page and one per write into a page another holder
+    shares. *)
 
-val version : t -> int
-(** Rises with every change to the store: a write, a {!share} into it,
-    {!erase} of a non-empty store, {!erase_block} of a written block.
-    Equal values at two instants mean no block changed in between. *)
+val blocks_copied : t -> int
+(** Blocks this store has taken by copying since it was created (by
+    {!create}, {!image} or {!copy}): every block of a {!write_from}
+    (and {!write}), every block {!share} could not take as a page, and
+    every block carried over when a write took a private page in place
+    of a shared one. A move that shares whole pages adds nothing. *)

@@ -108,7 +108,8 @@ let share_from t ~blk ~src ~src_blk ~count =
       Disk.share_from d ~blk:phys ~src ~src_blk:(src_blk + (logical - blk)) ~count:run)
     (extents t blk count [])
 
-let pages t ~blk ~count f =
+let share_into t ~blk ~count ~dst ~dst_blk =
   List.iter
-    (fun (d, phys, logical, run) -> f (Disk.store d) ~blk:phys ~off:(logical - blk) ~count:run)
+    (fun (d, phys, logical, run) ->
+      Disk.share_into d ~blk:phys ~count:run ~dst ~dst_blk:(dst_blk + (logical - blk)))
     (extents t blk count [])

@@ -34,6 +34,6 @@ val share_from : t -> blk:int -> src:Blockstore.t -> src_blk:int -> count:int ->
 (** {!Disk.share_from} of each physically-contiguous run on its member
     disk. *)
 
-val pages : t -> Blockstore.pages
-(** The member-disk stores behind a logical range, one call per
-    physically-contiguous run. *)
+val share_into : t -> blk:int -> count:int -> dst:Blockstore.t -> dst_blk:int -> unit
+(** {!Disk.share_into} of each physically-contiguous run from its
+    member disk. *)

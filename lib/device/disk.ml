@@ -104,7 +104,6 @@ let profile t = t.prof
 let nblocks t = Blockstore.nblocks t.store
 let block_size t = t.prof.block_size
 let store t = t.store
-let arm_position t = t.arm
 
 let seek_duration t dist =
   if dist = 0 then 0.0
@@ -160,34 +159,42 @@ let rec split_io t ~blk ~count ~rate ~op =
     split_io t ~blk:(blk + n) ~count:(count - n) ~rate ~op
   end
 
-let read_into t ~blk ~count ~dst ~dst_off =
+(* the bytes of a read move after its delay *)
+let timed_read t ~blk ~count =
   Fault.check ~site:t.site Fault.Read;
   split_io t ~blk ~count ~rate:t.prof.read_rate ~op:"read";
   t.n_reads <- t.n_reads + 1;
-  t.rbytes <- t.rbytes + (count * t.prof.block_size);
+  t.rbytes <- t.rbytes + (count * t.prof.block_size)
+
+let read_into t ~blk ~count ~dst ~dst_off =
+  timed_read t ~blk ~count;
   Blockstore.read_into t.store ~blk ~count ~dst ~dst_off
+
+let share_into t ~blk ~count ~dst ~dst_blk =
+  timed_read t ~blk ~count;
+  Blockstore.share ~src:t.store ~src_blk:blk ~dst ~dst_blk ~count
 
 let read t ~blk ~count =
   let out = Bytes.create (count * t.prof.block_size) in
   read_into t ~blk ~count ~dst:out ~dst_off:0;
   out
 
-let write_from t ~blk ~src ~src_off ~count =
-  (* consulted before the store mutates: a faulted write leaves no data *)
-  Fault.check ~site:t.site Fault.Write;
-  Blockstore.write_from t.store ~blk ~src ~src_off ~count;
+(* after the store took the bytes; the fault check comes first, so a
+   faulted write leaves no data *)
+let timed_write t ~blk ~count =
   split_io t ~blk ~count ~rate:t.prof.write_rate ~op:"write";
   t.n_writes <- t.n_writes + 1;
   t.wbytes <- t.wbytes + (count * t.prof.block_size)
 
-(* [write_from] whose data are blocks of another store, shared
-   copy-on-write: the same fault check, timing and counters *)
+let write_from t ~blk ~src ~src_off ~count =
+  Fault.check ~site:t.site Fault.Write;
+  Blockstore.write_from t.store ~blk ~src ~src_off ~count;
+  timed_write t ~blk ~count
+
 let share_from t ~blk ~src ~src_blk ~count =
   Fault.check ~site:t.site Fault.Write;
   Blockstore.share ~src ~src_blk ~dst:t.store ~dst_blk:blk ~count;
-  split_io t ~blk ~count ~rate:t.prof.write_rate ~op:"write";
-  t.n_writes <- t.n_writes + 1;
-  t.wbytes <- t.wbytes + (count * t.prof.block_size)
+  timed_write t ~blk ~count
 
 let write t ~blk data =
   let len = Bytes.length data in

@@ -54,15 +54,19 @@ val write_from : t -> blk:int -> src:Bytes.t -> src_off:int -> count:int -> unit
 val share_from : t -> blk:int -> src:Blockstore.t -> src_blk:int -> count:int -> unit
 (** {!write_from} of [count] blocks of another store, from [src_blk]:
     the same fault check, timing and counters, but the blocks are
-    {!Blockstore.share}d rather than copied — a fetch landing bytes
-    that already sit on a tertiary volume. *)
+    {!Blockstore.share}d rather than copied — a fetch landing the
+    volume pages its image holds. *)
+
+val share_into : t -> blk:int -> count:int -> dst:Blockstore.t -> dst_blk:int -> unit
+(** {!read_into} whose destination is another store: the same fault
+    check, timing and counters, but the blocks are {!Blockstore.share}d
+    into [dst] from [dst_blk] rather than copied — a write-out lifting a
+    staged segment into its image. *)
 
 val store : t -> Blockstore.t
 (** Direct access to the backing bytes, bypassing timing — used by
-    debugging/introspection tools and to name the pages a shared move
-    takes, never to read or write file-system data. *)
-
-val arm_position : t -> int
+    debugging/introspection tools and crash images, never to read or
+    write file-system data. *)
 
 (** Cumulative instrumentation. *)
 

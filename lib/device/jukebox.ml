@@ -311,28 +311,27 @@ let read t ~vol ~blk ~count =
   out
 
 (* Streaming read: the same drive/robot/bus model as [read_into], but
-   each chunk's bytes are placed at their final offset in the caller's
-   buffer and the callback fires the moment the chunk's bus transfer
-   completes — it only learns where ([off], in blocks) and how much
-   ([blocks]), so a demand fetch can stage a whole cache line with a
-   single store→image copy. The fault plan is consulted per chunk, so a
+   each chunk's blocks are shared into the caller's store at their
+   final offset and the callback fires the moment the chunk's bus
+   transfer completes — it only learns where ([off], in blocks) and how
+   much ([blocks]), so a demand fetch stages a whole cache line without
+   copying a byte. The fault plan is consulted per chunk, so a
    media error can strike mid-transfer after a prefix was handed over.
    Timing is identical to [read_into] (which already moves data through
    the bus at [chunk_blocks] grain); only delivery and fault granularity
    change. *)
-let read_stream_into t ~vol ~blk ~count ?(chunk = chunk_blocks) ~dst ~dst_off f =
+let read_stream_into t ~vol ~blk ~count ?(chunk = chunk_blocks) ~dst ~dst_blk f =
   if vol < 0 || vol >= nvolumes t then invalid_arg "Jukebox.read_stream_into: bad volume";
   if chunk <= 0 then invalid_arg "Jukebox.read_stream_into: bad chunk";
+  if dst_blk < 0 || dst_blk + count > Blockstore.nblocks dst then
+    invalid_arg "Jukebox.read_stream_into: range outside destination";
   let bs = t.prof.block_size in
-  if dst_off < 0 || dst_off + (count * bs) > Bytes.length dst then
-    invalid_arg "Jukebox.read_stream_into: view outside buffer";
   with_drive t vol ~for_write:false (fun d ->
       let deliver ~blk:cblk ~n =
         Fault.check ~site:d.track Fault.Read;
         t.rbytes <- t.rbytes + (n * bs);
         let off = cblk - blk in
-        Blockstore.read_into t.volumes.(vol) ~blk:cblk ~count:n ~dst
-          ~dst_off:(dst_off + (off * bs));
+        Blockstore.share ~src:t.volumes.(vol) ~src_blk:cblk ~dst ~dst_blk:(dst_blk + off) ~count:n;
         f ~off ~blocks:n
       in
       Fault.check ~site:d.track Fault.Read;
@@ -354,8 +353,8 @@ let write t ~vol ~blk data =
       t.wbytes <- t.wbytes + Bytes.length data)
 
 (* Streaming write: the same drive/robot/bus model as [write], but the
-   data are blocks another device already holds ([src] names their
-   pages), which each chunk shares onto the volume instead of copying;
+   data are blocks of another store ([src], a write-out's image), which
+   each chunk shares onto the volume instead of copying;
    the store mutates and the fault plan is consulted per chunk — a drive or
    bus fault at chunk k leaves exactly the chunks before it written, and
    those are exactly the chunks [f] has reported (a chunk lands in the
@@ -365,8 +364,7 @@ let write t ~vol ~blk data =
    [await] runs before each chunk and may block holding the drive — the
    written-prefix watermark stall of a streaming write-out, which is how
    a real tape drive starves when the staging disk falls behind. *)
-let write_stream_from t ~vol ~blk ~(src : Blockstore.pages) ~src_blk ~count ?(chunk = chunk_blocks)
-    ?await f =
+let write_stream_from t ~vol ~blk ~src ~src_blk ~count ?(chunk = chunk_blocks) ?await f =
   if vol < 0 || vol >= nvolumes t then invalid_arg "Jukebox.write_stream_from: bad volume";
   if chunk <= 0 then invalid_arg "Jukebox.write_stream_from: bad chunk";
   let bs = t.prof.block_size in
@@ -386,9 +384,7 @@ let write_stream_from t ~vol ~blk ~(src : Blockstore.pages) ~src_blk ~count ?(ch
           Fault.check ~site:d.track Fault.Write;
           position_and_transfer ~chunk t d ~blk:(blk + off) ~count:n ~rate:t.prof.write_rate
             ~op:"write";
-          src ~blk:(src_blk + off) ~count:n (fun from ~blk:from_blk ~off:o ~count ->
-              Blockstore.share ~src:from ~src_blk:from_blk ~dst:store ~dst_blk:(blk + off + o)
-                ~count);
+          Blockstore.share ~src ~src_blk:(src_blk + off) ~dst:store ~dst_blk:(blk + off) ~count:n;
           t.wbytes <- t.wbytes + (n * bs);
           f ~off ~blocks:n;
           go (off + n) (remaining - n)

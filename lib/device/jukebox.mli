@@ -77,25 +77,26 @@ val read_stream_into :
   blk:int ->
   count:int ->
   ?chunk:int ->
-  dst:Bytes.t ->
-  dst_off:int ->
+  dst:Blockstore.t ->
+  dst_blk:int ->
   (off:int -> blocks:int -> unit) ->
   unit
-(** Like {!read_into} (same simulated timing), but each [chunk]-block
-    piece (default: the 64 KB transfer grain) is written at its final
-    position ([dst_off + off * block_size]) and the callback fires the
-    moment its bus transfer completes, receiving only the piece's block
-    offset within the request and its length — staging a segment image
-    costs a single store→buffer copy. The fault plan is consulted per
-    chunk, so a media error can fire mid-stream after a prefix has been
-    delivered; the exception propagates and the delivered prefix
-    stands. *)
+(** Like {!read_into} (same simulated timing), but the blocks go to
+    another store: each [chunk]-block piece (default: the 64 KB
+    transfer grain) is {!Blockstore.share}d into [dst] at its final
+    position ([dst_blk + off]) the moment its bus transfer completes,
+    and the callback then fires with only the piece's block offset
+    within the request and its length — a fetch image takes the
+    volume's pages rather than a copy of them. The fault plan is
+    consulted per chunk, so a media error can fire mid-stream after a
+    prefix has been delivered; the exception propagates and the
+    delivered prefix stands. *)
 
 val write_stream_from :
   t ->
   vol:int ->
   blk:int ->
-  src:Blockstore.pages ->
+  src:Blockstore.t ->
   src_blk:int ->
   count:int ->
   ?chunk:int ->
@@ -103,9 +104,9 @@ val write_stream_from :
   (off:int -> blocks:int -> unit) ->
   unit
 (** Streaming write, symmetric to {!read_stream_into}, of the [count]
-    blocks that [src] names from [src_blk]: each chunk
-    {!Blockstore.share}s them onto the volume rather than copying them
-    (a write-out of a segment that sits on the cache disk). The volume
+    blocks of [src] from [src_blk]: each chunk {!Blockstore.share}s
+    them onto the volume rather than copying them (a write-out of a
+    staged segment's image). The volume
     mutates and the fault plan is consulted per [chunk]-block piece, so
     a drive or bus fault can fire at chunk k leaving exactly the prefix
     written — a chunk lands on the volume only after its transfer, so

@@ -191,8 +191,8 @@ let put_dirty_unassigned t key ~old_addr =
 let rec get_block t ino bkey =
   let key = Bcache.key ino.Inode.inum bkey in
   match Bcache.find t.cache key with
-  | Some data -> Some data
-  | None -> (
+  | data when data != Bcache.miss -> Some data
+  | _ -> (
       Bcache.note_miss t.cache;
       match lookup_addr t ino bkey with
       | -1 -> None
@@ -236,12 +236,10 @@ let rec ensure_addr t ino bkey =
           if not (Bcache.is_dirty t.cache pkey) then Bcache.mark_dirty t.cache pkey);
       let key = Bcache.key ino.Inode.inum bkey in
       (* fresh indirect blocks must read as all-unassigned *)
-      if Bkey.level bkey > 0 && Bcache.find t.cache key = None then
+      if Bkey.level bkey > 0 && Bcache.find t.cache key == Bcache.miss then
         ignore (put_dirty_unassigned t key ~old_addr:addr);
       (* remember the address for clustering of later flushes *)
-      (match Bcache.find t.cache key with
-      | Some _ -> Bcache.set_addr t.cache key addr
-      | None -> ());
+      if Bcache.find t.cache key != Bcache.miss then Bcache.set_addr t.cache key addr;
       addr
   | addr -> addr
 
@@ -329,8 +327,8 @@ let read t ino ~off ~len =
     let n = min (bs - boff) (len - !pos) in
     let key = Bcache.key ino.Inode.inum (Bkey.Data lbn) in
     (match Bcache.find t.cache key with
-    | Some data -> Bytes.blit data boff out !pos n
-    | None -> (
+    | data when data != Bcache.miss -> Bytes.blit data boff out !pos n
+    | _ -> (
         Bcache.note_miss t.cache;
         match lookup_addr t ino (Bkey.Data lbn) with
         | -1 -> Bytes.fill out !pos n '\000'
@@ -350,13 +348,13 @@ let read t ino ~off ~len =
             let data = t.dev.Dev.read ~blk:addr ~count in
             for i = 0 to count - 1 do
               let k = Bcache.key ino.Inode.inum (Bkey.Data (lbn + i)) in
-              if Bcache.find t.cache k = None then begin
+              if Bcache.find t.cache k == Bcache.miss then begin
                 let b = Bcache.take t.cache in
                 Bytes.blit data (i * bs) (Bufpool.bytes b) 0 bs;
                 Bcache.put_clean_buf t.cache k ~addr:(addr + i) ~crc:(-1) b
               end
             done;
-            let cached = match Bcache.find t.cache key with Some d -> d | None -> assert false in
+            let cached = Bcache.find t.cache key in
             Bytes.blit cached boff out !pos n));
     pos := !pos + n
   done;
@@ -380,10 +378,10 @@ let write t ino ~off data =
     let addr = ensure_addr t ino (Bkey.Data lbn) in
     let block =
       match Bcache.find t.cache key with
-      | Some b ->
+      | b when b != Bcache.miss ->
           if not (Bcache.is_dirty t.cache key) then Bcache.mark_dirty t.cache key;
           b
-      | None ->
+      | _ ->
           let b = Bcache.take t.cache in
           let block = Bufpool.bytes b in
           (* a whole-block write overwrites every byte *)

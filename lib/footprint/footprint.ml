@@ -86,47 +86,28 @@ let read_blocks t ~vol ~seg ~off ~count =
       t.rbytes <- t.rbytes + Bytes.length data;
       data)
 
-let read_seg t ~vol ~seg = read_blocks t ~vol ~seg ~off:0 ~count:t.seg_blocks
-
-let read_seg_stream_into t ~vol ~seg ?chunk ?(off = 0) ~dst ~dst_off f =
+let read_seg_stream_into t ~vol ~seg ?chunk ?(off = 0) ~dst f =
   let jb, v = locate t vol in
   if seg < 0 || seg >= real_segs t jb then
     invalid_arg "Footprint.read_seg_stream_into: bad segment";
   if off < 0 || off >= t.seg_blocks then invalid_arg "Footprint.read_seg_stream_into: bad offset";
   (* [off] > 0 is the tail re-fetch of a partial cache line: only the
-     suffix moves, but chunks still land at their final image offsets
-     and the callback reports segment-absolute positions, so watermark
-     code upstream is oblivious to where the read started *)
+     suffix moves, but chunks still land at their segment offsets in
+     the image and the callback reports segment-absolute positions, so
+     watermark code upstream is oblivious to where the read started *)
   let start = off in
   timed t (fun () ->
       Jukebox.read_stream_into jb ~vol:v
         ~blk:((seg * t.seg_blocks) + start)
-        ~count:(t.seg_blocks - start) ?chunk ~dst
-        ~dst_off:(dst_off + (start * t.block_size))
+        ~count:(t.seg_blocks - start) ?chunk ~dst ~dst_blk:start
         (fun ~off ~blocks ->
           t.rbytes <- t.rbytes + (blocks * t.block_size);
           f ~off:(start + off) ~blocks))
 
-let write_seg t ~vol ~seg data =
-  if Bytes.length data <> t.seg_blocks * t.block_size then
-    invalid_arg "Footprint.write_seg: wrong image size";
-  let jb, v = locate t vol in
-  if seg < 0 || seg >= t.segs_per_volume then invalid_arg "Footprint.write_seg: bad segment";
-  if t.full.(vol) || seg >= real_segs t jb then begin
-    t.full.(vol) <- true;
-    End_of_medium
-  end
-  else
-    timed t (fun () ->
-        Jukebox.write jb ~vol:v ~blk:(seg * t.seg_blocks) data;
-        t.wbytes <- t.wbytes + Bytes.length data;
-        Written)
-
 (* Streaming write-out, symmetric to [read_seg_stream_into]: the
-   end-of-medium check happens up front (as in [write_seg], before any
-   motion), then the segment's blocks, which [src] names on another
-   device, stream to the volume in chunks with
-   per-chunk fault checks. [await] is the written-prefix watermark hook:
+   end-of-medium check happens up front, before any motion, then the
+   segment's blocks, which [src] holds (a segment image), stream to the
+   volume in chunks with per-chunk fault checks. [await] is the written-prefix watermark hook:
    it runs before each chunk and may block until the staging read has
    delivered that piece. [off] > 0 resumes a torn write after the
    prefix already on the media; positions stay segment-absolute. *)
@@ -152,11 +133,6 @@ let write_seg_stream_from t ~vol ~seg ?chunk ?(off = 0) ~src ~src_blk ?await f =
             t.wbytes <- t.wbytes + (blocks * t.block_size);
             f ~off:(start + off) ~blocks);
         Written)
-
-let seg_store t ~vol ~seg =
-  let jb, v = locate t vol in
-  if seg < 0 || seg >= real_segs t jb then invalid_arg "Footprint.seg_store: bad segment";
-  (Jukebox.volume_store jb v, seg * t.seg_blocks)
 
 let erase_volume t vol =
   let jb, v = locate t vol in

@@ -39,35 +39,28 @@ val volume_loaded : t -> int -> bool
 (** Whether the volume currently sits in some drive — "closest copy"
     selection for segment replicas (paper §5.4). *)
 
-val read_seg : t -> vol:int -> seg:int -> Bytes.t
-(** Fetches a whole segment image ([seg_blocks] blocks). *)
-
 val read_seg_stream_into :
   t ->
   vol:int ->
   seg:int ->
   ?chunk:int ->
   ?off:int ->
-  dst:Bytes.t ->
-  dst_off:int ->
+  dst:Blockstore.t ->
   (off:int -> blocks:int -> unit) ->
   unit
-(** Like {!read_seg} (same simulated timing), but the segment lands
-    directly in [dst] in [chunk]-block pieces as each crosses the
-    drive's bus; the callback fires per piece with only its position
+(** Reads a whole segment: its blocks are shared into [dst] (a segment
+    image: block [i] of the segment is block [i] of [dst]) in
+    [chunk]-block pieces as each crosses the drive's bus, with the
+    timing of one {!read_blocks} of the segment; the callback fires per piece with only its position
     and length in blocks, and a mid-transfer media fault propagates
     after the already-delivered prefix. With [off] > 0 only the
     segment's suffix from that block is read — the tail re-fetch of a
-    partial cache line — but chunks still land at their final image
+    partial cache line — but chunks still land at their segment
     offsets and callback positions stay segment-absolute. *)
 
 val read_blocks : t -> vol:int -> seg:int -> off:int -> count:int -> Bytes.t
 (** Partial read within a segment (used by fsck-style tools; HighLight
     proper always moves whole segments). *)
-
-val write_seg : t -> vol:int -> seg:int -> Bytes.t -> write_result
-(** Writes a whole segment image. [End_of_medium] marks the volume full
-    and writes nothing. *)
 
 val write_seg_stream_from :
   t ->
@@ -75,27 +68,22 @@ val write_seg_stream_from :
   seg:int ->
   ?chunk:int ->
   ?off:int ->
-  src:Blockstore.pages ->
+  src:Blockstore.t ->
   src_blk:int ->
   ?await:(off:int -> blocks:int -> unit) ->
   (off:int -> blocks:int -> unit) ->
   write_result
-(** Streaming {!write_seg} of the segment that [src] names from
-    [src_blk] on another device (a staged segment on the cache disk),
-    whose pages each chunk shares onto the volume: per-chunk fault
-    checks (a media error at chunk k leaves the prefix
-    written), [End_of_medium] still detected up front before any
-    motion. With [off] > 0 only the segment's suffix from that block is
+(** Writes a whole segment, held by [src] from [src_blk] (a segment
+    image), whose pages each chunk shares onto the volume: per-chunk
+    fault checks (a media error at chunk k leaves the prefix written).
+    [End_of_medium], detected up front before any motion, marks the
+    volume full and writes nothing. With [off] > 0 only the segment's suffix from that block is
     written — the resume of a torn write, which never rewrites a block
     and so is safe on WORM media. [await ~off ~blocks] (if given) runs
     before each chunk and may block until the producer has made the
     piece available — the read watermark of the write-out pipeline;
     the final callback fires as each chunk lands. Both callbacks get
     segment-absolute positions. *)
-
-val seg_store : t -> vol:int -> seg:int -> Blockstore.t * int
-(** The volume store holding a segment and the segment's first block
-    there, untimed: the pages a fetch landing shares. *)
 
 val erase_volume : t -> int -> unit
 (** Support for the tertiary cleaner: reclaims a whole volume. *)

@@ -192,13 +192,15 @@ let add t k ~dirty data buf addr crc =
 
 (* ---------- lookups and insertions ---------- *)
 
+let miss = Bytes.create 0
+
 let find t k =
   match Tbl.find t.table k with
   | e ->
       t.n_hits <- t.n_hits + 1;
       if (not e.dirty) && t.clean_ring.next != e then move t e ~dirty:false;
-      Some e.data
-  | exception Not_found -> None
+      e.data
+  | exception Not_found -> miss
 
 let addr_of t k = (Tbl.find t.table k).addr
 let is_dirty t k = match Tbl.find t.table k with e -> e.dirty | exception Not_found -> false

@@ -76,8 +76,13 @@ val take : t -> Util.Bufpool.buf
 val give : t -> Util.Bufpool.buf -> unit
 (** Returns a taken buffer that did not enter the cache. *)
 
-val find : t -> key -> Bytes.t option
-(** Returns the cached block (dirty or clean), promoting clean hits. *)
+val miss : Bytes.t
+(** What {!find} returns for a key that is not cached: one shared empty
+    buffer, told apart by physical equality ([==]). *)
+
+val find : t -> key -> Bytes.t
+(** Returns the cached block (dirty or clean), promoting clean hits, or
+    {!miss} — a lookup allocates nothing, hit or miss. *)
 
 val addr_of : t -> key -> int
 (** Disk address of the entry's last written copy, or -1. Raises

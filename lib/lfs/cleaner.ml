@@ -114,8 +114,8 @@ let collect_segment fs seg =
                    let cache = Fs.bcache fs in
                    if not (Bcache.is_dirty cache key) then begin
                      (match Bcache.find cache key with
-                     | Some _ -> Bcache.mark_dirty cache key
-                     | None ->
+                     | d when d != Bcache.miss -> Bcache.mark_dirty cache key
+                     | _ ->
                          (* the block keeps the sum it was written with,
                             so bytes damaged on the disk since then fail
                             their new partial's checksum instead of

@@ -5,8 +5,8 @@ type t = {
   write : blk:int -> data:Bytes.t -> unit;
   read_into : blk:int -> count:int -> dst:Bytes.t -> dst_off:int -> unit;
   write_from : blk:int -> src:Bytes.t -> src_off:int -> count:int -> unit;
-  pages : Device.Blockstore.pages;
   share_from : blk:int -> src:Device.Blockstore.t -> src_blk:int -> count:int -> unit;
+  share_into : blk:int -> count:int -> dst:Device.Blockstore.t -> dst_blk:int -> unit;
 }
 
 let of_disk d =
@@ -18,9 +18,10 @@ let of_disk d =
     read_into = (fun ~blk ~count ~dst ~dst_off -> Device.Disk.read_into d ~blk ~count ~dst ~dst_off);
     write_from =
       (fun ~blk ~src ~src_off ~count -> Device.Disk.write_from d ~blk ~src ~src_off ~count);
-    pages = (fun ~blk ~count f -> f (Device.Disk.store d) ~blk ~off:0 ~count);
     share_from =
       (fun ~blk ~src ~src_blk ~count -> Device.Disk.share_from d ~blk ~src ~src_blk ~count);
+    share_into =
+      (fun ~blk ~count ~dst ~dst_blk -> Device.Disk.share_into d ~blk ~count ~dst ~dst_blk);
   }
 
 let of_concat c =
@@ -33,9 +34,10 @@ let of_concat c =
       (fun ~blk ~count ~dst ~dst_off -> Device.Concat.read_into c ~blk ~count ~dst ~dst_off);
     write_from =
       (fun ~blk ~src ~src_off ~count -> Device.Concat.write_from c ~blk ~src ~src_off ~count);
-    pages = Device.Concat.pages c;
     share_from =
       (fun ~blk ~src ~src_blk ~count -> Device.Concat.share_from c ~blk ~src ~src_blk ~count);
+    share_into =
+      (fun ~blk ~count ~dst ~dst_blk -> Device.Concat.share_into c ~blk ~count ~dst ~dst_blk);
   }
 
 let of_store s =
@@ -53,8 +55,10 @@ let of_store s =
       (fun ~blk ~count ~dst ~dst_off -> Device.Blockstore.read_into s ~blk ~count ~dst ~dst_off);
     write_from =
       (fun ~blk ~src ~src_off ~count -> Device.Blockstore.write_from s ~blk ~src ~src_off ~count);
-    pages = (fun ~blk ~count f -> f s ~blk ~off:0 ~count);
     share_from =
       (fun ~blk ~src ~src_blk ~count ->
         Device.Blockstore.share ~src ~src_blk ~dst:s ~dst_blk:blk ~count);
+    share_into =
+      (fun ~blk ~count ~dst ~dst_blk ->
+        Device.Blockstore.share ~src:s ~src_blk:blk ~dst ~dst_blk ~count);
   }

@@ -15,14 +15,15 @@ type t = {
   write_from : blk:int -> src:Bytes.t -> src_off:int -> count:int -> unit;
       (** [write] of a [count]-block view at byte offset [src_off] in
           [src], with no slice allocation. *)
-  pages : Device.Blockstore.pages;
-      (** The stores and blocks behind a range, untimed: where a move
-          of blocks this device already holds (a write-out of a staged
-          segment) shares them from. *)
   share_from : blk:int -> src:Device.Blockstore.t -> src_blk:int -> count:int -> unit;
       (** [write_from] of [count] blocks of another store, from
           [src_blk], shared copy-on-write instead of copied (a fetch
-          landing the blocks of a tertiary volume); same timing. *)
+          landing its image); same timing. *)
+  share_into : blk:int -> count:int -> dst:Device.Blockstore.t -> dst_blk:int -> unit;
+      (** [read_into] whose destination is another store, from
+          [dst_blk]: the blocks are shared copy-on-write instead of
+          copied (a write-out lifting a staged segment into its image);
+          same timing. *)
 }
 
 val of_disk : Device.Disk.t -> t

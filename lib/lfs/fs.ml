@@ -182,20 +182,21 @@ let touch_atime t inum =
 let ppb t = t.prm.block_size / 4
 
 (* The map walks packed keys: [Bcache.parent] and [Bcache.slot] locate
-   a pointer with no [Bkey.parent] built per step. *)
+   a pointer with no [Bkey.parent] built per step. A block comes back as
+   its bytes, or [Bcache.miss] for a hole. *)
 let rec get_block_key t ino key =
   match Bcache.find t.cache key with
-  | Some data -> Some data
-  | None -> (
+  | data when data != Bcache.miss -> data
+  | _ -> (
       Bcache.note_miss t.cache;
       match lookup_key t ino key with
-      | -1 -> None
+      | -1 -> Bcache.miss
       | addr ->
           charge_cpu t t.prm.cpu.per_block;
           let b = Bcache.take t.cache in
           t.device.read_into ~blk:addr ~count:1 ~dst:(Bufpool.bytes b) ~dst_off:0;
           Bcache.put_clean_buf t.cache key ~addr ~crc:(written_crc t addr) b;
-          Some (Bufpool.bytes b))
+          Bufpool.bytes b)
 
 and lookup_key t ino key =
   let ppb = ppb t in
@@ -203,18 +204,22 @@ and lookup_key t ino key =
   if (p :> int) < 0 then Inode.pointer ino (Bcache.slot ~ppb key)
   else
     match get_block_key t ino p with
-    | None -> -1
-    | Some pdata -> Bytesx.get_i32 pdata (Bcache.slot ~ppb key * 4)
+    | pdata when pdata != Bcache.miss -> Bytesx.get_i32 pdata (Bcache.slot ~ppb key * 4)
+    | _ -> -1
 
-let get_block t ino bkey = get_block_key t ino (Bcache.key ino.Inode.inum bkey)
+let get_block t ino bkey =
+  match get_block_key t ino (Bcache.key ino.Inode.inum bkey) with
+  | data when data != Bcache.miss -> Some data
+  | _ -> None
+
 let lookup_addr t ino bkey = lookup_key t ino (Bcache.key ino.Inode.inum bkey)
 
 let get_block_for_write_key t ino key =
   match Bcache.find t.cache key with
-  | Some data ->
+  | data when data != Bcache.miss ->
       Bcache.mark_modified t.cache key;
       data
-  | None -> (
+  | _ -> (
       match lookup_key t ino key with
       | -1 ->
           (* data holes are zeros; indirect-block holes must decode as
@@ -239,9 +244,8 @@ let put_block t ino bkey ?(off = 0) data =
   if off < 0 || off + bs > Bytes.length data then invalid_arg "Fs.put_block: view outside data";
   let key = Bcache.key ino.Inode.inum bkey in
   let old_addr =
-    match Bcache.find t.cache key with
-    | Some _ -> Bcache.addr_of t.cache key
-    | None -> lookup_key t ino key
+    if Bcache.find t.cache key != Bcache.miss then Bcache.addr_of t.cache key
+    else lookup_key t ino key
   in
   (* taken after the lookup, which may itself insert *)
   let b = Bcache.take t.cache in
@@ -263,9 +267,8 @@ let zap_pointer t ino bkey =
   let key = Bcache.key ino.Inode.inum bkey in
   let addr = lookup_key t ino key in
   let cached_old =
-    match Bcache.find t.cache key with
-    | Some _ -> ( try Bcache.addr_of t.cache key with Not_found -> -1)
-    | None -> -1
+    if Bcache.find t.cache key == Bcache.miss then -1
+    else try Bcache.addr_of t.cache key with Not_found -> -1
   in
   let victim = if addr >= 0 then addr else cached_old in
   if victim >= 0 then account t ~addr:victim (-t.prm.block_size);
@@ -279,9 +282,7 @@ let repoint t ino bkey new_addr =
   if old_addr >= 0 then account t ~addr:old_addr (-t.prm.block_size);
   account t ~addr:new_addr t.prm.block_size;
   set_pointer t ino key new_addr;
-  (match Bcache.find t.cache key with
-  | Some _ -> Bcache.set_addr t.cache key new_addr
-  | None -> ())
+  if Bcache.find t.cache key != Bcache.miss then Bcache.set_addr t.cache key new_addr
 
 (* ---------- The segment writer ---------- *)
 

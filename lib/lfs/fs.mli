@@ -70,9 +70,8 @@ val bcache : t -> Bcache.t
 
 val segbufs : t -> Util.Bufpool.t
 (** The instance's pool of segment-sized ({!Param.seg_bytes}) buffers:
-    partial images, fsck's scratch segment, and — in HighLight — the
-    migrator's staging images and the I/O server's fetch and write-out
-    buffers all come from it. *)
+    partial images, fsck's scratch segment and — in HighLight — the
+    migrator's staging images all come from it. *)
 
 val cur_seg : t -> int
 val cur_off : t -> int

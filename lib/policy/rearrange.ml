@@ -70,7 +70,11 @@ let replicate st tindex =
   let aspace = st.State.aspace in
   let home_vol = fst (Highlight.Addr_space.vol_seg_of_tindex aspace tindex) in
   let vol0, seg0 = Highlight.Addr_space.vol_seg_of_tindex aspace tindex in
-  let image = Footprint.read_seg st.State.fp ~vol:vol0 ~seg:seg0 in
+  (* the copy moves page references, through a segment image *)
+  let image = State.take_image ~moving:true st in
+  Fun.protect ~finally:(fun () -> State.give_image ~moving:true st image) @@ fun () ->
+  let chunk ~off:_ ~blocks:_ = () in
+  Footprint.read_seg_stream_into st.State.fp ~vol:vol0 ~seg:seg0 ~dst:image chunk;
   (* allocate a slot on any other volume *)
   st.State.avoid_volume <- Some home_vol;
   let result =
@@ -79,7 +83,9 @@ let replicate st tindex =
     | exception State.Tertiary_full -> None
     | replica ->
         let vol, seg = Highlight.Addr_space.vol_seg_of_tindex aspace replica in
-        (match Footprint.write_seg st.State.fp ~vol ~seg image with
+        (match
+           Footprint.write_seg_stream_from st.State.fp ~vol ~seg ~src:image ~src_blk:0 chunk
+         with
         | Footprint.Written ->
             (* replicas carry no live accounting: mark the slot Dirty so
                the allocator skips it, but leave live bytes at zero *)

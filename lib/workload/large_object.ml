@@ -37,18 +37,43 @@ type phase = { phase_name : string; elapsed : float; bytes_moved : int }
 
 let throughput p = if p.elapsed <= 0.0 then infinity else float_of_int p.bytes_moved /. p.elapsed
 
-(* Deterministic frame content lets [verify] detect corruption. A
-   generation byte distinguishes replaced frames. *)
+(* Deterministic frame content lets [verify] detect corruption: byte
+   [i] of a frame is [(c + 11 i) mod 256], where [c = frame + 131 g]
+   and the generation [g] distinguishes replaced frames. 163 is 11's
+   inverse mod 256, so a frame is the sequence [11 k mod 256] from
+   [k = 163 c mod 256] on: a slice of one tiled pattern. *)
+let tile = ref Bytes.empty
+
+let pattern len =
+  if Bytes.length !tile < len + 255 then
+    tile := Bytes.init (len + 255) (fun k -> Char.unsafe_chr ((k * 11) land 0xff));
+  !tile
+
+let frame_start ~frame ~generation = ((frame + (generation * 131)) * 163) land 0xff
+
 let frame_content ~frame_bytes ~frame ~generation =
-  Bytes.init frame_bytes (fun i -> Char.chr ((frame + (i * 11) + (generation * 131)) land 0xff))
+  Bytes.sub (pattern frame_bytes) (frame_start ~frame ~generation) frame_bytes
 
-let generations = Hashtbl.create 8 (* (path, frame) -> generation *)
+(* [got] against the pattern in place, eight bytes a compare *)
+let frame_matches got ~frame_bytes ~frame ~generation =
+  let p = pattern frame_bytes and s = frame_start ~frame ~generation in
+  let rec go i =
+    if i + 8 <= frame_bytes then
+      Int64.equal (Bytes.get_int64_ne got i) (Bytes.get_int64_ne p (s + i)) && go (i + 8)
+    else i = frame_bytes || (Char.equal (Bytes.get got i) (Bytes.get p (s + i)) && go (i + 1))
+  in
+  Bytes.length got = frame_bytes && go 0
 
-let gen_of path frame =
-  Option.value ~default:0 (Hashtbl.find_opt generations (path, frame))
+(* path -> each frame's generation *)
+let generations : (string, int array) Hashtbl.t = Hashtbl.create 8
 
-let bump_gen path frame =
-  Hashtbl.replace generations (path, frame) (gen_of path frame + 1)
+let gens_of path frames =
+  match Hashtbl.find_opt generations path with
+  | Some g when Array.length g >= frames -> g
+  | _ ->
+      let g = Array.make frames 0 in
+      Hashtbl.replace generations path g;
+      g
 
 let setup engine ops ?(frames = 12500) ?(frame_bytes = 4096) path =
   ignore engine;
@@ -59,24 +84,25 @@ let setup engine ops ?(frames = 12500) ?(frame_bytes = 4096) path =
   while !i < frames do
     let n = min batch (frames - !i) in
     let buf = Bytes.create (n * frame_bytes) in
+    let p = pattern frame_bytes in
     for j = 0 to n - 1 do
-      Bytes.blit (frame_content ~frame_bytes ~frame:(!i + j) ~generation:0) 0 buf (j * frame_bytes)
-        frame_bytes
+      Bytes.blit p (frame_start ~frame:(!i + j) ~generation:0) buf (j * frame_bytes) frame_bytes
     done;
     ops.write path ~off:(!i * frame_bytes) buf;
     i := !i + n
   done;
-  Hashtbl.iter (fun (p, f) _ -> if p = path then Hashtbl.remove generations (p, f)) generations;
+  Hashtbl.replace generations path (Array.make frames 0);
   ops.sync ()
 
 let run engine ops ?(frames = 12500) ?(frame_bytes = 4096) ?(seed = 42) path =
   let rng = Util.Rng.create seed in
   let now () = Sim.Engine.now engine in
+  let gens = gens_of path frames in
   let read_frame frame = ignore (ops.read path ~off:(frame * frame_bytes) ~len:frame_bytes) in
   let write_frame frame =
-    bump_gen path frame;
+    gens.(frame) <- gens.(frame) + 1;
     ops.write path ~off:(frame * frame_bytes)
-      (frame_content ~frame_bytes ~frame ~generation:(gen_of path frame))
+      (frame_content ~frame_bytes ~frame ~generation:gens.(frame))
   in
   let phase name f =
     ops.sync ();
@@ -129,10 +155,10 @@ let run engine ops ?(frames = 12500) ?(frame_bytes = 4096) ?(seed = 42) path =
   ]
 
 let verify ops ?(frames = 12500) ?(frame_bytes = 4096) path =
+  let gens = gens_of path frames in
   let ok = ref true in
   for frame = 0 to frames - 1 do
     let got = ops.read path ~off:(frame * frame_bytes) ~len:frame_bytes in
-    let expect = frame_content ~frame_bytes ~frame ~generation:(gen_of path frame) in
-    if got <> expect then ok := false
+    if not (frame_matches got ~frame_bytes ~frame ~generation:gens.(frame)) then ok := false
   done;
   !ok

@@ -10,7 +10,9 @@ let check = Alcotest.check
 let block = 16
 let k i lbn = Bcache.key i (Bkey.Data lbn)
 let mem cache key = match Bcache.addr_of cache key with _ -> true | exception Not_found -> false
-let found cache key = Option.map Bytes.to_string (Bcache.find cache key)
+let found cache key =
+  let data = Bcache.find cache key in
+  if data == Bcache.miss then None else Some (Bytes.to_string data)
 
 (* a pooled buffer of the cache, filled with [c] *)
 let filled cache c =
@@ -120,6 +122,25 @@ let test_lookups_no_promote () =
   (* (1, 0) was looked at, not used, so it is still the LRU entry *)
   check Alcotest.bool "(1, 0) evicted" false (mem c (k 1 0));
   check Alcotest.bool "(1, 1) stays" true (mem c (k 1 1))
+
+(* A lookup returns the entry's own bytes or the shared [miss]
+   sentinel: no option per hit, so a run of lookups allocates nothing
+   (the two [Gc.minor_words] readings box a float each). *)
+let test_find_allocates_nothing () =
+  let c = Bcache.create ~cap:4 ~block_size:block in
+  put_clean c (k 1 0) 'a';
+  put_dirty c (k 1 1) 'b';
+  check Alcotest.bool "a miss is the sentinel" true (Bcache.find c (k 1 2) == Bcache.miss);
+  check Alcotest.bool "a hit is not" true (Bcache.find c (k 1 0) != Bcache.miss);
+  let keys = [| k 1 0; k 1 1; k 1 2 |] in
+  let hits = ref 0 in
+  let w0 = Gc.minor_words () in
+  for i = 0 to 999 do
+    if Bcache.find c keys.(i mod 3) != Bcache.miss then incr hits
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check Alcotest.int "hits" 667 !hits;
+  check Alcotest.bool (Printf.sprintf "%.0f minor words for 1000 lookups" words) true (words < 16.0)
 
 let test_eviction_order () =
   let c = Bcache.create ~cap:3 ~block_size:block in
@@ -375,6 +396,7 @@ let suite =
         Alcotest.test_case "eviction releases the entry" `Quick test_eviction_releases;
         Alcotest.test_case "replace" `Quick test_replace;
         Alcotest.test_case "lookups do not promote" `Quick test_lookups_no_promote;
+        Alcotest.test_case "find allocates nothing" `Quick test_find_allocates_nothing;
         Alcotest.test_case "eviction order" `Quick test_eviction_order;
         Alcotest.test_case "drop and invalidate_clean" `Quick test_drop_invalidate;
         QCheck_alcotest.to_alcotest prop_clean_bounded;

@@ -100,7 +100,8 @@ let run_ops ops =
     let found_ok =
       match op with
       | Find k -> (
-          match (Bcache.find cache k, Hashtbl.find_opt model k) with
+          let found = Bcache.find cache k in
+          match ((if found == Bcache.miss then None else Some found), Hashtbl.find_opt model k) with
           | Some data, Some (c, _) -> Bytes.equal data (Bytes.make block c)
           | Some _, None -> false
           | None, Some (_, true) -> false

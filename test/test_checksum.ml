@@ -28,9 +28,9 @@ let bs = 4096
 let carried fs ino bkey =
   let cache = Fs.bcache fs in
   let key = Bcache.key ino.Inode.inum bkey in
-  match Bcache.find cache key with
-  | None -> Alcotest.failf "block of ino %d not cached" ino.Inode.inum
-  | Some data -> (Bcache.crc cache key data, Util.Crc32.bytes data)
+  let data = Bcache.find cache key in
+  if data == Bcache.miss then Alcotest.failf "block of ino %d not cached" ino.Inode.inum
+  else (Bcache.crc cache key data, Util.Crc32.bytes data)
 
 let check_sound what fs ino bkey =
   let crc, actual = carried fs ino bkey in

@@ -382,13 +382,21 @@ let test_request_alloc () =
   let src = Blockstore.create ~block_size:4096 ~nblocks:32 in
   Blockstore.write src ~blk:0 (Bytes.make (32 * 4096) 's');
   let share d ~blk _ = Disk.share_from d ~blk ~src ~src_blk:(blk mod 32) ~count:1 in
+  (* and a page-sized image to share into, at each block's page offset *)
+  let dst = Blockstore.create ~block_size:4096 ~nblocks:32 in
+  let share_into d ~blk _ = Disk.share_into d ~blk ~count:1 ~dst ~dst_blk:(blk mod 32) in
   List.iter
     (fun (what, io) ->
       let w = words_per_request io in
       check Alcotest.bool
         (Printf.sprintf "%s: %.1f minor words per request <= %.0f" what w request_words_bound)
         true (w <= request_words_bound))
-    [ ("read_into", read); ("write_from", write); ("share_from", share) ]
+    [
+      ("read_into", read);
+      ("write_from", write);
+      ("share_from", share);
+      ("share_into", share_into);
+    ]
 
 let count_sub s sub =
   let n = String.length sub in
@@ -665,16 +673,21 @@ let test_jukebox_stream_into_identity () =
       let count = 40 in
       let data = Bytes.init (count * bs) (fun i -> Char.chr ((i * 5 + 1) land 0xff)) in
       Jukebox.write jb ~vol:0 ~blk:8 data;
-      let dst = Bytes.make ((count + 2) * bs) '\x00' in
+      let dst = Blockstore.create ~block_size:bs ~nblocks:(count + 2) in
       let covered = ref 0 in
       let monotone = ref true in
-      Jukebox.read_stream_into jb ~vol:0 ~blk:8 ~count ~chunk:16 ~dst ~dst_off:bs
+      Jukebox.read_stream_into jb ~vol:0 ~blk:8 ~count ~chunk:16 ~dst ~dst_blk:1
         (fun ~off ~blocks ->
+          (* each chunk is in the destination when its callback fires *)
+          if not (Blockstore.is_written dst (1 + off + blocks - 1)) then monotone := false;
           if off <> !covered then monotone := false;
           covered := !covered + blocks);
       check Alcotest.bool "chunks delivered in order" true !monotone;
       check Alcotest.int "chunks cover request" count !covered;
-      check Alcotest.bytes "streamed bytes identical" data (Bytes.sub dst bs (count * bs)))
+      check Alcotest.bytes "streamed bytes identical" data (store_read dst ~blk:1 ~count);
+      check Alcotest.bool "block before the range untouched" false (Blockstore.is_written dst 0);
+      check Alcotest.bool "block after the range untouched" false
+        (Blockstore.is_written dst (count + 1)))
 
 let prop_concat_roundtrip =
   QCheck.Test.make ~name:"concat preserves data at any offset" ~count:60

@@ -108,17 +108,19 @@ let test_footprint_rpc_latency () =
   in_sim (fun engine ->
       let jb = mk_jb engine "jb" in
       let local = Footprint.create ~seg_blocks:16 ~segs_per_volume:8 [ jb ] in
-      let seg = Bytes.create (16 * 4096) in
-      ignore (Footprint.write_seg local ~vol:0 ~seg:0 seg);
-      let t0 = Sim.Engine.now engine in
-      ignore (Footprint.read_seg local ~vol:0 ~seg:0);
-      let local_time = Sim.Engine.now engine -. t0 in
+      let seg = Device.Blockstore.create ~block_size:4096 ~nblocks:16 in
+      Device.Blockstore.write seg ~blk:0 (Bytes.create (16 * 4096));
+      let chunk ~off:_ ~blocks:_ = () in
+      let round_trip fp =
+        ignore (Footprint.write_seg_stream_from fp ~vol:0 ~seg:0 ~src:seg ~src_blk:0 chunk);
+        let t0 = Sim.Engine.now engine in
+        Footprint.read_seg_stream_into fp ~vol:0 ~seg:0 ~dst:seg chunk;
+        Sim.Engine.now engine -. t0
+      in
+      let local_time = round_trip local in
       let jb2 = mk_jb engine "jb2" in
       let remote = Footprint.create ~rpc_latency:0.5 ~seg_blocks:16 ~segs_per_volume:8 [ jb2 ] in
-      ignore (Footprint.write_seg remote ~vol:0 ~seg:0 seg);
-      let t1 = Sim.Engine.now engine in
-      ignore (Footprint.read_seg remote ~vol:0 ~seg:0);
-      let remote_time = Sim.Engine.now engine -. t1 in
+      let remote_time = round_trip remote in
       check Alcotest.bool
         (Printf.sprintf "rpc adds latency (%.2f vs %.2f)" local_time remote_time)
         true

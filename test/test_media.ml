@@ -217,8 +217,141 @@ let test_media_oracle () =
         want got)
     golden got
 
+(* Zero copy: with 1 MB segments on page boundaries everywhere, a
+   write-out and a fetch with its landing move only page references.
+   [Blockstore.blocks_copied] counts every block a store took by
+   copying (a written view, a share that fell back to copying, a
+   copy-on-write carry-over); it must not move on the cache disk, on
+   the volumes or in the instance's segment images. *)
+type zc = {
+  hl : Hl.t;
+  st : State.t;
+  disk : Device.Blockstore.t;
+  jb : Device.Jukebox.t;
+  data : Bytes.t;
+}
+
+let zc_seg = 256
+
+let zc_world engine =
+  let prm = Param.for_tests ~seg_blocks:zc_seg ~nsegs:12 () in
+  let disk =
+    Device.Blockstore.create ~block_size:prm.Param.block_size ~nblocks:(Layout.disk_blocks prm)
+  in
+  let jb =
+    Device.Jukebox.create engine ~drives:2 ~nvolumes:2 ~vol_capacity:(8 * zc_seg)
+      ~media:Device.Jukebox.hp6300_platter ~changer:Device.Jukebox.hp6300_changer "jb"
+  in
+  let fp = Footprint.create ~seg_blocks:zc_seg ~segs_per_volume:8 [ jb ] in
+  let hl = Hl.mkfs engine prm ~disk:(Dev.of_store disk) ~fp ~cache_segs:4 () in
+  let data = bytes_pattern (200 * bs) 9 in
+  Hl.write_file hl "/a" data;
+  Fs.checkpoint (Hl.fs hl);
+  { hl; st = Hl.state hl; disk; jb; data }
+
+(* every image the instance has: pooled, on a line, on [image_fifo] *)
+let images w =
+  let pool = w.st.State.images in
+  let all = ref pool.State.free_images in
+  let note l =
+    match l.Seg_cache.image with Some i when not (List.memq i !all) -> all := i :: !all | _ -> ()
+  in
+  Seg_cache.iter (Hl.cache w.hl) note;
+  Queue.iter note w.st.State.image_fifo;
+  !all
+
+let copied w =
+  let sum = List.fold_left (fun acc s -> acc + Device.Blockstore.blocks_copied s) 0 in
+  [
+    ("disk", Device.Blockstore.blocks_copied w.disk);
+    ( "volumes",
+      sum (List.init (Device.Jukebox.nvolumes w.jb) (Device.Jukebox.volume_store w.jb)) );
+    ("images", sum (images w));
+  ]
+
+let check_no_copy what before after =
+  List.iter2
+    (fun (medium, b) (_, a) ->
+      check Alcotest.int (Printf.sprintf "%s: blocks copied into the %s" what medium) 0 (a - b))
+    before after
+
+let migrate w =
+  let fsys = Hl.fs w.hl in
+  ignore (Migrator.stage_files_only w.st [ (Dir.namei fsys "/a").Inode.inum ]);
+  let before = copied w in
+  ignore (Migrator.flush_staged w.st ());
+  check_no_copy "write-out" before (copied w);
+  check Alcotest.bool "the write-out happened" true
+    (Sim.Metrics.count (Sim.Metrics.counter (Hl.metrics w.hl) "service.writeouts") >= 1);
+  Fs.checkpoint fsys;
+  Hl.eject_tertiary_copies w.hl ~paths:[ "/a" ]
+
+let test_writeout_copies_nothing () =
+  in_sim (fun engine ->
+      let w = zc_world engine in
+      migrate w;
+      check Alcotest.bool "reads back from tertiary" true
+        (Bytes.equal (Hl.read_file w.hl "/a" ()) w.data);
+      check (Alcotest.list Alcotest.string) "Hl.check" [] (Hl.check w.hl);
+      Hl.shutdown_service w.hl)
+
+let test_fetch_copies_nothing () =
+  in_sim (fun engine ->
+      let w = zc_world engine in
+      migrate w;
+      let before = copied w and taken = Device.Blockstore.pages_taken w.disk in
+      check Alcotest.bool "the fetch serves the file" true
+        (Bytes.equal (Hl.read_file w.hl "/a" ()) w.data);
+      (* the read returns at its first chunk; let the landing finish *)
+      Sim.Engine.delay 60.0;
+      check Alcotest.bool "fetched from tertiary" true ((Hl.stats w.hl).Hl.demand_fetches >= 1);
+      check_no_copy "fetch and landing" before (copied w);
+      check Alcotest.int "the landing took no disk page" taken
+        (Device.Blockstore.pages_taken w.disk);
+      check (Alcotest.list Alcotest.string) "Hl.check" [] (Hl.check w.hl);
+      Hl.shutdown_service w.hl)
+
+(* Once the pool holds an image, a streaming fetch and its landing
+   allocate no segment-sized anything: no buffer, no image, no page.
+   A 1 MB buffer alone is 131,073 words. *)
+let test_fetch_allocates_no_segment () =
+  in_sim (fun engine ->
+      let w = zc_world engine in
+      migrate w;
+      let fetch () =
+        ignore (Hl.read_file w.hl "/a" ~off:0 ~len:bs ());
+        Sim.Engine.delay 60.0;
+        Hl.eject_tertiary_copies w.hl ~paths:[ "/a" ]
+      in
+      fetch ();
+      let pool = w.st.State.images in
+      let made () = List.length pool.State.free_images + pool.State.images_out in
+      let before = made () in
+      (* the allocation counters are exact after a minor collection *)
+      let words () =
+        Gc.minor ();
+        let minor, promoted, major = Gc.counters () in
+        minor +. major -. promoted
+      in
+      let w0 = words () in
+      fetch ();
+      let used = words () -. w0 in
+      Printf.printf "one fetch + landing: %.0f words\n" used;
+      check Alcotest.bool
+        (Printf.sprintf "%.0f words for a fetch and its landing < a quarter segment" used)
+        true
+        (used < float_of_int (zc_seg * bs / 8 / 4));
+      check Alcotest.int "no image made" before (made ());
+      Hl.shutdown_service w.hl)
+
 let suite =
   [
     ( "media.oracle",
       [ Alcotest.test_case "every medium matches the recorded bytes" `Quick test_media_oracle ] );
+    ( "media.zero_copy",
+      [
+        Alcotest.test_case "a write-out copies no block" `Quick test_writeout_copies_nothing;
+        Alcotest.test_case "a fetch and landing copy no block" `Quick test_fetch_copies_nothing;
+        Alcotest.test_case "a fetch allocates no segment" `Quick test_fetch_allocates_no_segment;
+      ] );
   ]

@@ -455,6 +455,71 @@ let test_large_object_verify_catches_corruption () =
   check Alcotest.bool "corruption detected" false
     (Workload.Large_object.verify ops ~frames:100 ~frame_bytes:4096 "/obj")
 
+(* The harness blits frames from one tiled pattern; every frame it
+   writes, at every generation, must be the one the byte formula
+   (frame + 11 i + 131 generation) mod 256 gives — the content Table 2
+   has always written. An in-memory object records each write; frame
+   sizes that are and are not a multiple of 8 cover [verify]'s word and
+   byte compares. *)
+let test_large_object_frames_match_formula () =
+  let formula ~frame_bytes ~frame ~generation =
+    Bytes.init frame_bytes (fun i -> Char.chr ((frame + (i * 11) + (generation * 131)) land 0xff))
+  in
+  List.iter
+    (fun frame_bytes ->
+      let frames = 300 in
+      let obj = Bytes.make (frames * frame_bytes) '\000' in
+      let gens = Array.make frames 0 in
+      let bad = ref 0 and checked = ref 0 in
+      let write _ ~off data =
+        let len = Bytes.length data in
+        if len = frame_bytes then gens.(off / frame_bytes) <- gens.(off / frame_bytes) + 1;
+        for j = 0 to (len / frame_bytes) - 1 do
+          let frame = (off / frame_bytes) + j in
+          incr checked;
+          let expect = formula ~frame_bytes ~frame ~generation:gens.(frame) in
+          if not (Bytes.equal (Bytes.sub data (j * frame_bytes) frame_bytes) expect) then incr bad
+        done;
+        Bytes.blit data 0 obj off len
+      in
+      let ops =
+        {
+          Workload.Large_object.fs_name = "memory";
+          create = ignore;
+          write;
+          read = (fun _ ~off ~len -> Bytes.sub obj off len);
+          flush_caches = ignore;
+          sync = ignore;
+        }
+      in
+      let engine = Sim.Engine.create () in
+      Workload.Large_object.setup engine ops ~frames ~frame_bytes "/obj";
+      for seed = 1 to 3 do
+        ignore (Workload.Large_object.run engine ops ~frames ~frame_bytes ~seed "/obj")
+      done;
+      let what = Printf.sprintf "%d-byte frames" frame_bytes in
+      check Alcotest.int (what ^ ": written frames off the formula") 0 !bad;
+      check Alcotest.bool (what ^ ": frames written past generation 1") true
+        (Array.exists (fun g -> g >= 2) gens);
+      for frame = 0 to frames - 1 do
+        if
+          not
+            (Bytes.equal
+               (Bytes.sub obj (frame * frame_bytes) frame_bytes)
+               (formula ~frame_bytes ~frame ~generation:gens.(frame)))
+        then incr bad
+      done;
+      check Alcotest.int (what ^ ": stored frames off the formula") 0 !bad;
+      check Alcotest.bool (what ^ ": verify accepts") true
+        (Workload.Large_object.verify ops ~frames ~frame_bytes "/obj");
+      (* the last byte of a frame, which a word compare of a frame not
+         a multiple of 8 long leaves to the byte loop *)
+      let last = (7 * frame_bytes) + frame_bytes - 1 in
+      Bytes.set obj last (Char.chr ((Char.code (Bytes.get obj last) + 1) land 0xff));
+      check Alcotest.bool (what ^ ": verify rejects one changed byte") false
+        (Workload.Large_object.verify ops ~frames ~frame_bytes "/obj"))
+    [ 4096; 100 ]
+
 let prop_block_range_disjoint_sorted =
   QCheck.Test.make ~name:"block ranges stay disjoint and sorted" ~count:100
     QCheck.(small_list (triple small_nat small_nat bool))
@@ -512,6 +577,7 @@ let suite =
         Alcotest.test_case "trace zipf skew" `Quick test_trace_zipf_skew;
         Alcotest.test_case "tree generator" `Quick test_tree_gen;
         Alcotest.test_case "large-object verify" `Quick test_large_object_verify_catches_corruption;
+        Alcotest.test_case "large-object frames" `Quick test_large_object_frames_match_formula;
       ] );
     ("policy.properties", [ QCheck_alcotest.to_alcotest prop_block_range_disjoint_sorted ]);
   ]

@@ -1,13 +1,16 @@
-(* Segment-buffer recycling ([Util.Bufpool] behind [Fs.segbufs]) on the
-   failure paths. A buffer that a device or a reader may still touch
-   must never be back on the free list. Each case drives a fault plan,
-   checks every read against an in-memory model of the files, and
-   audits with [Hl.check] (which names any cache line serving from a
-   free buffer) and [Debug.fsck]. Each case also runs a scribble probe:
-   take a buffer, fill it with a pattern, let the simulation run on,
-   and require the pattern intact. The pool hands out the most recently
-   given buffer first, so a buffer given back while a late writer still
-   holds it is the one the probe gets, and the late write shows. *)
+(* Recycling on the failure paths: segment buffers ([Util.Bufpool]
+   behind [Fs.segbufs]) and the instance's segment images
+   ([State.take_image]). A buffer or an image that a device or a reader
+   may still touch must never be back in its pool, and every image must
+   go back once nothing can. Each case drives a fault plan, checks
+   every read against an in-memory model of the files, and audits with
+   [Hl.check] (which names an image that is neither attached nor held
+   by a write-out, or attached and pooled) and [Debug.fsck]. Each case
+   also runs a scribble probe: take a buffer and an image, fill them
+   with a pattern, let the simulation run on, and require the pattern
+   intact. Both pools hand out the most recently given one first, so
+   one given back while a late writer still holds it is the one the
+   probe gets, and the late write shows. *)
 
 open Highlight
 open Lfs
@@ -101,8 +104,14 @@ let probe w what =
   let b = Util.Bufpool.bytes buf in
   let pattern = bytes_pattern (Bytes.length b) 0x5a in
   Bytes.blit pattern 0 b 0 (Bytes.length b);
+  let image = State.take_image w.st in
+  Device.Blockstore.write_from image ~blk:0 ~src:pattern ~src_off:0 ~count:seg_blocks;
   Sim.Engine.delay 60.0;
   check Alcotest.bool (what ^ ": a taken buffer has one writer") true (Bytes.equal b pattern);
+  let seen = Bytes.create (Bytes.length pattern) in
+  Device.Blockstore.read_into image ~blk:0 ~count:seg_blocks ~dst:seen ~dst_off:0;
+  check Alcotest.bool (what ^ ": a taken image has one writer") true (Bytes.equal seen pattern);
+  State.give_image w.st image;
   Util.Bufpool.give pool buf
 
 let counter w name = Sim.Metrics.count (Sim.Metrics.counter (Hl.metrics w.hl) name)
@@ -146,10 +155,39 @@ let test_fetch_fault_partial () =
       audit w "after the tail re-fetch";
       Hl.shutdown_service w.hl)
 
+(* A fetch whose very first jukebox operation fails, no retries: the
+   line leaves the directory with nothing delivered, and the image it
+   took must go back to the pool — a lost image would pin its pages
+   and make every later write to them copy. *)
+let test_fetch_fails_before_first_chunk () =
+  in_sim (fun engine ->
+      let w = make_world engine in
+      write w "/f" (bytes_pattern small_bytes 11);
+      migrate w [ "/f" ];
+      let fs = Hl.fs w.hl in
+      let ino = Dir.namei fs "/f" in
+      w.st.State.retry.State.max_attempts <- 1;
+      (* drive read op 1 is the stream's pre-transfer check *)
+      Sim.Fault.install engine ~metrics:(Hl.metrics w.hl)
+        (parse_ok "jb:drive* read op=1 media_error transient");
+      (match File.read fs ino ~off:0 ~len:bs with
+      | _ -> Alcotest.fail "a block was served by a fetch that delivered nothing"
+      | exception State.Io_error _ -> ());
+      Sim.Fault.clear ();
+      w.st.State.retry.State.max_attempts <- 8;
+      check Alcotest.int "the line left the directory" 0 (Seg_cache.length (Hl.cache w.hl));
+      check Alcotest.int "no image out" 0 w.st.State.images.State.images_out;
+      audit w "failed fetch";
+      probe w "failed fetch";
+      verify w "after the failed fetch";
+      audit w "after the re-fetch";
+      Hl.shutdown_service w.hl)
+
 (* A tertiary write torn after its first chunk, no retries, while the
-   cache disk is still reading the segment into [w_buf]: the read in
-   flight lands after [fail_writeout], so the buffer must stay with the
-   failed write-out. The next ticket resumes at the written prefix. *)
+   cache disk is still sharing the segment into the write-out's image:
+   the read in flight lands after [fail_writeout], so the image must
+   stay out of the pool until that read is over. The next ticket
+   resumes at the written prefix. *)
 let test_torn_writeout_resumes () =
   in_sim (fun engine ->
       (* 8 KB/s: each 4-block staging read takes 2 s, far longer than
@@ -176,7 +214,7 @@ let test_torn_writeout_resumes () =
       Hl.shutdown_service w.hl)
 
 (* End of medium: volumes hold 3 real segments but advertise 8, so
-   write-outs re-home onto the next volume with their buffer and read
+   write-outs re-home onto the next volume with their image and read
    watermark carried over; a torn chunk on the way is retried. *)
 let test_end_of_medium_rehome () =
   in_sim (fun engine ->
@@ -317,7 +355,9 @@ let suite =
       [
         Alcotest.test_case "mid-stream fetch fault keeps the Partial image" `Quick
           test_fetch_fault_partial;
-        Alcotest.test_case "torn write-out keeps w_buf, next ticket resumes" `Quick
+        Alcotest.test_case "fetch failing before its first chunk gives its image back" `Quick
+          test_fetch_fails_before_first_chunk;
+        Alcotest.test_case "torn write-out keeps its image, next ticket resumes" `Quick
           test_torn_writeout_resumes;
         Alcotest.test_case "end-of-medium re-home" `Quick test_end_of_medium_rehome;
         Alcotest.test_case "evictions under a full cache" `Quick test_evictions_full_cache;
