@@ -1,58 +1,39 @@
 open State
 open Lfs
 
-(* A candidate is a disk-resident, clean, currently-mapped block. *)
-let resolve_candidate ?(allow_tertiary = false) st (inum, bkey) =
+(* A candidate is a disk-resident, clean, currently-mapped block: its
+   address, or -1. *)
+let candidate_addr ?(allow_tertiary = false) st inum bkey =
   let fsys = fs st in
   (* the ifile and tsegfile must always remain on disk (paper section 6.4) *)
-  if inum = 1 || inum = 3 then None
+  if inum = 1 || inum = 3 then -1
   else
     match Fs.get_inode fsys inum with
-    | exception Not_found -> None
+    | exception Not_found -> -1
     | ino -> (
         match Fs.lookup_addr fsys ino bkey with
-        | -1 -> None
+        | -1 -> -1
         | addr ->
-            if Addr_space.is_tertiary st.aspace addr && not allow_tertiary then None
-            else if Bcache.is_dirty (Fs.bcache fsys) (Bcache.key inum bkey) then None
-            else Some (inum, bkey, addr))
+            if Addr_space.is_tertiary st.aspace addr && not allow_tertiary then -1
+            else if Bcache.is_dirty (Fs.bcache fsys) (Bcache.key inum bkey) then -1
+            else addr)
 
-(* Build the FINFO list for a staging segment, grouping runs by inum in
-   block order, exactly as the log writer does. *)
-let finfos_of fsys blocks =
-  let groups = ref [] in
-  List.iter
-    (fun (inum, bkey, _) ->
-      match !groups with
-      | (i, keys) :: rest when i = inum -> groups := (i, bkey :: keys) :: rest
-      | _ -> groups := (inum, [ bkey ]) :: !groups)
-    blocks;
-  List.rev_map
-    (fun (inum, keys_rev) ->
-      let e = Imap.get (Fs.imap fsys) inum in
-      let bs = (Fs.param fsys).Param.block_size in
-      let lastlength =
-        match Fs.get_inode fsys inum with
-        | ino when ino.Inode.size mod bs <> 0 -> ino.Inode.size mod bs
-        | _ | (exception Not_found) -> bs
-      in
-      {
-        Summary.fi_ino = inum;
-        fi_version = e.Imap.version;
-        fi_lastlength = lastlength;
-        fi_blocks = List.rev keys_rev;
-      })
-    !groups
+let resolve_candidate ?allow_tertiary st (inum, bkey) =
+  match candidate_addr ?allow_tertiary st inum bkey with
+  | -1 -> None
+  | addr -> Some (inum, bkey, addr)
 
-(* Stage one tertiary segment's worth of blocks (plus, optionally, the
-   inodes of [inode_set]) and queue it for copy-out. *)
-let stage_segment ?(defer = false) st ~inode_set blocks =
+(* Stage [blocks], then [inode_set]'s inodes, into a new staging line's
+   one partial, and queue it for copy-out; what does not fit is left for
+   the next line. *)
+let stage_line ?(defer = false) st blocks inode_set =
+  (* the blocks offered to the line, up to a segment's worth: fewer fit
+     only when their summary runs out of space first *)
+  let offered = min (List.length blocks) (seg_blocks st - 1) in
   Sim.Trace.span ~track:"migrator" ~cat:"migrator" "stage-segment"
-    ~args:[ ("blocks", string_of_int (List.length blocks)) ]
+    ~args:[ ("blocks", string_of_int offered) ]
   @@ fun () ->
   let fsys = fs st in
-  let bs = (Fs.param fsys).Param.block_size in
-  let sgb = seg_blocks st in
   let tindex = next_tseg st in
   let disk_seg = Evict.allocate ~staging:true st in
   let line =
@@ -60,126 +41,69 @@ let stage_segment ?(defer = false) st ~inode_set blocks =
       ~now:(Sim.Engine.now st.engine)
   in
   Segusage.set_cache_tag (Fs.seguse fsys) disk_seg tindex;
-  let tbase = Addr_space.seg_base st.aspace tindex in
-  if 1 + List.length blocks > sgb then invalid_arg "Migrator.stage_segment: overfull segment";
-  (* the segment image is assembled in place in a pooled segment
-     buffer: summary in block 0, then data blocks, then inode blocks,
-     each overwriting its whole block. The whole image goes to the cache
-     disk, so the tail past the last packed block is zeroed before the
-     write: unused blocks must be zero on the media *)
-  let segbufs = Fs.segbufs fsys in
-  let buf = Util.Bufpool.take segbufs in
-  let image = Util.Bufpool.bytes buf in
+  let p =
+    Fs.open_staging fsys ~base:(Addr_space.seg_base st.aspace tindex)
+      ~blk:(disk_seg_base st disk_seg)
+  in
   (* gather the payload with the migrator's raw disk access: the blocks
-     land in the private image, not the buffer cache. Each block brings
-     the sum it was last read or written with when that is known, so
-     only blocks of unknown sum are hashed; the block sums fold into the
-     segment's data sum. *)
-  let shift = Util.Crc32.shift bs in
-  let data_crc = ref 0 in
-  let add_block_crc dst carried =
-    let crc = if carried >= 0 then carried else Util.Crc32.bytes ~off:dst ~len:bs image in
-    data_crc := Util.Crc32.combine shift !data_crc crc
+     land in the partial's buffer, not the buffer cache, each with the
+     sum it was last read or written with when that is known *)
+  let fill addr key dst dst_off =
+    match Bcache.find (Fs.bcache fsys) key with
+    | d when d != Bcache.miss ->
+        Bytes.blit d 0 dst dst_off (Bytes.length d);
+        Bcache.crc (Fs.bcache fsys) key d
+    | _ ->
+        Block_io.read_block_into st addr ~dst ~dst_off;
+        Fs.written_crc fsys addr
   in
-  let payload =
-    List.mapi
-      (fun i (inum, bkey, addr) ->
-        let dst = (i + 1) * bs in
+  let rec stage acc = function
+    | [] -> (List.rev acc, [])
+    | ((inum, bkey, addr) :: rest) as left -> (
         let key = Bcache.key inum bkey in
-        let carried =
-          match Bcache.find (Fs.bcache fsys) key with
-          | d when d != Bcache.miss ->
-              Bytes.blit d 0 image dst bs;
-              Bcache.crc (Fs.bcache fsys) key d
-          | _ ->
-              Block_io.read_block_into st addr ~dst:image ~dst_off:dst;
-              Fs.written_crc fsys addr
-        in
-        add_block_crc dst carried;
-        (inum, bkey, addr))
-      blocks
+        match Fs.stage_copy fsys p key (fill addr key) with
+        | -1 -> (List.rev acc, left)
+        | taddr -> stage ((inum, bkey, addr, taddr) :: acc) rest)
   in
+  let payload, blocks_left = stage [] blocks in
   (* re-verify and re-aim pointers; blocks that moved while we were
      reading are left as dead slots in the staging segment *)
   let live =
-    List.filteri
-      (fun i (inum, bkey, addr) ->
-        match Fs.get_inode fsys inum with
-        | exception Not_found -> false
-        | ino ->
-            Fs.lookup_addr fsys ino bkey = addr
-            && not (Bcache.is_dirty (Fs.bcache fsys) (Bcache.key inum bkey))
-            &&
-            (Fs.repoint fsys ino bkey (tbase + 1 + i);
-             true))
+    List.filter
+      (fun (inum, bkey, addr, taddr) ->
+        candidate_addr ~allow_tertiary:true st inum bkey = addr
+        && (Fs.repoint fsys (Fs.get_inode fsys inum) bkey taddr;
+            true))
       payload
   in
   (* optionally pack the fully-migrated inodes right into the segment *)
-  let ipb = Inode.per_block ~block_size:bs in
-  let inodes_to_pack =
-    List.filter
-      (fun inum ->
-        match Fs.get_inode fsys inum with exception Not_found -> false | _ -> true)
-      inode_set
+  let inode_blocks, inodes_left =
+    if blocks_left <> [] then ([], inode_set)
+    else
+      let inodes =
+        List.filter_map
+          (fun inum ->
+            match Fs.get_inode fsys inum with exception Not_found -> None | i -> Some (i, true))
+          inode_set
+      in
+      let packed, rest = Fs.stage_inodes fsys p inodes in
+      (packed, List.map (fun (ino, _) -> ino.Inode.inum) rest)
   in
-  let ndata = List.length payload in
-  let rec pack_inode_blocks acc next = function
-    | [] -> List.rev acc
-    | batch ->
-        let chunk, rest = Util.Misc.split_at ipb batch in
-        pack_inode_blocks ((next, chunk) :: acc) (next + 1) rest
-  in
-  let inode_blocks = pack_inode_blocks [] ndata inodes_to_pack in
-  if 1 + ndata + List.length inode_blocks > sgb then
-    invalid_arg "Migrator.stage_segment: overfull segment";
-  List.iter
-    (fun (slot, inums) ->
-      let taddr = tbase + 1 + slot in
-      let inos = List.map (Fs.get_inode fsys) inums in
-      let block = Inode.pack_block ~block_size:bs inos in
-      Bytes.blit block 0 image ((1 + slot) * bs) bs;
-      add_block_crc ((1 + slot) * bs) (-1);
-      List.iter
-        (fun inum ->
-          let e = Imap.get (Fs.imap fsys) inum in
-          if e.Imap.addr > 0 then Fs.account fsys ~addr:e.Imap.addr (-Inode.isize);
-          Fs.account fsys ~addr:taddr Inode.isize;
-          Imap.set_addr (Fs.imap fsys) inum taddr;
-          Sim.Metrics.incr (Sim.Metrics.counter st.metrics "migrator.inodes_migrated"))
-        inums)
-    inode_blocks;
-  let summary =
-    {
-      Summary.ss_next = -1;
-      ss_create = Sim.Engine.now st.engine;
-      ss_serial = Fs.serial fsys;
-      ss_flags = 1 (* tertiary segment marker *);
-      finfos = finfos_of fsys payload;
-      inode_addrs = List.map (fun (slot, _) -> tbase + 1 + slot) inode_blocks;
-    }
-  in
-  Summary.serialize_into ~block_size:bs ~data_crc:!data_crc summary ~dst:image ~dst_off:0;
-  let used = (1 + ndata + List.length inode_blocks) * bs in
-  Bytes.fill image used (Bytes.length image - used) '\000';
-  Fs.charge_copy fsys (Bytes.length image);
-  (* a raw whole-segment write, bypassing the buffer cache *)
-  st.disk.Lfs.Dev.write ~blk:(disk_seg_base st disk_seg) ~data:image;
-  (* the cache disk holds the only copy the write-out needs; a write
-     that raised leaves the buffer to the GC *)
-  Util.Bufpool.give segbufs buf;
+  let ninodes = List.fold_left (fun n (_, inums) -> n + List.length inums) 0 inode_blocks in
+  if ninodes > 0 then
+    Sim.Metrics.incr ~by:ninodes (Sim.Metrics.counter st.metrics "migrator.inodes_migrated");
+  Fs.close_partial fsys p;
   (* manifest for end-of-medium re-homing *)
   Hashtbl.replace st.manifests tindex
-    (List.mapi
-       (fun i (inum, bkey, _) ->
-         Staged_block { sb_inum = inum; sb_bkey = bkey; sb_taddr = tbase + 1 + i })
+    (List.map
+       (fun (sb_inum, sb_bkey, _, sb_taddr) -> Staged_block { sb_inum; sb_bkey; sb_taddr })
        payload
     @ List.map
-        (fun (slot, inums) -> Staged_inode_block { si_taddr = tbase + 1 + slot; si_inums = inums })
+        (fun (si_taddr, si_inums) -> Staged_inode_block { si_taddr; si_inums })
         inode_blocks);
   Hl_log.Log.debug (fun m ->
       m "staged tseg %d: %d blocks (%d live), %d inodes" tindex (List.length payload)
-        (List.length live)
-        (List.length inodes_to_pack));
+        (List.length live) ninodes);
   (* a demand miss on this segment within the mistake window marks the
      demotion as a migration mistake *)
   if Obs.Decision.enabled () then
@@ -192,51 +116,42 @@ let stage_segment ?(defer = false) st ~inode_set blocks =
      exhaust the cache-line pool waiting for itself); the delayed-write
      policy defers this to an explicit flush instead *)
   let ticket = if defer then None else Some (Service.request_writeout st line) in
-  (line, ticket)
+  ((line, ticket), blocks_left, inodes_left)
 
-let rec chunks n = function
-  | [] -> []
-  | l ->
-      let chunk, rest = Util.Misc.split_at n l in
-      chunk :: chunks n rest
-
-(* Stage a batch of resolved candidates, appending [inode_set]'s inodes
-   to the final staging segment. *)
 (* The migrator keeps a shallow pipeline to its I/O server, as the
    paper's does (Table 4 measures only ~1% queueing): at most
    [pipeline_depth] staged segments may be awaiting copy-out before the
    migrator stages another. *)
 let pipeline_depth = 3
 
+(* Stage a batch of resolved candidates, then [inode_set]'s inodes, into
+   as many staging lines as they fill. *)
 let stage_batch ?(defer = false) st ~inode_set candidates =
-  let fsys = fs st in
-  let sgb = seg_blocks st in
-  let ipb = Inode.per_block ~block_size:(Fs.param fsys).Param.block_size in
-  let inode_block_budget = (List.length inode_set + ipb - 1) / ipb in
-  let capacity = sgb - 1 - inode_block_budget in
-  if capacity <= 0 then invalid_arg "Migrator: segment too small";
-  let groups = chunks capacity candidates in
   let in_flight = Queue.create () in
-  let throttle () =
-    if not defer then
-      while Queue.length in_flight >= pipeline_depth do
-        match Queue.pop in_flight with
-        | Some ticket -> ignore (Service.await ticket)
-        | None -> ()
-      done
+  let rec go acc blocks inode_set =
+    if blocks = [] && inode_set = [] then List.rev acc
+    else begin
+      if not defer then
+        while Queue.length in_flight >= pipeline_depth do
+          match Queue.pop in_flight with
+          | Some ticket -> ignore (Service.await ticket)
+          | None -> ()
+        done;
+      let ((_, ticket) as r), blocks, inode_set = stage_line ~defer st blocks inode_set in
+      Queue.add ticket in_flight;
+      go (r :: acc) blocks inode_set
+    end
   in
-  let staged =
-    List.mapi
-      (fun i group ->
-        throttle ();
-        let inode_set = if i = List.length groups - 1 then inode_set else [] in
-        let ((_, ticket) as r) = stage_segment ~defer st ~inode_set group in
-        Queue.add ticket in_flight;
-        r)
-      groups
-  in
-  if groups = [] && inode_set <> [] then [ stage_segment ~defer st ~inode_set [] ]
-  else staged
+  go [] candidates inode_set
+
+(* The migrator, like the cleaner, is a space-reclaimer: its flushes
+   may draw on the cleaner's reserve, otherwise a nearly-full disk could
+   never migrate its way out. *)
+let reclaiming fsys f =
+  Fs.set_cleaning fsys true;
+  Fun.protect ~finally:(fun () -> Fs.set_cleaning fsys false) f
+
+let privileged_flush fsys = reclaiming fsys (fun () -> Fs.flush fsys)
 
 (* Pointer re-aiming dirties the parents of migrated blocks, so indirect
    blocks can only migrate once their children's moves have been flushed
@@ -244,20 +159,15 @@ let stage_batch ?(defer = false) st ~inode_set candidates =
 let migrate_blocks_inner ?(allow_tertiary = false) ?(defer = false) st ~wait ~checkpoint
     ~inode_set pairs =
   let fsys = fs st in
-  (* the migrator, like the cleaner, is a space-reclaimer: its small
-     bookkeeping flushes may draw on the cleaner's reserve, otherwise a
-     nearly-full disk could never migrate its way out *)
-  Fs.set_cleaning fsys true;
-  Fun.protect ~finally:(fun () -> Fs.set_cleaning fsys false) @@ fun () ->
+  reclaiming fsys @@ fun () ->
   let staged = ref [] in
   for level = 0 to 3 do
     let of_level = List.filter (fun (_, bkey) -> Bkey.level bkey = level) pairs in
     if of_level <> [] then begin
       let candidates = List.filter_map (resolve_candidate ~allow_tertiary st) of_level in
-      if candidates <> [] then
-        (* reversed accumulation: appending each batch to the tail is
-           quadratic in the number of staged segments *)
-        staged := List.rev_append (stage_batch ~defer st ~inode_set:[] candidates) !staged;
+      (* reversed accumulation: appending each batch to the tail is
+         quadratic in the number of staged segments *)
+      staged := List.rev_append (stage_batch ~defer st ~inode_set:[] candidates) !staged;
       (* children now point into tertiary space; flush so the parents'
          on-disk copies carry the new addresses before they migrate *)
       Fs.flush fsys
@@ -279,10 +189,6 @@ let migrate_blocks_inner ?(allow_tertiary = false) ?(defer = false) st ~wait ~ch
 let migrate_blocks st ?(wait = true) ?(checkpoint = true) ?(allow_tertiary = false) blocks =
   if List.filter_map (resolve_candidate ~allow_tertiary st) blocks = [] then []
   else migrate_blocks_inner ~allow_tertiary st ~wait ~checkpoint ~inode_set:[] blocks
-
-let privileged_flush fsys =
-  Fs.set_cleaning fsys true;
-  Fun.protect ~finally:(fun () -> Fs.set_cleaning fsys false) (fun () -> Fs.flush fsys)
 
 (* Free allocatable slots per volume (for self-contained placement). *)
 let volume_free_slots st vol =
@@ -314,6 +220,13 @@ let with_self_contained_volume st ~estimate f =
       st.restrict_volume <- Some vol;
       Fun.protect ~finally:(fun () -> st.restrict_volume <- None) f
 
+(* Cons [ino]'s disk-resident blocks onto [acc], the last block first. *)
+let add_disk_blocks st ino acc =
+  let acc = ref acc in
+  File.iter_assigned_blocks (fs st) ino (fun bkey addr ->
+      if not (Addr_space.is_tertiary st.aspace addr) then acc := (ino.Inode.inum, bkey) :: !acc);
+  !acc
+
 let migrate_files st ?(wait = true) ?(checkpoint = true) ?(with_inodes = true)
     ?(self_contained = false) inums =
   let fsys = fs st in
@@ -328,15 +241,11 @@ let migrate_files st ?(wait = true) ?(checkpoint = true) ?(with_inodes = true)
       | exception Not_found -> ()
       | ino ->
           migratable := inum :: !migratable;
-          let had = ref false in
-          File.iter_assigned_blocks fsys ino (fun bkey addr ->
-              if not (Addr_space.is_tertiary st.aspace addr) then begin
-                had := true;
-                candidates := (inum, bkey) :: !candidates
-              end);
+          let before = !candidates in
+          candidates := add_disk_blocks st ino before;
           (* a read of this file within the mistake window counts as a
              recall against the migration decision that demoted it *)
-          if !had && Obs.Decision.enabled () then
+          if !candidates != before && Obs.Decision.enabled () then
             Obs.Decision.note_file_demoted ~now:(Sim.Engine.now st.engine) ~inum
               ~bytes:ino.Inode.size)
     inums;
@@ -376,10 +285,7 @@ let stage_files_only st inums =
     (fun inum ->
       match Fs.get_inode fsys inum with
       | exception Not_found -> ()
-      | ino ->
-          File.iter_assigned_blocks fsys ino (fun bkey addr ->
-              if not (Addr_space.is_tertiary st.aspace addr) then
-                pairs := (inum, bkey) :: !pairs))
+      | ino -> pairs := add_disk_blocks st ino !pairs)
     inums;
   stage_only st (List.rev !pairs)
 

@@ -2,19 +2,32 @@ open Util
 
 exception No_space
 
-(* The open partial segment: one per file system, reused for every
-   partial. Blocks are staged into arrays sized to a segment, a file
-   block with its cache entry, so the writer never looks a staged block
-   up by key again. *)
+(* Where a partial segment goes: the log's tail or a staging line. Block
+   [i] is addressed [base + 1 + i]; the partial is written at device
+   block [blk], and, when [whole], to its segment's end. *)
+type target = {
+  base : int;
+  blk : int;
+  next : int;
+  flags : int;
+  bump : bool;
+  whole : bool;
+}
+
+(* An open partial segment, its blocks staged into arrays sized to a
+   segment: a log block as its cache entry and bytes, gathered at close,
+   so the writer never looks it up by key again; a migrated block
+   straight into the segment buffer, with the sum it carries. *)
 type partial = {
-  mutable p_start : int;  (* offset of the summary block within the segment *)
+  mutable target : target;
   mutable p_n : int;  (* blocks staged *)
   mutable p_sum_bytes : int;  (* running summary-space estimate *)
   mutable p_last_ino : int;  (* for finfo run-length grouping *)
   p_keys : Bcache.key array;  (* [Bcache.none] for an inode block *)
-  p_entries : Bcache.handle array;  (* [Bcache.no_handle] for an inode block *)
-  p_payloads : Bytes.t array;
-  p_crcs : int array;
+  p_entries : Bcache.handle array;  (* [Bcache.no_handle] for an inode or fixed block *)
+  p_payloads : Bytes.t array;  (* [Bytes.empty] for a block already in the buffer *)
+  p_crcs : int array;  (* a fixed block's carried sum or -1; every sum after close *)
+  mutable p_buf : Bufpool.buf;  (* [Bufpool.none] until a block is fixed or the partial closes *)
 }
 
 type hooks = {
@@ -53,7 +66,7 @@ and t = {
       (* by disk address: the CRC-32 close_partial wrote each log block
          with since mount, -1 where unknown *)
   segbufs : Bufpool.t;
-  part : partial;
+  part : partial;  (* the log's, reused *)
   seen : unit Bcache.Tbl.t;  (* segments_needed's, cleared per call *)
 }
 
@@ -77,7 +90,6 @@ let segbufs t = t.segbufs
 let cur_seg t = t.cur_seg
 let cur_off t = t.cur_off
 let next_seg t = t.next_seg
-let serial t = t.serial
 let now t = Sim.Engine.now t.engine
 let tvol t = t.tvol
 let tseg_in_vol t = t.tseg_in_vol
@@ -309,14 +321,67 @@ let advance_segment t =
   t.n_segs_written <- t.n_segs_written + 1;
   t.next_seg <- successor
 
-let open_partial t =
-  if seg_remaining t < 2 then advance_segment t;
-  let p = t.part in
-  p.p_start <- t.cur_off;
+let new_partial prm =
+  {
+    target = { base = 0; blk = 0; next = -1; flags = 0; bump = false; whole = false };
+    p_n = 0;
+    p_sum_bytes = 0;
+    p_last_ino = -1;
+    p_keys = Array.make prm.Param.seg_blocks Bcache.none;
+    p_entries = Array.make prm.seg_blocks Bcache.no_handle;
+    p_payloads = Array.make prm.seg_blocks Bytes.empty;
+    p_crcs = Array.make prm.seg_blocks 0;
+    p_buf = Bufpool.none;
+  }
+
+let open_partial p target =
+  p.target <- target;
   p.p_n <- 0;
   p.p_sum_bytes <- Summary.header_bytes;
   p.p_last_ino <- -1;
-  t.cur_off <- t.cur_off + 1 (* summary block *)
+  (* a buffer that a raised write left stays with the GC *)
+  p.p_buf <- Bufpool.none
+
+let open_staging t ~base ~blk =
+  let p = new_partial t.prm in
+  open_partial p
+    { base; blk; next = -1; flags = 1 (* tertiary segment marker *); bump = false; whole = true };
+  p
+
+(* A partial may hold the blocks from its summary to its segment's end. *)
+let room t g = t.prm.seg_blocks - Layout.off_in_seg t.prm g.blk
+
+let image t p =
+  if p.p_buf == Bufpool.none then p.p_buf <- Bufpool.take t.segbufs;
+  Bufpool.bytes p.p_buf
+
+(* Space the block's summary record needs. *)
+let summary_cost p (key : Bcache.key) =
+  if (key :> int) < 0 || Bcache.inum key = p.p_last_ino then 4 else 16
+
+(* Stage a block into the partial, returning its address, or -1 when
+   the partial is full, by blocks or by the space its summary would need. *)
+let stage t p key h payload =
+  let cost = summary_cost p key in
+  if p.p_n + 1 >= room t p.target || p.p_sum_bytes + cost > t.prm.block_size then -1
+  else begin
+    p.p_sum_bytes <- p.p_sum_bytes + cost;
+    p.p_last_ino <- (if (key :> int) < 0 then -1 else Bcache.inum key);
+    let i = p.p_n in
+    p.p_keys.(i) <- key;
+    p.p_entries.(i) <- h;
+    p.p_payloads.(i) <- payload;
+    p.p_n <- i + 1;
+    p.target.base + 1 + i
+  end
+
+let stage_copy t p key fill =
+  match stage t p key Bcache.no_handle Bytes.empty with
+  | -1 -> -1
+  | addr ->
+      let i = p.p_n - 1 in
+      p.p_crcs.(i) <- fill (image t p) ((i + 1) * t.prm.block_size);
+      addr
 
 let finfos_of_partial t p =
   let finfo inum blocks =
@@ -350,102 +415,140 @@ let finfos_of_partial t p =
   in
   go (p.p_n - 1) (-1) [] []
 
-let close_partial t =
+let close_partial t p =
+  let g = p.target and n = p.p_n in
+  let bs = t.prm.block_size in
+  (* one pooled segment buffer: summary block, then the payload from
+     block 1 on. A gathered block's sum is carried from its cache entry
+     when the bytes are unchanged since they were last read or flushed,
+     a fixed block's is the one it was staged with, and either is hashed
+     only when unknown; the partial's data sum folds the block sums. *)
+  let image = image t p in
+  let shift = Crc32.shift bs in
+  let data_crc = ref 0 in
+  for i = 0 to n - 1 do
+    let dst = (i + 1) * bs in
+    let payload = p.p_payloads.(i) and h = p.p_entries.(i) in
+    let carried =
+      if payload == Bytes.empty then p.p_crcs.(i)
+      else begin
+        Bytes.blit payload 0 image dst bs;
+        Bcache.handle_crc h payload
+      end
+    in
+    let crc =
+      if carried >= 0 then carried
+      else begin
+        let c = Crc32.bytes ~off:dst ~len:bs image in
+        Bcache.set_handle_crc h payload c;
+        c
+      end
+    in
+    p.p_crcs.(i) <- crc;
+    data_crc := Crc32.combine shift !data_crc crc
+  done;
+  let inode_addrs = ref [] in
+  for i = n - 1 downto 0 do
+    if (p.p_keys.(i) :> int) < 0 then inode_addrs := (g.base + 1 + i) :: !inode_addrs
+  done;
+  if g.bump then t.serial <- Int64.add t.serial 1L;
+  let summary =
+    {
+      Summary.ss_next = g.next;
+      ss_create = now t;
+      ss_serial = t.serial;
+      ss_flags = g.flags;
+      finfos = finfos_of_partial t p;
+      inode_addrs = !inode_addrs;
+    }
+  in
+  Summary.serialize_into ~block_size:bs ~data_crc:!data_crc summary ~dst:image ~dst_off:0;
+  let count = if g.whole then room t g else n + 1 in
+  Bytes.fill image ((n + 1) * bs) ((count - n - 1) * bs) '\000';
+  charge_copy t (count * bs);
+  t.device.write_from ~blk:g.blk ~src:image ~src_off:0 ~count;
+  (* a write that raised leaves the buffer to the GC *)
+  Bufpool.give t.segbufs p.p_buf;
+  p.p_buf <- Bufpool.none;
+  (* now that bytes are on the device, record the sums of blocks written
+     where they are addressed and clean the cache entries that still
+     hold them: the write yielded, so a staged entry may have new bytes
+     or be gone *)
+  for i = 0 to n - 1 do
+    let addr = g.base + 1 + i in
+    if g.blk = g.base then t.sums.(addr) <- p.p_crcs.(i);
+    if (p.p_keys.(i) :> int) >= 0 then
+      Bcache.mark_written t.cache p.p_entries.(i) p.p_payloads.(i) ~crc:p.p_crcs.(i) ~addr
+  done;
+  (* hold no entry or block past the partial *)
+  Array.fill p.p_entries 0 n Bcache.no_handle;
+  Array.fill p.p_payloads 0 n Bytes.empty
+
+(* Pack inodes into blocks staged through [stage] until it reports the
+   partial full. A dead inode (a zero-nlink corpse, which roll-forward
+   uses to replay a deletion) is only recorded; a block is accounted per
+   live inode, matching the per-inode decrement when one moves out. *)
+let pack_inodes t stage inodes =
+  let bs = t.prm.block_size in
+  let ipb = Inode.per_block ~block_size:bs in
+  let rec go acc = function
+    | [] -> (List.rev acc, [])
+    | batch -> (
+        let chunk, rest = Misc.split_at ipb batch in
+        match stage (Inode.pack_block ~block_size:bs (List.map fst chunk)) with
+        | -1 -> (List.rev acc, batch)
+        | addr ->
+            let live =
+              List.filter_map (fun (ino, live) -> if live then Some ino.Inode.inum else None) chunk
+            in
+            account t ~addr (Inode.isize * List.length live);
+            List.iter
+              (fun inum ->
+                let e = Imap.get t.inode_map inum in
+                if e.addr > 0 then account t ~addr:e.addr (-Inode.isize);
+                Imap.set_addr t.inode_map inum addr)
+              live;
+            go ((addr, live) :: acc) rest)
+  in
+  go [] inodes
+
+let stage_inodes t p inodes = pack_inodes t (stage t p Bcache.none Bcache.no_handle) inodes
+
+let open_log_partial t =
+  if seg_remaining t < 2 then advance_segment t;
+  let base = Layout.seg_base t.prm t.cur_seg + t.cur_off in
+  let next = Layout.seg_base t.prm t.next_seg in
+  open_partial t.part { base; blk = base; next; flags = 0; bump = true; whole = false };
+  t.cur_off <- t.cur_off + 1 (* summary block *)
+
+let close_log_partial t =
   let p = t.part in
-  let n = p.p_n in
-  if n = 0 then begin
+  if p.p_n = 0 then begin
     (* nothing was staged: return the reserved summary slot *)
     t.cur_off <- t.cur_off - 1;
-    assert (t.cur_off = p.p_start)
+    assert (t.cur_off = Layout.off_in_seg t.prm p.target.base)
   end
   else begin
-    let bs = t.prm.block_size in
-    (* one pooled segment buffer: summary block, then the payload from
-       block 1 on; only those [n + 1] blocks are written. A block's sum
-       is carried from its cache entry when the bytes are unchanged
-       since they were last read or flushed, and hashed only otherwise;
-       the partial's data sum folds the block sums. *)
-    let buf = Bufpool.take t.segbufs in
-    let image = Bufpool.bytes buf in
-    let shift = Crc32.shift bs in
-    let data_crc = ref 0 in
-    for i = 0 to n - 1 do
-      let dst = (i + 1) * bs in
-      let payload = p.p_payloads.(i) and h = p.p_entries.(i) in
-      Bytes.blit payload 0 image dst bs;
-      let carried = Bcache.handle_crc h payload in
-      let crc =
-        if carried >= 0 then carried
-        else begin
-          let c = Crc32.bytes ~off:dst ~len:bs image in
-          Bcache.set_handle_crc h payload c;
-          c
-        end
-      in
-      p.p_crcs.(i) <- crc;
-      data_crc := Crc32.combine shift !data_crc crc
-    done;
-    let base = Layout.seg_base t.prm t.cur_seg + p.p_start in
-    let inode_addrs = ref [] in
-    for i = n - 1 downto 0 do
-      if (p.p_keys.(i) :> int) < 0 then inode_addrs := (base + 1 + i) :: !inode_addrs
-    done;
-    let summary =
-      {
-        Summary.ss_next = Layout.seg_base t.prm t.next_seg;
-        ss_create = now t;
-        ss_serial = Int64.add t.serial 1L;
-        ss_flags = 0;
-        finfos = finfos_of_partial t p;
-        inode_addrs = !inode_addrs;
-      }
-    in
-    t.serial <- Int64.add t.serial 1L;
-    Summary.serialize_into ~block_size:bs ~data_crc:!data_crc summary ~dst:image ~dst_off:0;
-    charge_copy t ((n + 1) * bs);
-    t.device.write_from ~blk:base ~src:image ~src_off:0 ~count:(n + 1);
-    (* a write that raised leaves the buffer to the GC *)
-    Bufpool.give t.segbufs buf;
+    close_partial t p;
     t.n_partials <- t.n_partials + 1;
     (* summary blocks are not counted live: they die with their partial
        and the cleaner never needs to move them *)
-    Segusage.set_lastmod t.seg_usage t.cur_seg (now t);
-    (* now that bytes are on the device, record their sums and clean the
-       cache entries that still hold them: the write yielded, so a
-       staged entry may have new bytes or be gone *)
-    for i = 0 to n - 1 do
-      let addr = base + 1 + i in
-      t.sums.(addr) <- p.p_crcs.(i);
-      if (p.p_keys.(i) :> int) >= 0 then
-        Bcache.mark_written t.cache p.p_entries.(i) p.p_payloads.(i) ~crc:p.p_crcs.(i) ~addr
-    done;
-    (* hold no entry or block past the partial *)
-    Array.fill p.p_entries 0 n Bcache.no_handle;
-    Array.fill p.p_payloads 0 n Bytes.empty
+    Segusage.set_lastmod t.seg_usage t.cur_seg (now t)
   end
-
-(* Space the block's summary record needs. *)
-let summary_cost p (key : Bcache.key) =
-  if (key :> int) < 0 || Bcache.inum key = p.p_last_ino then 4 else 16
 
 (* Stage one block into the log, returning its assigned address: a file
    block with its key and cache entry, an inode block with [Bcache.none]
    and [Bcache.no_handle]. *)
 let stage_block t (key : Bcache.key) h payload =
-  let p = t.part in
-  if seg_remaining t < 1 || p.p_sum_bytes + summary_cost p key > t.prm.block_size then begin
-    close_partial t;
-    open_partial t
-  end;
-  let addr = Layout.seg_base t.prm t.cur_seg + t.cur_off in
+  let addr =
+    match stage t t.part key h payload with
+    | -1 ->
+        close_log_partial t;
+        open_log_partial t;
+        stage t t.part key h payload
+    | addr -> addr
+  in
   t.cur_off <- t.cur_off + 1;
-  p.p_sum_bytes <- p.p_sum_bytes + summary_cost p key;
-  p.p_last_ino <- (if (key :> int) < 0 then -1 else Bcache.inum key);
-  let i = p.p_n in
-  p.p_keys.(i) <- key;
-  p.p_entries.(i) <- h;
-  p.p_payloads.(i) <- payload;
-  p.p_n <- i + 1;
   addr
 
 let segments_needed t extra_blocks =
@@ -509,7 +612,7 @@ let flush t =
     t.in_flush <- true;
     Fun.protect ~finally:(fun () -> t.in_flush <- false) @@ fun () ->
     let bs = t.prm.block_size in
-    open_partial t;
+    open_log_partial t;
     (* Levels 0-3: data blocks, then L1, L2, L3 indirect blocks. Each
        level's flush assigns addresses and dirties the parents that the
        next level picks up. *)
@@ -538,31 +641,9 @@ let flush t =
       done;
       List.rev !acc
     in
-    let ipb = Inode.per_block ~block_size:bs in
-    let rec pack = function
-      | [] -> ()
-      | batch ->
-          let take = min ipb (List.length batch) in
-          let chunk = List.filteri (fun i _ -> i < take) batch in
-          let rest = List.filteri (fun i _ -> i >= take) batch in
-          let block = Inode.pack_block ~block_size:bs (List.map fst chunk) in
-          let addr = stage_block t Bcache.none Bcache.no_handle block in
-          (* inode blocks are accounted per inode, matching the per-inode
-             decrement when an inode later moves out or is freed *)
-          account t ~addr (Inode.isize * List.length (List.filter snd chunk));
-          List.iter
-            (fun (ino, is_live) ->
-              if is_live then begin
-                let e = Imap.get t.inode_map ino.Inode.inum in
-                if e.addr > 0 then account t ~addr:e.addr (-Inode.isize);
-                Imap.set_addr t.inode_map ino.Inode.inum addr
-              end)
-            chunk;
-          pack rest
-    in
-    pack (live @ dead);
+    ignore (pack_inodes t (stage_block t Bcache.none Bcache.no_handle) (live @ dead));
     Hashtbl.reset t.dirty_inodes;
-    close_partial t
+    close_log_partial t
   end
 
 let maybe_flush t =
@@ -726,17 +807,7 @@ let make_state engine prm device tertiary_cfg =
     cache_floor = 0;
     sums = Array.make (Layout.disk_blocks prm) (-1);
     segbufs = Bufpool.create (Param.seg_bytes prm);
-    part =
-      {
-        p_start = 0;
-        p_n = 0;
-        p_sum_bytes = 0;
-        p_last_ino = -1;
-        p_keys = Array.make prm.seg_blocks Bcache.none;
-        p_entries = Array.make prm.seg_blocks Bcache.no_handle;
-        p_payloads = Array.make prm.seg_blocks Bytes.empty;
-        p_crcs = Array.make prm.seg_blocks 0;
-      };
+    part = new_partial prm;
     seen = Bcache.Tbl.create 64;
   }
 

@@ -76,7 +76,6 @@ val segbufs : t -> Util.Bufpool.t
 val cur_seg : t -> int
 val cur_off : t -> int
 val next_seg : t -> int
-val serial : t -> int64
 val now : t -> float
 
 val tvol : t -> int
@@ -145,6 +144,33 @@ val flush : t -> unit
 val maybe_flush : t -> unit
 (** Flushes when about a segment's worth of dirty data has gathered. *)
 
+(** {2 The partial-segment writer}
+
+    One writer builds every partial segment, the log's ({!flush}) and a
+    HighLight staging line's, and writes it through {!dev}. *)
+
+type partial
+
+val open_staging : t -> base:int -> blk:int -> partial
+(** A partial of its own, beside the log's, on the segment at device
+    block [blk]; block [i] is addressed [base + 1 + i]. It is flagged
+    tertiary, with the current serial, and written to the segment's end. *)
+
+val stage_copy : t -> partial -> Bcache.key -> (Bytes.t -> int -> int) -> int
+(** [stage_copy t p key fill]: [fill buf off] puts the block's bytes in
+    the segment buffer and returns their CRC-32, or -1 to hash them.
+    Returns the block's address, or -1 without calling [fill] when [p]
+    is full, by blocks or by summary space. *)
+
+val stage_inodes :
+  t -> partial -> (Inode.t * bool) list -> (int * int list) list * (Inode.t * bool) list
+(** Packs inodes, each with whether it is live, into inode blocks in [p],
+    and moves the live ones there. Returns the blocks staged, as address
+    and live inums, and the inodes left over. *)
+
+val close_partial : t -> partial -> unit
+(** Writes the summary and the staged blocks through {!dev}. *)
+
 val segments_needed : t -> int -> int
 (** [segments_needed t extra] bounds the segments a {!flush} of the
     current dirty set plus [extra] more blocks may take: the dirty
@@ -185,8 +211,7 @@ val set_cleaning : t -> bool -> unit
 (** While true, flushes may consume the reserve (cleaner privilege). *)
 
 val charge_cpu : t -> float -> unit
-val charge_copy : t -> int -> unit
-(** CPU-time charges from the {!Param.cpu} model. *)
+(** CPU-time charge from the {!Param.cpu} model. *)
 
 (** {1 Introspection} *)
 

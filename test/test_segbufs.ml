@@ -349,6 +349,63 @@ let test_staging_tail_zeroed_over_dirt () =
       audit w "staged over dirt";
       Hl.shutdown_service w.hl)
 
+(* Migrations that the staging writer must split or retry, on 1 MB
+   segments and a timed disk named d0, so a fault plan can hit the
+   staging write. The files are read back from the jukebox: ejected,
+   with every cache dropped. *)
+let big_seg = 256
+
+let disk_world engine =
+  let prm = Param.for_tests ~seg_blocks:big_seg ~nsegs:24 () in
+  let disk = Dev.of_disk (Device.Disk.create engine Device.Disk.rz57 ~name:"d0") in
+  let jb =
+    Device.Jukebox.create engine ~drives:2 ~nvolumes:2 ~vol_capacity:(8 * big_seg)
+      ~media:Device.Jukebox.hp6300_platter ~changer:Device.Jukebox.hp6300_changer "jb"
+  in
+  let fp = Footprint.create ~seg_blocks:big_seg ~segs_per_volume:8 [ jb ] in
+  let hl = Hl.mkfs engine prm ~disk ~fp ~cache_segs:6 () in
+  { hl; st = Hl.state hl; model = Hashtbl.create 256 }
+
+let read_back_from_tertiary w what =
+  Hl.eject_tertiary_copies w.hl ~paths:(Hashtbl.fold (fun p _ acc -> p :: acc) w.model []);
+  Fs.drop_caches (Hl.fs w.hl);
+  verify w what;
+  audit w what
+
+(* 254 one-block files need 40 + 254 * 16 bytes of summary, more than a
+   block: the writer reports the first staging line full after 253 of
+   them and the migrator starts another. *)
+let test_staging_splits_on_summary_space () =
+  in_sim (fun engine ->
+      let w = disk_world engine in
+      let paths = List.init 254 (Printf.sprintf "/s%03d") in
+      List.iteri (fun i path -> write w path (bytes_pattern bs (40 + i))) paths;
+      Fs.checkpoint (Hl.fs w.hl);
+      let tsegs = Migrator.migrate_paths w.st paths in
+      check Alcotest.bool "the data staged into at least two lines" true (List.length tsegs >= 2);
+      read_back_from_tertiary w "summary-space split";
+      Hl.shutdown_service w.hl)
+
+(* The staging write is a disk write like the log's: a transient media
+   error on it is retried, not raised out of the migrator. *)
+let test_staging_write_retried () =
+  in_sim (fun engine ->
+      let w = disk_world engine in
+      write w "/t" (bytes_pattern (12 * bs) 77);
+      let fs = Hl.fs w.hl in
+      Fs.checkpoint fs;
+      (* after the checkpoint nothing is dirty: the first disk write is
+         the staging write *)
+      Sim.Fault.install engine ~metrics:(Hl.metrics w.hl)
+        (parse_ok "disk:d0 write op=1 media_error transient");
+      ignore (Migrator.stage_files_only w.st [ (Dir.namei fs "/t").Inode.inum ]);
+      Sim.Fault.clear ();
+      check Alcotest.int "the staging write was retried once" 1 (counter w "service.retries");
+      ignore (Migrator.flush_staged w.st ());
+      Fs.checkpoint fs;
+      read_back_from_tertiary w "retried staging write";
+      Hl.shutdown_service w.hl)
+
 let suite =
   [
     ( "segbufs.failures",
@@ -365,5 +422,9 @@ let suite =
           test_staging_tail_zeroed_over_dirt;
         Alcotest.test_case "recycled staging image has a zero tail" `Quick
           test_recycled_staging_tail_is_zero;
+        Alcotest.test_case "staging splits a line on summary space" `Quick
+          test_staging_splits_on_summary_space;
+        Alcotest.test_case "transient fault on the staging write is retried" `Quick
+          test_staging_write_retried;
       ] );
   ]
