@@ -1,6 +1,7 @@
 (* Bechamel micro-benchmarks of the hot CPU paths: summary checksums and
    serialization, inode packing, cleaner victim ranking, Zipf sampling;
-   then the two segment moves of the tertiary path, timed in a loop.
+   then the two segment moves of the tertiary path, timed in a loop, and
+   the pages a staged line's write-out takes.
    These measure real wall-clock cost of the implementation, separate
    from the simulated-time experiments. *)
 
@@ -136,6 +137,37 @@ let segment_moves () =
       | Footprint.End_of_medium -> failwith "micro: end of medium");
       Device.Blockstore.erase image)
 
+(* A staging line is written out whole, its tail zeros included: the
+   image is built with [k] data blocks and a zero tail, written to the
+   cache disk as [Fs.close_partial] writes it, then written out as
+   above. Each whole page of the tail holds the shared zero page, so the
+   line costs a page per 32 data blocks, on the disk only: the volume
+   shares the disk's pages. The line prints the private pages each
+   store took (CI requires 1 on the disk for a 1-block line). *)
+let staged_line k =
+  let engine = Sim.Engine.create () in
+  let disk = Device.Disk.create engine ~nblocks:(2 * seg_blocks) Device.Disk.rz57 ~name:"disk" in
+  let jb =
+    Device.Jukebox.create engine ~drives:1 ~nvolumes:1 ~vol_capacity:seg_blocks
+      ~media:Device.Jukebox.hp6300_platter ~changer:Device.Jukebox.hp6300_changer "jb"
+  in
+  let fp = Footprint.create ~seg_blocks ~segs_per_volume:1 [ jb ] in
+  let dev = Lfs.Dev.of_disk disk in
+  let image = Device.Blockstore.image ~block_size:4096 ~nblocks:seg_blocks in
+  let line = Bytes.make (seg_blocks * 4096) '\000' in
+  Bytes.blit segment_bytes 0 line 0 (k * 4096);
+  Sim.Engine.spawn engine (fun () ->
+      dev.Lfs.Dev.write ~blk:seg_blocks ~data:line;
+      dev.Lfs.Dev.share_into ~blk:seg_blocks ~count:seg_blocks ~dst:image ~dst_blk:0;
+      match Footprint.write_seg_stream_from fp ~vol:0 ~seg:0 ~src:image ~src_blk:0 ignore_chunk with
+      | Footprint.Written -> ()
+      | Footprint.End_of_medium -> failwith "micro: end of medium");
+  Sim.Engine.run engine;
+  let taken s = Device.Blockstore.pages_taken s in
+  Printf.printf "  %-32s %4d data blocks %4d disk pages %4d volume pages\n" "staged line write-out" k
+    (taken (Device.Disk.store disk))
+    (taken (Device.Jukebox.volume_store jb 0))
+
 let run () =
   print_endline "\n== Micro-benchmarks (real CPU time, Bechamel) ==";
   Printf.printf "crc32 kernel: %s\n" Util.Crc32.kernel;
@@ -155,4 +187,5 @@ let run () =
           | _ -> Printf.printf "  %-32s (no estimate)\n" name)
         results)
     benchmarks;
-  segment_moves ()
+  segment_moves ();
+  List.iter staged_line [ 1; 32; 95; 256 ]

@@ -6,13 +6,26 @@
    the write does not cover. Which slots of a page hold data is the
    store's own business ([bits] in the directory), so a shared or
    recycled page never needs zeroing: a read returns zeros for a slot
-   whose bit is clear, whatever the page holds there. Pages rather than
-   a buffer per block: a 4 KB block is above the minor heap's size
-   limit, so a fresh buffer per block write would be a major-heap
-   allocation every time. *)
+   whose bit is clear, whatever the page holds there. A whole page of
+   written zeros holds the one [zero_page] instead of a page of its
+   own. Pages rather than a buffer per block: a 4 KB block is above the
+   minor heap's size limit, so a fresh buffer per block write would be
+   a major-heap allocation every time. *)
 let page_blocks = 32
 
 type page = { data : Bytes.t; mutable refs : int }
+
+(* The zero page: a whole page of written zeros, which any directory
+   slot of any store may hold. A whole-page write of zeros (a staging
+   line's tail) takes it instead of a private page, so a volume it is
+   shared onto keeps no page of the disk's alive. It is known by
+   identity only: every reader fills zeros for it and a write into it
+   takes a private page, filling the carried slots, so its bytes are
+   never read and it has none (a stray blit into it or out of it fails
+   loudly). It is never released to a free list, and its [refs] is
+   never touched or read, so one value serves every block size and the
+   stores of every domain at once. *)
+let zero_page = { data = Bytes.empty; refs = 0 }
 
 (* Two-level directory: leaf [i] covers pages [i * leaf_pages] up to
    [(i + 1) * leaf_pages]. [bits.(j)] is this store's written bitmap of
@@ -84,6 +97,7 @@ let rec ones b = if b land 1 = 0 then 0 else 1 + ones (b lsr 1)
 let rec zeros b = if b land 1 <> 0 then 0 else 1 + zeros (b lsr 1)
 
 let slot_mask lo n = ((1 lsl n) - 1) lsl lo
+let full_page = slot_mask 0 page_blocks
 let leaf_of t pi = t.dir.(pi / leaf_pages)
 let index pi = pi land (leaf_pages - 1)
 
@@ -106,23 +120,41 @@ let take t =
       p
   | [] -> { data = Bytes.create (page_blocks * t.block_size); refs = 1 }
 
+let hold p = if p != zero_page then p.refs <- p.refs + 1
+
 let release t p =
-  p.refs <- p.refs - 1;
-  if p.refs = 0 && t.nfree < t.free_cap then begin
-    t.free <- p :: t.free;
-    t.nfree <- t.nfree + 1
+  if p != zero_page then begin
+    p.refs <- p.refs - 1;
+    if p.refs = 0 && t.nfree < t.free_cap then begin
+      t.free <- p :: t.free;
+      t.nfree <- t.nfree + 1
+    end
   end
 
-(* Copies each run of set bits of [bits] (a slot bitmap) from one page
-   buffer to the same place in another. *)
-let rec blit_slots bs src dst bits slot =
+(* Carries each run of set bits of [bits] (a slot bitmap) from page [p]
+   to the same place in buffer [dst]: a blit, or a fill from the zero
+   page. *)
+let rec carry_slots t p dst bits slot =
   if bits <> 0 then begin
+    let bs = t.block_size in
     let z = zeros bits in
     let bits = bits lsr z and slot = slot + z in
     let n = ones bits in
-    Bytes.blit src (slot * bs) dst (slot * bs) (n * bs);
-    blit_slots bs src dst (bits lsr n) (slot + n)
+    if p == zero_page then Bytes.fill dst (slot * bs) (n * bs) '\000'
+    else Bytes.blit p.data (slot * bs) dst (slot * bs) (n * bs);
+    carry_slots t p dst (bits lsr n) (slot + n)
   end
+
+(* Page [pi] becomes a whole page of written zeros: it holds the zero
+   page, and its own page, if any, is let go. *)
+let hold_zero t pi =
+  let l = leaf_for_write t pi in
+  let j = index pi in
+  let w = l.bits.(j) in
+  if w <> 0 then release t l.pages.(j);
+  l.pages.(j) <- zero_page;
+  t.nwritten <- t.nwritten + page_blocks - popcount w;
+  l.bits.(j) <- full_page
 
 (* The page of [pi] made ready for a write of slots [lo, lo + n): a
    private page, holding the store's other written slots (a carry-over
@@ -140,13 +172,13 @@ let writable t pi lo n =
     end
     else
       let p = l.pages.(j) in
-      if p.refs = 1 then p
+      if p != zero_page && p.refs = 1 then p
       else begin
         let q = take t in
         let carried = w land lnot mask in
-        blit_slots t.block_size p.data q.data carried 0;
+        carry_slots t p q.data carried 0;
         t.copied <- t.copied + popcount carried;
-        p.refs <- p.refs - 1;
+        release t p;
         l.pages.(j) <- q;
         q
       end
@@ -192,13 +224,19 @@ let read_page t pi lo n dst dst_off =
   let j = index pi in
   let all = (1 lsl n) - 1 in
   let w = (l.bits.(j) lsr lo) land all in
-  if w = all then Bytes.blit l.pages.(j).data (lo * bs) dst dst_off (n * bs)
-  else if w = 0 then Bytes.fill dst dst_off (n * bs) '\000'
-  else read_runs bs l.pages.(j).data lo w 0 n dst dst_off
+  let p = l.pages.(j) in
+  if w = 0 || p == zero_page then Bytes.fill dst dst_off (n * bs) '\000'
+  else if w = all then Bytes.blit p.data (lo * bs) dst dst_off (n * bs)
+  else read_runs bs p.data lo w 0 n dst dst_off
 
+(* A whole page of zeros takes the zero page; the check runs on
+   whole-page writes only. *)
 let write_page t pi lo n src src_off =
-  let p = writable t pi lo n in
-  Bytes.blit src src_off p.data (lo * t.block_size) (n * t.block_size)
+  let bs = t.block_size in
+  if n = page_blocks && Util.Bytesx.is_zero_sub src src_off (n * bs) then hold_zero t pi
+  else
+    let p = writable t pi lo n in
+    Bytes.blit src src_off p.data (lo * bs) (n * bs)
 
 (* The into/from pair is the zero-copy discipline: callers hand a view
    (buffer + offset) and blocks move once, between the store's pages
@@ -240,13 +278,21 @@ let share_page ~src ~spi ~dst ~pi ~lo ~n =
     let l = leaf_for_write dst pi in
     if held != p then begin
       if w <> 0 then release dst held;
-      p.refs <- p.refs + 1;
+      hold p;
       l.pages.(j) <- p
     end;
     dst.nwritten <- dst.nwritten + popcount (mask land lnot w);
     l.bits.(j) <- w lor mask;
     true
   end
+
+(* The page of [src]'s block [s] if the block is written, else the
+   zero page: an unwritten block reads as zeros. *)
+let data_page src s =
+  let spi = s / page_blocks in
+  let sl = leaf_of src spi in
+  let sj = index spi in
+  if sl.bits.(sj) land (1 lsl (s - (spi * page_blocks))) <> 0 then sl.pages.(sj) else zero_page
 
 (* Slots [lo, lo + n) of [dst]'s page [pi] as a copy of [src]'s blocks
    from [sb]: written source blocks are blitted, unwritten ones land as
@@ -257,13 +303,9 @@ let copy_page ~src ~sb ~dst ~pi ~lo ~n =
   dst.copied <- dst.copied + n;
   for i = 0 to n - 1 do
     let s = sb + i in
-    let spi = s / page_blocks in
-    let slot = s - (spi * page_blocks) in
-    let sl = leaf_of src spi in
-    let sj = index spi in
-    if sl.bits.(sj) land (1 lsl slot) <> 0 then
-      Bytes.blit sl.pages.(sj).data (slot * bs) q.data ((lo + i) * bs) bs
-    else Bytes.fill q.data ((lo + i) * bs) bs '\000'
+    let p = data_page src s in
+    if p == zero_page then Bytes.fill q.data ((lo + i) * bs) bs '\000'
+    else Bytes.blit p.data ((s mod page_blocks) * bs) q.data ((lo + i) * bs) bs
   done
 
 let share ~src ~src_blk ~dst ~dst_blk ~count =
@@ -291,7 +333,7 @@ let copy t =
       (fun l ->
         if l == empty_leaf then l
         else begin
-          Array.iteri (fun j p -> if l.bits.(j) <> 0 then p.refs <- p.refs + 1) l.pages;
+          Array.iteri (fun j p -> if l.bits.(j) <> 0 then hold p) l.pages;
           { pages = Array.copy l.pages; bits = Array.copy l.bits }
         end)
       t.dir

@@ -9,7 +9,11 @@
     pages to another store (or another range of this one), and whichever
     holder writes a shared page first takes a private page for it.
     Each store keeps its own record of which blocks it has written, so
-    sharing a page never exposes the other holder's blocks. *)
+    sharing a page never exposes the other holder's blocks.
+
+    A whole page of written zeros holds the one zero page, which every
+    store shares and none owns: a staging segment's zero tail costs no
+    memory on the cache disk or on the volume it is written out to. *)
 
 type t
 
@@ -34,7 +38,11 @@ val write : t -> blk:int -> Bytes.t -> unit
 
 val write_from : t -> blk:int -> src:Bytes.t -> src_off:int -> count:int -> unit
 (** Writes [count] blocks from the view at [src_off] in [src] without an
-    intermediate slice allocation — the primitive under {!write}. *)
+    intermediate slice allocation — the primitive under {!write}. A part
+    of the range that covers a whole page and is all zeros takes the
+    zero page instead of a private page (and lets go of the page it
+    held); the check reads up to the first nonzero word and runs on
+    whole pages only. *)
 
 val share : src:t -> src_blk:int -> dst:t -> dst_blk:int -> count:int -> unit
 (** Makes blocks [dst_blk, dst_blk + count) of [dst] equal to blocks
@@ -73,11 +81,14 @@ val pages_taken : t -> int
 (** Private pages this store has taken since it was created (by
     {!create}, {!image} or {!copy}): one per first write into an
     untouched page and one per write into a page another holder
-    shares. *)
+    shares, the zero page included. A whole page of zeros takes
+    none. *)
 
 val blocks_copied : t -> int
 (** Blocks this store has taken by copying since it was created (by
     {!create}, {!image} or {!copy}): every block of a {!write_from}
     (and {!write}), every block {!share} could not take as a page, and
     every block carried over when a write took a private page in place
-    of a shared one. A move that shares whole pages adds nothing. *)
+    of a shared one (from the zero page too, though its blocks are
+    filled, not read). A move that shares whole pages adds nothing; a
+    whole page of zeros written counts like any other. *)

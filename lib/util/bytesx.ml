@@ -22,7 +22,18 @@ let set_string b ~pos ~len s =
   Bytes.fill b pos len '\000';
   Bytes.blit_string s 0 b pos (String.length s)
 
-let is_zero b =
-  let n = Bytes.length b in
-  let rec go i = i >= n || (Bytes.get b i = '\000' && go (i + 1)) in
-  go 0
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+let is_zero_sub b off len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg "Bytesx.is_zero_sub";
+  let stop = off + len in
+  let i = ref off in
+  while !i + 8 <= stop && get64u b !i = 0L do
+    i := !i + 8
+  done;
+  while !i < stop && Bytes.unsafe_get b !i = '\000' do
+    incr i
+  done;
+  !i >= stop
+
+let is_zero b = is_zero_sub b 0 (Bytes.length b)

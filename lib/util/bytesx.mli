@@ -26,3 +26,7 @@ val set_string : Bytes.t -> pos:int -> len:int -> string -> unit
 (** Writes the string NUL-padded to [len] bytes. Fails if it is longer. *)
 
 val is_zero : Bytes.t -> bool
+
+val is_zero_sub : Bytes.t -> int -> int -> bool
+(** [is_zero_sub b off len]: whether the [len] bytes from [off] are all
+    zero. Reads a word at a time and stops at the first nonzero one. *)

@@ -75,6 +75,124 @@ let test_store_snapshot_cost () =
   check Alcotest.bool "copy still reads its own bytes" true
     (Bytes.equal (store_read c ~blk:1 ~count:1) (Bytes.make 64 'y'))
 
+(* The zero page: a whole page of written zeros (32 blocks) holds one
+   page shared by every store, and takes none of its own. *)
+let zbs = 64
+let zpage = 32 * zbs
+let all_written s ~blk ~count = List.for_all (Blockstore.is_written s) (List.init count (( + ) blk))
+let reads_zeros s ~blk ~count = Util.Bytesx.is_zero (store_read s ~blk ~count)
+
+let write_zero_page s ~blk =
+  let src = Bytes.make (zpage + 7) '\000' in
+  Blockstore.write_from s ~blk ~src ~src_off:7 ~count:32
+
+let test_store_zero_page_write () =
+  let s = Blockstore.create ~block_size:zbs ~nblocks:128 in
+  write_zero_page s ~blk:32;
+  check Alcotest.int "no page taken" 0 (Blockstore.pages_taken s);
+  check Alcotest.bool "all 32 slots written" true (all_written s ~blk:32 ~count:32);
+  check Alcotest.int "written count" 32 (Blockstore.written_blocks s);
+  check Alcotest.bool "neighbours untouched" false
+    (Blockstore.is_written s 31 || Blockstore.is_written s 64);
+  check Alcotest.bool "reads zeros" true (reads_zeros s ~blk:32 ~count:32);
+  (* over a page of data: the page goes, the blocks read zeros *)
+  Blockstore.write s ~blk:64 (Bytes.make zpage 'd');
+  let taken = Blockstore.pages_taken s in
+  Blockstore.write s ~blk:64 (Bytes.make zpage '\000');
+  check Alcotest.int "zeros over data take no page" taken (Blockstore.pages_taken s);
+  check Alcotest.bool "and read zeros" true (reads_zeros s ~blk:64 ~count:32);
+  (* a partial page of zeros, or a whole page with one nonzero byte at
+     its end, is data *)
+  Blockstore.write s ~blk:0 (Bytes.make (31 * zbs) '\000');
+  check Alcotest.int "31 zero blocks take a page" (taken + 1) (Blockstore.pages_taken s);
+  let last = Bytes.make zpage '\000' in
+  Bytes.set last (zpage - 1) 'x';
+  Blockstore.write s ~blk:96 last;
+  check Alcotest.int "a nonzero last byte takes a page" (taken + 2) (Blockstore.pages_taken s);
+  check Alcotest.bytes "and keeps it" last (store_read s ~blk:96 ~count:32)
+
+let test_store_zero_page_cow () =
+  let s = Blockstore.create ~block_size:zbs ~nblocks:64 in
+  write_zero_page s ~blk:0;
+  let v = Blockstore.create ~block_size:zbs ~nblocks:64 in
+  Blockstore.share ~src:s ~src_blk:0 ~dst:v ~dst_blk:32 ~count:32;
+  check Alcotest.int "share takes no page" 0 (Blockstore.pages_taken v);
+  check Alcotest.int "and copies no block" 0 (Blockstore.blocks_copied v);
+  let snap = Blockstore.copy s in
+  let copied = Blockstore.blocks_copied s in
+  Blockstore.write s ~blk:5 (Bytes.make zbs 'd');
+  check Alcotest.int "one-block write takes a private page" 1 (Blockstore.pages_taken s);
+  check Alcotest.int "carrying the other 31 slots" (copied + 32) (Blockstore.blocks_copied s);
+  check Alcotest.bytes "writer reads its block" (Bytes.make zbs 'd') (store_read s ~blk:5 ~count:1);
+  check Alcotest.bool "and zeros around it" true
+    (reads_zeros s ~blk:0 ~count:5 && reads_zeros s ~blk:6 ~count:26);
+  check Alcotest.bool "writer keeps every slot written" true (all_written s ~blk:0 ~count:32);
+  List.iter
+    (fun (what, holder, blk) ->
+      check Alcotest.bool (what ^ " still reads zeros") true (reads_zeros holder ~blk ~count:32);
+      check Alcotest.bool (what ^ " still written") true (all_written holder ~blk ~count:32))
+    [ ("shared-into store", v, 32); ("snapshot", snap, 0) ];
+  (* each other holder takes its own page on its first write *)
+  Blockstore.write v ~blk:63 (Bytes.make zbs 'v');
+  Blockstore.write snap ~blk:0 (Bytes.make zbs 's');
+  check Alcotest.int "the volume took one" 1 (Blockstore.pages_taken v);
+  check Alcotest.int "the snapshot took one" 1 (Blockstore.pages_taken snap);
+  check Alcotest.bool "each sees only its own write" true
+    (reads_zeros v ~blk:32 ~count:31
+    && reads_zeros snap ~blk:1 ~count:31
+    && Bytes.equal (store_read s ~blk:5 ~count:1) (Bytes.make zbs 'd'))
+
+(* Letting go of zero-page slots never puts the zero page on a free
+   list: every later data write gets a page of its own, and a store
+   that still holds the zero page keeps reading zeros. *)
+let test_store_zero_page_never_private () =
+  let keep = Blockstore.create ~block_size:zbs ~nblocks:32 in
+  write_zero_page keep ~blk:0;
+  let a = Blockstore.create ~block_size:zbs ~nblocks:128 in
+  let b = Blockstore.create ~block_size:zbs ~nblocks:128 in
+  let img = Blockstore.image ~block_size:zbs ~nblocks:128 in
+  List.iter (fun blk -> write_zero_page a ~blk) [ 0; 32; 64 ];
+  Blockstore.share ~src:a ~src_blk:0 ~dst:b ~dst_blk:0 ~count:96;
+  Blockstore.share ~src:a ~src_blk:0 ~dst:img ~dst_blk:0 ~count:96;
+  let snap = Blockstore.copy a in
+  for blk = 0 to 31 do
+    Blockstore.erase_block a blk
+  done;
+  Blockstore.erase_block a 40;
+  Blockstore.erase b;
+  Blockstore.erase img;
+  Blockstore.erase snap;
+  check Alcotest.bool "a's other zero-page slots stay" true
+    (Blockstore.written_blocks a = 63
+    && (not (Blockstore.is_written a 40))
+    && all_written a ~blk:41 ~count:55
+    && reads_zeros a ~blk:32 ~count:64);
+  let fill i = Bytes.make zpage (Char.chr (65 + i)) in
+  List.iteri
+    (fun i (s, blk) ->
+      Blockstore.write s ~blk (fill i);
+      check Alcotest.bytes (Printf.sprintf "data write %d reads back" i) (fill i)
+        (store_read s ~blk ~count:32);
+      check Alcotest.bool (Printf.sprintf "zero holder after write %d" i) true
+        (reads_zeros keep ~blk:0 ~count:32))
+    [ (a, 0); (a, 96); (b, 0); (b, 32); (img, 64); (snap, 0); (snap, 96); (a, 32) ];
+  check Alcotest.int "a written throughout" 128 (Blockstore.written_blocks a)
+
+let test_store_zero_page_worm () =
+  in_sim (fun e ->
+      let jb =
+        Jukebox.create e ~drives:1 ~nvolumes:1 ~vol_capacity:256 ~media:Jukebox.sony_worm
+          ~changer:Jukebox.hp6300_changer "worm"
+      in
+      Jukebox.write jb ~vol:0 ~blk:32 (Bytes.make (32 * 4096) '\000');
+      check Alcotest.int "volume holds the zero page" 0
+        (Blockstore.pages_taken (Jukebox.volume_store jb 0));
+      check Alcotest.bool "overwrite raises" true
+        (try
+           Jukebox.write jb ~vol:0 ~blk:37 (Bytes.make 4096 'w');
+           false
+         with Jukebox.Worm_overwrite { vol = 0; blk = 37 } -> true))
+
 (* Model test: random operations run against the store and against a
    reference that keeps one [Bytes] per written block (the store's
    former representation). [Copy] forks a new store/model pair; later
@@ -82,7 +200,11 @@ let test_store_snapshot_cost () =
    original are both exercised and each must stay invisible to the
    other. [Share] moves a range from one pair to another (or within
    one), page-aligned about half the time, so shared pages then take
-   writes, erases and further shares on either side. The 8-byte blocks
+   writes, erases and further shares on either side. [Write_zero]
+   writes zeros, mostly over whole pages, which then hold the zero page;
+   [Share_pages] shares whole pages between page-aligned ranges, so
+   zero pages pass between stores and take writes, erases and copies
+   there. The 8-byte blocks
    and 100-block device (three full 32-block pages plus a short one)
    keep ranges straddling page boundaries and partly written pages
    common. *)
@@ -94,6 +216,8 @@ type store_op =
   | Op_erase of int
   | Op_copy of int
   | Op_share of int * int * int * int * int (* src store, src blk, dst store, dst blk, count *)
+  | Op_write_zero of int * int * int (* store, blk, count *)
+  | Op_share_pages of int * int * int * int * int (* src store, src page, dst store, dst page, pages *)
 
 let model_bs = 8
 let model_nblocks = 100
@@ -106,6 +230,9 @@ let pp_store_op = function
   | Op_erase w -> Printf.sprintf "erase(s%d)" w
   | Op_copy w -> Printf.sprintf "copy(s%d)" w
   | Op_share (sw, sb, dw, db, c) -> Printf.sprintf "share(s%d, %d -> s%d, %d, %d)" sw sb dw db c
+  | Op_write_zero (w, b, c) -> Printf.sprintf "write_zero(s%d, %d, %d)" w b c
+  | Op_share_pages (sw, sp, dw, dp, n) ->
+      Printf.sprintf "share_pages(s%d, p%d -> s%d, p%d, %d)" sw sp dw dp n
 
 let gen_store_op =
   let open QCheck.Gen in
@@ -137,6 +264,20 @@ let gen_store_op =
           ]
         >>= fun db ->
         int_range 1 (min 70 (model_nblocks - max sb db)) >|= fun c -> Op_share (sw, sb, dw, db, c) );
+      ( 3,
+        (* whole pages (the device's three full ones) or any range *)
+        small_nat >>= fun w ->
+        oneof
+          [
+            (int_bound 2 >>= fun p ->
+             int_range 1 (3 - p) >|= fun n -> (32 * p, 32 * n));
+            range;
+          ]
+        >|= fun (b, c) -> Op_write_zero (w, b, c) );
+      ( 2,
+        pair small_nat small_nat >>= fun (sw, dw) ->
+        pair (int_bound 2) (int_bound 2) >>= fun (sp, dp) ->
+        int_range 1 (3 - max sp dp) >|= fun n -> Op_share_pages (sw, sp, dw, dp, n) );
     ]
 
 let block_fill seed blk = Bytes.init model_bs (fun i -> Char.chr ((seed + (blk * 31) + (i * 7) + 1) land 0xff))
@@ -160,6 +301,20 @@ let prop_store_matches_model =
         ref [| (Blockstore.create ~block_size:model_bs ~nblocks:model_nblocks, Hashtbl.create 16) |]
       in
       let pick w = !worlds.(w mod Array.length !worlds) in
+      let share sw src_blk dw dst_blk count =
+        let src, smodel = pick sw and dst, dmodel = pick dw in
+        match Blockstore.share ~src ~src_blk ~dst ~dst_blk ~count with
+        | () ->
+            (* a share writes what a read of the source returns *)
+            let blocks =
+              List.init count (fun i -> Bytes.sub (model_read smodel (src_blk + i) 1) 0 model_bs)
+            in
+            List.iteri (fun i b -> Hashtbl.replace dmodel (dst_blk + i) b) blocks;
+            true
+        | exception Invalid_argument _ ->
+            (* only overlapping ranges of one store are refused *)
+            src == dst && src_blk < dst_blk + count && dst_blk < src_blk + count
+      in
       let agrees (store, model) =
         Blockstore.written_blocks store = Hashtbl.length model
         && List.for_all
@@ -213,22 +368,15 @@ let prop_store_matches_model =
                 let store, model = pick w in
                 worlds := Array.append !worlds [| (Blockstore.copy store, Hashtbl.copy model) |];
                 true
-            | Op_share (sw, src_blk, dw, dst_blk, count) -> (
-                let src, smodel = pick sw and dst, dmodel = pick dw in
-                match Blockstore.share ~src ~src_blk ~dst ~dst_blk ~count with
-                | () ->
-                    (* a share writes what a read of the source returns *)
-                    let blocks =
-                      List.init count (fun i ->
-                          Bytes.sub (model_read smodel (src_blk + i) 1) 0 model_bs)
-                    in
-                    List.iteri (fun i b -> Hashtbl.replace dmodel (dst_blk + i) b) blocks;
-                    true
-                | exception Invalid_argument _ ->
-                    (* only overlapping ranges of one store are refused *)
-                    src == dst
-                    && src_blk < dst_blk + count
-                    && dst_blk < src_blk + count)
+            | Op_share (sw, src_blk, dw, dst_blk, count) -> share sw src_blk dw dst_blk count
+            | Op_write_zero (w, blk, count) ->
+                let store, model = pick w in
+                Blockstore.write store ~blk (Bytes.make (count * model_bs) '\000');
+                for i = 0 to count - 1 do
+                  Hashtbl.replace model (blk + i) (Bytes.make model_bs '\000')
+                done;
+                true
+            | Op_share_pages (sw, sp, dw, dp, n) -> share sw (32 * sp) dw (32 * dp) (32 * n)
           in
           step_ok && Array.for_all agrees !worlds)
         ops)
@@ -764,6 +912,10 @@ let suite =
         Alcotest.test_case "bounds" `Quick test_store_bounds;
         Alcotest.test_case "erase block" `Quick test_store_erase_block;
         Alcotest.test_case "snapshot cost" `Quick test_store_snapshot_cost;
+        Alcotest.test_case "zero page: whole-page zero write" `Quick test_store_zero_page_write;
+        Alcotest.test_case "zero page: copy-on-write" `Quick test_store_zero_page_cow;
+        Alcotest.test_case "zero page: never private" `Quick test_store_zero_page_never_private;
+        Alcotest.test_case "zero page: WORM" `Quick test_store_zero_page_worm;
       ] );
     ( "device.disk",
       [

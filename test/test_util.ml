@@ -52,7 +52,23 @@ let test_is_zero () =
   let b = Bytes.make 64 '\000' in
   Bytes.set b 63 '\001';
   check Alcotest.bool "dirty" false (Bytesx.is_zero b);
-  check Alcotest.bool "empty" true (Bytesx.is_zero Bytes.empty)
+  check Alcotest.bool "empty" true (Bytesx.is_zero Bytes.empty);
+  (* ranges: a lone nonzero byte inside, before or after the range,
+     at every offset and length around the word size *)
+  let b = Bytes.make 40 '\000' in
+  for dirty = -1 to 39 do
+    if dirty >= 0 then Bytes.set b dirty '\255';
+    for off = 0 to 39 do
+      for len = 0 to 40 - off do
+        let expect = dirty < off || dirty >= off + len in
+        if Bytesx.is_zero_sub b off len <> expect then
+          Alcotest.failf "is_zero_sub off=%d len=%d with byte %d set" off len dirty
+      done
+    done;
+    if dirty >= 0 then Bytes.set b dirty '\000'
+  done;
+  Alcotest.check_raises "range past the end" (Invalid_argument "Bytesx.is_zero_sub") (fun () ->
+      ignore (Bytesx.is_zero_sub b 36 5))
 
 (* --- Crc32 --- *)
 
