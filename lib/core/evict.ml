@@ -58,27 +58,26 @@ let choose_victim st =
 
 (* One allocation attempt: evict past the cap or a victim if needed,
    but never wait. *)
-let try_allocate ?(staging = false) st =
+let try_allocate st =
   let fsys = fs st in
   let cap = Seg_cache.max_lines st.cache in
   if Seg_cache.length st.cache > cap then
     Option.iter (eject st) (choose_victim st);
-  match Lfs.Fs.alloc_clean_segment fsys ~for_cache:(not staging) with
+  match Lfs.Fs.alloc_clean_segment fsys with
   | Some seg -> Some seg
   | None -> (
       match choose_victim st with
       | Some victim ->
           eject st victim;
-          Lfs.Fs.alloc_clean_segment fsys ~for_cache:(not staging)
+          Lfs.Fs.alloc_clean_segment fsys
       | None -> None)
 
 (* Obtain a disk segment to serve as a cache line, ejecting victims when
-   the clean pool or the static cache cap is exhausted. [staging] lines
-   (migration) may dig past the cleaner's reserve. When everything is
-   pinned or in flight, sleep on [cache_progress] — signalled by
+   the clean pool or the static cache cap is exhausted. When everything
+   is pinned or in flight, sleep on [cache_progress] — signalled by
    evictions, pin releases, segment frees and transfer completions —
    instead of polling the simulation clock. *)
-let allocate ?(staging = false) st =
+let allocate st =
   let fsys = fs st in
   let cap = Seg_cache.max_lines st.cache in
   let rec go waits =
@@ -93,7 +92,7 @@ let allocate ?(staging = false) st =
           go (waits + 1)
     end
     else
-      match Lfs.Fs.alloc_clean_segment fsys ~for_cache:(not staging) with
+      match Lfs.Fs.alloc_clean_segment fsys with
       | Some seg -> seg
       | None -> (
           match choose_victim st with

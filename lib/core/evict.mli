@@ -14,13 +14,11 @@ val choose_victim : State.t -> Seg_cache.line option
     (victim plus passed-over candidates) and registers the victim for
     the eviction-regret SLI. Zero-cost when the observatory is off. *)
 
-val try_allocate : ?staging:bool -> State.t -> int option
+val try_allocate : State.t -> int option
 (** One allocation attempt that never waits: ejects a victim when past
     the cap or when the clean pool is empty; [None] when nothing could
     be freed. *)
 
-val allocate : ?staging:bool -> State.t -> int
+val allocate : State.t -> int
 (** Obtains a disk segment for use as a cache line, sleeping on
-    [State.t.cache_progress] while everything is pinned or in flight.
-    Staging allocations (the migrator) may dig past the cleaner's
-    reserve. *)
+    [State.t.cache_progress] while everything is pinned or in flight. *)

@@ -23,9 +23,10 @@ let resolve_candidate ?allow_tertiary st (inum, bkey) =
   | -1 -> None
   | addr -> Some (inum, bkey, addr)
 
-(* Stage [blocks], then [inode_set]'s inodes, into a new staging line's
-   one partial, and queue it for copy-out; what does not fit is left for
-   the next line. *)
+(* Stage [blocks] into a new staging line's one partial or, when there
+   are none, [inode_set]'s inodes, and queue it for copy-out; what does
+   not fit is left for the next line. Nothing points into the line until
+   it is written. *)
 let stage_line ?(defer = false) st blocks inode_set =
   (* the blocks offered to the line, up to a segment's worth: fewer fit
      only when their summary runs out of space first *)
@@ -34,8 +35,9 @@ let stage_line ?(defer = false) st blocks inode_set =
     ~args:[ ("blocks", string_of_int offered) ]
   @@ fun () ->
   let fsys = fs st in
+  let imap = Fs.imap fsys in
   let tindex = next_tseg st in
-  let disk_seg = Evict.allocate ~staging:true st in
+  let disk_seg = Evict.allocate st in
   let line =
     Seg_cache.insert st.cache ~tindex ~disk_seg ~state:Seg_cache.Staging
       ~now:(Sim.Engine.now st.engine)
@@ -65,9 +67,45 @@ let stage_line ?(defer = false) st blocks inode_set =
         | -1 -> (List.rev acc, left)
         | taddr -> stage ((inum, bkey, addr, taddr) :: acc) rest)
   in
-  let payload, blocks_left = stage [] blocks in
-  (* re-verify and re-aim pointers; blocks that moved while we were
-     reading are left as dead slots in the staging segment *)
+  (* an inode is packed with the inode map entry it had, so its move can
+     be re-verified once the line is written *)
+  let assemble () =
+    match blocks with
+    | _ :: _ ->
+        let payload, blocks_left = stage [] blocks in
+        (payload, blocks_left, [], inode_set)
+    | [] ->
+        let inodes =
+          List.filter_map
+            (fun inum ->
+              match Fs.get_inode fsys inum with exception Not_found -> None | i -> Some (i, true))
+            inode_set
+        in
+        let packed, rest = Fs.stage_inodes fsys p inodes in
+        ( [],
+          [],
+          List.map
+            (fun (addr, inums) ->
+              (addr, List.map (fun inum -> (inum, (Imap.get imap inum).Imap.addr)) inums))
+            packed,
+          List.map (fun (ino, _) -> ino.Inode.inum) rest )
+  in
+  let payload, blocks_left, packed, inodes_left =
+    match
+      let staged = assemble () in
+      Fs.close_partial fsys p;
+      staged
+    with
+    | staged -> staged
+    | exception (Io_error _ as e) ->
+        (* no pointer has moved: the line and its segments go back *)
+        Seg_cache.remove st.cache line;
+        Fs.release_segment fsys disk_seg;
+        Segusage.set_state st.tseg tindex Segusage.Clean;
+        raise e
+  in
+  (* re-verify and re-aim pointers; blocks and inodes that moved while
+     the line was read or written are left as dead slots in it *)
   let live =
     List.filter
       (fun (inum, bkey, addr, taddr) ->
@@ -76,23 +114,21 @@ let stage_line ?(defer = false) st blocks inode_set =
             true))
       payload
   in
-  (* optionally pack the fully-migrated inodes right into the segment *)
-  let inode_blocks, inodes_left =
-    if blocks_left <> [] then ([], inode_set)
-    else
-      let inodes =
-        List.filter_map
-          (fun inum ->
-            match Fs.get_inode fsys inum with exception Not_found -> None | i -> Some (i, true))
-          inode_set
-      in
-      let packed, rest = Fs.stage_inodes fsys p inodes in
-      (packed, List.map (fun (ino, _) -> ino.Inode.inum) rest)
+  let inode_blocks =
+    List.map
+      (fun (addr, inums) ->
+        let still =
+          List.filter_map
+            (fun (inum, was) -> if (Imap.get imap inum).Imap.addr = was then Some inum else None)
+            inums
+        in
+        Fs.place_inodes fsys addr still;
+        (addr, still))
+      packed
   in
   let ninodes = List.fold_left (fun n (_, inums) -> n + List.length inums) 0 inode_blocks in
   if ninodes > 0 then
     Sim.Metrics.incr ~by:ninodes (Sim.Metrics.counter st.metrics "migrator.inodes_migrated");
-  Fs.close_partial fsys p;
   (* manifest for end-of-medium re-homing *)
   Hashtbl.replace st.manifests tindex
     (List.map

@@ -67,43 +67,34 @@ let select_volume st =
       end;
       Some vol
 
-(* Scan one tertiary segment image for live contents. Staged segments
-   carry a single summary in block 0 covering the whole payload. *)
-let live_contents st tindex =
+let volume_segment st tindex =
   let vol, seg = Addr_space.vol_seg_of_tindex st.aspace tindex in
-  let sum_block = Footprint.read_blocks st.fp ~vol ~seg ~off:0 ~count:1 in
-  match Summary.deserialize sum_block with
-  | Error _ -> ([], [])
-  | Ok (sum, _) ->
-      let fsys = fs st in
-      let base = Addr_space.seg_base st.aspace tindex in
-      let cursor = ref (base + 1) in
-      let live_blocks = ref [] in
-      List.iter
-        (fun fi ->
-          List.iter
-            (fun bkey ->
-              let addr = !cursor in
-              incr cursor;
-              if Cleaner.is_live fsys ~addr ~inum:fi.Summary.fi_ino
-                   ~version:fi.Summary.fi_version bkey
-              then live_blocks := (fi.Summary.fi_ino, bkey) :: !live_blocks)
-            fi.Summary.fi_blocks)
-        sum.Summary.finfos;
-      let live_inodes = ref [] in
-      List.iter
-        (fun inode_addr ->
-          let off = Addr_space.offset_in_seg st.aspace inode_addr in
-          let block = Footprint.read_blocks st.fp ~vol ~seg ~off ~count:1 in
-          Inode.iter_block block (fun ino ->
-              let inum = ino.Inode.inum in
-              if inum > 0 && inum < Imap.max_inodes (Fs.imap fsys) then begin
-                let e = Imap.get (Fs.imap fsys) inum in
-                if e.Imap.addr = inode_addr && e.Imap.version = ino.Inode.version then
-                  live_inodes := inum :: !live_inodes
-              end))
-        sum.Summary.inode_addrs;
-      (List.rev !live_blocks, List.rev !live_inodes)
+  {
+    Cleaner.base = Addr_space.seg_base st.aspace tindex;
+    stop = seg_blocks st;
+    read =
+      (fun addr f ->
+        f
+          (Footprint.read_blocks st.fp ~vol ~seg
+             ~off:(Addr_space.offset_in_seg st.aspace addr)
+             ~count:1));
+  }
+
+let live_contents st tindex =
+  let fsys = fs st in
+  let blocks, inodes =
+    Cleaner.fold_segment fsys (volume_segment st tindex)
+      {
+        Cleaner.file_block =
+          (fun ((blocks, inodes) as acc) ~addr ~inum ~version bkey ->
+            if Cleaner.is_live fsys ~addr ~inum ~version bkey then ((inum, bkey) :: blocks, inodes)
+            else acc);
+        inode_block = (fun acc ~addr:_ -> acc);
+        live_inode = (fun (blocks, inodes) ~addr:_ ~inum -> (blocks, inum :: inodes));
+      }
+      ([], [])
+  in
+  (List.rev blocks, List.rev inodes)
 
 let clean_volume st vol =
   Sim.Trace.span ~track:"tertiary-cleaner" ~cat:"cleaner" "clean-volume"

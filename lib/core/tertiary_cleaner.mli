@@ -12,9 +12,13 @@ type result = {
   inodes_remigrated : int;
 }
 
+val volume_segment : State.t -> int -> Lfs.Cleaner.source
+(** A tertiary segment as {!Lfs.Cleaner.fold_segment} walks it: read
+    block by block from its volume. *)
+
 val live_contents : State.t -> int -> (int * Lfs.Bkey.t) list * int list
 (** Live (inum, block) pairs and live inode inums recorded in a tertiary
-    segment's summary — the unit of work for rearrangement (§5.4) and
+    segment's summaries — the unit of work for rearrangement (§5.4) and
     volume cleaning. *)
 
 val volume_live_bytes : State.t -> int -> int

@@ -22,5 +22,3 @@ let transfer t duration =
   | exception e ->
       Sim.Resource.release t.res;
       raise e
-
-let utilization t = Sim.Resource.utilization t.res

@@ -11,5 +11,3 @@ val resource : t -> Sim.Resource.t
 
 val transfer : t -> float -> unit
 (** Holds the bus for the given duration (a data phase). *)
-
-val utilization : t -> float

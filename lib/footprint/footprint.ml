@@ -139,9 +139,6 @@ let erase_volume t vol =
   Jukebox.erase_volume jb v;
   t.full.(vol) <- false
 
-let reserve_write_drive t flag =
-  List.iter (fun m -> Jukebox.reserve_write_drive m.jb flag) t.members
-
 let describe t =
   List.map
     (fun m ->

@@ -88,8 +88,6 @@ val write_seg_stream_from :
 val erase_volume : t -> int -> unit
 (** Support for the tertiary cleaner: reclaims a whole volume. *)
 
-val reserve_write_drive : t -> bool -> unit
-
 val describe : t -> string list
 (** One human-readable line per jukebox (media type, drives, volumes,
     capacity) — used to render the paper's Fig. 2. *)

@@ -116,7 +116,6 @@ let create ~cap ~block_size =
     files = Array.make 64 nil; pool = Bufpool.create block_size; cap;
     n_clean = 0; n_dirty = 0; n_hits = 0; n_misses = 0 }
 
-let capacity t = t.cap
 let pool t = t.pool
 let take t = Bufpool.take t.pool
 let give t b = Bufpool.give t.pool b

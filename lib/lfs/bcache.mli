@@ -64,7 +64,6 @@ module Tbl : Hashtbl.S with type key = int
 type t
 
 val create : cap:int -> block_size:int -> t
-val capacity : t -> int
 
 val pool : t -> Util.Bufpool.t
 (** The cache's pool of [block_size] buffers. *)

@@ -42,46 +42,75 @@ let select_victims fs ~policy ~limit =
   end;
   List.map fst victims
 
-let fold_partials ?(stop = max_int) fs seg f acc =
+type source = { base : int; stop : int; read : 'b. int -> (Bytes.t -> 'b) -> 'b }
+
+let log_segment fs seg =
   let p = Fs.param fs in
-  let base = Layout.seg_base p seg in
-  let stop = min (p.Param.seg_blocks - 1) stop in
+  {
+    base = Layout.seg_base p seg;
+    (* past the log head lie stale blocks of an earlier incarnation *)
+    stop = (if seg = Fs.cur_seg fs then Fs.cur_off fs else p.Param.seg_blocks);
+    read = (fun addr f -> Fs.with_block fs addr f);
+  }
+
+let fold_partials fs src f acc =
+  let seg_blocks = (Fs.param fs).Param.seg_blocks in
+  let stop = min (seg_blocks - 1) src.stop in
   let rec go off acc =
     if off >= stop then acc
     else
-      match Fs.with_block fs (base + off) Summary.deserialize with
+      match src.read (src.base + off) Summary.deserialize with
       | Error _ -> acc
       | Ok (sum, data_crc) ->
-          let nb = Summary.nblocks_total sum in
-          if off + 1 + nb > p.Param.seg_blocks then acc
-          else go (off + 1 + nb) (f acc ~off ~sum ~data_crc)
+          let next = off + 1 + Summary.nblocks_total sum in
+          if next > seg_blocks then acc
+          else
+            let acc = f acc ~off ~sum ~data_crc in
+            (* a partial with no successor (a staging line's) ends the chain *)
+            if sum.Summary.ss_next = -1 then acc else go next acc
   in
   go 0 acc
 
-let scan_segment fs seg =
-  let p = Fs.param fs in
-  let base = Layout.seg_base p seg in
-  (* records accumulate in reverse across partials: one reversal at the
-     end instead of an append per partial *)
-  List.rev
-    (fold_partials fs seg
-       (fun acc ~off ~sum ~data_crc:_ ->
-         let cursor = ref (base + off + 1) in
-         let acc =
-           List.fold_left
-             (fun acc fi ->
-               List.fold_left
-                 (fun acc bkey ->
-                   let r = (!cursor, fi.Summary.fi_ino, bkey) in
-                   incr cursor;
-                   r :: acc)
-                 acc fi.Summary.fi_blocks)
-             acc sum.Summary.finfos
-         in
-         List.fold_left
-           (fun acc addr -> (addr, -1, Bkey.Data 0) :: acc)
-           acc sum.Summary.inode_addrs)
-       [])
+type 'a visit = {
+  file_block : 'a -> addr:int -> inum:int -> version:int -> Bkey.t -> 'a;
+  inode_block : 'a -> addr:int -> 'a;
+  live_inode : 'a -> addr:int -> inum:int -> 'a;
+}
+
+let fold_segment fs src v acc =
+  let imap = Fs.imap fs in
+  let rec file_blocks acc addr inum version = function
+    | [] -> acc
+    | bkey :: rest ->
+        file_blocks (v.file_block acc ~addr ~inum ~version bkey) (addr + 1) inum version rest
+  in
+  let rec finfos acc addr = function
+    | [] -> acc
+    | fi :: rest ->
+        let blocks = fi.Summary.fi_blocks in
+        let acc = file_blocks acc addr fi.Summary.fi_ino fi.Summary.fi_version blocks in
+        finfos acc (addr + List.length blocks) rest
+  in
+  (* an inode in an inode block is live iff the inode map points at that
+     block with the inode's version *)
+  let inode_block acc addr =
+    let acc = v.inode_block acc ~addr in
+    src.read addr (fun block ->
+        let acc = ref acc in
+        Inode.iter_block block (fun ino ->
+            let inum = ino.Inode.inum in
+            if inum > 0 && inum < Imap.max_inodes imap then begin
+              let e = Imap.get imap inum in
+              if e.Imap.addr = addr && e.Imap.version = ino.Inode.version then
+                acc := v.live_inode !acc ~addr ~inum
+            end);
+        !acc)
+  in
+  fold_partials fs src
+    (fun acc ~off ~sum ~data_crc:_ ->
+      let acc = finfos acc (src.base + off + 1) sum.Summary.finfos in
+      List.fold_left inode_block acc sum.Summary.inode_addrs)
+    acc
 
 let is_live fs ~addr ~inum ~version bkey =
   let e = Imap.get (Fs.imap fs) inum in
@@ -92,62 +121,37 @@ let is_live fs ~addr ~inum ~version bkey =
     | ino -> Fs.lookup_addr fs ino bkey = addr
 
 let collect_segment fs seg =
-  let p = Fs.param fs in
-  let dev = Fs.dev fs in
-  let base = Layout.seg_base p seg in
-  let moved = ref 0 in
-  ignore
-    (fold_partials fs seg
-       (fun () ~off ~sum ~data_crc:_ ->
-         let cursor = ref (base + off + 1) in
-         (* live file blocks: drag them into the cache dirty so the next
-            flush re-homes them at the log tail *)
-         List.iter
-           (fun fi ->
-             let inum = fi.Summary.fi_ino in
-             List.iter
-               (fun bkey ->
-                 let addr = !cursor in
-                 incr cursor;
-                 if is_live fs ~addr ~inum ~version:fi.Summary.fi_version bkey then begin
-                   let key = Bcache.key inum bkey in
-                   let cache = Fs.bcache fs in
-                   if not (Bcache.is_dirty cache key) then begin
-                     (match Bcache.find cache key with
-                     | d when d != Bcache.miss -> Bcache.mark_dirty cache key
-                     | _ ->
-                         (* the block keeps the sum it was written with,
-                            so bytes damaged on the disk since then fail
-                            their new partial's checksum instead of
-                            being summed afresh *)
-                         let b = Bcache.take cache in
-                         dev.Dev.read_into ~blk:addr ~count:1 ~dst:(Util.Bufpool.bytes b)
-                           ~dst_off:0;
-                         Bcache.put_dirty_buf cache key ~old_addr:addr
-                           ~crc:(Fs.written_crc fs addr) b);
-                     incr moved
-                   end
-                 end)
-               fi.Summary.fi_blocks)
-           sum.Summary.finfos;
-         (* live inodes: re-dirty them so they are re-packed elsewhere *)
-         List.iter
-           (fun inode_addr ->
-             Fs.with_block fs inode_addr (fun block ->
-                 Inode.iter_block block (fun disk_ino ->
-                     let inum = disk_ino.Inode.inum in
-                     if inum > 0 && inum < Imap.max_inodes (Fs.imap fs) then begin
-                       let e = Imap.get (Fs.imap fs) inum in
-                       if e.addr = inode_addr && e.version = disk_ino.Inode.version then begin
-                         let ino = Fs.get_inode fs inum in
-                         Fs.mark_inode_dirty fs ino;
-                         incr moved
-                       end
-                     end)))
-           sum.Summary.inode_addrs;
-         ())
-       ());
-  !moved
+  let dev = Fs.dev fs and cache = Fs.bcache fs in
+  fold_segment fs (log_segment fs seg)
+    {
+      (* live file blocks: drag them into the cache dirty so the next
+         flush re-homes them at the log tail *)
+      file_block =
+        (fun moved ~addr ~inum ~version bkey ->
+          if not (is_live fs ~addr ~inum ~version bkey) then moved
+          else
+            let key = Bcache.key inum bkey in
+            if Bcache.is_dirty cache key then moved
+            else begin
+              (match Bcache.find cache key with
+              | d when d != Bcache.miss -> Bcache.mark_dirty cache key
+              | _ ->
+                  (* the block keeps the sum it was written with, so
+                     bytes damaged on the disk since then fail their new
+                     partial's checksum instead of being summed afresh *)
+                  let b = Bcache.take cache in
+                  dev.Dev.read_into ~blk:addr ~count:1 ~dst:(Util.Bufpool.bytes b) ~dst_off:0;
+                  Bcache.put_dirty_buf cache key ~old_addr:addr ~crc:(Fs.written_crc fs addr) b);
+              moved + 1
+            end);
+      inode_block = (fun moved ~addr:_ -> moved);
+      (* live inodes: re-dirty them so they are re-packed elsewhere *)
+      live_inode =
+        (fun moved ~addr:_ ~inum ->
+          Fs.mark_inode_dirty fs (Fs.get_inode fs inum);
+          moved + 1);
+    }
+    0
 
 let clean_segments fs segs =
   Fs.set_cleaning fs true;

@@ -48,22 +48,49 @@ val spawn_daemon :
     [high_water]. Returns a function that shuts the daemon down (it
     exits at its next wake-up). *)
 
+(** {1 The segment walker}
+
+    One walk over a segment's partial summaries serves both cleaners,
+    the tertiary rearranger and fsck; what differs is only where the
+    segment's blocks are read from. *)
+
+type source = {
+  base : int;  (** address of the segment's first block *)
+  stop : int;  (** offset no partial summary lies at or beyond *)
+  read : 'b. int -> (Bytes.t -> 'b) -> 'b;
+      (** [read addr f] reads the block at address [addr] and applies
+          [f] to its bytes, which [f] must not keep *)
+}
+
+val log_segment : Fs.t -> int -> source
+(** A log segment, read through {!Fs.with_block}; the active segment
+    stops at the log head. *)
+
 val fold_partials :
-  ?stop:int ->
-  Fs.t ->
-  int ->
-  ('a -> off:int -> sum:Summary.t -> data_crc:int -> 'a) ->
-  'a ->
-  'a
+  Fs.t -> source -> ('a -> off:int -> sum:Summary.t -> data_crc:int -> 'a) -> 'a -> 'a
 (** Walks a segment's chain of partial summaries from offset 0, passing
     each partial's offset, summary and recorded data checksum. The walk
-    ends at the first block that is not a valid summary, at a partial
-    that would overrun the segment, or at offset [stop] (default: the
-    segment's end; fsck passes the log head for the active segment). *)
+    ends after a partial with no successor ([ss_next = -1], which every
+    staging line's partial is), at the first block that is not a valid
+    summary, at a partial that would overrun the segment, or at the
+    source's [stop]. *)
 
-val scan_segment : Fs.t -> int -> (int * int * Bkey.t) list
-(** All (address, inum, bkey) block records found in a segment's
-    summaries, live or dead (debug and fsck support; inode blocks are
-    reported with inum -1 and a dummy key). *)
+type 'a visit = {
+  file_block : 'a -> addr:int -> inum:int -> version:int -> Bkey.t -> 'a;
+      (** a file block a summary names, live or dead, with the file
+          version the summary recorded *)
+  inode_block : 'a -> addr:int -> 'a;  (** an inode block, before its live inodes *)
+  live_inode : 'a -> addr:int -> inum:int -> 'a;
+      (** an inode the inode map places in the inode block at [addr] *)
+}
+
+val fold_segment : Fs.t -> source -> 'a visit -> 'a -> 'a
+(** The segment's contents, partial by partial and in address order
+    within one: its file blocks, then each inode block and the inodes
+    that still live there, read through the source. An inode is live
+    in a block iff the inode map points at that block with the inode's
+    version; a file block's liveness is {!is_live}. *)
 
 val is_live : Fs.t -> addr:int -> inum:int -> version:int -> Bkey.t -> bool
+(** A file block at [addr] is live iff its file still has [version] and
+    maps the block to [addr]. *)

@@ -11,24 +11,28 @@ let render_map fs =
 
 let render_segments ?(limit = 16) fs =
   let buf = Buffer.create 1024 in
+  let line fmt = Format.kasprintf (Buffer.add_string buf) fmt in
   let shown = ref 0 in
   Segusage.iter (Fs.seguse fs) (fun seg e ->
       if e.Segusage.state <> Segusage.Clean && !shown < limit then begin
         incr shown;
-        Buffer.add_string buf
-          (Format.asprintf "segment %3d  %-6s live=%-8d%s@." seg
-             (Format.asprintf "%a" Segusage.pp_state e.Segusage.state)
-             e.Segusage.live_bytes
-             (if e.Segusage.cache_tag >= 0 then
-                Printf.sprintf "  caches tertiary seg %d" e.Segusage.cache_tag
-              else ""));
-        List.iter
-          (fun (addr, inum, bkey) ->
-            if inum >= 0 then
-              Buffer.add_string buf
-                (Format.asprintf "    blk %-8d ino %-5d %a@." addr inum Bkey.pp bkey)
-            else Buffer.add_string buf (Format.asprintf "    blk %-8d [inode block]@." addr))
-          (Cleaner.scan_segment fs seg)
+        line "segment %3d  %-6s live=%-8d%s@." seg
+          (Format.asprintf "%a" Segusage.pp_state e.Segusage.state)
+          e.Segusage.live_bytes
+          (if e.Segusage.cache_tag >= 0 then
+             Printf.sprintf "  caches tertiary seg %d" e.Segusage.cache_tag
+           else "");
+        (* a cached segment holds a tertiary image, not the log *)
+        if e.Segusage.state <> Segusage.Cached then
+          Cleaner.fold_segment fs (Cleaner.log_segment fs seg)
+            {
+              Cleaner.file_block =
+                (fun () ~addr ~inum ~version:_ bkey ->
+                  line "    blk %-8d ino %-5d %a@." addr inum Bkey.pp bkey);
+              inode_block = (fun () ~addr -> line "    blk %-8d [inode block]@." addr);
+              live_inode = (fun () ~addr:_ ~inum:_ -> ());
+            }
+            ()
       end);
   Buffer.contents buf
 
@@ -53,29 +57,18 @@ let live_audit fs =
       match e.Segusage.state with
       | Segusage.Clean | Segusage.Cached -> ()
       | Segusage.Dirty | Segusage.Active ->
-          let actual = ref 0 in
-          List.iter
-            (fun (addr, inum, bkey) ->
-              if inum >= 0 then begin
-                let entry = Imap.get (Fs.imap fs) inum in
-                if
-                  entry.Imap.addr <> -1
-                  && Cleaner.is_live fs ~addr ~inum ~version:entry.Imap.version bkey
-                then actual := !actual + bs
-              end
-              else begin
-                (* an inode block: count the inodes that still live here *)
-                Fs.with_block fs addr (fun block ->
-                    Inode.iter_block block (fun ino ->
-                        let inum = ino.Inode.inum in
-                        if inum > 0 && inum < Imap.max_inodes (Fs.imap fs) then begin
-                          let entry = Imap.get (Fs.imap fs) inum in
-                          if entry.Imap.addr = addr && entry.Imap.version = ino.Inode.version
-                          then actual := !actual + Inode.isize
-                        end))
-              end)
-            (Cleaner.scan_segment fs seg);
-          out := (seg, e.Segusage.live_bytes, !actual) :: !out);
+          let actual =
+            Cleaner.fold_segment fs (Cleaner.log_segment fs seg)
+              {
+                Cleaner.file_block =
+                  (fun n ~addr ~inum ~version bkey ->
+                    if Cleaner.is_live fs ~addr ~inum ~version bkey then n + bs else n);
+                inode_block = (fun n ~addr:_ -> n);
+                live_inode = (fun n ~addr:_ ~inum:_ -> n + Inode.isize);
+              }
+              0
+          in
+          out := (seg, e.Segusage.live_bytes, actual) :: !out);
   List.rev !out
 
 (* Every partial in the log's Dirty and Active segments must still match
@@ -92,9 +85,8 @@ let data_sum_problems fs =
       match e.Segusage.state with
       | Segusage.Clean | Segusage.Cached -> ()
       | Segusage.Dirty | Segusage.Active ->
-          let stop = if seg = Fs.cur_seg fs then Fs.cur_off fs else prm.Param.seg_blocks in
           let base = Layout.seg_base prm seg in
-          Cleaner.fold_partials ~stop fs seg
+          Cleaner.fold_partials fs (Cleaner.log_segment fs seg)
             (fun () ~off ~sum ~data_crc ->
               let nb = Summary.nblocks_total sum in
               if nb > 0 then begin

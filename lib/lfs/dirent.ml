@@ -66,5 +66,3 @@ let count b =
   let c = ref 0 in
   iter b (fun _ _ -> incr c);
   !c
-
-let is_empty_block b = count b = 0

@@ -20,4 +20,3 @@ val remove : Bytes.t -> string -> bool
 
 val iter : Bytes.t -> (string -> int -> unit) -> unit
 val count : Bytes.t -> int
-val is_empty_block : Bytes.t -> bool

@@ -164,9 +164,14 @@ val stage_copy : t -> partial -> Bcache.key -> (Bytes.t -> int -> int) -> int
 
 val stage_inodes :
   t -> partial -> (Inode.t * bool) list -> (int * int list) list * (Inode.t * bool) list
-(** Packs inodes, each with whether it is live, into inode blocks in [p],
-    and moves the live ones there. Returns the blocks staged, as address
-    and live inums, and the inodes left over. *)
+(** Packs inodes, each with whether it is live, into inode blocks in [p].
+    Returns the blocks staged, as address and live inums, and the inodes
+    left over. The inode map still points at the inodes' old copies:
+    {!place_inodes} moves them once the partial is written. *)
+
+val place_inodes : t -> int -> int list -> unit
+(** [place_inodes t addr inums] points the inode map at the inode block
+    at [addr] for [inums], moving their live bytes there. *)
 
 val close_partial : t -> partial -> unit
 (** Writes the summary and the staged blocks through {!dev}. *)
@@ -178,12 +183,13 @@ val segments_needed : t -> int -> int
     every file they or the dirty inodes belong to, and the summaries.
     {!flush} raises {!No_space} up front when fewer are free. *)
 
-val alloc_clean_segment : t -> for_cache:bool -> int option
+val alloc_clean_segment : t -> int option
 (** Takes a clean segment out of the allocation pool, leaving it in
-    [Cached] state. With [for_cache:true] (demand-fetch cache lines) it
-    refuses to dip into the cleaner's reserve; with [for_cache:false]
-    (migration staging) it digs nearly to the bottom, because staging is
-    how a full disk frees itself. *)
+    [Cached] state, or [None] when at most two are clean or no clean
+    one lies at or above the cache floor.
+    Cache lines and staging lines alike dig that deep: a demand fetch
+    is a liveness requirement and staging is how a full disk frees
+    itself. *)
 
 val release_segment : t -> int -> unit
 (** Returns a segment to the clean pool and fires the [segments_freed]

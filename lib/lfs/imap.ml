@@ -29,8 +29,6 @@ let get t inum =
   if inum < 0 || inum >= Array.length t.entries then invalid_arg "Imap.get: bad inum";
   t.entries.(inum)
 
-let is_allocated t inum = (get t inum).addr <> -1 || inum = 0
-
 (* The block index is geometry-dependent; dirtiness is tracked at a
    nominal 4 KB block size and re-derived if serialized differently.
    We simply record the inum and compute blocks on demand. *)

@@ -21,8 +21,6 @@ val first_regular_inum : int
 val get : t -> int -> entry
 (** Entry for an inum; [addr = -1] means free. *)
 
-val is_allocated : t -> int -> bool
-
 val set_addr : t -> int -> int -> unit
 (** Updates the inode location, dirtying the covering ifile block. *)
 

@@ -140,8 +140,3 @@ let equal_shape a b =
   a.inum = b.inum && a.kind = b.kind && a.nlink = b.nlink && a.size = b.size
   && a.version = b.version && a.direct = b.direct && a.single = b.single && a.double = b.double
   && a.triple = b.triple && a.uid = b.uid && a.gid = b.gid
-
-let pp fmt t =
-  Format.fprintf fmt "inode %d v%d %s nlink=%d size=%d" t.inum t.version
-    (match t.kind with Reg -> "reg" | Dir -> "dir" | Symlink -> "symlink")
-    t.nlink t.size

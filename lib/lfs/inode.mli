@@ -59,5 +59,3 @@ val iter_block : Bytes.t -> (t -> unit) -> unit
 
 val equal_shape : t -> t -> bool
 (** Structural equality of all persistent fields (testing aid). *)
-
-val pp : Format.formatter -> t -> unit

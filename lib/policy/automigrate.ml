@@ -16,10 +16,6 @@ let disk_resident st inum =
           if Addr_space.is_disk st.State.aspace addr then found := true);
       !found
 
-let namespace_policy ranking ~root fs ~target_bytes =
-  Namespace.select fs ranking ~root ~target_bytes
-  |> List.concat_map (fun u -> u.Namespace.inums)
-
 let run_once ?(policy_id = "custom") st ~policy ~low_water ~high_water =
   let fs = State.fs st in
   if Lfs.Fs.nclean fs >= low_water then 0

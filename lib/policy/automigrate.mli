@@ -12,7 +12,6 @@ type policy_fn = Lfs.Fs.t -> target_bytes:int -> int list
 (** Chooses the files (inums) to migrate for a byte target. *)
 
 val stp_policy : Stp.t -> policy_fn
-val namespace_policy : Namespace.ranking -> root:string -> policy_fn
 
 val disk_resident : Highlight.State.t -> int -> bool
 (** True when the file still has disk-resident blocks (worth migrating). *)

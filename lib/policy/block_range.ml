@@ -76,15 +76,7 @@ let observe t ~inum ~lbn_lo ~lbn_hi ~write ~now =
   in
   Hashtbl.replace t.table inum (enforce merged)
 
-let observe_bytes t ~block_size ~inum ~off ~len ~write ~now =
-  if len > 0 then
-    observe t ~inum ~lbn_lo:(off / block_size)
-      ~lbn_hi:((off + len - 1) / block_size)
-      ~write ~now
-
 let ranges t inum = Option.value ~default:[] (Hashtbl.find_opt t.table inum)
-
-let records t = Hashtbl.fold (fun _ l acc -> acc + List.length l) t.table 0
 
 let cold_blocks t ~now ~older_than =
   Hashtbl.fold
@@ -103,7 +95,8 @@ let forget t inum = Hashtbl.remove t.table inum
 
 let attach t ~block_size hl =
   Highlight.State.subscribe (Highlight.Hl.state hl) (function
-    | Highlight.State.File_access { inum; off; len; write } ->
-        observe_bytes t ~block_size ~inum ~off ~len ~write
-          ~now:(Sim.Engine.now (Highlight.Hl.engine hl))
+    | Highlight.State.File_access { inum; off; len; write } when len > 0 ->
+        observe t ~inum ~lbn_lo:(off / block_size)
+          ~lbn_hi:((off + len - 1) / block_size)
+          ~write ~now:(Sim.Engine.now (Highlight.Hl.engine hl))
     | _ -> ())

@@ -23,13 +23,9 @@ type t
 val create : ?max_records_per_file:int -> unit -> t
 
 val observe : t -> inum:int -> lbn_lo:int -> lbn_hi:int -> write:bool -> now:float -> unit
-val observe_bytes : t -> block_size:int -> inum:int -> off:int -> len:int -> write:bool -> now:float -> unit
 
 val ranges : t -> int -> range list
 (** Disjoint, sorted ranges currently tracked for a file. *)
-
-val records : t -> int
-(** Total records across all files (the bookkeeping cost). *)
 
 val cold_blocks : t -> now:float -> older_than:float -> (int * Lfs.Bkey.t) list
 (** Blocks in ranges idle for at least [older_than], ready to hand to

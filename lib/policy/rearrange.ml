@@ -6,11 +6,10 @@ type t = {
   min_group : int;
   mutable current : (float * int list) option;  (* last fetch time, members (newest first) *)
   mutable ready : int list list;
-  mutable n_rewrites : int;
 }
 
 let create ?(window = 300.0) ?(min_group = 3) st =
-  { st; window; min_group; current = None; ready = []; n_rewrites = 0 }
+  { st; window; min_group; current = None; ready = [] }
 
 let close_current t =
   match t.current with
@@ -59,11 +58,7 @@ let run_once t =
         List.concat_map (fun tindex -> fst (Tertiary_cleaner.live_contents t.st tindex)) group
       in
       if pairs = [] then []
-      else begin
-        let fresh = Migrator.migrate_blocks t.st ~allow_tertiary:true pairs in
-        t.n_rewrites <- t.n_rewrites + List.length group;
-        fresh
-      end)
+      else Migrator.migrate_blocks t.st ~allow_tertiary:true pairs)
     groups
 
 let replicate st tindex =
@@ -98,18 +93,3 @@ let replicate st tindex =
             None)
   in
   result
-
-let spawn_daemon t ?(period = 60.0) () =
-  let stopped = ref false in
-  Sim.Engine.spawn t.st.State.engine ~name:"rearrange" (fun () ->
-      let rec loop () =
-        Sim.Engine.delay period;
-        if not !stopped then begin
-          (try ignore (run_once t) with Lfs.Fs.No_space | State.Tertiary_full -> ());
-          loop ()
-        end
-      in
-      loop ());
-  fun () -> stopped := true
-
-let rewrites t = t.n_rewrites

@@ -27,8 +27,7 @@ val create :
 val install : t -> unit -> unit
 (** Starts observing fetch landings ({!Highlight.State.subscribe});
     returns the unsubscribe. Observation only records; call
-    {!run_once} (or {!spawn_daemon}) to perform the rewrites outside the
-    service process. *)
+    {!run_once} to perform the rewrites outside the service process. *)
 
 val pending_groups : t -> int list list
 (** Current co-access groups that qualify for rewriting. *)
@@ -36,9 +35,6 @@ val pending_groups : t -> int list list
 val run_once : t -> int list
 (** Re-clusters every qualifying group into fresh tertiary segments and
     forgets it. Returns the new tertiary segment indices. *)
-
-val spawn_daemon : t -> ?period:float -> unit -> unit -> unit
-(** Periodic form; returns the shutdown function. *)
 
 val replicate : Highlight.State.t -> int -> int option
 (** The replica variant of §5.4: copies a tertiary segment verbatim to a
@@ -48,6 +44,3 @@ val replicate : Highlight.State.t -> int -> int option
     for sidestepping reclamation bookkeeping); the tertiary cleaner may
     erase it, after which fetches fall back to the primary. Returns the
     replica's tindex, or [None] if no other volume has room. *)
-
-val rewrites : t -> int
-(** Segments rewritten so far. *)

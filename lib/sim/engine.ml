@@ -37,7 +37,6 @@ let pending_events t = Eventq.length t.q
    common delay path down to the effect payload itself. *)
 let delay d = Effect.perform (Delay (if d > 0.0 then d else 0.0))
 let suspend register = Effect.perform (Suspend register)
-let yield () = delay 0.0
 
 let current_process t = if t.running_pid < 0 then None else Some t.running_name
 let current_name t = if t.running_pid < 0 then "main" else t.running_name

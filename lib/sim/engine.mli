@@ -72,10 +72,6 @@ val suspend : ((unit -> unit) -> unit) -> unit
     than once is harmless. This is the primitive under condition
     variables, resources and mailboxes. *)
 
-val yield : unit -> unit
-(** Re-schedules the calling process at the same virtual time, letting
-    other runnable processes proceed first. *)
-
 val run : t -> unit
 (** Executes events until none remain. Parked processes whose wake-up is
     never called are abandoned (a deadlocked process does not block

@@ -164,7 +164,3 @@ let pop_into t clock =
   if t.size = 0 then invalid_arg "Eventq.pop_into: empty";
   clock.time <- Array.unsafe_get t.times 0;
   pop t
-
-let clear t =
-  Array.fill t.slots 0 t.size dummy;
-  t.size <- 0

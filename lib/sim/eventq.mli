@@ -63,5 +63,3 @@ val pop_into : t -> clock -> slot
     without boxing it. The queue never holds an event earlier than a
     previously popped one (the engine only schedules at or after the
     current time), so the clock is monotone. *)
-
-val clear : t -> unit

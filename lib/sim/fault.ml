@@ -84,7 +84,6 @@ let clear () =
 
 (* match, not polymorphic (<>): checked on every modelled device op *)
 let active () = match !ambient with None -> false | Some _ -> true
-let set_metrics m = if active () then ambient_metrics := Some m
 
 (* ---------- names ---------- *)
 

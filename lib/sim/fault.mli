@@ -88,16 +88,11 @@ val injected_by_site : plan -> (string * int) list
 
 val install : Engine.t -> ?metrics:Metrics.t -> plan -> unit
 (** Arms [plan] against [engine]'s clock. At most one plan is ambient;
-    installing replaces the previous one. [metrics] (can also be set
-    later with {!set_metrics}) receives the fault counters. *)
+    installing replaces the previous one. [metrics] receives the fault
+    counters. *)
 
 val clear : unit -> unit
 val active : unit -> bool
-
-val set_metrics : Metrics.t -> unit
-(** Points the armed plan's counters at a registry — used when the
-    registry (e.g. a HighLight instance's) is created after the plan is
-    installed. No-op when no plan is armed. *)
 
 val check : site:string -> op -> unit
 (** The device-side consultation point. With no ambient plan: a no-op.

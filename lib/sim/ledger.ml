@@ -157,8 +157,6 @@ let mark_first_block l =
     | None -> ()
     | Some r -> l.first_block <- Engine.now r.engine -. l.l_opened
 
-let first_block_s l = if is_real l && l.first_block >= 0.0 then Some l.first_block else None
-
 let agg r kind =
   match Hashtbl.find_opt r.aggs kind with
   | Some a -> a

@@ -67,8 +67,6 @@ val total : t -> float
 val mark_first_block : t -> unit
 (** Records time-to-first-usable-block (streaming fetch); idempotent. *)
 
-val first_block_s : t -> float option
-
 val close : t -> unit
 (** Folds the ledger into the per-class aggregate and histograms;
     idempotent. Success and failure paths both close. *)

@@ -64,7 +64,6 @@ let with_resource t f =
       raise e
 
 let in_use t = t.held
-let queue_length t = Queue.length t.waiting
 
 let busy_time t =
   if t.held > 0 then t.busy.total +. (Engine.now t.engine -. t.busy.since) else t.busy.total

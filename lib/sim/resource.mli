@@ -21,7 +21,6 @@ val with_resource : t -> (unit -> 'a) -> 'a
 (** Acquire/release bracket; releases on exception too. *)
 
 val in_use : t -> int
-val queue_length : t -> int
 
 val busy_time : t -> float
 (** Total virtual time during which at least one unit was held. *)

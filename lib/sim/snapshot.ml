@@ -154,8 +154,3 @@ let write_csv t path =
   let oc = open_out path in
   output_string oc (to_csv t);
   close_out oc
-
-let write_json t path =
-  let oc = open_out path in
-  output_string oc (to_json t);
-  close_out oc

@@ -51,4 +51,3 @@ val to_json : t -> string
 (** Schema ["highlight-snapshots/v1"]. *)
 
 val write_csv : t -> string -> unit
-val write_json : t -> string -> unit

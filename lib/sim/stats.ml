@@ -11,8 +11,6 @@ type t = {
 let create label =
   { label; n = 0; sum = 0.0; mean = 0.0; m2 = 0.0; lo = infinity; hi = neg_infinity }
 
-let name t = t.label
-
 let add t x =
   t.n <- t.n + 1;
   t.sum <- t.sum +. x;

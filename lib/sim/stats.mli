@@ -5,7 +5,6 @@
 type t
 
 val create : string -> t
-val name : t -> string
 
 val add : t -> float -> unit
 val count : t -> int

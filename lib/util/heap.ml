@@ -6,7 +6,6 @@ type 'a t = { mutable data : 'a option array; mutable size : int; cmp : 'a -> 'a
 
 let create ?(capacity = 0) ~cmp () = { data = Array.make (max capacity 0) None; size = 0; cmp }
 let length t = t.size
-let is_empty t = t.size = 0
 
 let get t i = match Array.unsafe_get t.data i with Some x -> x | None -> assert false
 

@@ -11,7 +11,6 @@ type 'a t
     (default 0: grow on first push). *)
 val create : ?capacity:int -> cmp:('a -> 'a -> int) -> unit -> 'a t
 val length : 'a t -> int
-val is_empty : 'a t -> bool
 val push : 'a t -> 'a -> unit
 
 val pop : 'a t -> 'a option

@@ -24,16 +24,6 @@ let float t bound =
   let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   bound *. (v /. 9007199254740992.0)
 
-let bool t = Int64.logand (next t) 1L = 1L
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
 (* Cumulative-distribution Zipf: O(n) setup, O(log n) draw by binary
    search over the CDF. n is at most a few hundred thousand here. *)
 type zipf = { cdf : float array }

@@ -15,10 +15,7 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** Uniform in [0, bound). *)
 
-val bool : t -> bool
 val bits64 : t -> int64
-
-val shuffle : t -> 'a array -> unit
 
 type zipf
 (** Zipf(s) sampler over \{1..n\}: rank-skewed popularity used to model

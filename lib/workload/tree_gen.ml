@@ -33,8 +33,3 @@ let build fs ~seed ~root spec =
   in
   go root 1;
   List.rev !created
-
-let touch_unit fs root =
-  Dir.walk fs root (fun _ ino ->
-      if ino.Inode.kind = Inode.Reg then
-        ignore (File.read fs ino ~off:0 ~len:(min 4096 ino.Inode.size)))

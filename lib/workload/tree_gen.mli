@@ -16,6 +16,3 @@ val build :
   Lfs.Fs.t -> seed:int -> root:string -> spec -> string list
 (** Creates the tree under [root] (which must exist) and returns the
     file paths created. *)
-
-val touch_unit : Lfs.Fs.t -> string -> unit
-(** Reads every file under a directory (re-activating the unit). *)

@@ -207,7 +207,7 @@ let test_cleaner_does_not_launder () =
   check Alcotest.bool "block moved out of the victim" true (new_seg <> seg);
   let rel = moved - Layout.seg_base prm new_seg in
   let partial =
-    Cleaner.fold_partials fs new_seg
+    Cleaner.fold_partials fs (Cleaner.log_segment fs new_seg)
       (fun found ~off ~sum ~data_crc:_ ->
         if off < rel && rel <= off + Summary.nblocks_total sum then Some off else found)
       None

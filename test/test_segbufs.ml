@@ -406,6 +406,29 @@ let test_staging_write_retried () =
       read_back_from_tertiary w "retried staging write";
       Hl.shutdown_service w.hl)
 
+(* A staging write that exhausts its retries must leave nothing pointing
+   into the line: the migrator raises, the line and its disk and
+   tertiary segments go back, and the file still reads back right. *)
+let test_failed_staging_write_moves_nothing () =
+  in_sim (fun engine ->
+      let w = disk_world engine in
+      write w "/t" (bytes_pattern (12 * bs) 78);
+      let fs = Hl.fs w.hl in
+      Fs.checkpoint fs;
+      w.st.State.retry.State.max_attempts <- 1;
+      Sim.Fault.install engine ~metrics:(Hl.metrics w.hl)
+        (parse_ok "disk:d0 write op=1 media_error transient");
+      (match Migrator.stage_files_only w.st [ (Dir.namei fs "/t").Inode.inum ] with
+      | _ -> Alcotest.fail "the staging write did not fail"
+      | exception State.Io_error _ -> ());
+      Sim.Fault.clear ();
+      w.st.State.retry.State.max_attempts <- 8;
+      ignore (Migrator.flush_staged w.st ());
+      read_back_from_tertiary w "failed staging write";
+      check Alcotest.int "no cache line left" 0 (Seg_cache.length (Hl.cache w.hl));
+      check Alcotest.int "no tertiary segment used" 0 (State.tertiary_segments_used w.st);
+      Hl.shutdown_service w.hl)
+
 let suite =
   [
     ( "segbufs.failures",
@@ -426,5 +449,7 @@ let suite =
           test_staging_splits_on_summary_space;
         Alcotest.test_case "transient fault on the staging write is retried" `Quick
           test_staging_write_retried;
+        Alcotest.test_case "failed staging write moves no pointer" `Quick
+          test_failed_staging_write_moves_nothing;
       ] );
   ]

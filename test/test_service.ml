@@ -101,7 +101,7 @@ let run_starved_fetch io_mode () =
       (* hoard every clean segment a cache line could use *)
       let hoard = ref [] in
       let rec grab () =
-        match Fs.alloc_clean_segment fsys ~for_cache:true with
+        match Fs.alloc_clean_segment fsys with
         | Some seg ->
             hoard := seg :: !hoard;
             grab ()

@@ -345,7 +345,7 @@ let test_hint_into_full_cache () =
       Hl.set_prefetch_sequential hl ~depth:1;
       let hoard = ref [] in
       let rec grab () =
-        match Fs.alloc_clean_segment fs ~for_cache:true with
+        match Fs.alloc_clean_segment fs with
         | Some seg ->
             hoard := seg :: !hoard;
             grab ()
