@@ -450,7 +450,7 @@ let simulate nsegs nvolumes seg_blocks media files file_kb policy verbose trace_
         | None -> false
         | Some ino ->
             let found = ref false in
-            File.iter_assigned_blocks fs ino (fun _ addr ->
+            File.iter_assigned_blocks (Fs.map fs) ino (fun _ addr ->
                 if Highlight.Addr_space.is_tertiary st.Highlight.State.aspace addr then
                   found := true);
             !found

@@ -206,7 +206,7 @@ let eject_tertiary_copies t ~paths =
       match Dir.namei_opt fsys path with
       | None -> ()
       | Some ino ->
-          File.iter_assigned_blocks fsys ino (fun bkey addr ->
+          File.iter_assigned_blocks (Fs.map fsys) ino (fun bkey addr ->
               if Addr_space.is_tertiary t.st.State.aspace addr then begin
                 (* never drop a dirty buffer: it holds unflushed edits
                    that supersede the tertiary copy *)

@@ -57,7 +57,7 @@ let stage_line ?(defer = false) st blocks inode_set =
         Bcache.crc (Fs.bcache fsys) key d
     | _ ->
         Block_io.read_block_into st addr ~dst ~dst_off;
-        Fs.written_crc fsys addr
+        Bmap.written_crc (Fs.map fsys) addr
   in
   let rec stage acc = function
     | [] -> (List.rev acc, [])
@@ -259,7 +259,7 @@ let with_self_contained_volume st ~estimate f =
 (* Cons [ino]'s disk-resident blocks onto [acc], the last block first. *)
 let add_disk_blocks st ino acc =
   let acc = ref acc in
-  File.iter_assigned_blocks (fs st) ino (fun bkey addr ->
+  File.iter_assigned_blocks (Fs.map (fs st)) ino (fun bkey addr ->
       if not (Addr_space.is_tertiary st.aspace addr) then acc := (ino.Inode.inum, bkey) :: !acc);
   !acc
 

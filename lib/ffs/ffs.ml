@@ -27,11 +27,10 @@ let default_params ~ngroups ~blocks_per_group =
 type t = {
   engine : Sim.Engine.t;
   prm : params;
-  dev : Dev.t;
+  map : Bmap.t;  (* the device and the cache; FFS keeps no sums *)
   bitmaps : Bytes.t array;
   itable : (int, Inode.t) Hashtbl.t;
   dirty_inodes : (int, unit) Hashtbl.t;
-  cache : Bcache.t;
   mutable free : int;
   last_alloc : (int, int) Hashtbl.t;
   next_lbn : (int, int) Hashtbl.t;  (* sequential-read detector *)
@@ -41,7 +40,7 @@ type t = {
 let params t = t.prm
 let engine t = t.engine
 let free_blocks t = t.free
-let bcache t = t.cache
+let bcache t = t.map.cache
 let now t = Sim.Engine.now t.engine
 let charge_cpu t secs = ignore t; if secs > 0.0 then Sim.Engine.delay secs
 
@@ -132,7 +131,7 @@ let inode_slot t inum =
 
 let load_inode t inum =
   let blk, off = inode_slot t inum in
-  let block = t.dev.Dev.read ~blk ~count:1 in
+  let block = t.map.dev.read ~blk ~count:1 in
   Inode.read_from block ~off
 
 let get_inode t inum =
@@ -147,8 +146,16 @@ let get_inode t inum =
 
 let mark_inode_dirty t ino = Hashtbl.replace t.dirty_inodes ino.Inode.inum ()
 
-let alloc_inode t ~kind ~group =
+(* Directories spread across the groups; a file goes in its parent's. *)
+let alloc_inode t ~kind ~parent =
   let p = t.prm in
+  let group =
+    match kind with
+    | Inode.Dir ->
+        t.next_dir_group <- (t.next_dir_group + 1) mod p.ngroups;
+        t.next_dir_group
+    | Inode.Reg | Inode.Symlink -> group_of_inum p parent.Inode.inum
+  in
   let rec try_groups k =
     if k >= p.ngroups then raise No_space
     else
@@ -173,75 +180,76 @@ let alloc_inode t ~kind ~group =
 
 let ppb t = t.prm.block_size / 4
 
-(* Every block enters the cache in a buffer of the cache's pool. The
-   buffer is taken after any lookup that may itself insert. *)
-let put_dirty_copy t key ~old_addr data =
-  let b = Bcache.take t.cache in
-  Bytes.blit data 0 (Bufpool.bytes b) 0 t.prm.block_size;
-  Bcache.put_dirty_buf t.cache key ~old_addr ~crc:(-1) b
-
 (* a fresh indirect block: every pointer unassigned *)
 let put_dirty_unassigned t key ~old_addr =
-  let b = Bcache.take t.cache in
+  let b = Bcache.take t.map.cache in
   let d = Bufpool.bytes b in
   Bytes.fill d 0 t.prm.block_size '\xff';
-  Bcache.put_dirty_buf t.cache key ~old_addr ~crc:(-1) b;
+  Bcache.put_dirty_buf t.map.cache key ~old_addr ~crc:(-1) b;
   d
 
-let rec get_block t ino bkey =
+(* Give block [key], which has no address, one in its file's group,
+   and its pointer a home, allocating the indirect chain above it as
+   needed. *)
+let rec assign t ino key =
+  let cache = t.map.cache and ppb = ppb t in
+  let addr = alloc_block t ~inum:ino.Inode.inum in
+  let pk = Bcache.parent ~ppb key in
+  if (pk :> int) < 0 then begin
+    Inode.set_pointer ino (Bcache.slot ~ppb key) addr;
+    mark_inode_dirty t ino
+  end
+  else begin
+    ignore (ensure_addr t ino pk);
+    let pdata =
+      match Bmap.get t.map ino pk with
+      | d when d != Bcache.miss -> d
+      | _ -> put_dirty_unassigned t pk ~old_addr:(-1)
+    in
+    Bytesx.set_i32 pdata (Bcache.slot ~ppb key * 4) addr;
+    if not (Bcache.is_dirty cache pk) then Bcache.mark_dirty cache pk
+  end;
+  (* fresh indirect blocks must read as all-unassigned; the address is
+     remembered for clustering of later flushes *)
+  if Bcache.level key > 0 && Bcache.find cache key == Bcache.miss then
+    ignore (put_dirty_unassigned t key ~old_addr:addr);
+  addr
+
+and ensure_addr t ino key =
+  match Bmap.lookup t.map ino key with -1 -> assign t ino key | addr -> addr
+
+(* Block [key] of [ino], dirty in the cache for an update in place, at
+   its address, which it is given if it has none. A block not in the
+   cache keeps its bytes from the disk, unless the caller overwrites
+   them all ([whole]), or it is new or lies past the end of the file,
+   where it reads as zeros. *)
+let block_for_write t ino key ~whole ~past_eof =
+  let cache = t.map.cache in
+  let old = Bmap.lookup t.map ino key in
+  let addr = if old = -1 then assign t ino key else old in
+  match Bcache.find cache key with
+  | b when b != Bcache.miss ->
+      if not (Bcache.is_dirty cache key) then Bcache.mark_dirty cache key;
+      b
+  | _ ->
+      let b = Bcache.take cache in
+      let block = Bufpool.bytes b in
+      if whole then ()
+      else if old = -1 || past_eof then Bytes.fill block 0 t.prm.block_size '\000'
+      else begin
+        charge_cpu t t.prm.cpu.per_block;
+        t.map.dev.read_into ~blk:addr ~count:1 ~dst:block ~dst_off:0
+      end;
+      Bcache.put_dirty_buf cache key ~old_addr:addr ~crc:(-1) b;
+      block
+
+let put_block t ino bkey data =
   let key = Bcache.key ino.Inode.inum bkey in
-  match Bcache.find t.cache key with
-  | data when data != Bcache.miss -> Some data
-  | _ -> (
-      Bcache.note_miss t.cache;
-      match lookup_addr t ino bkey with
-      | -1 -> None
-      | addr ->
-          charge_cpu t t.prm.cpu.per_block;
-          let b = Bcache.take t.cache in
-          t.dev.Dev.read_into ~blk:addr ~count:1 ~dst:(Bufpool.bytes b) ~dst_off:0;
-          Bcache.put_clean_buf t.cache key ~addr ~crc:(-1) b;
-          Some (Bufpool.bytes b))
-
-and lookup_addr t ino bkey =
-  match Bkey.parent ~ppb:(ppb t) bkey with
-  | (Bkey.In_inode_direct _ | Bkey.In_inode_single | Bkey.In_inode_double | Bkey.In_inode_triple)
-    as p ->
-      Inode.get_inode_slot ino p
-  | Bkey.In_block (pbk, slot) -> (
-      match get_block t ino pbk with
-      | None -> -1
-      | Some pdata -> Bytesx.get_i32 pdata (slot * 4))
-
-(* Ensure a block (data or indirect) has an address, allocating the
-   indirect chain as needed. Returns the address. *)
-let rec ensure_addr t ino bkey =
-  match lookup_addr t ino bkey with
-  | -1 ->
-      let addr = alloc_block t ~inum:ino.Inode.inum in
-      (match Bkey.parent ~ppb:(ppb t) bkey with
-      | ( Bkey.In_inode_direct _ | Bkey.In_inode_single | Bkey.In_inode_double
-        | Bkey.In_inode_triple ) as p ->
-          Inode.set_inode_slot ino p addr;
-          mark_inode_dirty t ino
-      | Bkey.In_block (pbk, slot) ->
-          ignore (ensure_addr t ino pbk);
-          let pkey = Bcache.key ino.Inode.inum pbk in
-          let pdata =
-            match get_block t ino pbk with
-            | Some d -> d
-            | None -> put_dirty_unassigned t pkey ~old_addr:(-1)
-          in
-          Bytesx.set_i32 pdata (slot * 4) addr;
-          if not (Bcache.is_dirty t.cache pkey) then Bcache.mark_dirty t.cache pkey);
-      let key = Bcache.key ino.Inode.inum bkey in
-      (* fresh indirect blocks must read as all-unassigned *)
-      if Bkey.level bkey > 0 && Bcache.find t.cache key == Bcache.miss then
-        ignore (put_dirty_unassigned t key ~old_addr:addr);
-      (* remember the address for clustering of later flushes *)
-      if Bcache.find t.cache key != Bcache.miss then Bcache.set_addr t.cache key addr;
-      addr
-  | addr -> addr
+  let old_addr = ensure_addr t ino key in
+  (* taken after the lookup, which may itself insert *)
+  let b = Bcache.take t.map.cache in
+  Bytes.blit data 0 (Bufpool.bytes b) 0 t.prm.block_size;
+  Bcache.put_dirty_buf t.map.cache key ~old_addr ~crc:(-1) b
 
 (* ---------- write path with clustering ---------- *)
 
@@ -252,7 +260,7 @@ let flush_threshold = 256
 let flush_data t =
   let bs = t.prm.block_size in
   let entries = ref [] in
-  Bcache.iter_dirty t.cache (fun key data addr ->
+  Bcache.iter_dirty t.map.cache (fun key data addr ->
       if addr <> -1 then entries := (addr, key, data) :: !entries);
   let entries = List.sort compare !entries in
   let rec runs acc current = function
@@ -272,8 +280,8 @@ let flush_data t =
       | (first_addr, _, _) :: _ ->
           let buf = Bytes.create (List.length run * bs) in
           List.iteri (fun i (_, _, data) -> Bytes.blit data 0 buf (i * bs) bs) run;
-          t.dev.Dev.write ~blk:first_addr ~data:buf;
-          List.iter (fun (addr, key, _) -> Bcache.mark_flushed t.cache key ~addr) run)
+          t.map.dev.write ~blk:first_addr ~data:buf;
+          List.iter (fun (addr, key, _) -> Bcache.mark_flushed t.map.cache key ~addr) run)
     (runs [] [] entries);
   (* inodes: read-modify-write their table blocks *)
   let by_block = Hashtbl.create 8 in
@@ -285,7 +293,7 @@ let flush_data t =
     t.dirty_inodes;
   Hashtbl.iter
     (fun blk inums ->
-      let block = t.dev.Dev.read ~blk ~count:1 in
+      let block = t.map.dev.read ~blk ~count:1 in
       List.iter
         (fun inum ->
           let _, off = inode_slot t inum in
@@ -293,14 +301,14 @@ let flush_data t =
           | Some ino -> Inode.write_to block ~off ino
           | None -> ())
         inums;
-      t.dev.Dev.write ~blk ~data:block)
+      t.map.dev.write ~blk ~data:block)
     by_block;
   Hashtbl.reset t.dirty_inodes
 
 let sync t =
   flush_data t;
   Array.iteri
-    (fun g bm -> t.dev.Dev.write ~blk:(bitmap_addr t.prm g) ~data:bm)
+    (fun g bm -> t.map.dev.write ~blk:(bitmap_addr t.prm g) ~data:bm)
     t.bitmaps
 
 let unmount t = sync t
@@ -326,11 +334,11 @@ let read t ino ~off ~len =
     let boff = fileoff mod bs in
     let n = min (bs - boff) (len - !pos) in
     let key = Bcache.key ino.Inode.inum (Bkey.Data lbn) in
-    (match Bcache.find t.cache key with
+    (match Bcache.find t.map.cache key with
     | data when data != Bcache.miss -> Bytes.blit data boff out !pos n
     | _ -> (
-        Bcache.note_miss t.cache;
-        match lookup_addr t ino (Bkey.Data lbn) with
+        Bcache.note_miss t.map.cache;
+        match Bmap.lookup t.map ino key with
         | -1 -> Bytes.fill out !pos n '\000'
         | addr ->
             (* read-ahead clusters only on detected sequential streams;
@@ -339,22 +347,22 @@ let read t ino ~off ~len =
             let max_blocks = (ino.Inode.size + bs - 1) / bs in
             let rec extend count =
               if count >= limit || lbn + count >= max_blocks then count
-              else if lookup_addr t ino (Bkey.Data (lbn + count)) = addr + count then
-                extend (count + 1)
-              else count
+              else
+                let next = Bcache.key ino.Inode.inum (Bkey.Data (lbn + count)) in
+                if Bmap.lookup t.map ino next = addr + count then extend (count + 1) else count
             in
             let count = extend 1 in
             charge_cpu t (t.prm.cpu.per_block *. float_of_int count);
-            let data = t.dev.Dev.read ~blk:addr ~count in
+            let data = t.map.dev.read ~blk:addr ~count in
             for i = 0 to count - 1 do
               let k = Bcache.key ino.Inode.inum (Bkey.Data (lbn + i)) in
-              if Bcache.find t.cache k == Bcache.miss then begin
-                let b = Bcache.take t.cache in
+              if Bcache.find t.map.cache k == Bcache.miss then begin
+                let b = Bcache.take t.map.cache in
                 Bytes.blit data (i * bs) (Bufpool.bytes b) 0 bs;
-                Bcache.put_clean_buf t.cache k ~addr:(addr + i) ~crc:(-1) b
+                Bcache.put_clean_buf t.map.cache k ~addr:(addr + i) ~crc:(-1) b
               end
             done;
-            let cached = Bcache.find t.cache key in
+            let cached = Bcache.find t.map.cache key in
             Bytes.blit cached boff out !pos n));
     pos := !pos + n
   done;
@@ -374,25 +382,10 @@ let write t ino ~off data =
     let lbn = fileoff / bs in
     let boff = fileoff mod bs in
     let n = min (bs - boff) (len - !pos) in
-    let key = Bcache.key ino.Inode.inum (Bkey.Data lbn) in
-    let addr = ensure_addr t ino (Bkey.Data lbn) in
     let block =
-      match Bcache.find t.cache key with
-      | b when b != Bcache.miss ->
-          if not (Bcache.is_dirty t.cache key) then Bcache.mark_dirty t.cache key;
-          b
-      | _ ->
-          let b = Bcache.take t.cache in
-          let block = Bufpool.bytes b in
-          (* a whole-block write overwrites every byte *)
-          if n = bs then ()
-          else if fileoff >= ino.Inode.size then Bytes.fill block 0 bs '\000'
-          else begin
-            charge_cpu t t.prm.cpu.per_block;
-            t.dev.Dev.read_into ~blk:addr ~count:1 ~dst:block ~dst_off:0
-          end;
-          Bcache.put_dirty_buf t.cache key ~old_addr:addr ~crc:(-1) b;
-          block
+      block_for_write t ino
+        (Bcache.key ino.Inode.inum (Bkey.Data lbn))
+        ~whole:(n = bs) ~past_eof:(lbn * bs >= ino.Inode.size)
     in
     Bytes.blit data !pos block boff n;
     pos := !pos + n
@@ -400,185 +393,44 @@ let write t ino ~off data =
   if off + len > ino.Inode.size then ino.Inode.size <- off + len;
   ino.Inode.mtime <- now t;
   mark_inode_dirty t ino;
-  if Bcache.dirty_count t.cache >= flush_threshold then flush_data t
+  if Bcache.dirty_count t.map.cache >= flush_threshold then flush_data t
 
 (* ---------- namespace ---------- *)
 
-let split_path path =
-  if String.length path = 0 || path.[0] <> '/' then invalid_arg "Ffs: path must be absolute";
-  List.filter (fun s -> s <> "" && s <> ".") (String.split_on_char '/' path)
+(* The last link is gone: the blocks go back to the bitmap, and the
+   inode's on-disk slot is zeroed so the inum can be reused. *)
+let free t ino =
+  let inum = ino.Inode.inum in
+  File.iter_assigned_blocks t.map ino (fun _ addr -> mark_addr t addr false);
+  Bcache.drop_inum t.map.cache inum;
+  ino.Inode.kind <- Inode.Reg;
+  ino.Inode.size <- 0;
+  ino.Inode.nlink <- 0;
+  let blk, off = inode_slot t inum in
+  let block = t.map.dev.read ~blk ~count:1 in
+  Bytes.fill block off Inode.isize '\000';
+  t.map.dev.write ~blk ~data:block;
+  Hashtbl.remove t.itable inum;
+  Hashtbl.remove t.dirty_inodes inum
 
-let dir_lookup t dir name =
-  let bs = t.prm.block_size in
-  let n = (dir.Inode.size + bs - 1) / bs in
-  let rec go i =
-    if i >= n then None
-    else
-      match get_block t dir (Bkey.Data i) with
-      | None -> go (i + 1)
-      | Some block -> (
-          match Dirent.find block name with Some inum -> Some inum | None -> go (i + 1))
-  in
-  go 0
+include Dir.Make (struct
+  type nonrec t = t
 
-let namei t path =
-  let rec resolve dir = function
-    | [] -> dir
-    | name :: rest -> (
-        match dir_lookup t dir name with
-        | None -> raise Not_found
-        | Some inum -> resolve (get_inode t inum) rest)
-  in
-  resolve (get_inode t root_inum) (split_path path)
+  let block_size t = t.prm.block_size
+  let now = now
+  let get_inode = get_inode
+  let map t = t.map
 
-let namei_opt t path = try Some (namei t path) with Not_found -> None
+  let get_block_for_write t ino bkey =
+    block_for_write t ino (Bcache.key ino.Inode.inum bkey) ~whole:false ~past_eof:false
 
-let dir_add t dir name inum =
-  let bs = t.prm.block_size in
-  let n = (dir.Inode.size + bs - 1) / bs in
-  let rec try_block i =
-    if i >= n then begin
-      let fresh = Bytes.make bs '\000' in
-      ignore (Dirent.add fresh name inum);
-      ignore (ensure_addr t dir (Bkey.Data i));
-      let old_addr = lookup_addr t dir (Bkey.Data i) in
-      put_dirty_copy t (Bcache.key dir.Inode.inum (Bkey.Data i)) ~old_addr fresh;
-      dir.Inode.size <- (i + 1) * bs;
-      mark_inode_dirty t dir
-    end
-    else
-      match get_block t dir (Bkey.Data i) with
-      | None -> try_block (i + 1)
-      | Some block ->
-          if Dirent.add block name inum then begin
-            let key = Bcache.key dir.Inode.inum (Bkey.Data i) in
-            if not (Bcache.is_dirty t.cache key) then Bcache.mark_dirty t.cache key;
-            mark_inode_dirty t dir
-          end
-          else try_block (i + 1)
-  in
-  try_block 0
-
-let parent_of t path =
-  match List.rev (split_path path) with
-  | [] -> invalid_arg "Ffs: cannot operate on /"
-  | base :: rev_dir ->
-      let dir =
-        List.fold_left
-          (fun dir name ->
-            match dir_lookup t dir name with
-            | Some inum -> get_inode t inum
-            | None -> raise Not_found)
-          (get_inode t root_inum) (List.rev rev_dir)
-      in
-      (dir, base)
-
-let create_node t path ~kind =
-  let parent, base = parent_of t path in
-  if dir_lookup t parent base <> None then failwith ("Ffs: exists: " ^ path);
-  let group =
-    match kind with
-    | Inode.Dir ->
-        t.next_dir_group <- (t.next_dir_group + 1) mod t.prm.ngroups;
-        t.next_dir_group
-    | _ -> group_of_inum t.prm parent.Inode.inum
-  in
-  let ino = alloc_inode t ~kind ~group in
-  dir_add t parent base ino.Inode.inum;
-  (match kind with
-  | Inode.Dir ->
-      ino.Inode.nlink <- 2;
-      ino.Inode.size <- t.prm.block_size;
-      let block = Bytes.make t.prm.block_size '\000' in
-      ignore (Dirent.add block "." ino.Inode.inum);
-      ignore (Dirent.add block ".." parent.Inode.inum);
-      ignore (ensure_addr t ino (Bkey.Data 0));
-      let old_addr = lookup_addr t ino (Bkey.Data 0) in
-      put_dirty_copy t (Bcache.key ino.Inode.inum (Bkey.Data 0)) ~old_addr block;
-      parent.Inode.nlink <- parent.Inode.nlink + 1;
-      mark_inode_dirty t parent
-  | _ -> ());
-  ino
-
-let create_file t path = create_node t path ~kind:Inode.Reg
-let mkdir t path = create_node t path ~kind:Inode.Dir
-
-let free_file_blocks t ino =
-  let bs = t.prm.block_size in
-  let ppbv = ppb t in
-  let free_addr addr = if addr <> -1 then mark_addr t addr false in
-  let free_indirect bkey addr =
-    if addr <> -1 then begin
-      (match get_block t ino bkey with
-      | Some pdata ->
-          for slot = 0 to ppbv - 1 do
-            let child = Bytesx.get_i32 pdata (slot * 4) in
-            if child <> -1 then free_addr child
-          done
-      | None -> ());
-      free_addr addr
-    end
-  in
-  ignore bs;
-  Array.iter free_addr ino.Inode.direct;
-  free_indirect (Bkey.L1 0) ino.Inode.single;
-  (* deeper trees: walk L2/L3 conservatively *)
-  if ino.Inode.double <> -1 then begin
-    (match get_block t ino (Bkey.L2 0) with
-    | Some pdata ->
-        for slot = 0 to ppbv - 1 do
-          let l1 = Bytesx.get_i32 pdata (slot * 4) in
-          if l1 <> -1 then free_indirect (Bkey.L1 (1 + slot)) l1
-        done
-    | None -> ());
-    free_addr ino.Inode.double
-  end;
-  Bcache.drop_inum t.cache ino.Inode.inum
-
-let unlink t path =
-  let parent, base = parent_of t path in
-  match dir_lookup t parent base with
-  | None -> raise Not_found
-  | Some inum ->
-      let ino = get_inode t inum in
-      let bs = t.prm.block_size in
-      let n = (parent.Inode.size + bs - 1) / bs in
-      let rec remove_from i =
-        if i < n then
-          match get_block t parent (Bkey.Data i) with
-          | Some block when Dirent.find block base <> None ->
-              ignore (Dirent.remove block base);
-              let key = Bcache.key parent.Inode.inum (Bkey.Data i) in
-              if not (Bcache.is_dirty t.cache key) then Bcache.mark_dirty t.cache key
-          | _ -> remove_from (i + 1)
-      in
-      remove_from 0;
-      ino.Inode.nlink <- ino.Inode.nlink - 1;
-      if ino.Inode.nlink <= 0 then begin
-        free_file_blocks t ino;
-        ino.Inode.kind <- Inode.Reg;
-        ino.Inode.size <- 0;
-        ino.Inode.nlink <- 0;
-        (* zero the on-disk slot so the inum becomes reusable *)
-        let blk, off = inode_slot t inum in
-        let block = t.dev.Dev.read ~blk ~count:1 in
-        Bytes.fill block off Inode.isize '\000';
-        t.dev.Dev.write ~blk ~data:block;
-        Hashtbl.remove t.itable inum;
-        Hashtbl.remove t.dirty_inodes inum
-      end
-      else mark_inode_dirty t ino
-
-let readdir t dir =
-  let bs = t.prm.block_size in
-  let n = (dir.Inode.size + bs - 1) / bs in
-  let out = ref [] in
-  for i = n - 1 downto 0 do
-    match get_block t dir (Bkey.Data i) with
-    | None -> ()
-    | Some block -> Dirent.iter block (fun name inum -> out := (name, inum) :: !out)
-  done;
-  !out
+  let put_block = put_block
+  let alloc_inode = alloc_inode
+  let mark_inode_dirty = mark_inode_dirty
+  let free = free
+  let read = read
+  let write = write
+end)
 
 (* ---------- mkfs / mount ---------- *)
 
@@ -599,11 +451,16 @@ let make_state engine prm dev =
   {
     engine;
     prm;
-    dev;
+    map =
+      {
+        Bmap.cache = Bcache.create ~cap:prm.bcache_blocks ~block_size:prm.block_size;
+        dev;
+        per_block = prm.cpu.per_block;
+        sums = [||];
+      };
     bitmaps = Array.init prm.ngroups (fun _ -> Bytes.make prm.block_size '\000');
     itable = Hashtbl.create 64;
     dirty_inodes = Hashtbl.create 16;
-    cache = Bcache.create ~cap:prm.bcache_blocks ~block_size:prm.block_size;
     free = 0;
     last_alloc = Hashtbl.create 16;
     next_lbn = Hashtbl.create 16;
@@ -630,9 +487,7 @@ let mkfs engine prm dev =
   let block = Bytes.make prm.block_size '\000' in
   ignore (Dirent.add block "." root_inum);
   ignore (Dirent.add block ".." root_inum);
-  ignore (ensure_addr t root (Bkey.Data 0));
-  let old_addr = lookup_addr t root (Bkey.Data 0) in
-  put_dirty_copy t (Bcache.key root_inum (Bkey.Data 0)) ~old_addr block;
+  put_block t root (Bkey.Data 0) block;
   sync t;
   t
 
@@ -662,29 +517,47 @@ let mount engine ?(cpu = Param.cpu_1993) ?bcache_blocks dev =
 
 let drop_caches t =
   sync t;
-  Bcache.invalidate_clean t.cache;
+  Bcache.invalidate_clean t.map.cache;
   Hashtbl.reset t.itable;
   Hashtbl.reset t.next_lbn
 
 let check t =
   let problems = ref [] in
   let complain fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
-  (* every reachable block must be marked used *)
-  let rec visit_dir dir =
-    List.iter
-      (fun (name, inum) ->
-        if name <> "." && name <> ".." then begin
-          match get_inode t inum with
-          | exception Not_found -> complain "dangling entry %s -> %d" name inum
-          | ino ->
-              Array.iter
-                (fun addr ->
-                  if addr <> -1 && not (addr_used t addr) then
-                    complain "ino %d block %d not marked used" inum addr)
-                ino.Inode.direct;
-              if ino.Inode.kind = Inode.Dir then visit_dir ino
-        end)
-      (readdir t dir)
+  (* every block reachable from the root must be marked used, and
+     nothing else but the groups' metadata *)
+  let seen = Hashtbl.create 64 and reachable = ref 0 in
+  let rec visit ino =
+    let inum = ino.Inode.inum in
+    if not (Hashtbl.mem seen inum) then begin
+      Hashtbl.replace seen inum ();
+      File.iter_assigned_blocks t.map ino (fun bkey addr ->
+          incr reachable;
+          if not (addr_used t addr) then
+            complain "ino %d %s at %d not marked used" inum
+              (Format.asprintf "%a" Bkey.pp bkey)
+              addr);
+      if ino.Inode.kind = Inode.Dir then
+        List.iter
+          (fun (name, inum) ->
+            if name <> "." && name <> ".." then
+              match get_inode t inum with
+              | exception Not_found -> complain "dangling entry %s -> %d" name inum
+              | child -> visit child)
+          (readdir t ino)
+    end
   in
-  (try visit_dir (get_inode t root_inum) with e -> complain "walk: %s" (Printexc.to_string e));
+  (try visit (get_inode t root_inum) with e -> complain "walk: %s" (Printexc.to_string e));
+  let p = t.prm in
+  let used = ref 0 in
+  Array.iter
+    (fun bm ->
+      for i = 0 to p.blocks_per_group - 1 do
+        if bit_get bm i then incr used
+      done)
+    t.bitmaps;
+  let meta = p.ngroups * (1 + inode_table_blocks p) in
+  if !used <> !reachable + meta then
+    complain "%d blocks marked used, but %d are reachable and %d are metadata" !used
+      !reachable meta;
   List.rev !problems

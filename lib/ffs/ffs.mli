@@ -8,10 +8,15 @@
     blocks (16 → 64 KB, as the paper configures). Reads detect
     sequential streams and fetch whole clusters ahead.
 
-    The implementation reuses the on-media formats of the LFS library
-    (inodes, directory blocks, block-map keys) so the two systems differ
-    exactly where the paper says they differ: block placement and the
-    write path. *)
+    The two systems differ exactly where the paper says they differ:
+    block placement and the write path. Shared with LFS: the on-media
+    formats (inodes, directory blocks, block-map keys), the buffer
+    cache, the block map ({!Lfs.Bmap}), the walk over a file's blocks
+    ({!Lfs.File.iter_assigned_blocks}) and the namespace
+    ({!Lfs.Dir.Make}). FFS's own: cylinder-group allocation (an inode
+    and its blocks in one group, directories spread across groups), the
+    in-place clustered write-back, the clustered sequential read and
+    the inode table with its bitmaps. *)
 
 type params = {
   block_size : int;
@@ -39,14 +44,13 @@ val bcache : t -> Lfs.Bcache.t
 
 exception No_space
 
-(** {1 Namespace} *)
+(** {1 Namespace}
 
-val namei : t -> string -> Lfs.Inode.t
-val namei_opt : t -> string -> Lfs.Inode.t option
-val create_file : t -> string -> Lfs.Inode.t
-val mkdir : t -> string -> Lfs.Inode.t
-val unlink : t -> string -> unit
-val readdir : t -> Lfs.Inode.t -> (string * int) list
+    LFS's, instantiated over this file system ({!Lfs.Dir.Make}); it
+    raises {!Lfs.Dir.Exists}, {!Lfs.Dir.Not_dir} and
+    {!Lfs.Dir.Not_empty}. *)
+
+include Lfs.Dir.S with type fs := t
 
 (** {1 File I/O} *)
 
@@ -58,4 +62,6 @@ val drop_caches : t -> unit
     state of a newly mounted file system. *)
 
 val check : t -> string list
-(** Invariant audit: bitmap vs reachable blocks. *)
+(** Invariant audit: every block reachable from the root, data and
+    indirect, is marked used in the bitmaps, and the bitmaps mark no
+    more than those plus the groups' metadata. *)

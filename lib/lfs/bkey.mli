@@ -28,7 +28,9 @@ type parent =
   | In_block of t * int  (** (indirect block, slot within it) *)
 
 val parent : ppb:int -> t -> parent
-(** [ppb] is pointers-per-block ([block_size / 4]). *)
+(** [ppb] is pointers-per-block ([block_size / 4]). The reference
+    definition: the block map walks packed keys ({!Bcache.parent}), and
+    the tests check that walk against this one. *)
 
 val level : t -> int
 (** 0 for data, 1-3 for indirect blocks; flushing proceeds level by

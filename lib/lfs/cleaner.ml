@@ -121,7 +121,8 @@ let is_live fs ~addr ~inum ~version bkey =
     | ino -> Fs.lookup_addr fs ino bkey = addr
 
 let collect_segment fs seg =
-  let dev = Fs.dev fs and cache = Fs.bcache fs in
+  let map = Fs.map fs in
+  let dev = map.Bmap.dev and cache = map.cache in
   fold_segment fs (log_segment fs seg)
     {
       (* live file blocks: drag them into the cache dirty so the next
@@ -141,7 +142,7 @@ let collect_segment fs seg =
                      partial's checksum instead of being summed afresh *)
                   let b = Bcache.take cache in
                   dev.Dev.read_into ~blk:addr ~count:1 ~dst:(Util.Bufpool.bytes b) ~dst_off:0;
-                  Bcache.put_dirty_buf cache key ~old_addr:addr ~crc:(Fs.written_crc fs addr) b);
+                  Bcache.put_dirty_buf cache key ~old_addr:addr ~crc:(Bmap.written_crc map addr) b);
               moved + 1
             end);
       inode_block = (fun moved ~addr:_ -> moved);

@@ -120,7 +120,7 @@ let fsck fs =
         | exception Not_found ->
             if entry.Imap.addr > 0 then complain "inode %d unreadable" inum
         | ino ->
-            File.iter_assigned_blocks fs ino (fun bkey addr ->
+            File.iter_assigned_blocks (Fs.map fs) ino (fun bkey addr ->
                 match Layout.seg_of_addr prm addr with
                 | Some seg ->
                     if (Segusage.get (Fs.seguse fs) seg).Segusage.state = Segusage.Clean then

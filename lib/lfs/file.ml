@@ -60,36 +60,35 @@ let write fs ino ~off data =
    visiting a child inserts into the cache (and the visitor may drop
    entries), which can evict the parent and recycle its buffer mid-walk.
    False when the block is a hole. *)
-let iter_pointers fs ino bkey f =
-  match Fs.get_block fs ino bkey with
-  | None -> false
-  | Some pdata ->
-      let cache = Fs.bcache fs in
-      let b = Bcache.take cache in
+let iter_pointers map ino bkey f =
+  match Bmap.get map ino (Bcache.key ino.Inode.inum bkey) with
+  | pdata when pdata == Bcache.miss -> false
+  | pdata ->
+      let b = Bcache.take map.Bmap.cache in
       let ptrs = Bufpool.bytes b in
       Bytes.blit pdata 0 ptrs 0 (Bytes.length ptrs);
       for slot = 0 to (Bytes.length ptrs / 4) - 1 do
         let child = Bytesx.get_i32 ptrs (slot * 4) in
         if child <> -1 then f slot child
       done;
-      Bcache.give cache b;
+      Bcache.give map.Bmap.cache b;
       true
 
 (* Walk the pointer tree bottom-up so children are visited before the
    indirect blocks that point at them. *)
-let iter_assigned_blocks fs ino f =
-  let ppb = bs fs / 4 in
+let iter_assigned_blocks map ino f =
+  let ppb = map.Bmap.dev.block_size / 4 in
   let visit_l1 p addr_of_l1 =
     if
       addr_of_l1 <> -1
-      && iter_pointers fs ino (Bkey.L1 p) (fun slot child ->
+      && iter_pointers map ino (Bkey.L1 p) (fun slot child ->
              f (Bkey.Data (Bkey.ndirect + (p * ppb) + slot)) child)
     then f (Bkey.L1 p) addr_of_l1
   in
   let visit_l2 q addr_of_l2 =
     if
       addr_of_l2 <> -1
-      && iter_pointers fs ino (Bkey.L2 q) (fun slot child -> visit_l1 (1 + (q * ppb) + slot) child)
+      && iter_pointers map ino (Bkey.L2 q) (fun slot child -> visit_l1 (1 + (q * ppb) + slot) child)
     then f (Bkey.L2 q) addr_of_l2
   in
   Array.iteri
@@ -99,13 +98,13 @@ let iter_assigned_blocks fs ino f =
   visit_l2 0 ino.Inode.double;
   if
     ino.Inode.triple <> -1
-    && iter_pointers fs ino Bkey.L3 (fun slot child -> visit_l2 (1 + slot) child)
+    && iter_pointers map ino Bkey.L3 (fun slot child -> visit_l2 (1 + slot) child)
   then f Bkey.L3 ino.Inode.triple
 
 let free_blocks fs ino =
   let bsz = bs fs in
   (* account every assigned block away, then clear all pointers *)
-  iter_assigned_blocks fs ino (fun _bkey addr -> Fs.account fs ~addr (-bsz));
+  iter_assigned_blocks (Fs.map fs) ino (fun _bkey addr -> Fs.account fs ~addr (-bsz));
   (* dirty, never-written blocks occupy no disk space; just drop them *)
   (Fs.bcache fs |> fun cache -> Bcache.drop_inum cache ino.Inode.inum);
   Array.fill ino.Inode.direct 0 Bkey.ndirect (-1);

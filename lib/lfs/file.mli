@@ -20,9 +20,8 @@ val free_blocks : Fs.t -> Inode.t -> unit
     accounting, cache eviction, pointer reset. The inode itself remains
     allocated (unlink calls {!Fs.free_inode} afterwards). *)
 
-val nblocks : Fs.t -> Inode.t -> int
-(** Blocks implied by the file size. *)
-
-val iter_assigned_blocks : Fs.t -> Inode.t -> (Bkey.t -> int -> unit) -> unit
+val iter_assigned_blocks : Bmap.t -> Inode.t -> (Bkey.t -> int -> unit) -> unit
 (** Visits every block that currently has a disk (or tertiary) address,
-    including indirect blocks — the migrator's and fsck's view. *)
+    including indirect blocks, children before their parents, reading
+    the tree through the block map — the migrator's, fsck's and FFS's
+    view. *)

@@ -41,11 +41,10 @@ type hooks = {
 and t = {
   engine : Sim.Engine.t;
   mutable prm : Param.t;
-  mutable device : Dev.t;
+  map : Bmap.t;  (* the device, the cache and the sums the log wrote *)
   tertiary_cfg : Superblock.tertiary option;
   inode_map : Imap.t;
   seg_usage : Segusage.t;
-  cache : Bcache.t;
   itable : (int, Inode.t) Hashtbl.t;
   dirty_inodes : (int, unit) Hashtbl.t;
   dead_inodes : Inode.t Queue.t;  (* freed inodes awaiting a log record *)
@@ -62,9 +61,6 @@ and t = {
   mutable n_segs_written : int;
   mutable n_partials : int;
   mutable cache_floor : int;
-  mutable sums : int array;
-      (* by disk address: the CRC-32 close_partial wrote each log block
-         with since mount, -1 where unknown *)
   segbufs : Bufpool.t;
   part : partial;  (* the log's, reused *)
   seen : unit Bcache.Tbl.t;  (* segments_needed's, cleared per call *)
@@ -81,11 +77,12 @@ let no_hooks =
 
 let param t = t.prm
 let engine t = t.engine
-let dev t = t.device
+let dev t = t.map.dev
 let tertiary_config t = t.tertiary_cfg
 let imap t = t.inode_map
 let seguse t = t.seg_usage
-let bcache t = t.cache
+let bcache t = t.map.cache
+let map t = t.map
 let segbufs t = t.segbufs
 let cur_seg t = t.cur_seg
 let cur_off t = t.cur_off
@@ -104,8 +101,6 @@ let nclean t = Segusage.nclean t.seg_usage
 let segments_written t = t.n_segs_written
 let partials_written t = t.n_partials
 let iter_files t f = Imap.iter_allocated t.inode_map f
-
-let written_crc t addr = if addr >= 0 && addr < Array.length t.sums then t.sums.(addr) else -1
 
 let charge_cpu (_ : t) secs = if secs > 0.0 then Sim.Engine.delay secs
 
@@ -135,11 +130,11 @@ let mark_inode_dirty t ino = Hashtbl.replace t.dirty_inodes ino.Inode.inum ()
    cache's pool, [f] decodes it, and the buffer goes back. The buffer is
    the reader's alone, so [f] may yield; it must not keep the bytes. *)
 let with_block t addr f =
-  let b = Bcache.take t.cache in
+  let b = Bcache.take t.map.cache in
   let data = Bufpool.bytes b in
-  t.device.read_into ~blk:addr ~count:1 ~dst:data ~dst_off:0;
+  t.map.dev.read_into ~blk:addr ~count:1 ~dst:data ~dst_off:0;
   let r = f data in
-  Bcache.give t.cache b;
+  Bcache.give t.map.cache b;
   r
 
 let get_inode t inum =
@@ -193,60 +188,34 @@ let touch_atime t inum =
 
 let ppb t = t.prm.block_size / 4
 
-(* The map walks packed keys: [Bcache.parent] and [Bcache.slot] locate
-   a pointer with no [Bkey.parent] built per step. A block comes back as
-   its bytes, or [Bcache.miss] for a hole. *)
-let rec get_block_key t ino key =
-  match Bcache.find t.cache key with
-  | data when data != Bcache.miss -> data
-  | _ -> (
-      Bcache.note_miss t.cache;
-      match lookup_key t ino key with
-      | -1 -> Bcache.miss
-      | addr ->
-          charge_cpu t t.prm.cpu.per_block;
-          let b = Bcache.take t.cache in
-          t.device.read_into ~blk:addr ~count:1 ~dst:(Bufpool.bytes b) ~dst_off:0;
-          Bcache.put_clean_buf t.cache key ~addr ~crc:(written_crc t addr) b;
-          Bufpool.bytes b)
-
-and lookup_key t ino key =
-  let ppb = ppb t in
-  let p = Bcache.parent ~ppb key in
-  if (p :> int) < 0 then Inode.pointer ino (Bcache.slot ~ppb key)
-  else
-    match get_block_key t ino p with
-    | pdata when pdata != Bcache.miss -> Bytesx.get_i32 pdata (Bcache.slot ~ppb key * 4)
-    | _ -> -1
-
 let get_block t ino bkey =
-  match get_block_key t ino (Bcache.key ino.Inode.inum bkey) with
+  match Bmap.get t.map ino (Bcache.key ino.Inode.inum bkey) with
   | data when data != Bcache.miss -> Some data
   | _ -> None
 
-let lookup_addr t ino bkey = lookup_key t ino (Bcache.key ino.Inode.inum bkey)
+let lookup_addr t ino bkey = Bmap.lookup t.map ino (Bcache.key ino.Inode.inum bkey)
 
 let get_block_for_write_key t ino key =
-  match Bcache.find t.cache key with
+  match Bcache.find t.map.cache key with
   | data when data != Bcache.miss ->
-      Bcache.mark_modified t.cache key;
+      Bcache.mark_modified t.map.cache key;
       data
   | _ -> (
-      match lookup_key t ino key with
+      match Bmap.lookup t.map ino key with
       | -1 ->
           (* data holes are zeros; indirect-block holes must decode as
              "unassigned" pointers, i.e. every slot -1 *)
           let fill = if Bcache.level key = 0 then '\000' else '\xff' in
-          let b = Bcache.take t.cache in
+          let b = Bcache.take t.map.cache in
           let data = Bufpool.bytes b in
           Bytes.fill data 0 (Bytes.length data) fill;
-          Bcache.put_dirty_buf t.cache key ~old_addr:(-1) ~crc:(-1) b;
+          Bcache.put_dirty_buf t.map.cache key ~old_addr:(-1) ~crc:(-1) b;
           data
       | addr ->
           charge_cpu t t.prm.cpu.per_block;
-          let b = Bcache.take t.cache in
-          t.device.read_into ~blk:addr ~count:1 ~dst:(Bufpool.bytes b) ~dst_off:0;
-          Bcache.put_dirty_buf t.cache key ~old_addr:addr ~crc:(-1) b;
+          let b = Bcache.take t.map.cache in
+          t.map.dev.read_into ~blk:addr ~count:1 ~dst:(Bufpool.bytes b) ~dst_off:0;
+          Bcache.put_dirty_buf t.map.cache key ~old_addr:addr ~crc:(-1) b;
           Bufpool.bytes b)
 
 let get_block_for_write t ino bkey = get_block_for_write_key t ino (Bcache.key ino.Inode.inum bkey)
@@ -256,15 +225,15 @@ let put_block t ino bkey ?(off = 0) data =
   if off < 0 || off + bs > Bytes.length data then invalid_arg "Fs.put_block: view outside data";
   let key = Bcache.key ino.Inode.inum bkey in
   let old_addr =
-    if Bcache.find t.cache key != Bcache.miss then Bcache.addr_of t.cache key
-    else lookup_key t ino key
+    if Bcache.find t.map.cache key != Bcache.miss then Bcache.addr_of t.map.cache key
+    else Bmap.lookup t.map ino key
   in
   (* taken after the lookup, which may itself insert *)
-  let b = Bcache.take t.cache in
+  let b = Bcache.take t.map.cache in
   Bytes.blit data off (Bufpool.bytes b) 0 bs;
-  Bcache.put_dirty_buf t.cache key ~old_addr ~crc:(-1) b
+  Bcache.put_dirty_buf t.map.cache key ~old_addr ~crc:(-1) b
 
-let drop_block t ino bkey = Bcache.drop t.cache (Bcache.key ino.Inode.inum bkey)
+let drop_block t ino bkey = Bcache.drop t.map.cache (Bcache.key ino.Inode.inum bkey)
 
 let set_pointer t ino key addr =
   let ppb = ppb t in
@@ -277,24 +246,24 @@ let set_pointer t ino key addr =
 
 let zap_pointer t ino bkey =
   let key = Bcache.key ino.Inode.inum bkey in
-  let addr = lookup_key t ino key in
+  let addr = Bmap.lookup t.map ino key in
   let cached_old =
-    if Bcache.find t.cache key == Bcache.miss then -1
-    else try Bcache.addr_of t.cache key with Not_found -> -1
+    if Bcache.find t.map.cache key == Bcache.miss then -1
+    else try Bcache.addr_of t.map.cache key with Not_found -> -1
   in
   let victim = if addr >= 0 then addr else cached_old in
   if victim >= 0 then account t ~addr:victim (-t.prm.block_size);
-  Bcache.drop t.cache key;
+  Bcache.drop t.map.cache key;
   if addr >= 0 then set_pointer t ino key (-1)
 
 let repoint t ino bkey new_addr =
   let key = Bcache.key ino.Inode.inum bkey in
-  if Bcache.is_dirty t.cache key then invalid_arg "Fs.repoint: block is dirty";
-  let old_addr = lookup_key t ino key in
+  if Bcache.is_dirty t.map.cache key then invalid_arg "Fs.repoint: block is dirty";
+  let old_addr = Bmap.lookup t.map ino key in
   if old_addr >= 0 then account t ~addr:old_addr (-t.prm.block_size);
   account t ~addr:new_addr t.prm.block_size;
   set_pointer t ino key new_addr;
-  if Bcache.find t.cache key != Bcache.miss then Bcache.set_addr t.cache key new_addr
+  if Bcache.find t.map.cache key != Bcache.miss then Bcache.set_addr t.map.cache key new_addr
 
 (* ---------- The segment writer ---------- *)
 
@@ -466,7 +435,7 @@ let close_partial t p =
   let count = if g.whole then room t g else n + 1 in
   Bytes.fill image ((n + 1) * bs) ((count - n - 1) * bs) '\000';
   charge_copy t (count * bs);
-  t.device.write_from ~blk:g.blk ~src:image ~src_off:0 ~count;
+  t.map.dev.write_from ~blk:g.blk ~src:image ~src_off:0 ~count;
   (* a write that raised leaves the buffer to the GC *)
   Bufpool.give t.segbufs p.p_buf;
   p.p_buf <- Bufpool.none;
@@ -476,9 +445,9 @@ let close_partial t p =
      or be gone *)
   for i = 0 to n - 1 do
     let addr = g.base + 1 + i in
-    if g.blk = g.base then t.sums.(addr) <- p.p_crcs.(i);
+    if g.blk = g.base then t.map.sums.(addr) <- p.p_crcs.(i);
     if (p.p_keys.(i) :> int) >= 0 then
-      Bcache.mark_written t.cache p.p_entries.(i) p.p_payloads.(i) ~crc:p.p_crcs.(i) ~addr
+      Bcache.mark_written t.map.cache p.p_entries.(i) p.p_payloads.(i) ~crc:p.p_crcs.(i) ~addr
   done;
   (* hold no entry or block past the partial *)
   Array.fill p.p_entries 0 n Bcache.no_handle;
@@ -560,7 +529,7 @@ let stage_block t (key : Bcache.key) h payload =
 
 let segments_needed t extra_blocks =
   let bs_per_seg = Param.data_blocks_per_seg t.prm in
-  let data = Bcache.dirty_count t.cache + extra_blocks in
+  let data = Bcache.dirty_count t.map.cache + extra_blocks in
   (* count the indirect blocks the dirty set can touch, exactly: every
      distinct ancestor of a dirty block may be dirtied by set_pointer;
      and every file with a dirty block gets its inode rewritten too.
@@ -585,7 +554,7 @@ let segments_needed t extra_blocks =
       walk pk
     end
   in
-  Bcache.iter_dirty t.cache (fun key _ _ ->
+  Bcache.iter_dirty t.map.cache (fun key _ _ ->
       note_owner (Bcache.inum key);
       walk key);
   Hashtbl.iter (fun inum () -> note_owner inum) t.dirty_inodes;
@@ -611,7 +580,7 @@ let ensure_space t =
 let flush t =
   if
     Hashtbl.length t.dirty_inodes > 0
-    || Bcache.dirty_count t.cache > 0
+    || Bcache.dirty_count t.map.cache > 0
     || not (Queue.is_empty t.dead_inodes)
   then begin
     if t.in_flush then failwith "Fs.flush: reentrant flush";
@@ -624,7 +593,7 @@ let flush t =
        level's flush assigns addresses and dirties the parents that the
        next level picks up. *)
     for level = 0 to 3 do
-      Bcache.iter_dirty_sorted t.cache ~level (fun h key data old_addr ->
+      Bcache.iter_dirty_sorted t.map.cache ~level (fun h key data old_addr ->
           let inum = Bcache.inum key in
           let ino = try get_inode t inum with Not_found ->
             failwith (Printf.sprintf "Fs.flush: dirty block of missing inode %d" inum)
@@ -656,7 +625,7 @@ let flush t =
   end
 
 let maybe_flush t =
-  if Bcache.dirty_count t.cache >= Param.data_blocks_per_seg t.prm then flush t
+  if Bcache.dirty_count t.map.cache >= Param.data_blocks_per_seg t.prm then flush t
 
 (* ---------- Ifile serialization & checkpoint ---------- *)
 
@@ -694,7 +663,7 @@ let write_checkpoint_region t =
     }
   in
   let block = Superblock.serialize_checkpoint ~block_size:t.prm.block_size cp in
-  t.device.write ~blk:(Layout.checkpoint_addr t.cp_slot) ~data:block;
+  t.map.dev.write ~blk:(Layout.checkpoint_addr t.cp_slot) ~data:block;
   t.cp_slot <- 1 - t.cp_slot
 
 let checkpoint t =
@@ -735,7 +704,7 @@ let alloc_clean_segment t =
         | Some s ->
             Segusage.set_state t.seg_usage s Segusage.Cached;
             (* a cache line's blocks are not the log's *)
-            Array.fill t.sums (Layout.seg_base t.prm s) t.prm.seg_blocks (-1);
+            Array.fill t.map.sums (Layout.seg_base t.prm s) t.prm.seg_blocks (-1);
             Some s
     in
     pick (max (t.cache_floor - 1) t.cur_seg) 0
@@ -748,7 +717,7 @@ let release_segment t seg =
 let note_segments_freed t = t.hooks.segments_freed ()
 
 let write_superblock t =
-  t.device.write ~blk:Layout.superblock_addr
+  t.map.dev.write ~blk:Layout.superblock_addr
     ~data:
       (Superblock.serialize ~block_size:t.prm.block_size
          {
@@ -762,17 +731,17 @@ let write_superblock t =
 let grow t ~added_segs ?new_dev () =
   if added_segs <= 0 then invalid_arg "Fs.grow";
   let prm' = { t.prm with Param.nsegs = t.prm.nsegs + added_segs } in
-  let dev = Option.value new_dev ~default:t.device in
+  let dev = Option.value new_dev ~default:t.map.dev in
   if dev.Dev.block_size <> t.prm.block_size then invalid_arg "Fs.grow: block size mismatch";
   if dev.Dev.nblocks < Layout.disk_blocks prm' then invalid_arg "Fs.grow: device too small";
   (* quiesce on the old geometry, then extend *)
   checkpoint t;
-  t.device <- dev;
+  t.map.dev <- dev;
   Segusage.grow t.seg_usage ~by:added_segs ~seg_bytes:(Param.seg_bytes t.prm);
   t.prm <- prm';
   let sums = Array.make (Layout.disk_blocks prm') (-1) in
-  Array.blit t.sums 0 sums 0 (Array.length t.sums);
-  t.sums <- sums;
+  Array.blit t.map.sums 0 sums 0 (Array.length t.map.sums);
+  t.map.sums <- sums;
   (* the segment-usage table grew, which shifts the inode map's position
      inside the ifile: rewrite the whole ifile from the in-core tables *)
   Segusage.mark_all_dirty t.seg_usage;
@@ -792,11 +761,16 @@ let make_state engine prm device tertiary_cfg =
   {
     engine;
     prm;
-    device;
+    map =
+      {
+        Bmap.cache = Bcache.create ~cap:prm.bcache_blocks ~block_size:prm.block_size;
+        dev = device;
+        per_block = prm.cpu.per_block;
+        sums = Array.make (Layout.disk_blocks prm) (-1);
+      };
     tertiary_cfg;
     inode_map = Imap.create ~max_inodes:prm.max_inodes;
     seg_usage = Segusage.create ~nsegs:prm.nsegs ~seg_bytes:(Param.seg_bytes prm);
-    cache = Bcache.create ~cap:prm.bcache_blocks ~block_size:prm.block_size;
     itable = Hashtbl.create 64;
     dirty_inodes = Hashtbl.create 16;
     dead_inodes = Queue.create ();
@@ -813,7 +787,6 @@ let make_state engine prm device tertiary_cfg =
     n_segs_written = 0;
     n_partials = 0;
     cache_floor = 0;
-    sums = Array.make (Layout.disk_blocks prm) (-1);
     segbufs = Bufpool.create (Param.seg_bytes prm);
     part = new_partial prm;
     seen = Bcache.Tbl.create 64;
@@ -892,7 +865,7 @@ let roll_forward t cp =
   let continue_scan = ref true in
   while !continue_scan do
     let base = Layout.seg_base t.prm !seg in
-    let sum_block = t.device.read ~blk:(base + !off) ~count:1 in
+    let sum_block = t.map.dev.read ~blk:(base + !off) ~count:1 in
     match Summary.deserialize sum_block with
     | Error _ -> continue_scan := false
     | Ok (sum, datasum) ->
@@ -901,7 +874,7 @@ let roll_forward t cp =
           let nb = Summary.nblocks_total sum in
           if !off + 1 + nb > t.prm.seg_blocks then continue_scan := false
           else begin
-            let data = if nb = 0 then Bytes.empty else t.device.read ~blk:(base + !off + 1) ~count:nb in
+            let data = if nb = 0 then Bytes.empty else t.map.dev.read ~blk:(base + !off + 1) ~count:nb in
             if nb > 0 && Crc32.bytes data <> datasum then continue_scan := false
             else begin
               (* intact partial: apply *)
@@ -1019,7 +992,7 @@ let crash_image t store =
 
 let drop_caches t =
   flush t;
-  Bcache.invalidate_clean t.cache;
+  Bcache.invalidate_clean t.map.cache;
   let doomed =
     Hashtbl.fold
       (fun inum _ acc -> if inum = ifile_inum || inum = tseg_inum then acc else inum :: acc)
@@ -1051,6 +1024,6 @@ let check t =
         (Format.asprintf "%a" Segusage.pp_state st));
   (try ignore (get_inode t root_inum)
    with _ -> complain "root inode unreadable");
-  if List.exists Bufpool.is_free (Bcache.buffers t.cache) then
+  if List.exists Bufpool.is_free (Bcache.buffers t.map.cache) then
     complain "a buffer-cache entry holds a block buffer that is on the free list";
   List.rev !problems

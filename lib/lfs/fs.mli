@@ -68,6 +68,9 @@ val imap : t -> Imap.t
 val seguse : t -> Segusage.t
 val bcache : t -> Bcache.t
 
+val map : t -> Bmap.t
+(** The block map over this file system's device, cache and sums. *)
+
 val segbufs : t -> Util.Bufpool.t
 (** The instance's pool of segment-sized ({!Param.seg_bytes}) buffers:
     partial images, fsck's scratch segment and — in HighLight — the
@@ -226,14 +229,6 @@ val segments_written : t -> int
 val partials_written : t -> int
 val iter_files : t -> (int -> Imap.entry -> unit) -> unit
 (** All allocated inums including the reserved ones. *)
-
-val written_crc : t -> int -> int
-(** The CRC-32 the segment writer wrote the log block at a disk address
-    with since mount, or -1 when unknown (before mount, not a log block,
-    or not a disk address). Readers hand it to {!Bcache} so a block that
-    is moved again carries the sum of its written bytes, and corruption
-    on the disk shows up as a checksum mismatch instead of gaining a
-    fresh, valid sum. *)
 
 val crash_image : t -> Device.Blockstore.t -> Device.Blockstore.t
 (** [crash_image t store] snapshots the blockstore backing [t] as a

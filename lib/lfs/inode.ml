@@ -56,16 +56,6 @@ let set_pointer t i v =
   else if i = Bkey.ndirect + 1 then t.double <- v
   else t.triple <- v
 
-let slot_number = function
-  | Bkey.In_inode_direct i -> i
-  | Bkey.In_inode_single -> Bkey.ndirect
-  | Bkey.In_inode_double -> Bkey.ndirect + 1
-  | Bkey.In_inode_triple -> Bkey.ndirect + 2
-  | Bkey.In_block _ -> invalid_arg "Inode: not an inode slot"
-
-let get_inode_slot t parent = pointer t (slot_number parent)
-let set_inode_slot t parent v = set_pointer t (slot_number parent) v
-
 let kind_code = function Reg -> 1 | Dir -> 2 | Symlink -> 3
 
 let kind_of_code = function

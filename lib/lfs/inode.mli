@@ -32,11 +32,6 @@ val isize : int
 
 val per_block : block_size:int -> int
 
-val get_inode_slot : t -> Bkey.parent -> int
-(** Reads an inode-resident pointer slot ([In_inode_*] parents only). *)
-
-val set_inode_slot : t -> Bkey.parent -> int -> unit
-
 val pointer : t -> int -> int
 (** [pointer t i] reads inode pointer slot [i], numbered [0] to
     [Bkey.ndirect - 1] for the direct slots, then [Bkey.ndirect] for the

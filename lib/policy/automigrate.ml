@@ -12,7 +12,7 @@ let disk_resident st inum =
   | exception Not_found -> false
   | ino ->
       let found = ref false in
-      Lfs.File.iter_assigned_blocks fs ino (fun _ addr ->
+      Lfs.File.iter_assigned_blocks (Lfs.Fs.map fs) ino (fun _ addr ->
           if Addr_space.is_disk st.State.aspace addr then found := true);
       !found
 

@@ -181,7 +181,7 @@ let test_walk_with_tiny_cache cache () =
          every step; the walk must visit exactly what a quiet one does *)
       let walk visit =
         let seen = ref [] in
-        File.iter_assigned_blocks fs (Dir.namei fs "/b") (fun bkey addr ->
+        File.iter_assigned_blocks (Fs.map fs) (Dir.namei fs "/b") (fun bkey addr ->
             visit ();
             seen := (Format.asprintf "%a" Bkey.pp bkey, addr) :: !seen);
         List.rev !seen

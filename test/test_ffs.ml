@@ -147,6 +147,99 @@ let test_check_clean () =
   Ffs.sync fs;
   check Alcotest.(list string) "consistent" [] (Ffs.check fs)
 
+(* One block at the first lbn under the triple-indirect pointer takes
+   four: the data, an L1, an L2 and the L3 root. Unlink must free all. *)
+let test_unlink_frees_triple () =
+  let fs, _ = fresh_ffs () in
+  let bs = prm.Ffs.block_size in
+  let ppb = bs / 4 in
+  let free0 = Ffs.free_blocks fs in
+  let f = Ffs.create_file fs "/sparse" in
+  Ffs.write fs f ~off:((Bkey.ndirect + ppb + (ppb * ppb)) * bs) (bytes_pattern bs 10);
+  Ffs.sync fs;
+  check Alcotest.bool "triple used" true (f.Inode.triple <> -1);
+  check Alcotest.int "data, L1, L2 and L3 taken" (free0 - 4) (Ffs.free_blocks fs);
+  Ffs.unlink fs "/sparse";
+  check Alcotest.int "every block back" free0 (Ffs.free_blocks fs)
+
+(* With group 0's data bits cleared on disk, every block of a 30-block
+   file is reachable but unmarked: the audit must name the indirect
+   block and the data under it, not only the direct blocks. *)
+let test_check_audits_indirect () =
+  let fs, store = fresh_ffs () in
+  let bs = prm.Ffs.block_size in
+  let f = Ffs.create_file fs "/f" in
+  Ffs.write fs f ~off:0 (bytes_pattern (30 * bs) 11);
+  Ffs.sync fs;
+  let bitmap = Bytes.create bs in
+  (* group 0's bitmap is the block after the superblock, followed by
+     its inode table *)
+  Device.Blockstore.read_into store ~blk:1 ~count:1 ~dst:bitmap ~dst_off:0;
+  let meta = 1 + (((prm.Ffs.inodes_per_group * Inode.isize) + bs - 1) / bs) in
+  for i = meta to prm.Ffs.blocks_per_group - 1 do
+    let c = Char.code (Bytes.get bitmap (i / 8)) in
+    Bytes.set bitmap (i / 8) (Char.chr (c land lnot (1 lsl (i mod 8))))
+  done;
+  Device.Blockstore.write store ~blk:1 bitmap;
+  let fs2 = Ffs.mount (Sim.Engine.create ()) ~cpu:Param.cpu_free (Dev.of_store store) in
+  let f2 = Ffs.namei fs2 "/f" in
+  let problems = Ffs.check fs2 in
+  let l1 = f2.Inode.single in
+  let ptrs = Bytes.create bs in
+  Device.Blockstore.read_into store ~blk:l1 ~count:1 ~dst:ptrs ~dst_off:0;
+  let unmarked bkey addr =
+    Format.asprintf "ino %d %a at %d not marked used" f2.Inode.inum Bkey.pp bkey addr
+  in
+  let expected =
+    unmarked (Bkey.L1 0) l1
+    :: List.init 18 (fun i ->
+           unmarked (Bkey.Data (Bkey.ndirect + i)) (Util.Bytesx.get_i32 ptrs (i * 4)))
+  in
+  List.iter
+    (fun msg -> check Alcotest.bool msg true (List.mem msg problems))
+    expected
+
+(* Partial writes to blocks not in the cache. One into the file's last
+   block, past the file's end, keeps the block's bytes below the end.
+   One into a hole reads zeros around the written bytes, not what a
+   freed block held before. *)
+let test_partial_writes_uncached () =
+  let fs, _ = fresh_ffs () in
+  let junk = Ffs.create_file fs "/junk" in
+  Ffs.write fs junk ~off:0 (bytes_pattern (40 * 4096) 15);
+  Ffs.sync fs;
+  Ffs.unlink fs "/junk";
+  let f = Ffs.create_file fs "/tail" in
+  let head = bytes_pattern 5000 12 in
+  Ffs.write fs f ~off:0 head;
+  Ffs.sync fs;
+  Bcache.invalidate_clean (Ffs.bcache fs);
+  Ffs.write fs f ~off:5000 (bytes_pattern 100 13);
+  Ffs.write fs f ~off:(20 * 4096) (bytes_pattern 4096 14);
+  Ffs.write fs f ~off:((10 * 4096) + 10) (bytes_pattern 10 16);
+  Ffs.sync fs;
+  Bcache.invalidate_clean (Ffs.bcache fs);
+  check Alcotest.bytes "tail block kept" head (Ffs.read fs f ~off:0 ~len:5000);
+  check Alcotest.bytes "hole block zeroed" (Bytes.make 10 '\000')
+    (Ffs.read fs f ~off:(10 * 4096) ~len:10)
+
+(* The namespace is LFS's: its errors, and rmdir and rename, on FFS. *)
+let test_shared_namespace () =
+  let fs, _ = fresh_ffs () in
+  ignore (Ffs.mkdir fs "/d");
+  ignore (Ffs.create_file fs "/d/a");
+  check Alcotest.bool "exists" true
+    (try ignore (Ffs.create_file fs "/d/a"); false with Dir.Exists _ -> true);
+  check Alcotest.bool "not a directory" true
+    (try ignore (Ffs.namei fs "/d/a/b"); false with Dir.Not_dir _ -> true);
+  Ffs.rename fs ~src:"/d/a" ~dst:"/b";
+  check Alcotest.bool "renamed" true
+    (Ffs.namei_opt fs "/b" <> None && Ffs.namei_opt fs "/d/a" = None);
+  let free = Ffs.free_blocks fs in
+  Ffs.rmdir fs "/d";
+  check Alcotest.int "directory block freed" (free + 1) (Ffs.free_blocks fs);
+  check Alcotest.(list string) "consistent" [] (Ffs.check fs)
+
 let prop_ffs_roundtrip =
   QCheck.Test.make ~name:"ffs random writes read back" ~count:20
     QCheck.(small_list (pair small_nat small_nat))
@@ -203,6 +296,10 @@ let suite =
         Alcotest.test_case "ENOSPC" `Quick test_no_space;
         Alcotest.test_case "clustering beats random" `Quick test_clustered_read_timing;
         Alcotest.test_case "consistency check" `Quick test_check_clean;
+        Alcotest.test_case "unlink frees a triple-indirect tree" `Quick test_unlink_frees_triple;
+        Alcotest.test_case "check audits indirect blocks" `Quick test_check_audits_indirect;
+        Alcotest.test_case "partial writes to uncached blocks" `Quick test_partial_writes_uncached;
+        Alcotest.test_case "namespace shared with LFS" `Quick test_shared_namespace;
       ] );
     ("ffs.properties", [ QCheck_alcotest.to_alcotest prop_ffs_roundtrip ]);
   ]

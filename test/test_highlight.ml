@@ -141,7 +141,7 @@ let test_migrate_and_read_back () =
       check Alcotest.bool "staged segments" true (List.length tsegs >= 3);
       (* every data block now has a tertiary address *)
       let all_tertiary = ref true in
-      File.iter_assigned_blocks fs f (fun _ addr ->
+      File.iter_assigned_blocks (Fs.map fs) f (fun _ addr ->
           if not (Addr_space.is_tertiary (Hl.state w.hl).State.aspace addr) then
             all_tertiary := false);
       check Alcotest.bool "all blocks tertiary" true !all_tertiary;
@@ -544,7 +544,7 @@ let test_self_contained_migration () =
             fst (Addr_space.vol_seg_of_tindex aspace (Addr_space.tindex_of_addr aspace addr))
             :: !vols
       in
-      File.iter_assigned_blocks fs f (fun _ addr -> note addr);
+      File.iter_assigned_blocks (Fs.map fs) f (fun _ addr -> note addr);
       note (Imap.get (Fs.imap fs) f.Inode.inum).Imap.addr;
       let distinct = List.sort_uniq compare !vols in
       check Alcotest.int

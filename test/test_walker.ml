@@ -103,7 +103,7 @@ let test_walker_matches_block_maps () =
       Fs.iter_files fsys (fun inum e ->
           if e.Imap.addr > 0 then begin
             place e.Imap.addr (inode_entry e.Imap.addr inum);
-            File.iter_assigned_blocks fsys (Fs.get_inode fsys inum) (fun bkey addr ->
+            File.iter_assigned_blocks (Fs.map fsys) (Fs.get_inode fsys inum) (fun bkey addr ->
                 place addr (file_entry addr inum bkey))
           end);
       let segments =
