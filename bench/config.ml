@@ -55,21 +55,22 @@ let ffs_params =
 
 (* Simulated seconds consumed by every [in_sim] run since the last
    [take_sim_elapsed] — the per-target "simulated elapsed" figure the
-   harness's --json mode reports. *)
+   harness's bench.json reports. *)
 let sim_elapsed = ref 0.0
 let take_sim_elapsed () =
   let v = !sim_elapsed in
   sim_elapsed := 0.0;
   v
 
-(* --trace support: every [in_sim] run records into its own tracer (each
-   engine's clock starts at 0) and the runs are concatenated onto one
-   timeline, each offset by the simulated time accumulated before it. *)
+(* --out's trace.json: every [in_sim] run records into its own tracer
+   (each engine's clock starts at 0) and the runs are concatenated onto
+   one timeline, each offset by the simulated time accumulated before
+   it. *)
 let trace_requested = ref false
 let trace_acc : Sim.Trace.t option ref = ref None
 let trace_offset = ref 0.0
 
-(* Harness-wide metrics (latency percentiles for --json): targets fold
+(* Harness-wide metrics (latency percentiles for bench.json): targets fold
    their instance's registry in with [harvest_metrics] before tearing
    the instance down. *)
 let bench_metrics = Sim.Metrics.create ()
@@ -86,7 +87,7 @@ let harvest_metrics m =
    registry around a measured phase calls [take_attribution] once its
    simulation has drained (in-flight ledgers close on their own sim
    time, after the bench body exits). The per-class category blame is
-   returned for the target's own report and recorded for --json. *)
+   returned for the target's own report and recorded for bench.json. *)
 let attributions : (string * (string * (string * float) list) list) list ref = ref []
 
 let take_attribution label =

@@ -5,7 +5,7 @@
      dune exec bench/main.exe                  # everything
      dune exec bench/main.exe -- --only table2 # one experiment
      dune exec bench/main.exe -- --list        # targets
-     dune exec bench/main.exe -- --json f.json # + per-target timings *)
+     dune exec bench/main.exe -- --out DIR     # + DIR/bench.json, DIR/trace.json *)
 
 let targets : (string * string * (unit -> unit)) list =
   [
@@ -35,7 +35,7 @@ let targets : (string * string * (unit -> unit)) list =
   ]
 
 (* One record per executed target: simulated seconds consumed by its
-   runs, and host wall-clock seconds. Written by --json. *)
+   runs, and host wall-clock seconds. Written to bench.json by --out. *)
 let timings : (string * float * float) list ref = ref []
 
 let run_timed (name, _, run) =
@@ -45,7 +45,8 @@ let run_timed (name, _, run) =
   let wall = Unix.gettimeofday () -. w0 in
   timings := (name, Config.take_sim_elapsed (), wall) :: !timings
 
-let write_json (file, oc) =
+let write_json file =
+  Out_channel.with_open_text file @@ fun oc ->
   Printf.fprintf oc "{\n  \"schema\": \"highlight-bench/v1\",\n";
   (* demand-fetch latency percentiles, folded across every target that
      harvested its instance's registry (see Config.harvest_metrics) *)
@@ -87,9 +88,7 @@ let write_json (file, oc) =
         wall
         (if i = List.length rows - 1 then "" else ","))
     rows;
-  Printf.fprintf oc "  }\n}\n";
-  close_out oc;
-  Printf.printf "\nwrote %s\n" file
+  Printf.fprintf oc "  }\n}\n"
 
 let run_all () =
   print_endline "HighLight reproduction: regenerating every table and figure.";
@@ -111,41 +110,39 @@ let run_one name =
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
-  (* peel off --json FILE / --trace FILE wherever they appear *)
-  let rec extract flag acc = function
-    | f :: file :: rest when f = flag -> (Some file, List.rev_append acc rest)
-    | a :: rest -> extract flag (a :: acc) rest
+  (* peel off --out DIR wherever it appears *)
+  let rec extract acc = function
+    | "--out" :: dir :: rest -> (Some dir, List.rev_append acc rest)
+    | a :: rest -> extract (a :: acc) rest
     | [] -> (None, List.rev acc)
   in
-  let json, args = extract "--json" [] args in
-  let trace, args = extract "--trace" [] args in
-  if trace <> None then Config.trace_requested := true;
-  (* open now so a bad path fails before the benches run, not after *)
-  let json =
-    Option.map
-      (fun file ->
-        match open_out file with
-        | oc -> (file, oc)
-        | exception Sys_error msg ->
-            Printf.eprintf "cannot write %s\n" msg;
-            exit 1)
-      json
-  in
+  let out, args = extract [] args in
+  (* create it now so a bad path fails before the benches run, not after *)
+  Option.iter
+    (fun dir ->
+      Util.Misc.mkdir_p dir;
+      if not (Sys.file_exists dir && Sys.is_directory dir) then begin
+        Printf.eprintf "cannot create %s\n" dir;
+        exit 1
+      end;
+      Config.trace_requested := true)
+    out;
   (match args with
   | [ "--list" ] ->
       List.iter (fun (name, descr, _) -> Printf.printf "%-16s %s\n" name descr) targets
   | [ "--only"; name ] -> run_one name
   | [] -> run_all ()
   | _ ->
-      prerr_endline
-        "usage: main.exe [--list | --only <target>] [--json <file>] [--trace <file>]";
+      prerr_endline "usage: main.exe [--list | --only <target>] [--out <dir>]";
       exit 1);
-  Option.iter write_json json;
   Option.iter
-    (fun file ->
+    (fun dir ->
+      let json = Filename.concat dir "bench.json" and trace = Filename.concat dir "trace.json" in
+      write_json json;
+      Printf.printf "\nwrote %s\n" json;
       match !Config.trace_acc with
       | Some tr ->
-          Sim.Trace.write_file tr file;
-          Printf.printf "wrote %s (%d trace events)\n" file (Sim.Trace.event_count tr)
+          Sim.Trace.write_file tr trace;
+          Printf.printf "wrote %s (%d trace events)\n" trace (Sim.Trace.event_count tr)
       | None -> prerr_endline "no trace captured (no target ran a simulation)")
-    trace
+    out

@@ -11,13 +11,8 @@
 open Cmdliner
 open Lfs
 
-(* stashed by [in_sim] so the [--gc-stats] report can read the event
-   count after the run *)
-let last_engine = ref None
-
 let in_sim f =
   let engine = Sim.Engine.create () in
-  last_engine := Some engine;
   let result = ref None in
   Sim.Engine.spawn engine ~name:"hlctl-main" (fun () -> result := Some (f engine));
   Sim.Engine.run engine;
@@ -29,39 +24,6 @@ let in_sim f =
       Printf.eprintf "warning: %d process(es) still blocked at end of simulation: %s\n"
         (List.length names) (String.concat ", " names));
   match !result with Some r -> r | None -> failwith "simulation did not complete"
-
-(* [--gc-stats] wraps the run and reports real-machine cost: retired
-   events, CPU seconds, and allocation per event — the numbers the
-   engine fast path moves. *)
-let with_gc_stats enabled f =
-  if not enabled then f ()
-  else begin
-    let g0 = Gc.quick_stat () in
-    let t0 = Sys.time () in
-    let code = f () in
-    let cpu = Sys.time () -. t0 in
-    let g1 = Gc.quick_stat () in
-    let events, sim_s =
-      match !last_engine with
-      | Some e -> (Sim.Engine.events_retired e, Sim.Engine.now e)
-      | None -> (0, 0.0)
-    in
-    let minor = g1.Gc.minor_words -. g0.Gc.minor_words in
-    let major = g1.Gc.major_words -. g0.Gc.major_words in
-    Printf.printf
-      "gc-stats: %d events in %.3fs cpu (%.0f events/sec; %.1f sim-s per cpu-s)\n" events cpu
-      (if cpu > 0.0 then float_of_int events /. cpu else 0.0)
-      (if cpu > 0.0 then sim_s /. cpu else 0.0);
-    Printf.printf
-      "gc-stats: minor words %.3e (%.1f/event)   major words %.3e   collections %d minor / %d \
-       major\n"
-      minor
-      (if events > 0 then minor /. float_of_int events else 0.0)
-      major
-      (g1.Gc.minor_collections - g0.Gc.minor_collections)
-      (g1.Gc.major_collections - g0.Gc.major_collections);
-    code
-  end
 
 let build_world engine ~nsegs ~nvolumes ~seg_blocks ~media =
   let prm =
@@ -134,14 +96,13 @@ let layout nsegs nvolumes seg_blocks =
 
 (* ---- simulate ---- *)
 
-(* [--faults] accepts either a plan file or the DSL inline, so CI can
-   one-line a scenario: "jukebox0:drive* read prob=0.05 media_error" *)
+(* [--faults] and [--slo] accept either a file or the DSL inline, so CI
+   can one-line a scenario: "jukebox0:drive* read prob=0.05 media_error" *)
+let read_spec spec =
+  if Sys.file_exists spec then In_channel.with_open_text spec In_channel.input_all else spec
+
 let read_fault_plan spec =
-  let text =
-    if Sys.file_exists spec then In_channel.with_open_text spec In_channel.input_all
-    else spec
-  in
-  match Sim.Fault.parse text with
+  match Sim.Fault.parse (read_spec spec) with
   | Ok plan -> plan
   | Error msg ->
       Printf.eprintf "invalid fault plan: %s\n" msg;
@@ -168,7 +129,7 @@ let apply_readahead hl spec =
           Printf.eprintf "unknown --readahead %S (none|fixed:N|adaptive)\n" s;
           exit 1)
 
-(* [--profile] renders the closed-ledger summary: one row per request
+(* The wait-profile table of an [--out] run: one row per request
    class x category, blame-ranked, plus the class totals the rows
    decompose. Percentages are of the class's end-to-end time, so the
    category rows of a class sum to ~100 (idle gaps are impossible: sim
@@ -207,13 +168,8 @@ let print_profile () =
     (Sim.Ledger.summary ());
   Util.Tablefmt.print t
 
-(* [--slo] accepts a file or the DSL inline, like [--faults]. *)
 let read_slo_spec spec =
-  let text =
-    if Sys.file_exists spec then In_channel.with_open_text spec In_channel.input_all
-    else spec
-  in
-  match Obs.Health.parse text with
+  match Obs.Health.parse (read_spec spec) with
   | Ok [] ->
       Printf.eprintf "invalid --slo: no objectives in %S\n" spec;
       exit 1
@@ -222,9 +178,9 @@ let read_slo_spec spec =
       Printf.eprintf "invalid --slo: %s\n" msg;
       exit 1
 
-(* [--health-report] compliance table: one row per objective with the
-   cumulative observed value, the final fast/slow burn rates, the worst
-   slow-window burn of the run, and the alert count. *)
+(* [--slo] compliance table: one row per objective with the cumulative
+   observed value, the final fast/slow burn rates, the worst slow-window
+   burn of the run, and the alert count. *)
 let print_health_report health =
   let t =
     Util.Tablefmt.create ~title:"SLO compliance"
@@ -245,21 +201,19 @@ let print_health_report health =
         ])
     (Obs.Health.compliance health);
   Util.Tablefmt.print t;
-  match Obs.Health.alerts health with
-  | [] -> Printf.printf "alerts fired: none\n"
-  | alerts ->
-      Printf.printf "alerts fired: %d\n" (List.length alerts);
-      List.iter
-        (fun (a : Obs.Health.alert) ->
-          Printf.printf "  t=%-8.0f %-18s %-24s %s\n" a.Obs.Health.a_at a.Obs.Health.a_kind
-            a.Obs.Health.a_name a.Obs.Health.a_detail;
-          Option.iter (fun p -> Printf.printf "  %10s black box: %s\n" "" p) a.Obs.Health.a_bundle)
-        alerts
+  let alerts = Obs.Health.alerts health in
+  Printf.printf "alerts fired: %d\n" (List.length alerts);
+  List.iter
+    (fun (a : Obs.Health.alert) ->
+      Printf.printf "  t=%-8.0f %-18s %-24s %s\n" a.Obs.Health.a_at a.Obs.Health.a_kind
+        a.Obs.Health.a_name a.Obs.Health.a_detail;
+      Option.iter (fun p -> Printf.printf "  %10s black box: %s\n" "" p) a.Obs.Health.a_bundle)
+    alerts
 
-(* [--decisions] / [--shadow] post-run report: the observatory SLIs, the
+(* The observatory report of an [--out] run: the decision SLIs, the
    per-policy breakdowns, and the counterfactual scoreboard of every
-   shadow policy — the "policy X would have recalled 38% fewer bytes"
-   blame lines the ISSUE asks for. *)
+   [--shadow] policy — the "policy X would have recalled 38% fewer
+   bytes" blame lines. *)
 let print_observatory shadows =
   match Obs.Decision.sli () with
   | None -> ()
@@ -325,81 +279,39 @@ let print_observatory shadows =
                 if s.Obs.Decision.recalled_bytes > 0 && r.Obs.Shadow.r_demotions > 0 then begin
                   let live = float_of_int s.Obs.Decision.recalled_bytes in
                   let shad = float_of_int r.Obs.Shadow.r_recalled_bytes in
-                  let pct = 100.0 *. Float.abs (live -. shad) /. live in
-                  if shad <= live then
-                    Printf.printf "  %s would have recalled %.0f%% fewer bytes\n"
-                      r.Obs.Shadow.r_name pct
-                  else
-                    Printf.printf "  %s would have recalled %.0f%% more bytes\n"
-                      r.Obs.Shadow.r_name pct
+                  Printf.printf "  %s would have recalled %.0f%% %s bytes\n" r.Obs.Shadow.r_name
+                    (100.0 *. Float.abs (live -. shad) /. live)
+                    (if shad <= live then "fewer" else "more")
                 end)
               reports
           end)
         shadows
 
-let simulate nsegs nvolumes seg_blocks media files file_kb policy verbose trace_file
-    metrics_file faults readahead idle_readahead profile snapshots_file snapshot_period
-    gc_stats decisions_file shadow_spec decision_window slo_spec slo_strict health_report
-    blackbox_dir =
-  (* the profile and snapshot files are written after [in_sim] returns:
-     shutdown only drains the queues — in-flight transfers finish on
-     their own sim time, and their ledgers close after the main process
-     has already exited *)
-  let sampler = ref None in
-  let health = ref None in
-  let flight = ref None in
+(* [--shadow] specs parse before the run, so a typo costs no simulation *)
+let read_shadow_spec spec =
+  match Obs.Shadow.parse_many spec with
+  | Ok specs -> specs
+  | Error msg ->
+      Printf.eprintf "invalid --shadow %S: %s\n" spec msg;
+      exit 1
+
+let simulate nsegs nvolumes seg_blocks media files file_kb policy verbose faults readahead
+    idle_readahead out shadow_spec slo_spec slo_strict =
+  if out = None && (shadow_spec <> None || slo_spec <> None) then begin
+    prerr_endline "hlctl simulate: --slo and --shadow record into a run directory; give --out DIR";
+    exit 2
+  end;
+  let slo = Option.map read_slo_spec slo_spec in
+  let shadows = Option.map read_shadow_spec shadow_spec in
+  let run = ref None in
   let code =
-    with_gc_stats gc_stats @@ fun () ->
     in_sim (fun engine ->
-      let tracer = Option.map (fun _ -> Sim.Trace.start engine) trace_file in
+      run := Option.map (fun dir -> Obs.Run.start ?slo ?shadows ~dir engine) out;
       let fault_plan = Option.map read_fault_plan faults in
       let hl, jukebox = build_world engine ~nsegs ~nvolumes ~seg_blocks ~media in
-      if profile <> None || slo_spec <> None then
-        Sim.Ledger.install ~metrics:(Highlight.Hl.metrics hl) engine;
-      (* the health plane: flight-recorder ring (shares the full tracer
-         when --trace is also given), SLO burn-rate engine, watchdogs *)
-      Option.iter
-        (fun spec ->
-          let objectives = read_slo_spec spec in
-          let fl = Sim.Flight.start ~dir:blackbox_dir engine in
-          flight := Some fl;
-          health :=
-            Some
-              (Obs.Health.install ~flight:fl ~metrics:(Highlight.Hl.metrics hl) engine objectives))
-        slo_spec;
-      (* every unrecorded trace event (buffer drop or sampled out) now
-         counts in the trace.dropped metric *)
-      Option.iter
-        (fun tr -> Sim.Trace.attach_metrics tr (Highlight.Hl.metrics hl))
-        (Sim.Trace.current ());
-      (* arm the decision observatory (and its shadows) before any
-         migration or eviction decision can fire *)
-      let obs_on = decisions_file <> None || shadow_spec <> None in
-      let shadows =
-        if not obs_on then None
-        else begin
-          Obs.Decision.install ~window:decision_window
-            ~metrics:(Highlight.Hl.metrics hl) ();
-          match shadow_spec with
-          | None -> None
-          | Some spec -> (
-              match Obs.Shadow.parse_many spec with
-              | Ok specs ->
-                  let t = Obs.Shadow.create specs in
-                  Obs.Shadow.attach t;
-                  Some t
-              | Error msg ->
-                  Printf.eprintf "invalid --shadow %S: %s\n" spec msg;
-                  exit 1)
-        end
-      in
-      Option.iter
-        (fun _ ->
-          sampler :=
-            Some
-              (Sim.Snapshot.start engine ~metrics:(Highlight.Hl.metrics hl)
-                 ~period:snapshot_period ()))
-        snapshots_file;
+      (* every plane is armed before any migration or eviction decision
+         can fire *)
+      Option.iter (fun r -> Obs.Run.attach r ~metrics:(Highlight.Hl.metrics hl)) !run;
       let ra = apply_readahead hl readahead in
       Highlight.Hl.set_idle_readahead hl idle_readahead;
       (* armed after mkfs: the plan targets the scenario, not the format,
@@ -497,42 +409,13 @@ let simulate nsegs nvolumes seg_blocks media files file_kb policy verbose trace_
             (fun (site, n) -> Printf.printf "  %-24s %d\n" site n)
             (Sim.Fault.injected_by_site plan))
         fault_plan;
-      if obs_on then begin
-        print_observatory shadows;
-        Option.iter
-          (fun path ->
-            Obs.Decision.write_ndjson path;
-            Printf.printf "decisions: %d records -> %s\n"
-              (List.length (Obs.Decision.records ()))
-              path)
-          decisions_file;
-        Obs.Decision.uninstall ()
-      end;
+      Option.iter (fun r -> print_observatory (Obs.Run.shadows r)) !run;
       if verbose then begin
         print_newline ();
         print_string (Highlight.Hl_debug.render_hierarchy hl)
       end;
-      Highlight.Hl.shutdown_service hl;
-      Option.iter Obs.Health.stop !health;
-      Option.iter Sim.Flight.stop !flight;
-      Option.iter Sim.Snapshot.stop !sampler;
-      Option.iter
-        (fun path ->
-          Sim.Trace.stop ();
-          let tr = Option.get tracer in
-          Sim.Trace.write_file tr path;
-          Printf.printf "trace: %d events -> %s\n" (Sim.Trace.event_count tr) path;
-          if Sim.Trace.dropped tr > 0 then
-            Printf.eprintf
-              "warning: trace buffer overflowed, %d event(s) dropped — re-run with a \
-               larger buffer (Sim.Trace.start ~limit) for a complete trace\n"
-              (Sim.Trace.dropped tr))
-        trace_file;
-      Option.iter
-        (fun path ->
-          Sim.Metrics.write_file (Highlight.Hl.metrics hl) path;
-          Printf.printf "metrics -> %s\n" path)
-        metrics_file;
+      let shutdown () = Highlight.Hl.shutdown_service hl in
+      (match !run with Some r -> Obs.Run.stop r ~shutdown | None -> shutdown ());
       if fault_plan <> None then Sim.Fault.clear ();
       match Highlight.Hl.check hl with
       | [] ->
@@ -542,31 +425,15 @@ let simulate nsegs nvolumes seg_blocks media files file_kb policy verbose trace_
           List.iter print_endline probs;
           1)
   in
-  Option.iter
-    (fun path ->
+  match !run with
+  | None -> code
+  | Some r ->
       print_newline ();
       print_profile ();
-      Sim.Ledger.write_file path;
-      Printf.printf "profile -> %s\n" path;
-      Sim.Ledger.uninstall ())
-    profile;
-  Option.iter
-    (fun path ->
-      let s = Option.get !sampler in
-      Sim.Snapshot.write_csv s path;
-      Printf.printf "snapshots: %d samples (every %.0fs) -> %s\n"
-        (Sim.Snapshot.length s) (Sim.Snapshot.period s) path)
-    snapshots_file;
-  match !health with
-  | None -> code
-  | Some h ->
-      print_newline ();
-      if health_report then print_health_report h
-      else
-        Printf.printf "health: %d ticks, %d alert(s)\n" (Obs.Health.ticks h)
-          (List.length (Obs.Health.alerts h));
-      if profile = None then Sim.Ledger.uninstall ();
-      let breaches = Obs.Health.breached h in
+      let health = Obs.Run.health r in
+      Option.iter (fun h -> print_newline (); print_health_report h) health;
+      ignore (Obs.Run.finish r);
+      let breaches = Option.fold ~none:[] ~some:Obs.Health.breached health in
       if slo_strict && breaches <> [] then begin
         List.iter
           (fun (r : Obs.Health.report) ->
@@ -657,15 +524,16 @@ let policy_t =
 
 let verbose_t = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Render the hierarchy.")
 
-let trace_t =
+let out_t =
   Arg.(value & opt (some string) None
-       & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Write a Chrome trace-event JSON of the run (open in Perfetto).")
-
-let metrics_t =
-  Arg.(value & opt (some string) None
-       & info [ "metrics" ] ~docv:"FILE"
-           ~doc:"Write the metrics registry (counters, gauges, latency percentiles) as JSON.")
+       & info [ "out" ] ~docv:"DIR"
+           ~doc:"Record the run into DIR: trace.json (Chrome trace, open in Perfetto), \
+                 metrics.json (the metrics registry), profile.json (every request's \
+                 latency split into wait categories; the table is printed too), \
+                 snapshots.csv (the registry every 60 simulated seconds), \
+                 decisions.ndjson (every policy decision with its scored inputs; the \
+                 closed-loop SLIs are printed too), host.json (CPU time and GC words) \
+                 and manifest.json. With --slo, black-box bundles go to DIR/blackbox.")
 
 let faults_t =
   Arg.(value & opt (some string) None
@@ -674,53 +542,13 @@ let faults_t =
                  (e.g. 'jukebox0:drive* read prob=0.05 media_error transient'; \
                  sites are the trace track names of this world's devices).")
 
-let profile_t =
-  Arg.(value & opt ~vopt:(Some "profile.json") (some string) None
-       & info [ "profile" ] ~docv:"FILE"
-           ~doc:"Attribute every request's latency to wait categories (queue, robot \
-                 swap, seek, transfer, bus, cache-disk landing, locks): prints the \
-                 wait-profile table and writes the JSON breakdown (default \
-                 profile.json).")
-
-let snapshots_t =
-  Arg.(value & opt (some string) None
-       & info [ "snapshots" ] ~docv:"FILE"
-           ~doc:"Sample the metrics registry periodically during the run and write \
-                 the time series as wide CSV (one row per sample).")
-
-let snapshot_period_t =
-  Arg.(value & opt float 60.0
-       & info [ "snapshot-period" ] ~docv:"SECONDS"
-           ~doc:"Simulated seconds between metric snapshots (with --snapshots).")
-
-let gcstats_t =
-  Arg.(value & flag
-       & info [ "gc-stats" ]
-           ~doc:"Report real-machine cost after the run: retired simulator events, CPU \
-                 time, events/sec, and GC allocation per event.")
-
-let decisions_t =
-  Arg.(value & opt (some string) None
-       & info [ "decisions" ] ~docv:"FILE"
-           ~doc:"Record every policy decision (migration ranking, cleaner victims, \
-                 volume choice, cache eviction) with its scored inputs and rejected \
-                 candidates, print the closed-loop SLIs (migration mistakes, eviction \
-                 regret, cleaner write-amplification), and write the audit log as \
-                 NDJSON.")
-
 let shadow_t =
   Arg.(value & opt (some string) None
        & info [ "shadow" ] ~docv:"SPECS"
            ~doc:"Replay every decision through shadow policies and report agreement \
                  and counterfactual mistake rates. SPECS is a '+'-separated list of \
                  'stp:TE,SE', 'greedy', 'cost_benefit', 'lru', 'least_worthy' \
-                 (e.g. 'stp:2,1+lru'). Implies the decision observatory.")
-
-let decision_window_t =
-  Arg.(value & opt float 1800.0
-       & info [ "decision-window" ] ~docv:"SECONDS"
-           ~doc:"Sim-seconds after a demotion/eviction during which a re-access \
-                 counts as a mistake/regret (with --decisions/--shadow).")
+                 (e.g. 'stp:2,1+lru'). Needs --out.")
 
 let slo_t =
   Arg.(value & opt (some string) None
@@ -730,24 +558,14 @@ let slo_t =
                  metrics: error_rate, rate:bad/good, <hist>.pNN, \
                  <class>.<category>_frac; options burn=, fast=, slow=). Objectives \
                  are watched over fast/slow sliding windows with burn-rate alerting; \
-                 every alert dumps a black-box bundle.")
+                 every alert dumps a black-box bundle, and the compliance table is \
+                 printed after the run. Needs --out.")
 
 let slostrict_t =
   Arg.(value & flag
        & info [ "slo-strict" ]
            ~doc:"Exit non-zero (4) if any SLO fired an alert during the run, naming \
                  the breaching objective and its burn rate (with --slo).")
-
-let healthreport_t =
-  Arg.(value & flag
-       & info [ "health-report" ]
-           ~doc:"Print the SLO compliance table and every alert fired, with black-box \
-                 bundle paths (with --slo).")
-
-let blackbox_t =
-  Arg.(value & opt string "blackbox"
-       & info [ "blackbox" ] ~docv:"DIR"
-           ~doc:"Directory for flight-recorder black-box bundles (with --slo).")
 
 let readahead_t =
   Arg.(value & opt string "none"
@@ -794,14 +612,12 @@ let () =
               Term.(const (fun lvl a b c -> setup_logs lvl; layout a b c)
                     $ log_t $ nsegs_t $ nvols_t $ segblocks_t);
             Cmd.v (Cmd.info "simulate" ~doc:"Run a write/migrate/fetch scenario")
-              Term.(const (fun lvl a b c d e f g h i j k l m n o p q r s t u v w x ->
+              Term.(const (fun lvl a b c d e f g h i j k l m n o ->
                         setup_logs lvl;
-                        simulate a b c d e f g h i j k l m n o p q r s t u v w x)
+                        simulate a b c d e f g h i j k l m n o)
                     $ log_t $ nsegs_t $ nvols_t $ segblocks_t $ media_t $ files_t $ filekb_t
-                    $ policy_t $ verbose_t $ trace_t $ metrics_t $ faults_t $ readahead_t
-                    $ idle_readahead_t $ profile_t $ snapshots_t $ snapshot_period_t
-                    $ gcstats_t $ decisions_t $ shadow_t $ decision_window_t
-                    $ slo_t $ slostrict_t $ healthreport_t $ blackbox_t);
+                    $ policy_t $ verbose_t $ faults_t $ readahead_t $ idle_readahead_t $ out_t
+                    $ shadow_t $ slo_t $ slostrict_t);
             Cmd.v (Cmd.info "grow" ~doc:"Demonstrate on-line disk addition (dead-zone claiming)")
               Term.(const (fun lvl a b c d -> setup_logs lvl; grow a b c d)
                     $ log_t $ nsegs_t $ nvols_t $ segblocks_t

@@ -378,8 +378,3 @@ let to_ndjson () =
   let buf = Buffer.create 4096 in
   List.iter (bprint_record buf) (records ());
   Buffer.contents buf
-
-let write_ndjson path =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) @@ fun () ->
-  output_string oc (to_ndjson ())

@@ -164,5 +164,3 @@ val records : unit -> record list
 
 val to_ndjson : unit -> string
 (** One JSON object per line, oldest first. *)
-
-val write_ndjson : string -> unit

@@ -33,33 +33,10 @@ let window_s t = t.window_s
 let dumps t = List.rev t.dumps
 let stop t = if t.owns_tracer then Trace.stop ()
 
-let rec mkdir_p path =
-  if path = "" || path = "." || path = "/" || Sys.file_exists path then ()
-  else begin
-    mkdir_p (Filename.dirname path);
-    try Sys.mkdir path 0o755 with Sys_error _ -> ()
-  end
-
 let sanitize s =
   String.map (function ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.') as c -> c | _ -> '-') s
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let write_string path s =
-  let oc = open_out path in
-  output_string oc s;
-  close_out oc
+let json_escape = Util.Misc.json_escape
 
 (* Open (in-flight) ledgers: the requests that were still stuck when the
    alert fired, each with its blame-ranked charges so far. *)
@@ -93,7 +70,7 @@ let dump ?metrics ?(alerts = []) ~reason t =
   let now = Engine.now t.engine in
   t.seq <- t.seq + 1;
   let bundle = Filename.concat t.dir (Printf.sprintf "%03d-%s" t.seq (sanitize reason)) in
-  mkdir_p bundle;
+  Util.Misc.mkdir_p bundle;
   let since = Float.max 0.0 (now -. t.window_s) in
   Trace.write_file ~since t.tracer (Filename.concat bundle "trace.json");
   let files = ref [ "trace.json" ] in
@@ -103,7 +80,7 @@ let dump ?metrics ?(alerts = []) ~reason t =
       files := "metrics.json" :: !files
   | None -> ());
   if Ledger.enabled () then begin
-    write_string (Filename.concat bundle "ledgers.json") (open_ledgers_json now);
+    Util.Misc.write_file (Filename.concat bundle "ledgers.json") (open_ledgers_json now);
     files := "ledgers.json" :: !files
   end;
   let b = Buffer.create 512 in
@@ -127,6 +104,6 @@ let dump ?metrics ?(alerts = []) ~reason t =
       Buffer.add_string b (Printf.sprintf "\"%s\"" f))
     (List.rev !files);
   Buffer.add_string b "]\n}\n";
-  write_string (Filename.concat bundle "manifest.json") (Buffer.contents b);
+  Util.Misc.write_file (Filename.concat bundle "manifest.json") (Buffer.contents b);
   t.dumps <- bundle :: t.dumps;
   bundle

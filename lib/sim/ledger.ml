@@ -376,8 +376,3 @@ let to_json () =
     (summary ());
   Buffer.add_string b "\n  }\n}\n";
   Buffer.contents b
-
-let write_file path =
-  let oc = open_out path in
-  output_string oc (to_json ());
-  close_out oc

@@ -128,5 +128,3 @@ val to_json : unit -> string
 (** Schema ["highlight-profile/v1"]: wall time, per-class request
     counts, e2e/first-block totals, per-category blame with p95 and the
     blame-ranked [critical_path]. *)
-
-val write_file : string -> unit

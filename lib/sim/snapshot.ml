@@ -149,8 +149,3 @@ let to_json t =
     (samples t);
   Buffer.add_string b "\n  ]\n}\n";
   Buffer.contents b
-
-let write_csv t path =
-  let oc = open_out path in
-  output_string oc (to_csv t);
-  close_out oc

@@ -49,5 +49,3 @@ val to_csv : t -> string
 
 val to_json : t -> string
 (** Schema ["highlight-snapshots/v1"]. *)
-
-val write_csv : t -> string -> unit

@@ -6,3 +6,27 @@ let split_at n l =
     | x :: rest -> go (x :: acc) (n - 1) rest
   in
   go [] n l
+
+let rec mkdir_p path =
+  if path = "" || path = "." || path = "/" || Sys.file_exists path then ()
+  else begin
+    mkdir_p (Filename.dirname path);
+    try Sys.mkdir path 0o755 with Sys_error _ -> ()
+  end
+
+let json_escape s =
+  let b = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\t' -> Buffer.add_string b "\\t"
+      | '\r' -> Buffer.add_string b "\\r"
+      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
+let write_file path s = Out_channel.with_open_bin path (fun oc -> output_string oc s)

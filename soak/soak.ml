@@ -4,36 +4,38 @@
    the end. This is the harness that found the FINFO-ordering and
    space-liveness bugs; it should always print "clean run".
 
-   A metrics sampler snapshots the registry every 10 simulated minutes
-   over the whole soak (cache hits/misses, queue-depth high-water,
-   latency percentiles per interval) and writes the time series to
-   SOAK_snapshots.csv — the view that shows a slow leak or a queue
-   ratchet which the end-of-run totals would average away.
+   Every recording plane rides along ({!Obs.Run}) and the soak always
+   writes its run directory, soak-run/. Its snapshots.csv samples the
+   registry every simulated minute (cache hits/misses, queue-depth
+   high-water, latency percentiles per interval) — the view that shows
+   a slow leak or a queue ratchet which the end-of-run totals would
+   average away — and host.json holds the soak's real-machine cost.
 
-   The health plane rides along with lenient SLOs (latency far above
-   anything a healthy soak produces, error rate < 1%): its
+   The health plane watches lenient SLOs (latency far above anything a
+   healthy soak produces, error rate < 1%): its
    slo.<name>.burn_fast/burn_slow/ok gauges land in the same CSV, so
    every snapshot row carries the per-window compliance timeline. A
    sustained burn — any objective actually firing — fails the run
    with exit 4.
 
-     dune exec soak/soak.exe [seed] [--gc-stats] *)
+     dune exec soak/soak.exe [seed] *)
 
 open Lfs
 open Workload
 
 let () =
-  let argv = Array.to_list Sys.argv in
-  let gc_stats = List.mem "--gc-stats" argv in
-  let seed =
-    match List.filter_map int_of_string_opt (List.tl argv) with s :: _ -> s | [] -> 7
+  let argv = List.tl (Array.to_list Sys.argv) in
+  let seed = match List.filter_map int_of_string_opt argv with s :: _ -> s | [] -> 7 in
+  (* Lenient objectives: a healthy soak sits far inside both budgets, so
+     a firing here is a real regression, not noise. *)
+  let slo =
+    match Obs.Health.parse "fetch_p99: demand_fetch.p99 < 600s\nerr: error_rate < 1%\n" with
+    | Ok objectives -> objectives
+    | Error e -> failwith ("soak: bad built-in SLOs: " ^ e)
   in
-  let g0 = Gc.quick_stat () in
-  let cpu0 = Sys.time () in
   let engine = Sim.Engine.create () in
+  let run = Obs.Run.start ~slo ~dir:"soak-run" engine in
   let result = ref None in
-  let sampler = ref None in
-  let health = ref None in
   Sim.Engine.spawn engine (fun () ->
       let prm = { Soak_config.paper_prm with Param.nsegs = 24; max_inodes = 1024 } in
       let disk = Device.Disk.create engine Device.Disk.rz57 ~name:"rz57" in
@@ -43,21 +45,7 @@ let () =
       in
       let fp = Footprint.create ~seg_blocks:256 ~segs_per_volume:24 [ jb ] in
       let hl = Highlight.Hl.mkfs engine prm ~disk:(Dev.of_disk disk) ~fp ~cache_segs:6 () in
-      sampler :=
-        Some
-          (Sim.Snapshot.start engine ~metrics:(Highlight.Hl.metrics hl) ~period:600.0 ());
-      (* Lenient objectives: a healthy soak sits far inside both
-         budgets, so a firing here is a real regression, not noise. *)
-      (match
-         Obs.Health.parse "fetch_p99: demand_fetch.p99 < 600s\nerr: error_rate < 1%\n"
-       with
-      | Error e ->
-          Printf.eprintf "soak: bad built-in SLOs: %s\n" e;
-          exit 2
-      | Ok objectives ->
-          health :=
-            Some
-              (Obs.Health.install ~metrics:(Highlight.Hl.metrics hl) engine objectives));
+      Obs.Run.attach run ~metrics:(Highlight.Hl.metrics hl);
       let fs = Highlight.Hl.fs hl in
       let st = Highlight.Hl.state hl in
       ignore (Dir.mkdir fs "/archive");
@@ -114,51 +102,22 @@ let () =
            Printf.eprintf "CORRUPT at end:\n";
            List.iter (fun p -> Printf.eprintf "  %s\n" p) probs;
            exit 2);
-      Highlight.Hl.shutdown_service hl;
-      Obs.Health.stop (Option.get !health);
-      Sim.Snapshot.stop (Option.get !sampler);
+      Obs.Run.stop run ~shutdown:(fun () -> Highlight.Hl.shutdown_service hl);
       result := Some ());
   Sim.Engine.run engine;
-  (match !sampler with
-  | Some s ->
-      Sim.Snapshot.write_csv s "SOAK_snapshots.csv";
-      Printf.printf "snapshots: %d samples (every %.0fs) -> SOAK_snapshots.csv\n"
-        (Sim.Snapshot.length s) (Sim.Snapshot.period s)
-  | None -> ());
-  (match !health with
-  | None -> ()
-  | Some h ->
-      let breached = Obs.Health.breached h in
-      Printf.printf "health: %d ticks, %d alert(s), %d/%d objectives ok\n"
-        (Obs.Health.ticks h)
-        (List.length (Obs.Health.alerts h))
-        (List.length (Obs.Health.compliance h) - List.length breached)
-        (List.length (Obs.Health.compliance h));
-      if breached <> [] then begin
-        List.iter
-          (fun r ->
-            Printf.eprintf "SUSTAINED BURN: %s (%s): %d alert(s), worst burn %.2fx\n"
-              r.Obs.Health.r_name r.Obs.Health.r_spec r.Obs.Health.r_alerts
-              r.Obs.Health.r_worst_burn)
-          breached;
-        exit 4
-      end);
-  if gc_stats then begin
-    let cpu = Sys.time () -. cpu0 in
-    let g1 = Gc.quick_stat () in
-    let events = Sim.Engine.events_retired engine in
-    let minor = g1.Gc.minor_words -. g0.Gc.minor_words in
-    Printf.printf "gc-stats: %d events in %.3fs cpu (%.0f events/sec; %.1f sim-s per cpu-s)\n"
-      events cpu
-      (if cpu > 0.0 then float_of_int events /. cpu else 0.0)
-      (if cpu > 0.0 then Sim.Engine.now engine /. cpu else 0.0);
-    Printf.printf
-      "gc-stats: minor words %.3e (%.1f/event)   major words %.3e   collections %d minor / %d \
-       major\n"
-      minor
-      (if events > 0 then minor /. float_of_int events else 0.0)
-      (g1.Gc.major_words -. g0.Gc.major_words)
-      (g1.Gc.minor_collections - g0.Gc.minor_collections)
-      (g1.Gc.major_collections - g0.Gc.major_collections)
+  ignore (Obs.Run.finish run);
+  let h = Option.get (Obs.Run.health run) in
+  let breached = Obs.Health.breached h in
+  Printf.printf "health: %d ticks, %d alert(s), %d/%d objectives ok\n" (Obs.Health.ticks h)
+    (List.length (Obs.Health.alerts h))
+    (List.length (Obs.Health.compliance h) - List.length breached)
+    (List.length (Obs.Health.compliance h));
+  if breached <> [] then begin
+    List.iter
+      (fun r ->
+        Printf.eprintf "SUSTAINED BURN: %s (%s): %d alert(s), worst burn %.2fx\n"
+          r.Obs.Health.r_name r.Obs.Health.r_spec r.Obs.Health.r_alerts r.Obs.Health.r_worst_burn)
+      breached;
+    exit 4
   end;
   match !result with Some () -> print_endline "clean run" | None -> (print_endline "did not finish"; exit 3)

@@ -464,6 +464,83 @@ let test_world_trace () =
   check Alcotest.int "every lifecycle closed" (count_sub js "\"ph\":\"b\"")
     (count_sub js "\"ph\":\"e\"")
 
+(* --- the run recorder --- *)
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* The world scenario (write, migrate, eject, read back) under a recorder
+   with every plane on, SLOs and shadow policies included, or with none:
+   the stats, the read bytes, the clock when the main process ended, and
+   the run directory's files. *)
+let recorded_scenario ~recorded () =
+  let e = Engine.create () in
+  let dir = Filename.temp_dir "hl-run" "" in
+  let slo =
+    match Obs.Health.parse "fetch_p99: demand_fetch.p99 < 600s\nerr: error_rate < 1%\n" with
+    | Ok o -> o
+    | Error m -> Alcotest.fail m
+  in
+  let shadows = Result.get_ok (Obs.Shadow.parse_many "stp:2,1+lru") in
+  let run = if recorded then Some (Obs.Run.start ~slo ~shadows ~dir e) else None in
+  let out = ref None in
+  Engine.spawn e ~name:"test-main" (fun () ->
+      let hl, _fp = Test_service.make_world e in
+      Option.iter (fun r -> Obs.Run.attach r ~metrics:(Highlight.Hl.metrics hl)) run;
+      Highlight.Hl.write_file hl "/f" (Test_service.bytes_pattern (2 * Test_service.seg_bytes) 9);
+      Lfs.Fs.checkpoint (Highlight.Hl.fs hl);
+      ignore (Highlight.Migrator.migrate_paths (Highlight.Hl.state hl) [ "/f" ]);
+      Highlight.Hl.eject_tertiary_copies hl ~paths:[ "/f" ];
+      let got = Highlight.Hl.read_file hl "/f" () in
+      let shutdown () = Highlight.Hl.shutdown_service hl in
+      (match run with Some r -> Obs.Run.stop r ~shutdown | None -> shutdown ());
+      out := Some (Highlight.Hl.stats hl, got, Engine.now e));
+  Engine.run e;
+  let files = Option.map (fun r -> ignore (Obs.Run.finish r); Sys.readdir dir) run in
+  rm_rf dir;
+  let stats, got, ended = Option.get !out in
+  (stats, got, ended, files)
+
+let test_planes_do_not_perturb () =
+  let s0, got0, end0, _ = recorded_scenario ~recorded:false () in
+  let s1, got1, end1, files = recorded_scenario ~recorded:true () in
+  check Alcotest.bool "something was fetched" true (s0.Highlight.Hl.demand_fetches > 0);
+  (* [attribution] is the ledger's own view, [] without one *)
+  check Alcotest.bool "the ledger attributed" true (s1.Highlight.Hl.attribution <> []);
+  check Alcotest.bool "equal Hl.stats" true (s0 = { s1 with Highlight.Hl.attribution = [] });
+  check Alcotest.bool "byte-identical reads" true (Bytes.equal got0 got1);
+  check (Alcotest.float 0.0) "main process ends at the same time" end0 end1;
+  let files = List.sort compare (Array.to_list (Option.get files)) in
+  check Alcotest.(list string) "run directory"
+    [
+      "decisions.ndjson"; "host.json"; "manifest.json"; "metrics.json"; "profile.json";
+      "snapshots.csv"; "trace.json";
+    ]
+    files
+
+(* [Gc.quick_stat]'s minor_words advances only at minor collections on
+   OCaml 5, so right after one it reads 0 for a small run. *)
+let test_host_minor_words () =
+  let e = Engine.create () in
+  let dir = Filename.temp_dir "hl-run" "" in
+  Gc.minor ();
+  let run = Obs.Run.start ~dir e in
+  Obs.Run.attach run ~metrics:(Metrics.create ());
+  (* 1000 conses: 3000 words *)
+  ignore (Sys.opaque_identity (List.init 1000 Fun.id));
+  Obs.Run.stop run ~shutdown:ignore;
+  Engine.run e;
+  let host = Obs.Run.finish run in
+  rm_rf dir;
+  check Alcotest.bool
+    (Printf.sprintf "minor words %.0f >= 3000" host.Obs.Run.minor_words)
+    true
+    (host.Obs.Run.minor_words >= 3000.0)
+
 let suite =
   [
     ( "obs.engine",
@@ -503,5 +580,11 @@ let suite =
           (test_shutdown_drains Highlight.State.Serial);
         Alcotest.test_case "demand fetch feeds metrics" `Quick test_world_metrics;
         Alcotest.test_case "demand fetch appears in trace" `Quick test_world_trace;
+      ] );
+    ( "obs.run",
+      [
+        Alcotest.test_case "planes do not perturb the simulation" `Quick
+          test_planes_do_not_perturb;
+        Alcotest.test_case "host cost counts minor words exactly" `Quick test_host_minor_words;
       ] );
   ]
