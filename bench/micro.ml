@@ -1,7 +1,8 @@
 (* Bechamel micro-benchmarks of the hot CPU paths: summary checksums and
    serialization, inode packing, cleaner victim ranking, Zipf sampling;
-   then the two segment moves of the tertiary path, timed in a loop, and
-   the pages a staged line's write-out takes.
+   then the two segment moves of the tertiary path, timed in a loop, the
+   pages a staged line's write-out takes, and what one cleaner pass
+   reads and copies.
    These measure real wall-clock cost of the implementation, separate
    from the simulated-time experiments. *)
 
@@ -168,6 +169,59 @@ let staged_line k =
     (taken (Device.Disk.store disk))
     (taken (Device.Jukebox.volume_store jb 0))
 
+(* The cleaner reads a victim segment whole: one timed request shares
+   its pages into an image, the walk and the gather read from the image,
+   and the image is erased before the pass's flush writes. On a 1 MB
+   segment with live and dead blocks, caches dropped, the line prints
+   the blocks the pass moved, the disk requests it made for them (CI
+   requires 1) and the blocks the disk and the image took by copying
+   beyond the flush's own writes (CI requires 0). *)
+let cleaner_walk () =
+  let engine = Sim.Engine.create () in
+  let prm = { (Lfs.Param.default ~nsegs:12) with Lfs.Param.cpu = Lfs.Param.cpu_free } in
+  let disk =
+    Device.Disk.create engine ~nblocks:(Lfs.Layout.disk_blocks prm) Device.Disk.rz57 ~name:"disk"
+  in
+  let store = Device.Disk.store disk in
+  let line = ref "" in
+  Sim.Engine.spawn engine (fun () ->
+      let fs = Lfs.Fs.mkfs engine prm (Lfs.Dev.of_disk disk) () in
+      let file i = Printf.sprintf "/f%d" i in
+      for i = 0 to 59 do
+        let ino = Lfs.Dir.create_file fs (file i) in
+        Lfs.File.write fs ino ~off:0 (Bytes.sub segment_bytes 0 (8 * 4096))
+      done;
+      Lfs.Fs.checkpoint fs;
+      for i = 0 to 59 do
+        if i mod 3 = 0 then Lfs.Dir.unlink fs (file i)
+      done;
+      Lfs.Fs.checkpoint fs;
+      let victim =
+        Option.get
+          (Lfs.Layout.seg_of_addr prm
+             (Lfs.Fs.lookup_addr fs (Lfs.Dir.namei fs (file 40)) (Lfs.Bkey.Data 0)))
+      in
+      Lfs.Bcache.invalidate_clean (Lfs.Fs.bcache fs);
+      let copied () =
+        List.fold_left
+          (fun acc s -> acc + Device.Blockstore.blocks_copied s)
+          (Device.Blockstore.blocks_copied store)
+          (Lfs.Fs.seg_images fs)
+      in
+      let reads = Device.Disk.reads disk
+      and c0 = copied ()
+      and written = Device.Disk.bytes_written disk in
+      let r = Lfs.Cleaner.clean_segments fs [ victim ] in
+      let requests = Device.Disk.reads disk - reads in
+      let flushed = (Device.Disk.bytes_written disk - written) / 4096 in
+      line :=
+        Printf.sprintf "  %-32s %4d live blocks %4d disk request%s %6d blocks copied"
+          "cleaner victim walk" r.Lfs.Cleaner.blocks_moved requests
+          (if requests = 1 then "" else "s")
+          (copied () - c0 - flushed));
+  Sim.Engine.run engine;
+  print_endline !line
+
 let run () =
   print_endline "\n== Micro-benchmarks (real CPU time, Bechamel) ==";
   Printf.printf "crc32 kernel: %s\n" Util.Crc32.kernel;
@@ -188,4 +242,5 @@ let run () =
         results)
     benchmarks;
   segment_moves ();
-  List.iter staged_line [ 1; 32; 95; 256 ]
+  List.iter staged_line [ 1; 32; 95; 256 ];
+  cleaner_walk ()

@@ -72,12 +72,14 @@ let volume_segment st tindex =
   {
     Cleaner.base = Addr_space.seg_base st.aspace tindex;
     stop = seg_blocks st;
-    read =
-      (fun addr f ->
-        f
-          (Footprint.read_blocks st.fp ~vol ~seg
-             ~off:(Addr_space.offset_in_seg st.aspace addr)
-             ~count:1));
+    load = ignore;
+    read_into =
+      (fun ~addr ~dst ->
+        let block =
+          Footprint.read_blocks st.fp ~vol ~seg ~off:(Addr_space.offset_in_seg st.aspace addr) ~count:1
+        in
+        Bytes.blit block 0 dst 0 (Bytes.length block));
+    unload = ignore;
   }
 
 let live_contents st tindex =

@@ -42,24 +42,50 @@ let select_victims fs ~policy ~limit =
   end;
   List.map fst victims
 
-type source = { base : int; stop : int; read : 'b. int -> (Bytes.t -> 'b) -> 'b }
+type source = {
+  base : int;
+  stop : int;
+  load : unit -> unit;
+  read_into : addr:int -> dst:Bytes.t -> unit;
+  unload : unit -> unit;
+}
 
 let log_segment fs seg =
   let p = Fs.param fs in
+  let base = Layout.seg_base p seg in
+  (* past the log head lie stale blocks of an earlier incarnation *)
+  let stop = if seg = Fs.cur_seg fs then Fs.cur_off fs else p.Param.seg_blocks in
+  let image = ref None in
   {
-    base = Layout.seg_base p seg;
-    (* past the log head lie stale blocks of an earlier incarnation *)
-    stop = (if seg = Fs.cur_seg fs then Fs.cur_off fs else p.Param.seg_blocks);
-    read = (fun addr f -> Fs.with_block fs addr f);
+    base;
+    stop;
+    (* one timed read of the used prefix: the image shares its pages *)
+    load =
+      (fun () ->
+        if !image <> None then invalid_arg "Cleaner.log_segment: walk already open";
+        let img = Fs.take_seg_image fs in
+        image := Some img;
+        if stop > 0 then (Fs.dev fs).Dev.share_into ~blk:base ~count:stop ~dst:img ~dst_blk:0);
+    read_into =
+      (fun ~addr ~dst ->
+        match !image with
+        | Some img -> Device.Blockstore.read_into img ~blk:(addr - base) ~count:1 ~dst ~dst_off:0
+        | None -> invalid_arg "Cleaner.log_segment: read outside a walk");
+    unload =
+      (fun () ->
+        Option.iter (Fs.give_seg_image fs) !image;
+        image := None);
   }
 
 let fold_partials fs src f acc =
   let seg_blocks = (Fs.param fs).Param.seg_blocks in
   let stop = min (seg_blocks - 1) src.stop in
-  let rec go off acc =
+  let cache = Fs.bcache fs in
+  let rec go buf off acc =
     if off >= stop then acc
-    else
-      match src.read (src.base + off) Summary.deserialize with
+    else begin
+      src.read_into ~addr:(src.base + off) ~dst:buf;
+      match Summary.deserialize buf with
       | Error _ -> acc
       | Ok (sum, data_crc) ->
           let next = off + 1 + Summary.nblocks_total sum in
@@ -67,9 +93,16 @@ let fold_partials fs src f acc =
           else
             let acc = f acc ~off ~sum ~data_crc in
             (* a partial with no successor (a staging line's) ends the chain *)
-            if sum.Summary.ss_next = -1 then acc else go next acc
+            if sum.Summary.ss_next = -1 then acc else go buf next acc
+    end
   in
-  go 0 acc
+  Fun.protect ~finally:src.unload @@ fun () ->
+  src.load ();
+  (* a walk that raised leaves its summary buffer to the GC *)
+  let b = Bcache.take cache in
+  let acc = go (Util.Bufpool.bytes b) 0 acc in
+  Bcache.give cache b;
+  acc
 
 type 'a visit = {
   file_block : 'a -> addr:int -> inum:int -> version:int -> Bkey.t -> 'a;
@@ -78,7 +111,7 @@ type 'a visit = {
 }
 
 let fold_segment fs src v acc =
-  let imap = Fs.imap fs in
+  let imap = Fs.imap fs and cache = Fs.bcache fs in
   let rec file_blocks acc addr inum version = function
     | [] -> acc
     | bkey :: rest ->
@@ -94,17 +127,19 @@ let fold_segment fs src v acc =
   (* an inode in an inode block is live iff the inode map points at that
      block with the inode's version *)
   let inode_block acc addr =
-    let acc = v.inode_block acc ~addr in
-    src.read addr (fun block ->
-        let acc = ref acc in
-        Inode.iter_block block (fun ino ->
-            let inum = ino.Inode.inum in
-            if inum > 0 && inum < Imap.max_inodes imap then begin
-              let e = Imap.get imap inum in
-              if e.Imap.addr = addr && e.Imap.version = ino.Inode.version then
-                acc := v.live_inode !acc ~addr ~inum
-            end);
-        !acc)
+    let acc = ref (v.inode_block acc ~addr) in
+    let b = Bcache.take cache in
+    let block = Util.Bufpool.bytes b in
+    src.read_into ~addr ~dst:block;
+    Inode.iter_block block (fun ino ->
+        let inum = ino.Inode.inum in
+        if inum > 0 && inum < Imap.max_inodes imap then begin
+          let e = Imap.get imap inum in
+          if e.Imap.addr = addr && e.Imap.version = ino.Inode.version then
+            acc := v.live_inode !acc ~addr ~inum
+        end);
+    Bcache.give cache b;
+    !acc
   in
   fold_partials fs src
     (fun acc ~off ~sum ~data_crc:_ ->
@@ -122,8 +157,9 @@ let is_live fs ~addr ~inum ~version bkey =
 
 let collect_segment fs seg =
   let map = Fs.map fs in
-  let dev = map.Bmap.dev and cache = map.cache in
-  fold_segment fs (log_segment fs seg)
+  let cache = map.Bmap.cache in
+  let src = log_segment fs seg in
+  fold_segment fs src
     {
       (* live file blocks: drag them into the cache dirty so the next
          flush re-homes them at the log tail *)
@@ -137,11 +173,12 @@ let collect_segment fs seg =
               (match Bcache.find cache key with
               | d when d != Bcache.miss -> Bcache.mark_dirty cache key
               | _ ->
-                  (* the block keeps the sum it was written with, so
-                     bytes damaged on the disk since then fail their new
-                     partial's checksum instead of being summed afresh *)
+                  (* one copy from the segment image; the block keeps
+                     the sum it was written with, so bytes damaged on
+                     the disk since then fail their new partial's
+                     checksum instead of being summed afresh *)
                   let b = Bcache.take cache in
-                  dev.Dev.read_into ~blk:addr ~count:1 ~dst:(Util.Bufpool.bytes b) ~dst_off:0;
+                  src.read_into ~addr ~dst:(Util.Bufpool.bytes b);
                   Bcache.put_dirty_buf cache key ~old_addr:addr ~crc:(Bmap.written_crc map addr) b);
               moved + 1
             end);

@@ -57,14 +57,18 @@ val spawn_daemon :
 type source = {
   base : int;  (** address of the segment's first block *)
   stop : int;  (** offset no partial summary lies at or beyond *)
-  read : 'b. int -> (Bytes.t -> 'b) -> 'b;
-      (** [read addr f] reads the block at address [addr] and applies
-          [f] to its bytes, which [f] must not keep *)
+  load : unit -> unit;  (** runs before a walk reads its first block *)
+  read_into : addr:int -> dst:Bytes.t -> unit;
+      (** copies the block at address [addr] into [dst], which is one
+          block long; only between [load] and [unload] *)
+  unload : unit -> unit;  (** runs after a walk, however it ends *)
 }
 
 val log_segment : Fs.t -> int -> source
-(** A log segment, read through {!Fs.with_block}; the active segment
-    stops at the log head. *)
+(** A log segment, read whole: a walk's [load] shares the used prefix
+    [\[0, stop)] into a one-segment image ({!Fs.take_seg_image}) with
+    one timed device read, every block then comes from the image, and
+    [unload] erases it. The active segment stops at the log head. *)
 
 val fold_partials :
   Fs.t -> source -> ('a -> off:int -> sum:Summary.t -> data_crc:int -> 'a) -> 'a -> 'a
@@ -73,7 +77,8 @@ val fold_partials :
     ends after a partial with no successor ([ss_next = -1], which every
     staging line's partial is), at the first block that is not a valid
     summary, at a partial that would overrun the segment, or at the
-    source's [stop]. *)
+    source's [stop]. The walk is the source's [load] .. [unload]: [f]
+    may read the segment's blocks through [read_into]. *)
 
 type 'a visit = {
   file_block : 'a -> addr:int -> inum:int -> version:int -> Bkey.t -> 'a;

@@ -74,33 +74,38 @@ let live_audit fs =
 (* Every partial in the log's Dirty and Active segments must still match
    the data checksum its summary recorded. The active segment ends at
    the log head: past it lie stale blocks of an earlier incarnation.
-   Cached segments hold tertiary images, not the log. *)
+   Cached segments hold tertiary images, not the log. Each block is
+   summed from the segment image and the sums folded, as
+   [Fs.close_partial] folds them. *)
 let data_sum_problems fs =
-  let prm = Fs.param fs in
-  let dev = Fs.dev fs in
+  let shift = Util.Crc32.shift (Fs.param fs).Param.block_size in
+  let cache = Fs.bcache fs in
   let problems = ref [] in
-  let sbuf = Util.Bufpool.take (Fs.segbufs fs) in
-  let buf = Util.Bufpool.bytes sbuf in
+  let b = Bcache.take cache in
+  let buf = Util.Bufpool.bytes b in
   Segusage.iter (Fs.seguse fs) (fun seg e ->
       match e.Segusage.state with
       | Segusage.Clean | Segusage.Cached -> ()
       | Segusage.Dirty | Segusage.Active ->
-          let base = Layout.seg_base prm seg in
-          Cleaner.fold_partials fs (Cleaner.log_segment fs seg)
+          let src = Cleaner.log_segment fs seg in
+          Cleaner.fold_partials fs src
             (fun () ~off ~sum ~data_crc ->
               let nb = Summary.nblocks_total sum in
               if nb > 0 then begin
-                dev.Dev.read_into ~blk:(base + off + 1) ~count:nb ~dst:buf ~dst_off:0;
-                let actual = Util.Crc32.bytes ~len:(nb * prm.Param.block_size) buf in
-                if actual <> data_crc then
+                let actual = ref 0 in
+                for i = 1 to nb do
+                  src.Cleaner.read_into ~addr:(src.Cleaner.base + off + i) ~dst:buf;
+                  actual := Util.Crc32.combine shift !actual (Util.Crc32.bytes buf)
+                done;
+                if !actual <> data_crc then
                   problems :=
                     Printf.sprintf
                       "segment %d partial at offset %d: data checksum %08x, summary records %08x"
-                      seg off actual data_crc
+                      seg off !actual data_crc
                     :: !problems
               end)
             ());
-  Util.Bufpool.give (Fs.segbufs fs) sbuf;
+  Bcache.give cache b;
   List.rev !problems
 
 let fsck fs =

@@ -62,6 +62,7 @@ and t = {
   mutable n_partials : int;
   mutable cache_floor : int;
   segbufs : Bufpool.t;
+  mutable seg_images : Device.Blockstore.t list;  (* the segment walker's, erased *)
   part : partial;  (* the log's, reused *)
   seen : unit Bcache.Tbl.t;  (* segments_needed's, cleared per call *)
 }
@@ -84,6 +85,22 @@ let seguse t = t.seg_usage
 let bcache t = t.map.cache
 let map t = t.map
 let segbufs t = t.segbufs
+
+(* A walk's image shares a segment's disk pages; given back erased, it
+   pins none, so the log's next write into that segment goes in place. *)
+let take_seg_image t =
+  match t.seg_images with
+  | img :: rest ->
+      t.seg_images <- rest;
+      img
+  | [] -> Device.Blockstore.image ~block_size:t.prm.block_size ~nblocks:t.prm.seg_blocks
+
+let give_seg_image t img =
+  Device.Blockstore.erase img;
+  t.seg_images <- img :: t.seg_images
+
+let seg_images t = t.seg_images
+
 let cur_seg t = t.cur_seg
 let cur_off t = t.cur_off
 let next_seg t = t.next_seg
@@ -788,6 +805,7 @@ let make_state engine prm device tertiary_cfg =
     n_partials = 0;
     cache_floor = 0;
     segbufs = Bufpool.create (Param.seg_bytes prm);
+    seg_images = [];
     part = new_partial prm;
     seen = Bcache.Tbl.create 64;
   }

@@ -73,8 +73,21 @@ val map : t -> Bmap.t
 
 val segbufs : t -> Util.Bufpool.t
 (** The instance's pool of segment-sized ({!Param.seg_bytes}) buffers:
-    partial images, fsck's scratch segment and — in HighLight — the
-    migrator's staging images all come from it. *)
+    partial images and — in HighLight — the migrator's staging images
+    come from it. *)
+
+val take_seg_image : t -> Device.Blockstore.t
+(** A one-segment {!Device.Blockstore.image} from the instance's pool,
+    for the segment walker ({!Cleaner.log_segment}) to share a log
+    segment's disk pages into. *)
+
+val give_seg_image : t -> Device.Blockstore.t -> unit
+(** Erases the image and pools it again: it holds no page afterwards,
+    so a later write into the segment it held takes no copy-on-write
+    page. *)
+
+val seg_images : t -> Device.Blockstore.t list
+(** The pooled images (all of them, when no walk is open). *)
 
 val cur_seg : t -> int
 val cur_off : t -> int

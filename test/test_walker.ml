@@ -136,8 +136,89 @@ let test_walker_matches_block_maps () =
   Sim.Engine.run engine;
   check Alcotest.bool "sim process finished" true !finished
 
+(* Segment-at-a-time cleaning: the walk and the gather read the victim
+   with one timed request, into an image that shares the disk's pages
+   and is erased before the pass's flush writes. With 16-block
+   segments, the victim (segment 1, blocks 32-47) and the log's active
+   segment 2 share one 32-block disk page, so an image still holding
+   that page would make the flush's write there copy it. *)
+let test_segment_read () =
+  let engine = Sim.Engine.create () in
+  let finished = ref false in
+  Sim.Engine.spawn engine (fun () ->
+      let prm = Param.for_tests ~seg_blocks ~nsegs:16 () in
+      let disk =
+        Device.Disk.create engine ~nblocks:(Layout.disk_blocks prm) Device.Disk.rz57 ~name:"d0"
+      in
+      let store = Device.Disk.store disk in
+      let fsys = Fs.mkfs engine prm (Dev.of_disk disk) () in
+      let contents = Hashtbl.create 8 in
+      let write path ~off n seed =
+        let ino = match Dir.namei_opt fsys path with Some i -> i | None -> Dir.create_file fsys path in
+        let data = bytes_pattern (n * bs) seed in
+        File.write fsys ino ~off:(off * bs) data;
+        let old = Option.value ~default:Bytes.empty (Hashtbl.find_opt contents path) in
+        let whole = Bytes.make (max (Bytes.length old) ((off + n) * bs)) '\000' in
+        Bytes.blit old 0 whole 0 (Bytes.length old);
+        Bytes.blit data 0 whole (off * bs) (n * bs);
+        Hashtbl.replace contents path whole
+      in
+      List.iteri (fun i (path, n) -> write path ~off:0 n i) [ ("/a", 4); ("/b", 5); ("/c", 4); ("/d", 3) ];
+      Fs.checkpoint fsys;
+      (* dead blocks in segment 1: two blocks of /b rewritten, /c unlinked *)
+      write "/b" ~off:0 2 10;
+      Dir.unlink fsys "/c";
+      Hashtbl.remove contents "/c";
+      Fs.checkpoint fsys;
+      let victim = 1 in
+      let live, dead, inodes =
+        Cleaner.fold_segment fsys (Cleaner.log_segment fsys victim)
+          {
+            Cleaner.file_block =
+              (fun (live, dead, inodes) ~addr ~inum ~version bkey ->
+                if Cleaner.is_live fsys ~addr ~inum ~version bkey then (live + 1, dead, inodes)
+                else (live, dead + 1, inodes));
+            inode_block = (fun acc ~addr:_ -> acc);
+            live_inode = (fun (live, dead, inodes) ~addr:_ ~inum:_ -> (live, dead, inodes + 1));
+          }
+          (0, 0, 0)
+      in
+      check Alcotest.bool "the victim holds live blocks" true (live > 0);
+      check Alcotest.bool "the victim holds dead blocks" true (dead > 0);
+      (* so the walk's image shares the page [32, 64) whole, and the
+         pass's flush writes its first partial into it *)
+      check Alcotest.bool "the victim is written to its end" true
+        (Device.Blockstore.is_written store (Layout.seg_base prm (victim + 1) - 1));
+      check Alcotest.int "the log writes the segment after the victim" (victim + 1) (Fs.cur_seg fsys);
+      check Alcotest.bool "with room for a partial" true (Fs.cur_off fsys <= seg_blocks - 2);
+      (* caches dropped, inodes in core *)
+      Bcache.invalidate_clean (Fs.bcache fsys);
+      let reads = Device.Disk.reads disk
+      and copied = Device.Blockstore.blocks_copied store
+      and written = Device.Disk.bytes_written disk in
+      let r = Cleaner.clean_segments fsys [ victim ] in
+      check Alcotest.int "live blocks and inodes moved" (live + inodes) r.Cleaner.blocks_moved;
+      check Alcotest.int "one disk read for the walk and the gather" 1
+        (Device.Disk.reads disk - reads);
+      check Alcotest.int "the disk copied only the blocks the flush wrote"
+        ((Device.Disk.bytes_written disk - written) / bs)
+        (Device.Blockstore.blocks_copied store - copied);
+      Bcache.invalidate_clean (Fs.bcache fsys);
+      Hashtbl.iter
+        (fun path data ->
+          let ino = Dir.namei fsys path in
+          check Alcotest.bool (path ^ " re-reads byte-identical") true
+            (Bytes.equal data (File.read fsys ino ~off:0 ~len:(Bytes.length data))))
+        contents;
+      check (Alcotest.list Alcotest.string) "fsck" [] (Debug.fsck fsys);
+      finished := true);
+  Sim.Engine.run engine;
+  check Alcotest.bool "sim process finished" true !finished
+
 let suite =
   [
+    ( "lfs.segment_read",
+      [ Alcotest.test_case "one read per victim, no page held" `Quick test_segment_read ] );
     ( "lfs.walker",
       [
         Alcotest.test_case "walker agrees with the block maps" `Quick
